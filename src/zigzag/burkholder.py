@@ -15,8 +15,9 @@ with elementary constants, and weak-type functions for l1 built from a
 biconvex zeta function), plus numerical probe checks for the three properties.
 
 Every construction is immutable after creation; all operations are pure.
-Points are floats for scalar constructions, 1-d arrays for vector ones and
-2-d arrays for matrix ones.  ``*_batch`` methods take a leading batch axis.
+Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
+and 2-d arrays for matrix ones; ``point_shape`` names the shape.  ``*_batch``
+methods take a leading batch axis.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -126,7 +127,7 @@ class BurkholderSpec:
     probe_radii = (1.0, 5.0)
 
     def zero_point(self):
-        return np.zeros(self.point_shape) if self.point_shape else 0.0
+        return np.zeros(self.point_shape)
 
     def norm(self, x) -> float:
         return self.tag.norm(np.asarray(x, dtype=float))
@@ -144,10 +145,7 @@ class BurkholderSpec:
         raise NotImplementedError
 
     def norm_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not self.point_shape:
-            xs = xs[:, np.newaxis]
-        return self.tag.norm_batch(xs)
+        return self.tag.norm_batch(np.asarray(xs, dtype=float))
 
     def majorant_batch(self, xs, ys) -> np.ndarray:
         """The function U must dominate: ||x||^p - beta^p ||y||^p."""
@@ -160,8 +158,7 @@ class BurkholderSpec:
         draws biased onto kinks (a coordinate within 1e-4 of zero)."""
         r_small, r_big = self.probe_radii
         radii = np.where(rng.random(n) < 0.5, r_small, r_big)
-        shape = (n, *self.point_shape) if self.point_shape else (n,)
-        pts = rng.uniform(-1.0, 1.0, size=shape)
+        pts = rng.uniform(-1.0, 1.0, size=(n, *self.point_shape))
         pts = pts * radii.reshape((n,) + (1,) * (pts.ndim - 1))
         k = max(1, n // 10)
         idx = rng.choice(n, size=k, replace=False)

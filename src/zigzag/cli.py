@@ -8,9 +8,6 @@ Subcommands:
   exact verifiers, JSON report to stdout or a file
 - ``spectral``: the desk-scale matrix prediction run
 - ``report DIR``: digest all summary.json files under a directory
-
-Thread count for multi-seed runs comes from the ZIGZAG_WORKERS environment
-variable (default 1).
 """
 
 from __future__ import annotations

@@ -2,27 +2,25 @@
 offline comparators, a brute-force minimax oracle for tiny games, and the
 config-driven runner with fixed CSV/JSON output schemas.
 
-All adversaries rescale raw draws onto the unit ball of the configured norm,
-so streams always satisfy the protocol's boundedness contract; an optional
-``normalize=False`` escape hatch exercises scale-free behavior.  Experiment
-cells (seed by seed) run in a thread pool sized by the ``ZIGZAG_WORKERS``
-environment variable and are merged in seed order, so outputs are
-bit-identical regardless of scheduling.
+All adversaries draw instances of the construction's point shape and rescale
+them onto the unit ball of the configured norm, so streams always satisfy the
+protocol's boundedness contract; an optional ``normalize=False`` escape hatch
+exercises scale-free behavior.  Experiment cells run seed by seed, in seed
+order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import os
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .burkholder import make_spec
 from .learner import ZigZagLearner, run_episode, theorem_residual
-from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo, norm
+from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo
 from .losses import dloss_batch, loss, loss_batch
 from .rademacher import rad_estimate, rad_exact
 from .rng import substream
@@ -71,18 +69,16 @@ def _unit(x, tag: NormTag, normalize: bool):
 
 
 class IIDGaussianX:
-    """Gaussian instances scaled onto the unit sphere of the configured
-    norm; labels are fresh uniform signs."""
+    """Gaussian instances of the given shape scaled onto the unit sphere of
+    the configured norm; labels are fresh uniform signs."""
 
-    def __init__(self, d: int, tag: NormTag, normalize: bool = True):
-        self.d = d
+    def __init__(self, shape, tag: NormTag, normalize: bool = True):
+        self.shape = shape
         self.tag = tag
         self.normalize = normalize
 
     def next_x(self, t, rng):
-        x = rng.normal(size=self.d)
-        out = _unit(x, self.tag, self.normalize)
-        return out if self.d > 1 else float(out[0])
+        return _unit(rng.normal(size=self.shape), self.tag, self.normalize)
 
     def next_y(self, t, x, yhat, rng):
         return float(rng.choice([-1.0, 1.0]))
@@ -92,22 +88,21 @@ class IIDRademacherCoordsX(IIDGaussianX):
     """Sign-vector instances scaled onto the unit sphere of the norm."""
 
     def next_x(self, t, rng):
-        x = (rng.integers(0, 2, size=self.d) * 2 - 1).astype(float)
-        out = _unit(x, self.tag, self.normalize)
-        return out if self.d > 1 else float(out[0])
+        x = (rng.integers(0, 2, size=self.shape) * 2 - 1).astype(float)
+        return _unit(x, self.tag, self.normalize)
 
 
 class LowRankStream(IIDGaussianX):
-    """Instances drawn from a fixed random subspace of the given rank."""
+    """Instances drawn from a fixed random subspace of the given rank; the
+    shape is a tuple."""
 
-    def __init__(self, d: int, rank: int, tag: NormTag, seed: int, normalize: bool = True):
-        super().__init__(d, tag, normalize)
-        self.basis = substream(seed, "low-rank-basis").normal(size=(d, rank))
+    def __init__(self, shape: tuple, rank: int, tag: NormTag, seed: int, normalize: bool = True):
+        super().__init__(shape, tag, normalize)
+        self.basis = substream(seed, "low-rank-basis").normal(size=(*shape, rank))
 
     def next_x(self, t, rng):
-        x = self.basis @ rng.normal(size=self.basis.shape[1])
-        out = _unit(x, self.tag, self.normalize)
-        return out if self.d > 1 else float(out[0])
+        x = self.basis @ rng.normal(size=self.basis.shape[-1])
+        return _unit(x, self.tag, self.normalize)
 
 
 class FixedStream:
@@ -120,8 +115,7 @@ class FixedStream:
             raise ValueError("xs and ys must have equal length")
 
     def next_x(self, t, rng):
-        x = self.xs[t - 1]
-        return x if x.ndim else float(x)
+        return self.xs[t - 1]
 
     def next_y(self, t, x, yhat, rng):
         return self.ys[t - 1]
@@ -141,19 +135,20 @@ class SignFlip:
         return 1.0 if yhat == 0.0 else -float(np.sign(yhat))
 
 
-def make_adversary(cfg: dict, d: int, tag: NormTag, seed: int):
+def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
+    """The adversary a config names, drawing instances of ``shape``."""
     kind = cfg["kind"]
     normalize = bool(cfg.get("normalize", True))
     if kind == "iid-gaussian":
-        return IIDGaussianX(d, tag, normalize)
+        return IIDGaussianX(shape, tag, normalize)
     if kind == "iid-rademacher-coords":
-        return IIDRademacherCoordsX(d, tag, normalize)
+        return IIDRademacherCoordsX(shape, tag, normalize)
     if kind == "sign-flip":
         base_kind = cfg.get("base", "iid-gaussian")
-        base = make_adversary({"kind": base_kind, "normalize": normalize}, d, tag, seed)
+        base = make_adversary({"kind": base_kind, "normalize": normalize}, shape, tag, seed)
         return SignFlip(base)
     if kind == "low-rank-stream":
-        return LowRankStream(d, int(cfg["rank"]), tag, seed, normalize)
+        return LowRankStream(shape, int(cfg["rank"]), tag, seed, normalize)
     if kind == "fixed-file":
         if "path" in cfg:
             data = json.loads(pathlib.Path(cfg["path"]).read_text())
@@ -291,108 +286,78 @@ def _build_learner(config: dict, spec, seed: int):
     raise ValueError(f"unknown algorithm {config['algorithm']!r}")
 
 
-def _episode_dim(spec) -> int:
-    return spec.point_shape[0] if spec.point_shape else 1
-
-
 def _run_cell(config: dict, seed: int) -> dict:
     spec = make_spec(config["spec"]) if config.get("spec") else None
     loss_name = config.get("loss", "hinge")
     n = int(config["n"])
     if config["algorithm"] == "adaptive-gd":
-        tag = LpTag(2.0)
-        d = int(config["d"])
+        tag, shape = LpTag(2.0), (int(config["d"]),)
     else:
-        tag = spec.tag
-        d = _episode_dim(spec)
-    adversary = make_adversary(config["adversary"], d, tag, seed)
+        tag, shape = spec.tag, spec.point_shape
+    adversary = make_adversary(config["adversary"], shape, tag, seed)
     learner = _build_learner(config, spec, seed)
+    if config.get("certify") and not hasattr(learner, "certificate"):
+        raise ValueError(f"algorithm {config['algorithm']!r} has no certificate; it cannot run with certify: true")
     cert_grid = np.linspace(-1, 1, 41) if config.get("certify") else None
     trace = run_episode(learner, loss_name, adversary, n, seed, cert_grid=cert_grid)
 
-    xs_for_fw = [np.atleast_1d(x) for x in trace.xs]
-    fw = offline_comparator(xs_for_fw, trace.y, tag, loss_name, iters=int(config.get("fw_iters", 500)))
+    # the comparator class and the Rademacher estimate live in R^d, so scalar
+    # instances enter them as 1-vectors
+    xs = [np.atleast_1d(x) for x in trace.xs]
+    fw = offline_comparator(xs, trace.y, tag, loss_name, iters=int(config.get("fw_iters", 500)))
     total_loss = float(trace.cum_loss[-1]) if trace.n else 0.0
-    regret = total_loss - fw["best_loss"]
-
-    increments = np.array([d_ * x for d_, x in zip(trace.dloss, xs_for_fw)]) if trace.n else np.zeros((0, d))
-    k = int(config.get("rad_samples", 1000))
-    rad_mean, rad_se = rad_estimate(increments, tag, k, seed=seed) if trace.n else (0.0, 0.0)
-
+    increments = np.array([d_ * x for d_, x in zip(trace.dloss, xs)]) if trace.n else np.zeros((0, *shape))
+    rad_mean, rad_se = rad_estimate(increments, tag, int(config.get("rad_samples", 1000)), seed=seed)
     summary = {
         "seed": seed,
-        "regret": regret,
+        "regret": total_loss - fw["best_loss"],
         "total_loss": total_loss,
         "comparator_fw": fw["best_loss"],
         "fw_gap": fw["gap"],
         "rad_mean": rad_mean,
         "rad_se": rad_se,
-        "phases": [],
-        "benchmark_linearized": None,
-        "residual": None,
+        "phases": [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else [],
+        # tag.norm(sum_t l'_t x_t), the same value as theorem_residual's
+        # benchmark_linearized
+        "benchmark_linearized": float(tag.norm(increments.sum(axis=0))),
+        "residual": theorem_residual(trace, spec, learner.eta)["residual"] if isinstance(learner, ZigZagLearner) else None,
         "cert_worst_slack": float(trace.cert_worst_slack.min()) if trace.cert_worst_slack is not None and trace.n else None,
         # companion to the no-normalize escape hatch: scale-free runs report
         # how large the instances actually got
-        "max_x_norm": float(max((tag.norm(x) for x in xs_for_fw), default=0.0)),
+        "max_x_norm": float(max((tag.norm(x) for x in xs), default=0.0)),
     }
-    if isinstance(learner, ZigZagLearner):
-        res = theorem_residual(trace, spec, learner.eta)
-        summary["benchmark_linearized"] = res["benchmark_linearized"]
-        summary["residual"] = res["residual"]
-    elif isinstance(learner, DoublingZigZag):
-        res = theorem_residual(trace, spec, learner.eta)
-        summary["benchmark_linearized"] = res["benchmark_linearized"]
-        summary["phases"] = [
-            {
-                "index": rec.index,
-                "start": rec.start,
-                "end": rec.end,
-                "eta": rec.eta,
-                "threshold": rec.threshold,
-                "phi_full": rec.phi_full,
-                "phi_minus_last": rec.phi_minus_last,
-                "final": rec.final,
-            }
-            for rec in learner.finish()
-        ]
-    else:
-        steps = np.array([d_ * np.atleast_1d(x) for d_, x in zip(trace.dloss, xs_for_fw)]) if trace.n else np.zeros((0, d))
-        summary["benchmark_linearized"] = float(tag.norm(steps.sum(axis=0))) if trace.n else 0.0
     trace.summary = summary
     return {**summary, "trace_csv": trace.to_csv()}
 
 
-def _spectral_summary(config: dict) -> dict:
-    seeds = list(config.get("seeds", [0]))
-    cells = []
-    for seed in seeds:
-        res = run_spectral(
-            d=int(config["d"]),
-            r=int(config["r"]),
-            tau=float(config["tau"]),
-            n=int(config["n"]),
-            stream_kind=config.get("entry_distribution", "uniform"),
-            loss_name=config.get("loss", "hinge"),
-            seed=seed,
-            max_net=int(config.get("net_size", 500)),
-            eta=config.get("eta"),
-        )
-        cells.append(res)
-    summary = {
-        "config": config,
-        "regret": [c.regret for c in cells],
-        "benchmark_linearized": [None for _ in cells],
-        "comparator_fw": [c.comparator_loss for c in cells],
-        "rad_mean": [None for _ in cells],
-        "rad_se": [None for _ in cells],
-        "residual_mean": None,
-        "residual_se": None,
-        "phases": [[] for _ in cells],
-    }
-    # spectral-specific detail goes to a sidecar file so summary.json keeps
-    # the fixed key set
-    summary["_spectral_details"] = [
-        {
+def _spectral_cell(config: dict, seed: int) -> dict:
+    c = run_spectral(
+        d=int(config["d"]),
+        r=int(config["r"]),
+        tau=float(config["tau"]),
+        n=int(config["n"]),
+        stream_kind=config.get("entry_distribution", "uniform"),
+        loss_name=config.get("loss", "hinge"),
+        seed=seed,
+        max_net=int(config.get("net_size", 500)),
+        eta=config.get("eta"),
+    )
+    return {
+        "seed": seed,
+        "regret": c.regret,
+        "total_loss": c.learner_loss,
+        "comparator_fw": c.comparator_loss,
+        "fw_gap": None,
+        "rad_mean": None,
+        "rad_se": None,
+        "phases": [],
+        "benchmark_linearized": None,
+        "residual": None,
+        "cert_worst_slack": c.cert_worst_slack,
+        "max_x_norm": None,
+        # spectral-specific detail goes to a sidecar file so summary.json
+        # keeps the fixed key set
+        "spectral": {
             "seed": seed,
             "learner_loss": c.learner_loss,
             "best_expert_loss": c.best_expert_loss,
@@ -405,25 +370,17 @@ def _spectral_summary(config: dict) -> dict:
             "net_radius_achieved": c.coverage.radius_achieved,
             "cert_worst_slack": c.cert_worst_slack,
             "cert_violations": c.cert_violations,
-        }
-        for seed, c in zip(seeds, cells)
-    ]
-    return summary
+        },
+    }
 
 
 def run_experiment(config: dict) -> dict:
-    """Run every (seed) cell of a config and assemble the fixed-schema
-    summary.  Cells execute in a thread pool (ZIGZAG_WORKERS, default 1) and
-    are merged in seed order for reproducibility."""
-    if config.get("algorithm") == "spectral":
-        return _spectral_summary(config)
-    seeds = list(config.get("seeds", []))
-    workers = int(os.environ.get("ZIGZAG_WORKERS", "1"))
-    if seeds and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda s: _run_cell(config, s), seeds))
-    else:
-        cells = [_run_cell(config, s) for s in seeds]
+    """Run every seed cell of a config, in seed order, and assemble the
+    fixed-schema summary.  Spectral configs run seed 0 unless they list
+    seeds."""
+    spectral = config.get("algorithm") == "spectral"
+    run_cell = _spectral_cell if spectral else _run_cell
+    cells = [run_cell(config, seed) for seed in config.get("seeds", [0] if spectral else [])]
     residuals = [c["residual"] for c in cells if c["residual"] is not None]
     summary = {
         "config": config,
@@ -436,24 +393,26 @@ def run_experiment(config: dict) -> dict:
         "residual_se": float(np.std(residuals, ddof=1) / math.sqrt(len(residuals))) if len(residuals) > 1 else None,
         "phases": [c["phases"] for c in cells],
     }
-    summary["_cells"] = cells  # traces for writers; stripped from summary.json
+    summary["_cells"] = cells  # traces and sidecar detail for writers; stripped from summary.json
     return summary
 
 
 def write_outputs(summary: dict, out_dir) -> list[str]:
-    """Write per-seed trace CSVs and the fixed-schema summary.json; returns
-    the written paths."""
+    """Write per-seed trace CSVs, the spectral.json sidecar of spectral cells
+    and the fixed-schema summary.json; returns the written paths."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     cells = summary.get("_cells", [])
     for cell in cells:
-        path = out / f"episode_seed{cell['seed']}.csv"
-        path.write_text(cell["trace_csv"])
-        written.append(str(path))
-    if "_spectral_details" in summary:
+        if "trace_csv" in cell:
+            path = out / f"episode_seed{cell['seed']}.csv"
+            path.write_text(cell["trace_csv"])
+            written.append(str(path))
+    spectral = [cell["spectral"] for cell in cells if "spectral" in cell]
+    if spectral:
         path = out / "spectral.json"
-        path.write_text(json.dumps(summary["_spectral_details"], indent=2, sort_keys=True))
+        path.write_text(json.dumps(spectral, indent=2, sort_keys=True))
         written.append(str(path))
     clean = {k: summary[k] for k in summary if not k.startswith("_")}
     path = out / "summary.json"

@@ -93,8 +93,10 @@ class ZigZagLearner:
         drawn sign."""
         if abs(dloss_val) > 1.0 + 1e-12:
             raise ValueError(f"|dloss| must be <= 1, got {dloss_val}")
+        if np.shape(x) != self.spec.point_shape:
+            raise ValueError(f"instance shape {np.shape(x)} does not match the point shape {self.spec.point_shape}")
         eps = int(rademacher(self.rng))
-        step = dloss_val * np.asarray(x, dtype=float) if self.spec.point_shape else dloss_val * float(x)
+        step = dloss_val * np.asarray(x, dtype=float)
         self.S = self.S + step
         self.M = self.M + eps * step
         self.t += 1
@@ -102,15 +104,6 @@ class ZigZagLearner:
 
     def relaxation_value(self) -> float:
         return (self.eta / self.spec.p) * self.spec.value(self.S, self.M)
-
-    def g_value(self, x, lprime: float) -> float:
-        """G_t(lprime): the exact two-point sigma average at offset lprime."""
-        xs = np.asarray(x, dtype=float)
-        s_new = self.S + lprime * xs if self.spec.point_shape else self.S + lprime * float(x)
-        m_plus = self.M + lprime * xs if self.spec.point_shape else self.M + lprime * float(x)
-        m_minus = self.M - lprime * xs if self.spec.point_shape else self.M - lprime * float(x)
-        scale = self.eta / self.spec.p
-        return scale * 0.5 * (self.spec.value(s_new, m_plus) + self.spec.value(s_new, m_minus))
 
     def certificate(self, x, grid=None, tol: float = 1e-8, yhat: float | None = None) -> CertificateReport:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1]."""
@@ -120,17 +113,11 @@ class ZigZagLearner:
         if yhat is None:
             yhat = self.predict(x)
         scale = self.eta / self.spec.p
-        if self.spec.point_shape:
-            xs = np.asarray(x, dtype=float)
-            bshape = (grid.size,) + (1,) * xs.ndim
-            g = grid.reshape(bshape)
-            s_new = self.S[np.newaxis, ...] + g * xs
-            m_plus = self.M[np.newaxis, ...] + g * xs
-            m_minus = self.M[np.newaxis, ...] - g * xs
-        else:
-            s_new = self.S + grid * float(x)
-            m_plus = self.M + grid * float(x)
-            m_minus = self.M - grid * float(x)
+        xs = np.asarray(x, dtype=float)
+        steps = grid.reshape((grid.size,) + (1,) * xs.ndim) * xs
+        s_new = self.S + steps
+        m_plus = self.M + steps
+        m_minus = self.M - steps
         g_vals = scale * 0.5 * (self.spec.value_batch(s_new, m_plus) + self.spec.value_batch(s_new, m_minus))
         rhs = scale * self.spec.value(self.S, self.M)
         slack = rhs - (yhat * grid + g_vals)

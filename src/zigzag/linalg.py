@@ -22,9 +22,7 @@ __all__ = [
     "TraceTag",
     "SupTag",
     "OneTag",
-    "GramPoint",
     "conjugate",
-    "norm",
     "dual_ball_lmo",
     "prefix_interval_sup",
     "IntervalSupTracker",
@@ -173,42 +171,18 @@ class TraceTag(NormTag):
         return singular_values(xs).sum(axis=-1)
 
 
-@dataclass
-class GramPoint:
-    """A point of a Gram-represented Hilbert space: coefficients against a
-    shared PSD Gram matrix."""
-
-    coeffs: np.ndarray
-    gram: GramTag
-
-    def norm(self) -> float:
-        return self.gram.norm(self.coeffs)
-
-
-def norm(x, tag: NormTag) -> float:
-    """The norm named by ``tag``; accepts GramPoint for gram tags."""
-    if isinstance(x, GramPoint):
-        return x.gram.norm(x.coeffs)
-    return tag.norm(x)
-
-
-def dual_ball_lmo(g, tag: NormTag, vertices=None) -> np.ndarray:
+def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     """argmin of <w, g> over the unit ball of the dual of ``tag``'s norm.
 
     The comparator class lives in the dual ball, so by duality the optimum
-    value is -norm(g, tag).  Closed forms are used for lp / weighted-l2 /
-    gram / sup / one tags; an explicit symmetric vertex list covers atomic
-    balls.  A zero gradient returns the zero vector.
+    value is -tag.norm(g).  Closed forms are used for lp / weighted-l2 /
+    gram / sup / one tags.  A zero gradient returns the zero vector.
 
     For gram tags both ``g`` and the result are coefficient vectors and the
     pairing is the Hilbert inner product <w, g>_G = w' G g (the space is
     self-dual); all other tags pair with the standard duality product.
     """
     g = np.asarray(g, dtype=float)
-    if vertices is not None:
-        verts = np.asarray(vertices, dtype=float)
-        scores = verts.reshape(verts.shape[0], -1) @ g.ravel()
-        return verts[int(np.argmin(scores))]
     if not np.any(g):
         return np.zeros_like(g)
     if isinstance(tag, LpTag):

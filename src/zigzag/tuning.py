@@ -75,8 +75,7 @@ class ExpectedPhiTracker:
         self.k = k_paths
         self.rng = rng
         self.shape = tuple(shape)
-        dim = int(np.prod(self.shape)) if self.shape else 1
-        self._prefixes = [np.zeros((k_paths, dim))]
+        self._prefixes = [np.zeros((k_paths, int(np.prod(self.shape))))]
         self._sups = np.zeros(k_paths)
         self.n = 0
 
@@ -86,10 +85,7 @@ class ExpectedPhiTracker:
         new = self._prefixes[-1] + signs[:, np.newaxis] * z[np.newaxis, :]
         prev = np.stack(self._prefixes)  # (n+1, K, dim)
         diffs = new[np.newaxis, :, :] - prev
-        flat = diffs.reshape(-1, diffs.shape[-1])
-        if self.shape and len(self.shape) > 1:
-            flat = flat.reshape(flat.shape[0], *self.shape)
-        norms = self.tag.norm_batch(flat).reshape(diffs.shape[0], self.k)
+        norms = self.tag.norm_batch(diffs.reshape(-1, *self.shape)).reshape(diffs.shape[0], self.k)
         self._sups = np.maximum(self._sups, norms.max(axis=0))
         self._prefixes.append(new)
         self.n += 1

@@ -143,8 +143,7 @@ def test_criterion_03_per_round_admissibility(capsys):
         grid = np.linspace(-1, 1, 41)
         worst = 0.0
         for spec, adv_kind, seed in itertools.product(specs, ("iid-gaussian", "sign-flip"), range(5)):
-            d = spec.point_shape[0] if spec.point_shape else 1
-            base = IIDGaussianX(d, spec.tag)
+            base = IIDGaussianX(spec.point_shape, spec.tag)
             adversary = SignFlip(base) if adv_kind == "sign-flip" else base
             learner = ZigZagLearner(spec, 0.5, substream(seed, "learner"))
             trace = run_episode(learner, "hinge", adversary, n=200, seed=seed, cert_grid=grid, cert_tol=1e-8)

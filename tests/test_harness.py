@@ -16,23 +16,34 @@ from zigzag.harness import (
     merge_reports,
     SUMMARY_KEYS,
 )
-from zigzag.linalg import LpTag, norm
+from zigzag.burkholder import make_spec
+from zigzag.linalg import LpTag
 from zigzag.rng import substream
 
 
 def test_adversaries_emit_unit_ball_instances():
-    tag = LpTag(2.0)
-    for cfg in (
-        {"kind": "iid-gaussian"},
-        {"kind": "iid-rademacher-coords"},
-        {"kind": "sign-flip"},
-        {"kind": "low-rank-stream", "rank": 2},
-    ):
-        adv = make_adversary(cfg, d=6, tag=tag, seed=3)
-        rng = substream(3, "check")
-        for t in range(1, 80):
-            x = adv.next_x(t, rng)
-            assert norm(np.atleast_1d(x), tag) <= 1.0 + 1e-12
+    specs = [
+        {"construction": "scalar-p", "p": 3.0},
+        {"construction": "lp-sum", "p": 3.0, "d": 6},
+        {"construction": "hilbert", "p": 2.0, "d": 6},
+        {"construction": "weighted-l2", "weight": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
+        {"construction": "even-power", "k": 4},
+    ]
+    for spec in map(make_spec, specs):
+        fixed = [(x / spec.norm(x)).tolist() for x in spec.sample_points(substream(3, "fixed"), 79)]
+        for cfg in (
+            {"kind": "iid-gaussian"},
+            {"kind": "iid-rademacher-coords"},
+            {"kind": "sign-flip"},
+            {"kind": "low-rank-stream", "rank": 2},
+            {"kind": "fixed-file", "xs": fixed, "ys": [1.0] * 79},
+        ):
+            adv = make_adversary(cfg, shape=spec.point_shape, tag=spec.tag, seed=3)
+            rng = substream(3, "check")
+            for t in range(1, 80):
+                x = adv.next_x(t, rng)
+                assert np.shape(x) == spec.point_shape, (spec.construction, cfg["kind"])
+                assert spec.tag.norm(x) <= 1.0 + 1e-12
 
 
 def test_no_normalize_escape_hatch_reports_scale(tmp_path):
@@ -56,7 +67,7 @@ def test_no_normalize_escape_hatch_reports_scale(tmp_path):
 
 
 def test_sign_flip_labels():
-    adv = make_adversary({"kind": "sign-flip"}, d=3, tag=LpTag(2.0), seed=0)
+    adv = make_adversary({"kind": "sign-flip"}, shape=(3,), tag=LpTag(2.0), seed=0)
     rng = substream(0, "y")
     assert adv.next_y(1, None, 0.7, rng) == -1.0
     assert adv.next_y(1, None, -0.2, rng) == 1.0
@@ -64,7 +75,7 @@ def test_sign_flip_labels():
 
 
 def test_low_rank_stream_lives_in_subspace():
-    adv = make_adversary({"kind": "low-rank-stream", "rank": 2}, d=8, tag=LpTag(2.0), seed=5)
+    adv = make_adversary({"kind": "low-rank-stream", "rank": 2}, shape=(8,), tag=LpTag(2.0), seed=5)
     rng = substream(5, "lr")
     xs = np.stack([adv.next_x(t, rng) for t in range(1, 30)])
     assert np.linalg.matrix_rank(xs, tol=1e-8) == 2
@@ -87,6 +98,20 @@ def test_adaptive_gd_basics():
     assert np.linalg.norm(gd.w) <= 1.0 + 1e-12
     best = min(loss("hinge", float(w1 * x[0]), y) for w1 in np.linspace(-1, 1, 4001))
     assert loss("hinge", yhat, y) - best <= 2.0 * np.linalg.norm(x) + 1e-12
+
+
+def test_adaptive_gd_rejects_certify():
+    config = {
+        "algorithm": "adaptive-gd",
+        "d": 4,
+        "loss": "hinge",
+        "adversary": {"kind": "iid-gaussian"},
+        "n": 10,
+        "seeds": [0],
+        "certify": True,
+    }
+    with pytest.raises(ValueError, match="adaptive-gd.*certify"):
+        run_experiment(config)
 
 
 def test_adaptive_gd_sqrt_regret_on_random_stream():

@@ -78,6 +78,13 @@ def test_update_semantics():
         learner.update(1.0, 1.5)
 
 
+def test_update_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        make_learner(LpSumU(3.0, 4)).update(np.ones(3), 0.5)
+    with pytest.raises(ValueError):
+        make_learner(ScalarPowerU(2.0)).update(np.ones(1), 0.5)
+
+
 def test_relaxation_value():
     learner = make_learner(ScalarPowerU(2.0), eta=2.0)
     assert learner.relaxation_value() == 0.0
@@ -192,8 +199,7 @@ def test_per_round_payoff_never_beats_relaxation():
         from zigzag.losses import dloss
 
         dl = dloss("hinge", yhat, y)
-        rel_before = learner.relaxation_value()
-        total += yhat * dl + learner.g_value(x, dl) - rel_before
+        total += -learner.certificate(x, grid=[dl], yhat=yhat).worst_slack
         learner.update(x, dl)
     assert total <= 1e-10
 
