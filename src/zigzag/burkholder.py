@@ -394,6 +394,18 @@ def _zeta_batch(xs, ys, a):
     return (2.0 / math.log(3.0 * a)) * (1.0 + _z_coordinate(xs, ys, a).sum(axis=-1))
 
 
+def _central_difference(spec, x, y, z, sigma, h: float = 1e-6):
+    """Symmetric difference quotient of U along (z, sigma z): the directional
+    derivative of the l1 constructions, which have no closed algebraic form
+    and use it as their supergradient selection."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    up = spec.value(x + h * z, y + sigma * h * z)
+    dn = spec.value(x - h * z, y - sigma * h * z)
+    return (up - dn) / (2.0 * h)
+
+
 class L1WeakTypeU(BurkholderSpec):
     """Weak-type function for the l1 norm: U(x, y) = 1 - u(x+y, y-x) / u(0,0),
     where u is the canonical biconvex extension of zeta:
@@ -451,15 +463,7 @@ class L1WeakTypeU(BurkholderSpec):
         ny = np.sum(np.abs(np.asarray(ys, float)), axis=-1)
         return np.where(nx >= 1.0, 1.0, 0.0) - self.beta * ny
 
-    def dirderiv(self, x, y, z, sigma, h: float = 1e-6):
-        # no closed algebraic form: the symmetric difference quotient is the
-        # supergradient selection for this construction
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        up = self.value(x + h * z, y + sigma * h * z)
-        dn = self.value(x - h * z, y - sigma * h * z)
-        return (up - dn) / (2.0 * h)
+    dirderiv = _central_difference
 
     def _kink_bias(self, pts, rng):
         # the interesting kink is the unit l1 sphere
@@ -529,13 +533,7 @@ class ComposedL1U(BurkholderSpec):
             total += self.weak.value_batch(xs / lam, ys / lam)
         return self.eps * total
 
-    def dirderiv(self, x, y, z, sigma, h: float = 1e-6):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        up = self.value(x + h * z, y + sigma * h * z)
-        dn = self.value(x - h * z, y - sigma * h * z)
-        return (up - dn) / (2.0 * h)
+    dirderiv = _central_difference
 
     def fit_majorant_coeff(self, n_probes: int = 20_000, seed: int = 0) -> float:
         """Smallest C such that ||x||_1 - C*beta*log(B/eps)*||y||_1 - eps

@@ -21,7 +21,7 @@ import numpy as np
 from .burkholder import make_spec
 from .learner import ZigZagLearner, run_episode, theorem_residual
 from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo
-from .losses import dloss_batch, loss, loss_batch
+from .losses import dloss_batch, loss_batch
 from .rademacher import rad_estimate, rad_exact
 from .rng import substream
 from .spectral import run_spectral
@@ -242,7 +242,8 @@ def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
     The learner picks yhat from a grid on [-1, 1], the adversary answers with
     y in {-1, +1}, and the terminal comparator inf over |w| <= 1 of the
     cumulative loss has a closed form because |x_t| <= 1 makes hinge and
-    absolute losses linear in w y over the reachable range.
+    absolute losses linear in w y over the reachable range.  The induction
+    runs over arrays of all 2^t label paths per level: O(grid_size * 2^n).
     """
     xs = [float(x) for x in xs]
     n = len(xs)
@@ -254,18 +255,20 @@ def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
         raise ValueError(f"unsupported loss {loss_name!r}")
     grid = np.linspace(-1.0, 1.0, grid_size)
     offset = float(n) if loss_name in ("hinge", "absolute") else 0.0
-
-    def value(t: int, corr: float) -> float:
-        if t == n:
-            # -inf_w sum loss = |sum x_t y_t| - n for hinge/absolute, |.| for linear
-            return abs(corr) - offset
-        best = float("inf")
-        for yh in grid:
-            worst = max(loss(loss_name, yh, y) + value(t + 1, corr + xs[t] * y) for y in (-1.0, 1.0))
-            best = min(best, worst)
-        return best
-
-    return value(0, 0.0)
+    labels = np.array([-1.0, 1.0])
+    # sum_t x_t y_t of the 2^n label paths; path i has children 2i and 2i+1
+    corr = np.zeros(1)
+    for x in xs:
+        corr = (corr[:, np.newaxis] + x * labels).reshape(-1)
+    # -inf_w sum loss = |sum x_t y_t| - n for hinge/absolute, |.| for linear
+    value = np.abs(corr) - offset
+    loss_minus = loss_batch(loss_name, grid, -1.0)
+    loss_plus = loss_batch(loss_name, grid, 1.0)
+    for _ in range(n):
+        children = value.reshape(-1, 2)
+        worst = np.maximum(loss_minus + children[:, :1], loss_plus + children[:, 1:])
+        value = worst.min(axis=1)
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,11 @@ def _run_cell(config: dict, seed: int) -> dict:
         tag, shape = LpTag(2.0), (int(config["d"]),)
     else:
         tag, shape = spec.tag, spec.point_shape
+        if spec.p <= 1 or len(shape) > 1:
+            raise ValueError(
+                f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
+                f"and the Frank-Wolfe comparator needs vector points (shape {shape})"
+            )
     adversary = make_adversary(config["adversary"], shape, tag, seed)
     learner = _build_learner(config, spec, seed)
     if config.get("certify") and not hasattr(learner, "certificate"):

@@ -83,7 +83,12 @@ class ZigZagLearner:
         self.S = self.spec.zero_point()
         self.M = self.spec.zero_point()
 
+    def _check_shape(self, x) -> None:
+        if np.shape(x) != self.spec.point_shape:
+            raise ValueError(f"instance shape {np.shape(x)} does not match the point shape {self.spec.point_shape}")
+
     def predict(self, x) -> float:
+        self._check_shape(x)
         dd_plus = self.spec.dirderiv(self.S, self.M, x, +1)
         dd_minus = self.spec.dirderiv(self.S, self.M, x, -1)
         return -(self.eta / self.spec.p) * 0.5 * (dd_plus + dd_minus)
@@ -93,8 +98,7 @@ class ZigZagLearner:
         drawn sign."""
         if abs(dloss_val) > 1.0 + 1e-12:
             raise ValueError(f"|dloss| must be <= 1, got {dloss_val}")
-        if np.shape(x) != self.spec.point_shape:
-            raise ValueError(f"instance shape {np.shape(x)} does not match the point shape {self.spec.point_shape}")
+        self._check_shape(x)
         eps = int(rademacher(self.rng))
         step = dloss_val * np.asarray(x, dtype=float)
         self.S = self.S + step
@@ -107,6 +111,7 @@ class ZigZagLearner:
 
     def certificate(self, x, grid=None, tol: float = 1e-8, yhat: float | None = None) -> CertificateReport:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1]."""
+        self._check_shape(x)
         if grid is None:
             grid = np.linspace(-1.0, 1.0, 41)
         grid = np.asarray(grid, dtype=float)

@@ -226,29 +226,32 @@ def prefix_interval_sup(prefixes, tag: NormTag) -> float:
 
 
 class IntervalSupTracker:
-    """Running sup over interval sums of appended increments.
+    """Running sup over interval sums of appended increments on K paths:
+    ``sups[k]`` is max over 0 <= a <= b <= t of norm(P_b - P_a) for the
+    prefix sums of path k.  ``append`` takes a ``(paths, *shape)`` increment
+    (or one of ``shape`` for every path); ``value`` is path 0's sup.
 
-    Each append costs O(t) norm evaluations, so a length-n stream costs
-    O(n^2) total; no sub-quadratic scheme exists for general norms.
+    Each append costs O(t) norm evaluations per path, so a length-n stream
+    costs O(n^2) total; no sub-quadratic scheme exists for general norms.
     """
 
-    def __init__(self, tag: NormTag, shape=()):
+    def __init__(self, tag: NormTag, shape=(), paths: int = 1):
         self.tag = tag
-        self._prefixes = [np.zeros(shape, dtype=float)]
-        self._sup = 0.0
-
-    def __len__(self):
-        return len(self._prefixes) - 1
+        self.shape = tuple(shape)
+        self.k = paths
+        self.n = 0
+        self._prefixes = [np.zeros((paths, *self.shape))]
+        self.sups = np.zeros(paths)
 
     @property
     def value(self) -> float:
-        return self._sup
+        return float(self.sups[0])
 
-    def append(self, increment) -> float:
-        inc = np.asarray(increment, dtype=float)
-        new = self._prefixes[-1] + inc
-        prev = np.stack(self._prefixes)
-        diffs = new[np.newaxis, ...] - prev
-        self._sup = max(self._sup, float(self.tag.norm_batch(diffs).max()))
+    def append(self, increment) -> None:
+        new = self._prefixes[-1] + np.asarray(increment, dtype=float)
+        prev = np.stack(self._prefixes)  # (t+1, paths, *shape)
+        diffs = new[np.newaxis] - prev
+        norms = self.tag.norm_batch(diffs.reshape(-1, *self.shape)).reshape(diffs.shape[0], self.k)
+        self.sups = np.maximum(self.sups, norms.max(axis=0))
         self._prefixes.append(new)
-        return self._sup
+        self.n += 1

@@ -1,4 +1,8 @@
-"""Convex 1-Lipschitz losses with deterministic subgradient selection."""
+"""Convex 1-Lipschitz losses with deterministic subgradient selection.
+
+Each loss has one body, ``loss_batch`` / ``dloss_batch``, evaluated pointwise
+over arrays; ``loss`` and ``dloss`` are its scalar form.
+"""
 
 from __future__ import annotations
 
@@ -10,28 +14,11 @@ LOSSES = ("hinge", "absolute", "linear")
 
 
 def loss(fn: str, yhat: float, y: float) -> float:
-    if fn == "hinge":
-        return max(0.0, 1.0 - yhat * y)
-    if fn == "absolute":
-        return abs(yhat - y)
-    if fn == "linear":
-        return -yhat * y
-    raise ValueError(f"unknown loss {fn!r}")
+    return float(loss_batch(fn, yhat, y))
 
 
 def dloss(fn: str, yhat: float, y: float) -> float:
-    """A subgradient of the loss in its first argument, always in [-1, 1].
-
-    At kinks the selection is 0: hinge picks 0 at and beyond the margin,
-    absolute picks 0 at yhat == y.
-    """
-    if fn == "hinge":
-        return -y if 1.0 - yhat * y > 0.0 else 0.0
-    if fn == "absolute":
-        return float(np.sign(yhat - y))
-    if fn == "linear":
-        return -y
-    raise ValueError(f"unknown loss {fn!r}")
+    return float(dloss_batch(fn, yhat, y))
 
 
 def loss_batch(fn: str, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -47,6 +34,11 @@ def loss_batch(fn: str, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def dloss_batch(fn: str, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A subgradient of the loss in its first argument, always in [-1, 1].
+
+    At kinks the selection is 0: hinge picks 0 at and beyond the margin,
+    absolute picks 0 at yhat == y.
+    """
     yhat = np.asarray(yhat, dtype=float)
     y = np.asarray(y, dtype=float)
     if fn == "hinge":

@@ -38,6 +38,13 @@ __all__ = [
 MAX_DEPTH = 14
 
 
+def _all_signs(n: int) -> np.ndarray:
+    """All 2^n sign paths as float +-1 rows; row i holds the bits of i in
+    little-endian order, bit 0 as -1 and bit 1 as +1."""
+    codes = np.arange(2**n)
+    return (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+
+
 class DyadicTree:
     """A predictable process indexed by sign paths.
 
@@ -110,9 +117,7 @@ class DyadicTree:
 
     def enumerate_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """All 2^depth sign paths and their gathered values."""
-        n = self.depth
-        codes = np.arange(2**n)
-        signs = ((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1
+        signs = _all_signs(self.depth)
         return signs, self.path_values(signs)
 
 
@@ -144,8 +149,7 @@ def rad_exact(zs, tag: NormTag) -> float:
         return 0.0
     if n > 20:
         raise ValueError("enumeration limited to n <= 20")
-    codes = np.arange(2**n)
-    signs = (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+    signs = _all_signs(n)
     sums = np.tensordot(signs, zs, axes=(1, 0))
     return float(tag.norm_batch(sums).mean())
 
@@ -181,8 +185,7 @@ def maximal_rad_exact(zs, tag: NormTag) -> float:
         return 0.0
     if n > 20:
         raise ValueError("enumeration limited to n <= 20")
-    codes = np.arange(2**n)
-    signs = (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+    signs = _all_signs(n)
     return float(_prefix_max_norms(signs, zs, tag).mean())
 
 
@@ -310,8 +313,7 @@ def hitczenko_check(
         signs, values = tree.enumerate_paths()
         terms = (signs[:, :, np.newaxis] * values).squeeze(-1)  # (2^n, n)
         lhs_samples = np.abs(terms.sum(axis=1)) ** p
-        codes = np.arange(2**n)
-        fresh = (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+        fresh = _all_signs(n)
         decoupled = np.abs(fresh @ terms.T) ** p  # (eps', eps)
         lhs_mean, lhs_se = float(lhs_samples.mean()), 0.0
         rhs_mean, rhs_se = float(decoupled.mean()), 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import dloss_batch, loss, loss_batch
+from .losses import dloss_batch, loss_batch
 from .rng import rademacher, substream
 
 __all__ = [
@@ -86,8 +86,9 @@ def build_net(
     net_arr = np.stack(net)
 
     probes = _sphere_sample(rng, probe_count, d, r, tau)
-    diffs = probes[:, np.newaxis, :, :] - net_arr[np.newaxis, :, :, :]
-    min_dist = np.sqrt(np.sum(diffs**2, axis=(2, 3))).min(axis=1)
+    min_dist = np.full(probe_count, np.inf)
+    for v in net_arr:
+        min_dist = np.minimum(min_dist, np.sqrt(np.sum((probes - v) ** 2, axis=(1, 2))))
     coverage = NetCoverage(
         size=len(net),
         radius_requested=net_alpha,
@@ -212,7 +213,7 @@ class SpectralZigZag:
             "yhat": yhat,
             "expert": v,
             "eps": eps,
-            "loss": loss(self.loss_name, yhat, y),
+            "loss": float(mw_losses[v]),
             "weight_sum": float(q.sum()),
         }
 

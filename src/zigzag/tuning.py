@@ -56,51 +56,36 @@ def phi_realized(increments, tag: NormTag, p: float, beta: float) -> float:
     return beta**p * prefix_interval_sup(prefixes, tag) ** p
 
 
-class ExpectedPhiTracker:
+class ExpectedPhiTracker(IntervalSupTracker):
     """Monte Carlo estimate of beta^p E_eps sup-over-intervals ||sum eps_t
     z_t||^p, maintained incrementally.
 
-    K sign paths are fixed once (common random numbers): appending an
-    increment extends every path by one fresh sign and updates each path's
-    running interval sup, so earlier rounds' contributions never change and
-    the restart predicate is stable.
+    An interval-sup tracker over K sign paths fixed once (common random
+    numbers): appending z extends path k by eps_k z with a fresh sign, so
+    earlier rounds' contributions never change and the restart predicate is
+    stable.
     """
 
     def __init__(self, tag: NormTag, p: float, beta: float, k_paths: int, rng: np.random.Generator, shape=()):
         if k_paths < 100:
             raise ValueError(f"need at least 100 Monte Carlo paths, got {k_paths}")
-        self.tag = tag
+        super().__init__(tag, shape, paths=k_paths)
         self.p = p
         self.beta = beta
-        self.k = k_paths
         self.rng = rng
-        self.shape = tuple(shape)
-        self._prefixes = [np.zeros((k_paths, int(np.prod(self.shape))))]
-        self._sups = np.zeros(k_paths)
-        self.n = 0
 
     def append(self, increment) -> None:
-        z = np.asarray(increment, dtype=float).reshape(-1)
+        z = np.asarray(increment, dtype=float).reshape(self.shape)
         signs = rademacher(self.rng, self.k).astype(float)
-        new = self._prefixes[-1] + signs[:, np.newaxis] * z[np.newaxis, :]
-        prev = np.stack(self._prefixes)  # (n+1, K, dim)
-        diffs = new[np.newaxis, :, :] - prev
-        norms = self.tag.norm_batch(diffs.reshape(-1, *self.shape)).reshape(diffs.shape[0], self.k)
-        self._sups = np.maximum(self._sups, norms.max(axis=0))
-        self._prefixes.append(new)
-        self.n += 1
+        super().append(signs.reshape((self.k,) + (1,) * z.ndim) * z)
 
     @property
     def value(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(self.beta**self.p * np.mean(self._sups**self.p))
+        return float(self.beta**self.p * np.mean(self.sups**self.p))
 
     @property
     def standard_error(self) -> float:
-        if self.n == 0:
-            return 0.0
-        vals = self.beta**self.p * self._sups**self.p
+        vals = self.beta**self.p * self.sups**self.p
         return float(np.std(vals, ddof=1) / np.sqrt(self.k))
 
 

@@ -114,6 +114,39 @@ def test_adaptive_gd_rejects_certify():
         run_experiment(config)
 
 
+def test_every_construction_runs_or_is_rejected_before_any_round():
+    specs = [
+        {"construction": "scalar-p", "p": 3.0},
+        {"construction": "lp-sum", "p": 3.0, "d": 4},
+        {"construction": "hilbert", "p": 2.5, "d": 4},
+        {"construction": "weighted-l2", "weight": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
+        {"construction": "group-p2", "p": 3.0, "d": 3},
+        {"construction": "even-power", "k": 4},
+        {"construction": "l1-weak", "a": 10.0, "d": 3},
+        {"construction": "l1-composed", "a": 10.0, "d": 3, "B": 2.0, "eps": 0.5},
+    ]
+    rejected = set()
+    for spec in specs:
+        for algorithm in ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected"):
+            config = {
+                "algorithm": algorithm,
+                "spec": spec,
+                "loss": "hinge",
+                "adversary": {"kind": "sign-flip"},
+                "n": 5,
+                "seeds": [0],
+                "mc_paths": 100,
+            }
+            try:
+                summary = run_experiment(config)
+            except ValueError as exc:
+                assert repr(spec["construction"]) in str(exc)
+                rejected.add(spec["construction"])
+            else:
+                assert {k for k in summary if not k.startswith("_")} == set(SUMMARY_KEYS)
+    assert rejected == {"group-p2", "l1-weak", "l1-composed"}
+
+
 def test_adaptive_gd_sqrt_regret_on_random_stream():
     rng = substream(7, "gd")
     d, n = 10, 1000
@@ -177,6 +210,10 @@ def test_minimax_oracle_values():
     # all-zero instances: nothing to learn, nothing to regret
     assert brute_force_minimax([0.0, 0.0, 0.0], "linear") == pytest.approx(0.0)
     assert brute_force_minimax([0.0, 0.0], "absolute") == pytest.approx(0.0)
+    # n = 4, the documented limit; exact values pin the induction's arithmetic
+    assert brute_force_minimax([0.9, -0.4, 0.6, 0.3], "hinge") == 1.0000000000000007
+    assert brute_force_minimax([0.5, 0.5, -0.7, 1.0], "absolute") == 1.2000000000000002
+    assert brute_force_minimax([-0.2, 0.8, 0.45, -0.6], "linear") == 0.9500000000000002
     with pytest.raises(ValueError):
         brute_force_minimax([0.1] * 5, "absolute")
     with pytest.raises(ValueError):

@@ -83,6 +83,14 @@ def test_update_rejects_shape_mismatch():
         make_learner(LpSumU(3.0, 4)).update(np.ones(3), 0.5)
     with pytest.raises(ValueError):
         make_learner(ScalarPowerU(2.0)).update(np.ones(1), 0.5)
+    # predict and certificate share the check, also after a valid update
+    for spec, bad in ((LpSumU(3.0, 4), np.ones(3)), (ScalarPowerU(2.0), np.ones(1)), (LpSumU(3.0, 4), np.ones(1))):
+        learner = make_learner(spec)
+        learner.update(np.ones(spec.point_shape), 0.5)
+        with pytest.raises(ValueError):
+            learner.predict(bad)
+        with pytest.raises(ValueError):
+            learner.certificate(bad)
 
 
 def test_relaxation_value():
