@@ -8,7 +8,7 @@ A Burkholder function U for (norm, p, beta) satisfies
   3. U(0, 0) <= 0
 
 These three properties are what the ZigZag learner consumes: it only ever
-evaluates U and its directional derivative along zig-zag rays.  The module
+queries U and its directional derivative along zig-zag rays.  The module
 provides the concrete constructions (scalar power, coordinate-wise lp sums,
 Hilbert balls, weighted l2, (p,2) group norms, an even-power scalar function
 with elementary constants, and weak-type functions for l1 built from a
@@ -16,8 +16,13 @@ biconvex zeta function), plus numerical probe checks for the three properties.
 
 Every construction is immutable after creation; all operations are pure.
 Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
-and 2-d arrays for matrix ones; ``point_shape`` names the shape.  ``*_batch``
-methods take a leading batch axis.
+and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The query
+interface is batched: ``value_batch(xs, ys)`` and ``dirderiv_batch(xs, ys,
+zs, sigmas)`` take points with a leading batch axis (and ``sigmas`` of the
+batch shape alone), and length-one batch axes broadcast against each other,
+so one row of (x, y, z) against ``sigmas = [+1, -1]`` gives both zig-zag
+derivatives in one call.  ``value`` and ``dirderiv`` are the row-of-one
+forms.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -111,6 +116,16 @@ def _hilbert_dirderiv(p, alpha, beta, r, s, xz, yz, sigma):
     return alpha * ((dr - beta * ds) * tp1 + (p - 1.0) * (r - beta * s) * tp2 * (dr + ds))
 
 
+def _row(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)[np.newaxis, ...]
+
+
+def _column(sigmas) -> np.ndarray:
+    """Signs of the batch shape with one trailing axis, to scale the
+    coordinates of vector points or the rows of matrix points."""
+    return np.asarray(sigmas, dtype=float)[..., np.newaxis]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -133,15 +148,17 @@ class BurkholderSpec:
         return self.tag.norm(np.asarray(x, dtype=float))
 
     def value(self, x, y) -> float:
-        xb = np.asarray(x, dtype=float)[np.newaxis, ...]
-        yb = np.asarray(y, dtype=float)[np.newaxis, ...]
-        return float(self.value_batch(xb, yb)[0])
+        return float(self.value_batch(_row(x), _row(y))[0])
 
     def value_batch(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
     def dirderiv(self, x, y, z, sigma: int) -> float:
         """Supergradient of a -> U(x + a z, y + sigma a z) at a = 0."""
+        return float(self.dirderiv_batch(_row(x), _row(y), _row(z), _row(sigma))[0])
+
+    def dirderiv_batch(self, xs, ys, zs, sigmas) -> np.ndarray:
+        """``dirderiv`` for every row of the broadcast batch."""
         raise NotImplementedError
 
     def norm_batch(self, xs) -> np.ndarray:
@@ -187,8 +204,11 @@ class ScalarPowerU(BurkholderSpec):
     def value_batch(self, xs, ys):
         return _scalar_value(self.p, self.alpha, self.beta, np.asarray(xs, float), np.asarray(ys, float))
 
-    def dirderiv(self, x, y, z, sigma):
-        return float(_scalar_dirderiv(self.p, self.alpha, self.beta, float(x), float(y), float(z), float(sigma)))
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
+        return _scalar_dirderiv(
+            self.p, self.alpha, self.beta,
+            np.asarray(xs, float), np.asarray(ys, float), np.asarray(zs, float), np.asarray(sigmas, float),
+        )
 
 
 class LpSumU(BurkholderSpec):
@@ -208,12 +228,12 @@ class LpSumU(BurkholderSpec):
         vals = _scalar_value(self.p, self.alpha, self.beta, np.asarray(xs, float), np.asarray(ys, float))
         return vals.sum(axis=-1)
 
-    def dirderiv(self, x, y, z, sigma):
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
         dd = _scalar_dirderiv(
             self.p, self.alpha, self.beta,
-            np.asarray(x, float), np.asarray(y, float), np.asarray(z, float), float(sigma),
+            np.asarray(xs, float), np.asarray(ys, float), np.asarray(zs, float), _column(sigmas),
         )
-        return float(dd.sum())
+        return dd.sum(axis=-1)
 
 
 class HilbertU(BurkholderSpec):
@@ -247,15 +267,15 @@ class HilbertU(BurkholderSpec):
         s = self.tag.norm_batch(np.asarray(ys, float))
         return _hilbert_value(self.p, self.alpha, self.beta, r, s)
 
-    def dirderiv(self, x, y, z, sigma):
-        xb = np.asarray(x, float)[np.newaxis, :]
-        yb = np.asarray(y, float)[np.newaxis, :]
-        zb = np.asarray(z, float)[np.newaxis, :]
-        r = self.tag.norm_batch(xb)
-        s = self.tag.norm_batch(yb)
-        xz = self._inner_batch(xb, zb)
-        yz = self._inner_batch(yb, zb)
-        return float(_hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, float(sigma))[0])
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
+        xs = np.asarray(xs, float)
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        r = self.tag.norm_batch(xs)
+        s = self.tag.norm_batch(ys)
+        xz = self._inner_batch(xs, zs)
+        yz = self._inner_batch(ys, zs)
+        return _hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, np.asarray(sigmas, float))
 
 
 class WeightedL2U(BurkholderSpec):
@@ -280,9 +300,10 @@ class WeightedL2U(BurkholderSpec):
         qy = np.einsum("ni,ij,nj->n", ys, self.a, ys)
         return qx - qy
 
-    def dirderiv(self, x, y, z, sigma):
-        az = self.a @ np.asarray(z, float)
-        return float(2.0 * (np.asarray(x, float) @ az - sigma * (np.asarray(y, float) @ az)))
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
+        # 2 (x - sigma y)' A z
+        lhs = np.asarray(xs, float) - _column(sigmas) * np.asarray(ys, float)
+        return 2.0 * np.einsum("ni,ij,nj->n", lhs, self.a, np.asarray(zs, float))
 
 
 class GroupP2U(BurkholderSpec):
@@ -303,15 +324,16 @@ class GroupP2U(BurkholderSpec):
         s = np.sqrt(np.sum(np.asarray(ys, float) ** 2, axis=-1))
         return _hilbert_value(self.p, self.alpha, self.beta, r, s).sum(axis=-1)
 
-    def dirderiv(self, x, y, z, sigma):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
-        s = np.sqrt(np.sum(y**2, axis=-1))
-        xz = np.sum(x * z, axis=-1)
-        yz = np.sum(y * z, axis=-1)
-        return float(_hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, float(sigma)).sum())
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
+        xs = np.asarray(xs, float)
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        r = np.sqrt(np.sum(xs**2, axis=-1))
+        s = np.sqrt(np.sum(ys**2, axis=-1))
+        xz = np.sum(xs * zs, axis=-1)
+        yz = np.sum(ys * zs, axis=-1)
+        dd = _hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, _column(sigmas))
+        return dd.sum(axis=-1)
 
 
 def elementary_scalar_params(k: int) -> tuple[float, float, float]:
@@ -352,12 +374,12 @@ class EvenPowerU(BurkholderSpec):
         k = self.k
         return (k / 2.0) * (x**k - self.c * x ** (k - 2) * y**2 - self.b * y**k)
 
-    def dirderiv(self, x, y, z, sigma):
+    def dirderiv_batch(self, xs, ys, zs, sigmas):
         k = self.k
-        x = float(x)
-        y = float(y)
-        z = float(z)
-        sz = sigma * z
+        x = np.asarray(xs, float)
+        y = np.asarray(ys, float)
+        z = np.asarray(zs, float)
+        sz = np.asarray(sigmas, float) * z
         d = (
             k * x ** (k - 1) * z
             - self.c * ((k - 2) * x ** (k - 3) * y**2 * z + 2.0 * x ** (k - 2) * y * sz)
@@ -382,27 +404,24 @@ def _z_coordinate(x, y, a):
     return np.where(s <= 2.0 / a, first, second)
 
 
-def zeta_l1(x, y, a: float) -> float:
-    """The biconvex zeta function for the l1 norm:
+def zeta_l1(xs, ys, a: float) -> np.ndarray:
+    """The biconvex zeta function for the l1 norm over the last axis:
     (2 / log(3a)) (1 + sum_i z(x_i, y_i))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float((2.0 / math.log(3.0 * a)) * (1.0 + _z_coordinate(x, y, a).sum()))
-
-
-def _zeta_batch(xs, ys, a):
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     return (2.0 / math.log(3.0 * a)) * (1.0 + _z_coordinate(xs, ys, a).sum(axis=-1))
 
 
-def _central_difference(spec, x, y, z, sigma, h: float = 1e-6):
+def _central_difference(spec, xs, ys, zs, sigmas, h: float = 1e-6):
     """Symmetric difference quotient of U along (z, sigma z): the directional
     derivative of the l1 constructions, which have no closed algebraic form
     and use it as their supergradient selection."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    up = spec.value(x + h * z, y + sigma * h * z)
-    dn = spec.value(x - h * z, y - sigma * h * z)
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    zs = np.asarray(zs, float)
+    sigmas = _column(sigmas)
+    up = spec.value_batch(xs + h * zs, ys + sigmas * h * zs)
+    dn = spec.value_batch(xs - h * zs, ys - sigmas * h * zs)
     return (up - dn) / (2.0 * h)
 
 
@@ -431,14 +450,11 @@ class L1WeakTypeU(BurkholderSpec):
             )
         self.tag = OneTag()
         self.point_shape = (self.dim,)
-        self.u00 = self.canonical_u(np.zeros(self.dim), np.zeros(self.dim))
+        self.u00 = float(self._u_batch(np.zeros(self.dim), np.zeros(self.dim)))
         if self.u00 <= 0.0:
             raise ValueError(f"u(0,0) = {self.u00:.6g} <= 0: invalid parameters (a={a}, d={dim})")
         self.p = 1.0
         self.beta = 2.0 / self.u00  # weak-type constant
-
-    def zeta(self, x, y) -> float:
-        return zeta_l1(x, y, self.a)
 
     def _u_batch(self, xs, ys):
         xs = np.asarray(xs, float)
@@ -447,11 +463,8 @@ class L1WeakTypeU(BurkholderSpec):
         ny = np.sum(np.abs(ys), axis=-1)
         nsum = np.sum(np.abs(xs + ys), axis=-1)
         interior = np.maximum(nx, ny) < 1.0
-        zeta = _zeta_batch(xs, ys, self.a)
+        zeta = zeta_l1(xs, ys, self.a)
         return np.where(interior, np.maximum(zeta, nsum), nsum)
-
-    def canonical_u(self, x, y) -> float:
-        return float(self._u_batch(np.asarray(x, float)[np.newaxis], np.asarray(y, float)[np.newaxis])[0])
 
     def value_batch(self, xs, ys):
         xs = np.asarray(xs, float)
@@ -463,7 +476,7 @@ class L1WeakTypeU(BurkholderSpec):
         ny = np.sum(np.abs(np.asarray(ys, float)), axis=-1)
         return np.where(nx >= 1.0, 1.0, 0.0) - self.beta * ny
 
-    dirderiv = _central_difference
+    dirderiv_batch = _central_difference
 
     def _kink_bias(self, pts, rng):
         # the interesting kink is the unit l1 sphere
@@ -528,12 +541,9 @@ class ComposedL1U(BurkholderSpec):
     def value_batch(self, xs, ys):
         xs = np.asarray(xs, float)
         ys = np.asarray(ys, float)
-        total = np.zeros(xs.shape[0])
-        for lam in self.lam:
-            total += self.weak.value_batch(xs / lam, ys / lam)
-        return self.eps * total
+        return self.eps * sum(self.weak.value_batch(xs / lam, ys / lam) for lam in self.lam)
 
-    dirderiv = _central_difference
+    dirderiv_batch = _central_difference
 
     def fit_majorant_coeff(self, n_probes: int = 20_000, seed: int = 0) -> float:
         """Smallest C such that ||x||_1 - C*beta*log(B/eps)*||y||_1 - eps

@@ -165,10 +165,9 @@ class AdaptiveGD:
     """Online projected gradient descent on the Euclidean unit ball with the
     adaptive step D / sqrt(sum of squared gradient norms), D = diameter 2."""
 
-    def __init__(self, d: int, diameter: float = 2.0):
+    def __init__(self, d: int):
         self.w = np.zeros(d)
         self.grad_sq = 0.0
-        self.diameter = diameter
 
     def predict(self, x) -> float:
         return float(self.w @ np.asarray(x, dtype=float))
@@ -177,7 +176,7 @@ class AdaptiveGD:
         g = dloss_val * np.asarray(x, dtype=float)
         self.grad_sq += float(g @ g)
         if self.grad_sq > 0.0:
-            self.w = self.w - (self.diameter / math.sqrt(self.grad_sq)) * g
+            self.w = self.w - (2.0 / math.sqrt(self.grad_sq)) * g
             nrm = float(np.linalg.norm(self.w))
             if nrm > 1.0:
                 self.w = self.w / nrm

@@ -8,7 +8,8 @@ The prediction is the negated derivative at zero of
 
 where S and M accumulate l'_s x_s and eps_s l'_s x_s along the single
 realized sign path.  The two-point expectation over sigma is always computed
-exactly.  Predictions are not clipped.
+exactly, from one ``dirderiv_batch`` query that returns both signs.
+Predictions are not clipped.
 
 Admissibility certificate: zig-zag concavity of U makes G_t concave, so for
 every l' in [-1, 1]
@@ -16,7 +17,9 @@ every l' in [-1, 1]
     yhat * l' + G_t(l') <= G_t(0),
 
 deterministically per round.  ``certificate`` checks this on a grid of l'
-values; it is the per-round witness behind the regret guarantee.
+values with one ``value_batch`` query over both sign branches and (S, M); it
+is the per-round witness behind the regret guarantee.  A certified round
+thus queries U three times: predict, certificate and ``relaxation_value``.
 
 M tracks the single realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
+_SIGMAS = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -89,9 +93,9 @@ class ZigZagLearner:
 
     def predict(self, x) -> float:
         self._check_shape(x)
-        dd_plus = self.spec.dirderiv(self.S, self.M, x, +1)
-        dd_minus = self.spec.dirderiv(self.S, self.M, x, -1)
-        return -(self.eta / self.spec.p) * 0.5 * (dd_plus + dd_minus)
+        row = [np.asarray(v, dtype=float)[np.newaxis] for v in (self.S, self.M, x)]
+        dd_plus, dd_minus = self.spec.dirderiv_batch(*row, _SIGMAS)
+        return float(-(self.eta / self.spec.p) * 0.5 * (dd_plus + dd_minus))
 
     def update(self, x, dloss_val: float) -> int:
         """Draw a fresh sign, absorb the subgradient step, and return the
@@ -119,12 +123,16 @@ class ZigZagLearner:
             yhat = self.predict(x)
         scale = self.eta / self.spec.p
         xs = np.asarray(x, dtype=float)
-        steps = grid.reshape((grid.size,) + (1,) * xs.ndim) * xs
-        s_new = self.S + steps
-        m_plus = self.M + steps
-        m_minus = self.M - steps
-        g_vals = scale * 0.5 * (self.spec.value_batch(s_new, m_plus) + self.spec.value_batch(s_new, m_minus))
-        rhs = scale * self.spec.value(self.S, self.M)
+        g = grid.size
+        # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
+        # (S, M) as the row with l' = 0
+        ls = np.concatenate([grid, grid, [0.0]])
+        signs = np.concatenate([np.ones(g), -np.ones(g), [1.0]])
+        axes = (2 * g + 1,) + (1,) * xs.ndim
+        steps = ls.reshape(axes) * xs
+        vals = self.spec.value_batch(self.S + steps, self.M + signs.reshape(axes) * steps)
+        g_vals = scale * 0.5 * (vals[:g] + vals[g : 2 * g])
+        rhs = scale * vals[-1]
         slack = rhs - (yhat * grid + g_vals)
         worst = int(np.argmin(slack))
         return CertificateReport(

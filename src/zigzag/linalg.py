@@ -1,5 +1,6 @@
 """Finite-dimensional normed spaces: the norm catalogue, linear minimization
-oracles over dual-norm balls, and interval-supremum scans over prefix sums.
+oracles over dual-norm balls, and the running interval-supremum tracker over
+prefix sums.
 
 Points are plain numpy arrays (scalars, vectors, or matrices).  Norm tags are
 small immutable objects; batched evaluation treats the leading axis as the
@@ -24,7 +25,6 @@ __all__ = [
     "OneTag",
     "conjugate",
     "dual_ball_lmo",
-    "prefix_interval_sup",
     "IntervalSupTracker",
     "check_psd",
     "singular_values",
@@ -128,10 +128,6 @@ class WeightedL2Tag(_QuadraticFormTag):
     def __init__(self, a: np.ndarray):
         super().__init__(a, "weighted-l2")
 
-    def sqrt_matrix(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.a)
-        return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-
 
 class GramTag(_QuadraticFormTag):
     """Norm of a point given by coefficients against a fixed Gram matrix."""
@@ -212,27 +208,16 @@ def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     raise ValueError(f"dual_ball_lmo does not support tag {tag.name!r}")
 
 
-def prefix_interval_sup(prefixes, tag: NormTag) -> float:
-    """max over 0 <= a <= b <= T of norm(P_b - P_a) for prefixes P_0..P_T
-    (P_0 = 0)."""
-    arr = np.asarray(prefixes, dtype=float)
-    if arr.shape[0] == 0:
-        raise ValueError("prefix list must contain at least P_0")
-    best = 0.0
-    for b in range(1, arr.shape[0]):
-        diffs = arr[b][np.newaxis, ...] - arr[:b]
-        best = max(best, float(tag.norm_batch(diffs).max()))
-    return best
-
-
 class IntervalSupTracker:
     """Running sup over interval sums of appended increments on K paths:
     ``sups[k]`` is max over 0 <= a <= b <= t of norm(P_b - P_a) for the
     prefix sums of path k.  ``append`` takes a ``(paths, *shape)`` increment
-    (or one of ``shape`` for every path); ``value`` is path 0's sup.
+    (or one of ``shape`` for every path) and rejects any other shape;
+    ``value`` is path 0's sup.
 
     Each append costs O(t) norm evaluations per path, so a length-n stream
     costs O(n^2) total; no sub-quadratic scheme exists for general norms.
+    The prefixes P_0..P_t live in one buffer that doubles when full.
     """
 
     def __init__(self, tag: NormTag, shape=(), paths: int = 1):
@@ -240,7 +225,7 @@ class IntervalSupTracker:
         self.shape = tuple(shape)
         self.k = paths
         self.n = 0
-        self._prefixes = [np.zeros((paths, *self.shape))]
+        self._prefixes = np.zeros((1, paths, *self.shape))
         self.sups = np.zeros(paths)
 
     @property
@@ -248,10 +233,15 @@ class IntervalSupTracker:
         return float(self.sups[0])
 
     def append(self, increment) -> None:
-        new = self._prefixes[-1] + np.asarray(increment, dtype=float)
-        prev = np.stack(self._prefixes)  # (t+1, paths, *shape)
+        increment = np.asarray(increment, dtype=float)
+        if increment.shape not in (self.shape, (self.k, *self.shape)):
+            raise ValueError(f"increment shape {increment.shape} is neither {self.shape} nor {(self.k, *self.shape)}")
+        prev = self._prefixes[: self.n + 1]  # (t+1, paths, *shape)
+        new = prev[-1] + increment
         diffs = new[np.newaxis] - prev
-        norms = self.tag.norm_batch(diffs.reshape(-1, *self.shape)).reshape(diffs.shape[0], self.k)
+        norms = self.tag.norm_batch(diffs.reshape(-1, *self.shape)).reshape(self.n + 1, self.k)
         self.sups = np.maximum(self.sups, norms.max(axis=0))
-        self._prefixes.append(new)
+        if self.n + 1 == len(self._prefixes):
+            self._prefixes = np.concatenate([self._prefixes, np.empty_like(self._prefixes)])
         self.n += 1
+        self._prefixes[self.n] = new

@@ -155,13 +155,15 @@ def rad_exact(zs, tag: NormTag) -> float:
 
 
 def _prefix_max_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:
-    terms = signs[:, :, np.newaxis] * zs.reshape(1, zs.shape[0], -1)
-    cums = np.cumsum(terms, axis=1)
-    flat = cums.reshape(-1, cums.shape[-1])
-    if zs.ndim > 2:
-        flat = flat.reshape(flat.shape[0], *zs.shape[1:])
-    norms = tag.norm_batch(flat).reshape(cums.shape[0], cums.shape[1])
-    return norms.max(axis=1)
+    """Per sign row, max over tau of ||sum_{t<=tau} eps_t z_t||, from one
+    running prefix per row."""
+    prefix = np.zeros((signs.shape[0], *zs.shape[1:]))
+    best = np.zeros(signs.shape[0])
+    axes = (-1,) + (1,) * (zs.ndim - 1)
+    for t in range(zs.shape[0]):
+        prefix += signs[:, t].reshape(axes) * zs[t]
+        best = np.maximum(best, tag.norm_batch(prefix))
+    return best
 
 
 def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:

@@ -62,21 +62,19 @@ def build_net(
     net_alpha: float,
     seed: int,
     max_size: int,
-    pool_size: int | None = None,
     probe_count: int = 10_000,
 ) -> tuple[np.ndarray, NetCoverage]:
     """Greedy farthest-point net on the Frobenius sphere of radius sqrt(tau).
 
-    Stops when either the pool is covered to ``net_alpha`` or ``max_size``
-    points have been placed; the probe-estimated coverage radius is reported
-    either way (an under-sized net is reported, not fatal).
+    Stops when either a pool of min(8000, max(1000, 10 max_size)) sphere
+    points is covered to ``net_alpha`` or ``max_size`` points have been
+    placed; the probe-estimated coverage radius is reported either way (an
+    under-sized net is reported, not fatal).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     rng = substream(seed, "net")
-    if pool_size is None:
-        pool_size = min(8000, max(1000, 10 * max_size))
-    pool = _sphere_sample(rng, pool_size, d, r, tau)
+    pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau)
     net = [pool[0]]
     dists = np.sqrt(np.sum((pool - pool[0]) ** 2, axis=(1, 2)))
     while len(net) < max_size and dists.max() > net_alpha:
@@ -138,14 +136,13 @@ class SpectralZigZag:
         seed: int = 0,
         max_net: int = 500,
         eta: float | None = None,
-        net_alpha: float | None = None,
     ):
         self.d = d
         self.r = r
         self.tau = float(tau)
         self.horizon = horizon
         self.loss_name = loss_name
-        self.net_alpha = 1.0 / (horizon * tau) if net_alpha is None else float(net_alpha)
+        self.net_alpha = 1.0 / (horizon * tau)
         self.experts, self.coverage = build_net(d, r, tau, self.net_alpha, seed, max_net)
         self.m = self.experts.shape[0]
         self.gamma = math.sqrt(math.log(self.m) / horizon)
@@ -273,10 +270,10 @@ def trace_norm_comparator(
     tau: float,
     loss_name: str,
     iters: int = 400,
-    step0: float = 0.5,
 ) -> tuple[float, np.ndarray]:
     """Best rank-r trace-norm-bounded matrix for the realized stream, found
-    by projected subgradient descent; returns (best cumulative loss, F)."""
+    by projected subgradient descent with step 0.5/sqrt(k); returns (best
+    cumulative loss, F)."""
     entries = np.array([(i, j) for i, j, _ in stream], dtype=int)
     ys = np.array([y for _, _, y in stream])
     f = np.zeros((d, d))
@@ -291,7 +288,7 @@ def trace_norm_comparator(
         grads = dloss_batch(loss_name, preds, ys)
         g = np.zeros((d, d))
         np.add.at(g, (entries[:, 0], entries[:, 1]), grads)
-        f = _project_trace_ball(f - (step0 / math.sqrt(k)) * g, tau, r)
+        f = _project_trace_ball(f - (0.5 / math.sqrt(k)) * g, tau, r)
     preds = f[entries[:, 0], entries[:, 1]]
     total = float(loss_batch(loss_name, preds, ys).sum())
     if total < best_loss:

@@ -24,18 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IntervalSupTracker, NormTag, conjugate, prefix_interval_sup
+from .linalg import IntervalSupTracker, NormTag, conjugate
 from .rng import rademacher, substream
 
 __all__ = [
     "psi",
-    "phi_realized",
     "phi_expected",
     "ExpectedPhiTracker",
     "DoublingZigZag",
     "PhaseRecord",
     "default_eta0",
 ]
+
+MAX_RESTARTS_PER_ROUND = 200
 
 
 def psi(eta: float, p: float, x: float) -> float:
@@ -44,16 +45,6 @@ def psi(eta: float, p: float, x: float) -> float:
         raise ValueError(f"psi requires eta > 0, got {eta}")
     p_prime, _ = conjugate(p)
     return (eta * x + eta ** (1.0 - p_prime) / (p_prime - 1.0)) / p
-
-
-def phi_realized(increments, tag: NormTag, p: float, beta: float) -> float:
-    """beta^p times the p-th power of the interval sup of the signed
-    increments (already multiplied by their signs and gradients)."""
-    arr = np.asarray(increments, dtype=float)
-    if arr.shape[0] == 0:
-        return 0.0
-    prefixes = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)])
-    return beta**p * prefix_interval_sup(prefixes, tag) ** p
 
 
 class ExpectedPhiTracker(IntervalSupTracker):
@@ -136,7 +127,6 @@ class DoublingZigZag:
         seed: int,
         eta0: float | None = None,
         mc_paths: int = 500,
-        max_restarts_per_round: int = 200,
     ):
         from .learner import ZigZagLearner  # deferred: learner imports psi from here
 
@@ -150,7 +140,6 @@ class DoublingZigZag:
         self.beta = spec.beta
         self.eta0 = float(eta0) if eta0 is not None else default_eta0(spec.p, spec.beta, mode)
         self.mc_paths = mc_paths
-        self.max_restarts_per_round = max_restarts_per_round
 
         self.phase_index = 0
         self.learner = ZigZagLearner(spec, self.eta_for(0), substream(seed, "learner"))
@@ -233,7 +222,7 @@ class DoublingZigZag:
         self._append(x)
         restarts = 0
         while self.eta * self._tracker.value > self.threshold:
-            if restarts >= self.max_restarts_per_round:
+            if restarts >= MAX_RESTARTS_PER_ROUND:
                 raise RuntimeError("doubling restart loop exceeded the safety cap")
             self._close_phase(self._round - 1, drop_last_appended=True)
             self._advance_phase(self._round)

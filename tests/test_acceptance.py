@@ -20,9 +20,9 @@ from zigzag.burkholder import (
     LpSumU,
     ScalarPowerU,
     WeightedL2U,
-    _zeta_batch,
     check_majorization,
     check_zigzag,
+    zeta_l1,
 )
 from zigzag.harness import (
     AdaptiveGD,
@@ -35,7 +35,7 @@ from zigzag.harness import (
     write_outputs,
 )
 from zigzag.learner import ZigZagLearner, run_episode
-from zigzag.linalg import LpTag, conjugate, prefix_interval_sup
+from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.losses import dloss
 from zigzag.rademacher import (
     DyadicTree,
@@ -48,7 +48,7 @@ from zigzag.rademacher import (
 )
 from zigzag.rng import rademacher, substream
 from zigzag.spectral import run_spectral
-from zigzag.tuning import DoublingZigZag, phi_expected, phi_realized, psi
+from zigzag.tuning import DoublingZigZag, phi_expected, psi
 
 
 @contextmanager
@@ -248,7 +248,10 @@ def test_criterion_06_doubling_schedule(capsys):
             brute = max(
                 tag.norm(prefixes[b] - prefixes[a]) for a in range(n + 1) for b in range(a, n + 1)
             )
-            assert phi_realized(incs, tag, 3.0, 2.0) == 2.0**3 * brute**3
+            tracker = IntervalSupTracker(tag, shape=(3,))
+            for inc in incs:
+                tracker.append(inc)
+            assert 2.0**3 * tracker.value**3 == 2.0**3 * brute**3
         info["detail"] = f"{len(completed)} completed phases on the crafted stream"
 
 
@@ -288,7 +291,8 @@ def _enumerate_expected_phi(incs, tag, p, beta):
     for signs in itertools.product([-1.0, 1.0], repeat=n):
         signed = incs * np.array(signs)[:, None]
         prefixes = np.concatenate([np.zeros((1, incs.shape[1])), np.cumsum(signed, axis=0)])
-        total += prefix_interval_sup(prefixes, tag) ** p
+        diffs = prefixes[:, np.newaxis] - prefixes[np.newaxis]  # every interval, both orientations
+        total += tag.norm_batch(diffs.reshape(-1, incs.shape[1])).max() ** p
     return beta**p * total / 2.0**n
 
 
@@ -357,8 +361,8 @@ def test_criterion_10_weak_type_family(capsys):
             for _ in range(5):
                 x1, x2, y = rng.uniform(-5, 5, (3, 2000, d))
                 for lhs, rhs in (
-                    (_zeta_batch((x1 + x2) / 2, y, a), 0.5 * (_zeta_batch(x1, y, a) + _zeta_batch(x2, y, a))),
-                    (_zeta_batch(y, (x1 + x2) / 2, a), 0.5 * (_zeta_batch(y, x1, a) + _zeta_batch(y, x2, a))),
+                    (zeta_l1((x1 + x2) / 2, y, a), 0.5 * (zeta_l1(x1, y, a) + zeta_l1(x2, y, a))),
+                    (zeta_l1(y, (x1 + x2) / 2, a), 0.5 * (zeta_l1(y, x1, a) + zeta_l1(y, x2, a))),
                 ):
                     assert float((rhs - lhs).min()) >= -1e-8
             # boundary inequality on unit-sphere pairs
@@ -367,7 +371,7 @@ def test_criterion_10_weak_type_family(capsys):
             ys = rng.normal(size=(10_000, d))
             xs /= np.abs(xs).sum(axis=1, keepdims=True)
             ys /= np.abs(ys).sum(axis=1, keepdims=True)
-            slack = np.abs(xs + ys).sum(axis=1) - _zeta_batch(xs, ys, a)
+            slack = np.abs(xs + ys).sum(axis=1) - zeta_l1(xs, ys, a)
             assert float(slack.min()) >= -1e-9
             # weak-type majorization with constant 2 / u(0,0)
             maj = check_majorization(spec, 10_000, seed=105 + d, tol=1e-9)

@@ -34,6 +34,19 @@ ALL_SPECS = [
 ]
 
 
+# one instance of each of the eight constructions
+EIGHT_CONSTRUCTIONS = [
+    ScalarPowerU(3.0),
+    LpSumU(3.0, 5),
+    HilbertU(2.5, dim=4),
+    WeightedL2U(np.array([[2.0, 0.5], [0.5, 1.0]])),
+    GroupP2U(3.0, (3, 3)),
+    EvenPowerU(4),
+    L1WeakTypeU(a=10.0, dim=2),
+    ComposedL1U(L1WeakTypeU(a=10.0, dim=2), bound=2.0, eps=0.25),
+]
+
+
 def central_fd(spec, x, y, z, sigma, h=1e-6):
     up = spec.value(np.asarray(x) + h * np.asarray(z), np.asarray(y) + sigma * h * np.asarray(z))
     dn = spec.value(np.asarray(x) - h * np.asarray(z), np.asarray(y) - sigma * h * np.asarray(z))
@@ -80,6 +93,21 @@ def test_dirderiv_symmetry_at_origin():
         assert avg == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", EIGHT_CONSTRUCTIONS, ids=lambda s: s.construction)
+def test_dirderiv_batch_matches_rows(spec):
+    rng = substream(15, "batch", spec.construction)
+    xs, ys, zs = (spec.sample_points(rng, 16) for _ in range(3))
+    sigmas = rademacher(rng, 16).astype(float)
+    assert np.any(sigmas > 0) and np.any(sigmas < 0)
+    rows = [spec.dirderiv(x, y, z, s) for x, y, z, s in zip(xs, ys, zs, sigmas)]
+    assert spec.dirderiv_batch(xs, ys, zs, sigmas) == pytest.approx(rows, rel=1e-12, abs=0.0)
+    # one row broadcast against both signs
+    both = spec.dirderiv_batch(xs[:1], ys[:1], zs[:1], np.array([1.0, -1.0]))
+    want = [spec.dirderiv(xs[0], ys[0], zs[0], s) for s in (+1, -1)]
+    assert both.shape == (2,)
+    assert both == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def kink_free_probes(spec, rng, count, margin=1e-2):
     """Probe triples (x, y, z) with every coordinate of x and y bounded away
     from the |.| kinks."""
@@ -124,7 +152,8 @@ def test_weighted_l2_identity_and_hilbert_closed_form():
     a = b @ b.T + 0.1 * np.eye(4)
     wspec = WeightedL2U(a)
     h2 = HilbertU(2.0, dim=4)
-    root = wspec.tag.sqrt_matrix()
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     for _ in range(50):
         x, y = rng.normal(size=4), rng.normal(size=4)
         assert wspec.value(x, y) == pytest.approx(h2.value(root @ x, root @ y), abs=1e-10)

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from zigzag.burkholder import HilbertU, LpSumU, ScalarPowerU
+from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.learner import ZigZagLearner, run_episode, theorem_residual
 from zigzag.linalg import conjugate
 from zigzag.rng import substream
@@ -130,6 +132,42 @@ def test_certificate_along_episodes(spec):
     learner = make_learner(spec, eta=0.7, seed=11)
     trace = run_episode(learner, "hinge", adversary, n=60, seed=11, cert_grid=np.linspace(-1, 1, 41))
     assert trace.cert_worst_slack.min() >= -1e-8
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScalarPowerU(3.0),
+        LpSumU(3.0, 4),
+        HilbertU(2.5, dim=4),
+        WeightedL2U(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        GroupP2U(3.0, (3, 3)),
+        EvenPowerU(4),
+    ],
+    ids=lambda s: s.construction,
+)
+def test_one_query_per_predict_and_certificate(spec, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(spec, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("dirderiv_batch", "value_batch"):
+        monkeypatch.setattr(spec, name, counted(name))
+    learner = make_learner(spec, eta=0.7)
+    x = spec.sample_points(substream(4, "query-x"), 1)[0]
+    learner.update(x, 0.5)
+    yhat = learner.predict(x)
+    assert type(yhat) is float
+    assert calls == {"dirderiv_batch": 1}
+    assert learner.certificate(x, yhat=yhat).ok
+    assert calls == {"dirderiv_batch": 1, "value_batch": 1}
 
 
 class MatrixFlipSign:

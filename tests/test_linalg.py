@@ -15,7 +15,6 @@ from zigzag.linalg import (
     WeightedL2Tag,
     conjugate,
     dual_ball_lmo,
-    prefix_interval_sup,
 )
 from zigzag.rng import substream
 
@@ -154,14 +153,30 @@ def test_lmo_unsupported_tag():
         dual_ball_lmo(np.eye(2), SpectralTag())
 
 
+def interval_sup(increments, tag):
+    tracker = IntervalSupTracker(tag, shape=np.shape(increments)[1:])
+    for inc in increments:
+        tracker.append(inc)
+    return tracker.value
+
+
 def test_prefix_interval_sup_examples():
     # increments +1, -2 -> prefixes 0, 1, -1; widest interval spans 1 to -1
-    assert prefix_interval_sup(np.array([0.0, 1.0, -1.0])[:, None], LpTag(2.0)) == pytest.approx(2.0)
+    assert interval_sup(np.array([[1.0], [-2.0]]), LpTag(2.0)) == pytest.approx(2.0)
     z = np.array([0.7, -0.2])
-    assert prefix_interval_sup(np.vstack([np.zeros(2), z]), LpTag(2.0)) == pytest.approx(np.linalg.norm(z))
-    assert prefix_interval_sup(np.zeros((5, 2)), LpTag(2.0)) == 0.0
+    assert interval_sup(z[np.newaxis], LpTag(2.0)) == pytest.approx(np.linalg.norm(z))
+    assert interval_sup(np.zeros((4, 2)), LpTag(2.0)) == 0.0
+    assert interval_sup(np.zeros((0, 2)), LpTag(2.0)) == 0.0
+
+
+def test_interval_tracker_rejects_increment_shape():
+    tracker = IntervalSupTracker(LpTag(2.0), shape=(3,))
     with pytest.raises(ValueError):
-        prefix_interval_sup(np.zeros((0, 2)), LpTag(2.0))
+        tracker.append(np.ones(1))  # used to broadcast to (1, 1, 1): sup 1.732
+    with pytest.raises(ValueError):
+        IntervalSupTracker(LpTag(2.0), shape=(3,), paths=4).append(np.ones((2, 3)))
+    tracker.append(np.ones(3))
+    assert tracker.value == pytest.approx(np.sqrt(3.0)) and tracker.n == 1
 
 
 @pytest.mark.parametrize("tag", [LpTag(2.0), LpTag(3.0), SupTag()])
@@ -176,4 +191,3 @@ def test_interval_tracker_matches_brute_force(tag):
             tracker.append(inc)
         expected = brute_interval_sup(prefixes, tag)
         assert tracker.value == expected  # identical arithmetic, no tolerance
-        assert prefix_interval_sup(prefixes, tag) == expected

@@ -5,15 +5,23 @@ import pytest
 
 from zigzag.burkholder import LpSumU, ScalarPowerU
 from zigzag.learner import run_episode
-from zigzag.linalg import LpTag, conjugate, prefix_interval_sup
+from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
 from zigzag.tuning import (
     DoublingZigZag,
     default_eta0,
     phi_expected,
-    phi_realized,
     psi,
 )
+
+
+def phi_realized(increments, tag, p, beta):
+    """beta^p times the p-th power of the interval sup of the increments,
+    read from the tracker the way the realized doubling tuner reads it."""
+    tracker = IntervalSupTracker(tag, shape=np.shape(increments)[1:])
+    for inc in increments:
+        tracker.append(inc)
+    return beta**p * tracker.value**p
 
 
 def enumerate_expected_phi(increments, tag, p, beta):
@@ -25,7 +33,8 @@ def enumerate_expected_phi(increments, tag, p, beta):
     for signs in itertools.product([-1.0, 1.0], repeat=n):
         signed = arr * np.array(signs).reshape((n,) + (1,) * (arr.ndim - 1))
         prefixes = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(signed, axis=0)])
-        total += prefix_interval_sup(prefixes, tag) ** p
+        diffs = prefixes[:, np.newaxis] - prefixes[np.newaxis]  # every interval, both orientations
+        total += tag.norm_batch(diffs.reshape(-1, *arr.shape[1:])).max() ** p
     return beta**p * total / 2.0**n
 
 
