@@ -9,20 +9,25 @@ A Burkholder function U for (norm, p, beta) satisfies
 
 These three properties are what the ZigZag learner consumes: it only ever
 queries U and its directional derivative along zig-zag rays.  The module
-provides the concrete constructions (scalar power, coordinate-wise lp sums,
-Hilbert balls, weighted l2, (p,2) group norms, an even-power scalar function
-with elementary constants, and weak-type functions for l1 built from a
-biconvex zeta function), plus numerical probe checks for the three properties.
+provides the concrete constructions, plus numerical probe checks for the
+three properties.  Five of them are one kernel: the sharp Hilbert-space
+function alpha_p (r - beta_p s)(r + s)^(p-1) of block norms r = |x|_b and
+s = |y|_b, summed over blocks (Burkholder 1984).  Scalar power is one
+coordinate, lp sums have one block per coordinate, Hilbert balls (Euclidean
+or Gram) one block, weighted l2 is the Hilbert p = 2 function with the
+weight as Gram matrix, and (p, 2) group norms have one Euclidean block per
+row.  The others are an even-power scalar function with elementary constants
+and weak-type functions for l1 built from a biconvex zeta function.
 
 Every construction is immutable after creation; all operations are pure.
 Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
 and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The query
 interface is batched: ``value_batch(xs, ys)`` and ``dirderiv_batch(xs, ys,
-zs, sigmas)`` take points with a leading batch axis (and ``sigmas`` of the
-batch shape alone), and length-one batch axes broadcast against each other,
-so one row of (x, y, z) against ``sigmas = [+1, -1]`` gives both zig-zag
-derivatives in one call.  ``value`` and ``dirderiv`` are the row-of-one
-forms.
+zs, sigmas)`` take points with any number of leading batch axes (and
+``sigmas`` of the batch shape alone) and reduce over the trailing point axes
+only.  Length-one batch axes broadcast against each other, so one row of
+(x, y, z) against ``sigmas = [+1, -1]`` gives both zig-zag derivatives in one
+call.  ``value`` and ``dirderiv`` are the row-of-one forms.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -43,7 +48,6 @@ from .linalg import (
     LpTag,
     NormTag,
     OneTag,
-    WeightedL2Tag,
     conjugate,
 )
 from .rng import rademacher, substream
@@ -75,55 +79,8 @@ def optimal_constants(p: float) -> tuple[float, float]:
     return p * (1.0 - 1.0 / p_star) ** (p - 1.0), p_star - 1.0
 
 
-# ---------------------------------------------------------------------------
-# scalar / Hilbert kernels shared by several constructions
-
-
-def _scalar_value(p, alpha, beta, x, y):
-    a = np.abs(x)
-    b = np.abs(y)
-    return alpha * (a - beta * b) * (a + b) ** (p - 1.0)
-
-
-def _scalar_dirderiv(p, alpha, beta, x, y, z, sigma):
-    a = np.abs(x)
-    b = np.abs(y)
-    t = a + b
-    sx = np.sign(x)
-    sy = np.sign(y)
-    tp1 = t ** (p - 1.0)
-    safe = t > 0.0
-    tp2 = np.where(safe, np.where(safe, t, 1.0) ** (p - 2.0), 0.0)
-    core = (p - 1.0) * (a - beta * b) * tp2
-    du_da = alpha * (tp1 + core)
-    du_db = alpha * (-beta * tp1 + core)
-    return du_da * sx * z + du_db * sy * (sigma * z)
-
-
-def _hilbert_value(p, alpha, beta, r, s):
-    return alpha * (r - beta * s) * (r + s) ** (p - 1.0)
-
-
-def _hilbert_dirderiv(p, alpha, beta, r, s, xz, yz, sigma):
-    # r = ||x||, s = ||y||, xz = <x, z>, yz = <y, z>; at r == 0 or s == 0 the
-    # radial derivative contribution is dropped (kink selection 0)
-    dr = np.where(r > 0.0, xz / np.where(r > 0.0, r, 1.0), 0.0)
-    ds = np.where(s > 0.0, sigma * yz / np.where(s > 0.0, s, 1.0), 0.0)
-    t = r + s
-    tp1 = t ** (p - 1.0)
-    safe = t > 0.0
-    tp2 = np.where(safe, np.where(safe, t, 1.0) ** (p - 2.0), 0.0)
-    return alpha * ((dr - beta * ds) * tp1 + (p - 1.0) * (r - beta * s) * tp2 * (dr + ds))
-
-
 def _row(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[np.newaxis, ...]
-
-
-def _column(sigmas) -> np.ndarray:
-    """Signs of the batch shape with one trailing axis, to scale the
-    coordinates of vector points or the rows of matrix points."""
-    return np.asarray(sigmas, dtype=float)[..., np.newaxis]
 
 
 # ---------------------------------------------------------------------------
@@ -189,151 +146,131 @@ class BurkholderSpec:
         return flat.reshape(pts.shape)
 
 
-class ScalarPowerU(BurkholderSpec):
-    """alpha_p (|x| - beta_p |y|)(|x| + |y|)^(p-1) on the real line, the sharp
-    construction for |.|^p."""
+class _PowerU(BurkholderSpec):
+    """The sharp Hilbert-space function alpha_p (r - beta_p s)(r + s)^(p-1)
+    of the block norms r = |x|_b and s = |y|_b, summed over the last
+    ``block_axes`` axes of the norms (Burkholder 1984).  Blocks are Euclidean
+    over the last point axis unless a subclass states another block norm
+    (``_norms``) and its derivative along z (``_slopes``)."""
 
-    construction = "scalar-p"
-    point_shape = ()
+    block_axes = 0
 
     def __init__(self, p: float):
         self.p = float(p)
         self.alpha, self.beta = optimal_constants(self.p)
-        self.tag = LpTag(2.0)  # any lp tag is |.| in one dimension
+
+    def _inner(self, xs, zs):
+        return np.sum(xs * zs, axis=-1)
+
+    def _norms(self, xs):
+        return np.sqrt(np.maximum(self._inner(xs, xs), 0.0))
+
+    def _slopes(self, xs, r, zs):
+        """d/da |x + a z|_b at a = 0 for every block, given r = |x|_b: here
+        <x, z> / r, and 0 at r = 0."""
+        pos = r > 0.0
+        return np.where(pos, self._inner(xs, zs) / np.where(pos, r, 1.0), 0.0)
+
+    def _sum_blocks(self, u):
+        return u.sum(axis=tuple(range(-self.block_axes, 0))) if self.block_axes else u
 
     def value_batch(self, xs, ys):
-        return _scalar_value(self.p, self.alpha, self.beta, np.asarray(xs, float), np.asarray(ys, float))
+        r = self._norms(np.asarray(xs, float))
+        s = self._norms(np.asarray(ys, float))
+        return self._sum_blocks(self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0))
 
     def dirderiv_batch(self, xs, ys, zs, sigmas):
-        return _scalar_dirderiv(
-            self.p, self.alpha, self.beta,
-            np.asarray(xs, float), np.asarray(ys, float), np.asarray(zs, float), np.asarray(sigmas, float),
-        )
+        # du/dr dr + du/ds ds with dr, ds the block slopes along z and sigma z
+        xs = np.asarray(xs, float)
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        sigmas = np.asarray(sigmas, float)
+        sigmas = sigmas.reshape(sigmas.shape + (1,) * self.block_axes)
+        r = self._norms(xs)
+        s = self._norms(ys)
+        t = r + s
+        tp1 = t ** (self.p - 1.0)
+        safe = t > 0.0
+        tp2 = np.where(safe, np.where(safe, t, 1.0) ** (self.p - 2.0), 0.0)
+        core = (self.p - 1.0) * (r - self.beta * s) * tp2
+        du_dr = self.alpha * (tp1 + core)
+        du_ds = self.alpha * (-self.beta * tp1 + core)
+        return self._sum_blocks(du_dr * self._slopes(xs, r, zs) + du_ds * (sigmas * self._slopes(ys, s, zs)))
 
 
-class LpSumU(BurkholderSpec):
+class ScalarPowerU(_PowerU):
+    """alpha_p (|x| - beta_p |y|)(|x| + |y|)^(p-1) on the real line, the sharp
+    construction for |.|^p: one coordinate block."""
+
+    construction = "scalar-p"
+    point_shape = ()
+    tag = LpTag(2.0)  # any lp tag is |.| in one dimension
+    _norms = staticmethod(np.abs)
+
+    @staticmethod
+    def _slopes(xs, r, zs):
+        # sign(x) z, with the kink selection sign(0) = 0
+        return np.sign(xs) * zs
+
+
+class LpSumU(ScalarPowerU):
     """Coordinate-wise sum of the scalar power function; Burkholder for
     (||.||_p^p, p, beta_p) since every property survives addition."""
 
     construction = "lp-sum"
+    block_axes = 1
 
     def __init__(self, p: float, dim: int):
-        self.p = float(p)
+        super().__init__(p)
         self.dim = int(dim)
-        self.alpha, self.beta = optimal_constants(self.p)
         self.tag = LpTag(self.p)
         self.point_shape = (self.dim,)
 
-    def value_batch(self, xs, ys):
-        vals = _scalar_value(self.p, self.alpha, self.beta, np.asarray(xs, float), np.asarray(ys, float))
-        return vals.sum(axis=-1)
 
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
-        dd = _scalar_dirderiv(
-            self.p, self.alpha, self.beta,
-            np.asarray(xs, float), np.asarray(ys, float), np.asarray(zs, float), _column(sigmas),
-        )
-        return dd.sum(axis=-1)
-
-
-class HilbertU(BurkholderSpec):
+class HilbertU(_PowerU):
     """The scalar power construction applied to Hilbert-space norms, valid in
-    any dimension.  The inner product is either the Euclidean one (pass
-    ``dim``) or an explicit Gram matrix over representer coefficients (pass
-    ``gram``)."""
+    any dimension: one block.  The inner product is either the Euclidean one
+    (pass ``dim``) or an explicit Gram matrix over representer coefficients
+    (pass ``gram``)."""
 
     construction = "hilbert"
 
     def __init__(self, p: float, dim: int | None = None, gram: np.ndarray | None = None):
-        self.p = float(p)
-        self.alpha, self.beta = optimal_constants(self.p)
+        super().__init__(p)
         if (dim is None) == (gram is None):
             raise ValueError("provide exactly one of dim or gram")
         if gram is not None:
             self.tag = GramTag(np.asarray(gram, dtype=float))
             self.dim = self.tag.a.shape[0]
+            self._inner = self.tag.inner_batch
         else:
             self.dim = int(dim)
             self.tag = LpTag(2.0)
         self.point_shape = (self.dim,)
 
-    def _inner_batch(self, xs, ys):
-        if isinstance(self.tag, GramTag):
-            return self.tag.inner_batch(xs, ys)
-        return np.einsum("ni,ni->n", np.asarray(xs, float), np.asarray(ys, float))
 
-    def value_batch(self, xs, ys):
-        r = self.tag.norm_batch(np.asarray(xs, float))
-        s = self.tag.norm_batch(np.asarray(ys, float))
-        return _hilbert_value(self.p, self.alpha, self.beta, r, s)
-
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        zs = np.asarray(zs, float)
-        r = self.tag.norm_batch(xs)
-        s = self.tag.norm_batch(ys)
-        xz = self._inner_batch(xs, zs)
-        yz = self._inner_batch(ys, zs)
-        return _hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, np.asarray(sigmas, float))
-
-
-class WeightedL2U(BurkholderSpec):
-    """x'Ax - y'Ay for a PSD weight matrix A, i.e. the Hilbert p=2 function
-    evaluated at (A^(1/2)x, A^(1/2)y)."""
+class WeightedL2U(HilbertU):
+    """x'Ax - y'Ay for a PSD weight matrix A: the Hilbert p = 2 function
+    (alpha_2 = beta_2 = 1) with A as the Gram matrix."""
 
     construction = "weighted-l2"
 
     def __init__(self, a: np.ndarray):
-        self.tag = WeightedL2Tag(a)
-        self.a = self.tag.a
-        self.p = 2.0
-        self.alpha = 1.0
-        self.beta = 1.0
-        self.dim = self.a.shape[0]
-        self.point_shape = (self.dim,)
-
-    def value_batch(self, xs, ys):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        qx = np.einsum("ni,ij,nj->n", xs, self.a, xs)
-        qy = np.einsum("ni,ij,nj->n", ys, self.a, ys)
-        return qx - qy
-
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
-        # 2 (x - sigma y)' A z
-        lhs = np.asarray(xs, float) - _column(sigmas) * np.asarray(ys, float)
-        return 2.0 * np.einsum("ni,ij,nj->n", lhs, self.a, np.asarray(zs, float))
+        super().__init__(2.0, gram=a)
 
 
-class GroupP2U(BurkholderSpec):
+class GroupP2U(_PowerU):
     """Row-wise sum of the Hilbert construction over matrices: Burkholder for
-    the (p, 2) group norm raised to the p."""
+    the (p, 2) group norm raised to the p.  Each row is a Euclidean block."""
 
     construction = "group-p2"
+    block_axes = 1
 
     def __init__(self, p: float, shape: tuple[int, int]):
-        self.p = float(p)
-        self.alpha, self.beta = optimal_constants(self.p)
+        super().__init__(p)
         self.shape = (int(shape[0]), int(shape[1]))
         self.tag = GroupP2Tag(self.p)
         self.point_shape = self.shape
-
-    def value_batch(self, xs, ys):
-        r = np.sqrt(np.sum(np.asarray(xs, float) ** 2, axis=-1))
-        s = np.sqrt(np.sum(np.asarray(ys, float) ** 2, axis=-1))
-        return _hilbert_value(self.p, self.alpha, self.beta, r, s).sum(axis=-1)
-
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        zs = np.asarray(zs, float)
-        r = np.sqrt(np.sum(xs**2, axis=-1))
-        s = np.sqrt(np.sum(ys**2, axis=-1))
-        xz = np.sum(xs * zs, axis=-1)
-        yz = np.sum(ys * zs, axis=-1)
-        dd = _hilbert_dirderiv(self.p, self.alpha, self.beta, r, s, xz, yz, _column(sigmas))
-        return dd.sum(axis=-1)
 
 
 def elementary_scalar_params(k: int) -> tuple[float, float, float]:
@@ -419,7 +356,7 @@ def _central_difference(spec, xs, ys, zs, sigmas, h: float = 1e-6):
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     zs = np.asarray(zs, float)
-    sigmas = _column(sigmas)
+    sigmas = np.asarray(sigmas, float)[..., np.newaxis]
     up = spec.value_batch(xs + h * zs, ys + sigmas * h * zs)
     dn = spec.value_batch(xs - h * zs, ys - sigmas * h * zs)
     return (up - dn) / (2.0 * h)

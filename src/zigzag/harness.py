@@ -318,9 +318,7 @@ def _run_cell(config: dict, seed: int) -> dict:
     summary = {
         "seed": seed,
         "regret": total_loss - fw["best_loss"],
-        "total_loss": total_loss,
         "comparator_fw": fw["best_loss"],
-        "fw_gap": fw["gap"],
         "rad_mean": rad_mean,
         "rad_se": rad_se,
         "phases": [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else [],
@@ -333,7 +331,6 @@ def _run_cell(config: dict, seed: int) -> dict:
         # how large the instances actually got
         "max_x_norm": float(max((tag.norm(x) for x in xs), default=0.0)),
     }
-    trace.summary = summary
     return {**summary, "trace_csv": trace.to_csv()}
 
 
@@ -352,9 +349,7 @@ def _spectral_cell(config: dict, seed: int) -> dict:
     return {
         "seed": seed,
         "regret": c.regret,
-        "total_loss": c.learner_loss,
         "comparator_fw": c.comparator_loss,
-        "fw_gap": None,
         "rad_mean": None,
         "rad_se": None,
         "phases": [],

@@ -30,7 +30,7 @@ would serve as the exact oracle if that mode were ever needed.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,7 @@ _SIGMAS = np.array([1.0, -1.0])
 @dataclass
 class CertificateReport:
     worst_slack: float
-    arg_worst: float
     violations: int
-    grid_size: int
 
     @property
     def ok(self) -> bool:
@@ -134,18 +132,12 @@ class ZigZagLearner:
         g_vals = scale * 0.5 * (vals[:g] + vals[g : 2 * g])
         rhs = scale * vals[-1]
         slack = rhs - (yhat * grid + g_vals)
-        worst = int(np.argmin(slack))
-        return CertificateReport(
-            worst_slack=float(slack[worst]),
-            arg_worst=float(grid[worst]),
-            violations=int(np.sum(slack < -tol)),
-            grid_size=grid.size,
-        )
+        return CertificateReport(worst_slack=float(slack.min()), violations=int(np.sum(slack < -tol)))
 
 
 @dataclass
 class EpisodeTrace:
-    """Per-round record of one episode plus the derived summary."""
+    """Per-round record of one episode."""
 
     xs: list
     yhat: np.ndarray
@@ -156,7 +148,6 @@ class EpisodeTrace:
     rel_value: np.ndarray
     cum_loss: np.ndarray
     cert_worst_slack: np.ndarray | None = None
-    summary: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:

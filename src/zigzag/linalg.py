@@ -4,7 +4,7 @@ prefix sums.
 
 Points are plain numpy arrays (scalars, vectors, or matrices).  Norm tags are
 small immutable objects; batched evaluation treats the leading axis as the
-batch axis.
+batch axis (``GramTag`` and ``GroupP2Tag`` take any number of leading axes).
 """
 
 from __future__ import annotations
@@ -16,18 +16,14 @@ import numpy as np
 __all__ = [
     "NormTag",
     "LpTag",
-    "WeightedL2Tag",
     "GramTag",
     "GroupP2Tag",
-    "SpectralTag",
-    "TraceTag",
     "SupTag",
     "OneTag",
     "conjugate",
     "dual_ball_lmo",
     "IntervalSupTracker",
     "check_psd",
-    "singular_values",
 ]
 
 PSD_TOL = 1e-10
@@ -54,12 +50,6 @@ def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if w.min() < -PSD_TOL:
         raise ValueError(f"{name} is not PSD: min eigenvalue {w.min():.3e}")
     return a
-
-
-def singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values, clamped at zero, batched over leading axes."""
-    s = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
-    return np.maximum(s, 0.0)
 
 
 class NormTag:
@@ -107,33 +97,22 @@ class OneTag(NormTag):
         return np.sum(np.abs(xs.reshape(xs.shape[0], -1)), axis=1)
 
 
-class _QuadraticFormTag(NormTag):
-    """sqrt(x' A x) for a shared PSD matrix A; negative rounding noise in the
-    quadratic form is clamped at zero."""
+class GramTag(NormTag):
+    """Norm sqrt(x' A x) of a point given by coefficients against a fixed PSD
+    Gram matrix A, batched over any leading axes; negative rounding noise in
+    the quadratic form is clamped at zero."""
 
-    def __init__(self, a: np.ndarray, name: str):
-        self.a = check_psd(a, name)
-        self.name = name
-
-    def norm_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        q = np.einsum("ni,ij,nj->n", xs, self.a, xs)
-        return np.sqrt(np.maximum(q, 0.0))
-
-    def inner_batch(self, xs, ys):
-        return np.einsum("ni,ij,nj->n", np.asarray(xs, float), self.a, np.asarray(ys, float))
-
-
-class WeightedL2Tag(_QuadraticFormTag):
-    def __init__(self, a: np.ndarray):
-        super().__init__(a, "weighted-l2")
-
-
-class GramTag(_QuadraticFormTag):
-    """Norm of a point given by coefficients against a fixed Gram matrix."""
+    name = "gram"
 
     def __init__(self, gram: np.ndarray):
-        super().__init__(gram, "gram")
+        self.a = check_psd(gram, "gram")
+
+    def norm_batch(self, xs):
+        return np.sqrt(np.maximum(self.inner_batch(xs, xs), 0.0))
+
+    def inner_batch(self, xs, ys):
+        """x' A y over the last axis."""
+        return np.sum((np.asarray(xs, float) @ self.a) * np.asarray(ys, float), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -153,26 +132,12 @@ class GroupP2Tag(NormTag):
         return np.sum(rows**self.p, axis=-1) ** (1.0 / self.p)
 
 
-class SpectralTag(NormTag):
-    name = "spectral"
-
-    def norm_batch(self, xs):
-        return singular_values(xs).max(axis=-1)
-
-
-class TraceTag(NormTag):
-    name = "trace"
-
-    def norm_batch(self, xs):
-        return singular_values(xs).sum(axis=-1)
-
-
 def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     """argmin of <w, g> over the unit ball of the dual of ``tag``'s norm.
 
     The comparator class lives in the dual ball, so by duality the optimum
-    value is -tag.norm(g).  Closed forms are used for lp / weighted-l2 /
-    gram / sup / one tags.  A zero gradient returns the zero vector.
+    value is -tag.norm(g).  Closed forms are used for lp / gram / sup / one
+    tags.  A zero gradient returns the zero vector.
 
     For gram tags both ``g`` and the result are coefficient vectors and the
     pairing is the Hilbert inner product <w, g>_G = w' G g (the space is
@@ -197,14 +162,12 @@ def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
         return w
     if isinstance(tag, OneTag):
         return -np.sign(g)
-    if isinstance(tag, (WeightedL2Tag, GramTag)):
+    if isinstance(tag, GramTag):
+        # self-dual Hilbert ball in coefficient coordinates
         denom = tag.norm(g)
         if denom == 0.0:
             return np.zeros_like(g)
-        if isinstance(tag, GramTag):
-            # self-dual Hilbert ball in coefficient coordinates
-            return -g / denom
-        return -(tag.a @ g) / denom
+        return -g / denom
     raise ValueError(f"dual_ball_lmo does not support tag {tag.name!r}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import GroupP2Tag, LpTag, NormTag, OneTag, SpectralTag, SupTag, TraceTag
+from .linalg import LpTag, NormTag, OneTag, SupTag
 from .rng import rademacher, substream
 
 __all__ = [
@@ -191,7 +191,7 @@ def maximal_rad_exact(zs, tag: NormTag) -> float:
     return float(_prefix_max_norms(signs, zs, tag).mean())
 
 
-def umd_reference_constant(tag: NormTag, p: float, dim: int, n_atoms: int | None = None) -> dict:
+def umd_reference_constant(tag: NormTag, p: float, dim: int) -> dict:
     """Reference sign-invariance constants per space, for reporting next to
     the empirically found ratios.  Entries marked order-only suppress an
     unknown absolute constant."""
@@ -200,12 +200,6 @@ def umd_reference_constant(tag: NormTag, p: float, dim: int, n_atoms: int | None
         return {"value": p_star - 1.0, "order_only": False}
     if isinstance(tag, (SupTag, OneTag)):
         return {"value": float(np.log(max(dim, 2))), "order_only": True}
-    if isinstance(tag, GroupP2Tag):
-        return {"value": p_star * 2.0, "order_only": True}
-    if isinstance(tag, (SpectralTag, TraceTag)):
-        return {"value": float(np.log(max(dim, 2)) ** 2), "order_only": True}
-    if n_atoms is not None:
-        return {"value": float(np.log(max(n_atoms, 2))), "order_only": True}
     return {"value": float("nan"), "order_only": True}
 
 

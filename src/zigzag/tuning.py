@@ -212,13 +212,13 @@ class DoublingZigZag:
 
     # -- per-round interface --------------------------------------------
 
-    def begin_round(self, x) -> bool:
+    def begin_round(self, x) -> None:
         """Expected mode only: fold the incoming x into the phase complexity
         and restart if the threshold is crossed (the bursting x opens the new
-        phase).  Returns whether a restart happened."""
+        phase)."""
         self._round += 1
         if self.mode != "expected":
-            return False
+            return
         self._append(x)
         restarts = 0
         while self.eta * self._tracker.value > self.threshold:
@@ -228,19 +228,15 @@ class DoublingZigZag:
             self._advance_phase(self._round)
             self._append(x)
             restarts += 1
-        return restarts > 0
 
-    def doubling_step(self, increment) -> bool:
+    def doubling_step(self, increment) -> None:
         """Realized mode: absorb one signed increment into the phase
         complexity; if the threshold is crossed the phase closes (keeping the
-        round that burst it) and the reset takes effect from the next round.
-        Returns whether a restart happened."""
+        round that burst it) and the reset takes effect from the next round."""
         self._append(increment)
         if self.eta * self._phi_value() > self.threshold:
             self._close_phase(self._round, drop_last_appended=False)
             self._advance_phase(self._round + 1)
-            return True
-        return False
 
     def predict(self, x) -> float:
         return self.learner.predict(x)

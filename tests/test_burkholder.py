@@ -106,6 +106,27 @@ def test_dirderiv_batch_matches_rows(spec):
     want = [spec.dirderiv(xs[0], ys[0], zs[0], s) for s in (+1, -1)]
     assert both.shape == (2,)
     assert both == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert_leading_axes(spec, xs, ys, zs, sigmas)
+    if spec.construction == "hilbert":
+        gram = HilbertU(2.5, gram=np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.3, 3.0]]))
+        assert_leading_axes(gram, xs, ys, zs, sigmas)
+        # the reported case: a second batch axis must not fold into the point
+        got = HilbertU(2.0, dim=4).value_batch(np.ones((2, 3, 4)), np.zeros((2, 3, 4)))
+        assert got.shape == (2, 3) and np.all(got == 4.0)
+
+
+def assert_leading_axes(spec, xs, ys, zs, sigmas):
+    """A (2, 8) batch of points answers exactly as the flat 16-row batch."""
+
+    def grid(v):
+        return v.reshape(2, 8, *spec.point_shape)
+
+    values = spec.value_batch(grid(xs), grid(ys))
+    assert values.shape == (2, 8)
+    assert np.array_equal(values, spec.value_batch(xs, ys).reshape(2, 8))
+    derivs = spec.dirderiv_batch(grid(xs), grid(ys), grid(zs), sigmas.reshape(2, 8))
+    assert derivs.shape == (2, 8)
+    assert np.array_equal(derivs, spec.dirderiv_batch(xs, ys, zs, sigmas).reshape(2, 8))
 
 
 def kink_free_probes(spec, rng, count, margin=1e-2):
