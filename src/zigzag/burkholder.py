@@ -119,7 +119,11 @@ class BurkholderSpec:
         raise NotImplementedError
 
     def norm_batch(self, xs) -> np.ndarray:
-        return self.tag.norm_batch(np.asarray(xs, dtype=float))
+        """The norm of every point of a batch with any number of leading
+        axes, reduced over the trailing point axes only."""
+        xs = np.asarray(xs, dtype=float)
+        batch = xs.shape[: xs.ndim - len(self.point_shape)]
+        return self.tag.norm_batch(xs.reshape((-1, *self.point_shape))).reshape(batch)
 
     def majorant_batch(self, xs, ys) -> np.ndarray:
         """The function U must dominate: ||x||^p - beta^p ||y||^p."""
@@ -150,8 +154,9 @@ class _PowerU(BurkholderSpec):
     """The sharp Hilbert-space function alpha_p (r - beta_p s)(r + s)^(p-1)
     of the block norms r = |x|_b and s = |y|_b, summed over the last
     ``block_axes`` axes of the norms (Burkholder 1984).  Blocks are Euclidean
-    over the last point axis unless a subclass states another block norm
-    (``_norms``) and its derivative along z (``_slopes``)."""
+    over the last point axis unless a subclass states another inner product
+    (``_dual``, applied once per point argument of a query) or another block
+    norm (``_norms``) and its derivative along z (``_slopes``)."""
 
     block_axes = 0
 
@@ -159,24 +164,30 @@ class _PowerU(BurkholderSpec):
         self.p = float(p)
         self.alpha, self.beta = optimal_constants(self.p)
 
-    def _inner(self, xs, zs):
-        return np.sum(xs * zs, axis=-1)
+    @staticmethod
+    def _dual(xs):
+        """The form xd of x with <x, z>_b = sum(xd * z) over the last axis."""
+        return xs
 
-    def _norms(self, xs):
-        return np.sqrt(np.maximum(self._inner(xs, xs), 0.0))
+    @staticmethod
+    def _norms(xs, xd):
+        return np.sqrt(np.maximum(np.sum(xd * xs, axis=-1), 0.0))
 
-    def _slopes(self, xs, r, zs):
-        """d/da |x + a z|_b at a = 0 for every block, given r = |x|_b: here
-        <x, z> / r, and 0 at r = 0."""
+    @staticmethod
+    def _slopes(xd, r, zs):
+        """d/da |x + a z|_b at a = 0 for every block, given r = |x|_b and the
+        form xd of x: here <x, z> / r, and 0 at r = 0."""
         pos = r > 0.0
-        return np.where(pos, self._inner(xs, zs) / np.where(pos, r, 1.0), 0.0)
+        return np.where(pos, np.sum(xd * zs, axis=-1) / np.where(pos, r, 1.0), 0.0)
 
     def _sum_blocks(self, u):
         return u.sum(axis=tuple(range(-self.block_axes, 0))) if self.block_axes else u
 
     def value_batch(self, xs, ys):
-        r = self._norms(np.asarray(xs, float))
-        s = self._norms(np.asarray(ys, float))
+        xs = np.asarray(xs, float)
+        ys = np.asarray(ys, float)
+        r = self._norms(xs, self._dual(xs))
+        s = self._norms(ys, self._dual(ys))
         return self._sum_blocks(self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0))
 
     def dirderiv_batch(self, xs, ys, zs, sigmas):
@@ -186,8 +197,10 @@ class _PowerU(BurkholderSpec):
         zs = np.asarray(zs, float)
         sigmas = np.asarray(sigmas, float)
         sigmas = sigmas.reshape(sigmas.shape + (1,) * self.block_axes)
-        r = self._norms(xs)
-        s = self._norms(ys)
+        xd = self._dual(xs)
+        yd = self._dual(ys)
+        r = self._norms(xs, xd)
+        s = self._norms(ys, yd)
         t = r + s
         tp1 = t ** (self.p - 1.0)
         safe = t > 0.0
@@ -195,7 +208,7 @@ class _PowerU(BurkholderSpec):
         core = (self.p - 1.0) * (r - self.beta * s) * tp2
         du_dr = self.alpha * (tp1 + core)
         du_ds = self.alpha * (-self.beta * tp1 + core)
-        return self._sum_blocks(du_dr * self._slopes(xs, r, zs) + du_ds * (sigmas * self._slopes(ys, s, zs)))
+        return self._sum_blocks(du_dr * self._slopes(xd, r, zs) + du_ds * (sigmas * self._slopes(yd, s, zs)))
 
 
 class ScalarPowerU(_PowerU):
@@ -205,12 +218,15 @@ class ScalarPowerU(_PowerU):
     construction = "scalar-p"
     point_shape = ()
     tag = LpTag(2.0)  # any lp tag is |.| in one dimension
-    _norms = staticmethod(np.abs)
 
     @staticmethod
-    def _slopes(xs, r, zs):
-        # sign(x) z, with the kink selection sign(0) = 0
-        return np.sign(xs) * zs
+    def _norms(xs, xd):
+        return np.abs(xs)
+
+    @staticmethod
+    def _slopes(xd, r, zs):
+        # sign(x) z (the form of x is x), with the kink selection sign(0) = 0
+        return np.sign(xd) * zs
 
 
 class LpSumU(ScalarPowerU):
@@ -242,7 +258,7 @@ class HilbertU(_PowerU):
         if gram is not None:
             self.tag = GramTag(np.asarray(gram, dtype=float))
             self.dim = self.tag.a.shape[0]
-            self._inner = self.tag.inner_batch
+            self._dual = self.tag.dual
         else:
             self.dim = int(dim)
             self.tag = LpTag(2.0)

@@ -122,8 +122,11 @@ class FixedStream:
 
 
 class SignFlip:
-    """Label adversary y_t = -sign(yhat_t) with ties resolved to +1,
-    wrapping any instance source."""
+    """Label adversary y_t = -sign(yhat_t), wrapping any instance source and
+    answering every lane's prediction at once.
+
+    Tie rule: a prediction equal to zero, -0.0 included, gets the label +1.
+    """
 
     def __init__(self, base):
         self.base = base
@@ -132,7 +135,7 @@ class SignFlip:
         return self.base.next_x(t, rng)
 
     def next_y(self, t, x, yhat, rng):
-        return 1.0 if yhat == 0.0 else -float(np.sign(yhat))
+        return np.where(yhat == 0.0, 1.0, -np.sign(yhat))
 
 
 def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
@@ -163,24 +166,28 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
 
 class AdaptiveGD:
     """Online projected gradient descent on the Euclidean unit ball with the
-    adaptive step D / sqrt(sum of squared gradient norms), D = diameter 2."""
+    adaptive step D / sqrt(sum of squared gradient norms), D = diameter 2.
+    It runs as one lane: ``predict`` returns and ``update`` takes length-one
+    arrays, and the signs it returns are 0."""
+
+    lanes = 1
 
     def __init__(self, d: int):
         self.w = np.zeros(d)
         self.grad_sq = 0.0
 
-    def predict(self, x) -> float:
-        return float(self.w @ np.asarray(x, dtype=float))
+    def predict(self, x) -> np.ndarray:
+        return np.array([self.w @ np.asarray(x, dtype=float)])
 
-    def update(self, x, dloss_val: float) -> int:
-        g = dloss_val * np.asarray(x, dtype=float)
+    def update(self, x, dloss) -> np.ndarray:
+        g = dloss * np.asarray(x, dtype=float)
         self.grad_sq += float(g @ g)
         if self.grad_sq > 0.0:
             self.w = self.w - (2.0 / math.sqrt(self.grad_sq)) * g
             nrm = float(np.linalg.norm(self.w))
             if nrm > 1.0:
                 self.w = self.w / nrm
-        return 0
+        return np.zeros(1, dtype=int)
 
 
 def _margins(w, xs_matrix, tag):
@@ -278,7 +285,7 @@ def _build_learner(config: dict, spec, seed: int):
     algorithm = config["algorithm"]
     if algorithm == "zigzag":
         eta = config.get("eta") or 1.0
-        return ZigZagLearner(spec, eta, substream(seed, "learner"))
+        return ZigZagLearner(spec, eta, [substream(seed, "learner")])
     if algorithm == "zigzag-doubling-realized":
         return DoublingZigZag(spec, "realized", seed, eta0=config.get("eta0"))
     if algorithm == "zigzag-doubling-expected":
@@ -308,12 +315,12 @@ def _run_cell(config: dict, seed: int) -> dict:
     cert_grid = np.linspace(-1, 1, 41) if config.get("certify") else None
     trace = run_episode(learner, loss_name, adversary, n, seed, cert_grid=cert_grid)
 
-    # the comparator class and the Rademacher estimate live in R^d, so scalar
-    # instances enter them as 1-vectors
+    # the learner runs one lane; the comparator class and the Rademacher
+    # estimate live in R^d, so scalar instances enter them as 1-vectors
     xs = [np.atleast_1d(x) for x in trace.xs]
-    fw = offline_comparator(xs, trace.y, tag, loss_name, iters=int(config.get("fw_iters", 500)))
-    total_loss = float(trace.cum_loss[-1]) if trace.n else 0.0
-    increments = np.array([d_ * x for d_, x in zip(trace.dloss, xs)]) if trace.n else np.zeros((0, *shape))
+    fw = offline_comparator(xs, trace.y[:, 0], tag, loss_name, iters=int(config.get("fw_iters", 500)))
+    total_loss = float(trace.cum_loss[-1, 0]) if trace.n else 0.0
+    increments = np.array([d_ * x for d_, x in zip(trace.dloss[:, 0], xs)]) if trace.n else np.zeros((0, *shape))
     rad_mean, rad_se = rad_estimate(increments, tag, int(config.get("rad_samples", 1000)), seed=seed)
     summary = {
         "seed": seed,
@@ -322,10 +329,9 @@ def _run_cell(config: dict, seed: int) -> dict:
         "rad_mean": rad_mean,
         "rad_se": rad_se,
         "phases": [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else [],
-        # tag.norm(sum_t l'_t x_t), the same value as theorem_residual's
-        # benchmark_linearized
+        # tag.norm(sum_t l'_t x_t)
         "benchmark_linearized": float(tag.norm(increments.sum(axis=0))),
-        "residual": theorem_residual(trace, spec, learner.eta)["residual"] if isinstance(learner, ZigZagLearner) else None,
+        "residual": float(theorem_residual(trace, learner)["residual"][0]) if isinstance(learner, ZigZagLearner) else None,
         "cert_worst_slack": float(trace.cert_worst_slack.min()) if trace.cert_worst_slack is not None and trace.n else None,
         # companion to the no-normalize escape hatch: scale-free runs report
         # how large the instances actually got

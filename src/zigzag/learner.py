@@ -1,4 +1,4 @@
-"""The ZigZag online learner.
+"""The ZigZag online learner, over K sign-path lanes.
 
 Round structure (online supervised protocol): nature reveals x_t, the learner
 predicts, nature reveals y_t, the learner takes a subgradient and updates.
@@ -6,22 +6,31 @@ The prediction is the negated derivative at zero of
 
     G_t(a) = E_{sigma in +-1} (eta/p) U(S + a x_t, M + sigma a x_t),
 
-where S and M accumulate l'_s x_s and eps_s l'_s x_s along the single
-realized sign path.  The two-point expectation over sigma is always computed
-exactly, from one ``dirderiv_batch`` query that returns both signs.
-Predictions are not clipped.
+where S and M accumulate l'_s x_s and eps_s l'_s x_s along a realized sign
+path.  The two-point expectation over sigma is always computed exactly, from
+one ``dirderiv_batch`` query that returns both signs.  Predictions are not
+clipped.
+
+Lanes: the regret guarantee holds in expectation over the learner's own signs
+eps, so one learner steps K independent sign paths together.  ``S`` and ``M``
+are ``(K, *point_shape)`` arrays, and ``predict``, ``certificate`` and
+``relaxation_value`` answer all K lanes with one U query each.  Lane k draws
+its signs from its own generator in fixed blocks; a block of Philox draws
+equals the same number of single draws, so every lane is bit-identical to a
+one-lane run of its generator.  K = 1 is the single-path learner.
 
 Admissibility certificate: zig-zag concavity of U makes G_t concave, so for
 every l' in [-1, 1]
 
     yhat * l' + G_t(l') <= G_t(0),
 
-deterministically per round.  ``certificate`` checks this on a grid of l'
-values with one ``value_batch`` query over both sign branches and (S, M); it
-is the per-round witness behind the regret guarantee.  A certified round
-thus queries U three times: predict, certificate and ``relaxation_value``.
+deterministically per round and lane.  ``certificate`` checks this on a grid
+of l' values with one ``value_batch`` query over the lanes, both sign branches
+and (S, M); it is the per-round witness behind the regret guarantee.  A
+certified round thus queries U three times: predict, certificate and
+``relaxation_value``.
 
-M tracks the single realized sign path.  The alternative potential that
+M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
 implemented; for depth <= 12 the dyadic-tree enumeration in ``rademacher``
 would serve as the exact oracle if that mode were ever needed.
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkholder import BurkholderSpec
-from .losses import dloss, loss
+from .losses import dloss_batch, loss_batch
 from .rng import rademacher, substream
 from .tuning import psi
 
@@ -49,95 +58,110 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
-_SIGMAS = np.array([1.0, -1.0])
+_SIGMAS = np.array([[1.0, -1.0]])
+_SIGN_BLOCK = 256  # signs each lane draws at a time
 
 
 @dataclass
 class CertificateReport:
-    worst_slack: float
-    violations: int
+    """Per-lane worst slack and violation count of one certificate check."""
+
+    worst_slack: np.ndarray
+    violations: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return self.violations == 0
+        return not np.any(self.violations)
 
 
 class ZigZagLearner:
-    """Online learner driven by a Burkholder function.
+    """Online learner driven by a Burkholder function, over K lanes.
 
-    State: cumulative sums ``S`` and ``M`` in the construction's space, the
-    round index, the learning rate, and a private sign stream.
+    State: cumulative sums ``S`` and ``M`` of shape ``(K, *point_shape)``,
+    the round index, the learning rate, and one sign stream per lane; K is
+    ``len(rngs)``.
     """
 
-    def __init__(self, spec: BurkholderSpec, eta: float, rng: np.random.Generator):
+    def __init__(self, spec: BurkholderSpec, eta: float, rngs):
         if eta <= 0:
             raise ValueError(f"learning rate must be positive, got {eta}")
+        self.rngs = list(rngs)
+        if not self.rngs:
+            raise ValueError("need one sign generator per lane, got none")
         self.spec = spec
         self.eta = float(eta)
-        self.rng = rng
-        self.S = spec.zero_point()
-        self.M = spec.zero_point()
+        self.lanes = len(self.rngs)
         self.t = 0
+        self._signs = None
+        self.reset_sums()
 
     def reset_sums(self) -> None:
         """Zero the cumulative sums (used at doubling-phase boundaries); the
-        sign stream keeps running."""
-        self.S = self.spec.zero_point()
-        self.M = self.spec.zero_point()
+        sign streams keep running."""
+        self.S = np.zeros((self.lanes, *self.spec.point_shape))
+        self.M = np.zeros((self.lanes, *self.spec.point_shape))
 
-    def _check_shape(self, x) -> None:
+    def _instance(self, x) -> np.ndarray:
         if np.shape(x) != self.spec.point_shape:
             raise ValueError(f"instance shape {np.shape(x)} does not match the point shape {self.spec.point_shape}")
+        return np.asarray(x, dtype=float)
 
-    def predict(self, x) -> float:
-        self._check_shape(x)
-        row = [np.asarray(v, dtype=float)[np.newaxis] for v in (self.S, self.M, x)]
-        dd_plus, dd_minus = self.spec.dirderiv_batch(*row, _SIGMAS)
-        return float(-(self.eta / self.spec.p) * 0.5 * (dd_plus + dd_minus))
+    def predict(self, x) -> np.ndarray:
+        """The K lanes' predictions for instance x."""
+        x = self._instance(x)
+        dd = self.spec.dirderiv_batch(self.S[:, np.newaxis], self.M[:, np.newaxis], x[np.newaxis, np.newaxis], _SIGMAS)
+        return -(self.eta / self.spec.p) * 0.5 * (dd[:, 0] + dd[:, 1])
 
-    def update(self, x, dloss_val: float) -> int:
-        """Draw a fresh sign, absorb the subgradient step, and return the
-        drawn sign."""
-        if abs(dloss_val) > 1.0 + 1e-12:
-            raise ValueError(f"|dloss| must be <= 1, got {dloss_val}")
-        self._check_shape(x)
-        eps = int(rademacher(self.rng))
-        step = dloss_val * np.asarray(x, dtype=float)
+    def update(self, x, dloss) -> np.ndarray:
+        """Draw every lane's next sign, absorb its subgradient step (``dloss``
+        broadcasts to the K lanes), and return the K drawn signs."""
+        x = self._instance(x)
+        dloss = np.asarray(dloss, dtype=float)
+        if np.count_nonzero(np.abs(dloss) > 1.0 + 1e-12):
+            raise ValueError(f"|dloss| must be <= 1, got {dloss}")
+        if self.t % _SIGN_BLOCK == 0:
+            self._signs = np.stack([rademacher(rng, _SIGN_BLOCK) for rng in self.rngs])
+        eps = self._signs[:, self.t % _SIGN_BLOCK]
+        lane_axes = (-1,) + (1,) * x.ndim
+        step = dloss.reshape(lane_axes) * x
         self.S = self.S + step
-        self.M = self.M + eps * step
+        self.M = self.M + eps.reshape(lane_axes) * step
         self.t += 1
         return eps
 
-    def relaxation_value(self) -> float:
-        return (self.eta / self.spec.p) * self.spec.value(self.S, self.M)
+    def relaxation_value(self) -> np.ndarray:
+        return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
 
-    def certificate(self, x, grid=None, tol: float = 1e-8, yhat: float | None = None) -> CertificateReport:
-        """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1]."""
-        self._check_shape(x)
+    def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None) -> CertificateReport:
+        """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in
+        every lane; ``yhat`` broadcasts to the K lanes."""
+        xs = self._instance(x)
         if grid is None:
             grid = np.linspace(-1.0, 1.0, 41)
         grid = np.asarray(grid, dtype=float)
         if yhat is None:
-            yhat = self.predict(x)
+            yhat = self.predict(xs)
         scale = self.eta / self.spec.p
-        xs = np.asarray(x, dtype=float)
         g = grid.size
         # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
-        # (S, M) as the row with l' = 0
+        # (S, M) as the row with l' = 0, for every lane
         ls = np.concatenate([grid, grid, [0.0]])
         signs = np.concatenate([np.ones(g), -np.ones(g), [1.0]])
         axes = (2 * g + 1,) + (1,) * xs.ndim
         steps = ls.reshape(axes) * xs
-        vals = self.spec.value_batch(self.S + steps, self.M + signs.reshape(axes) * steps)
-        g_vals = scale * 0.5 * (vals[:g] + vals[g : 2 * g])
-        rhs = scale * vals[-1]
-        slack = rhs - (yhat * grid + g_vals)
-        return CertificateReport(worst_slack=float(slack.min()), violations=int(np.sum(slack < -tol)))
+        vals = self.spec.value_batch(
+            self.S[:, np.newaxis] + steps, self.M[:, np.newaxis] + signs.reshape(axes) * steps
+        )  # (K, 2g + 1)
+        g_vals = scale * 0.5 * (vals[:, :g] + vals[:, g : 2 * g])
+        rhs = scale * vals[:, -1:]
+        slack = rhs - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + g_vals)
+        return CertificateReport(worst_slack=slack.min(axis=1), violations=(slack < -tol).sum(axis=1))
 
 
 @dataclass
 class EpisodeTrace:
-    """Per-round record of one episode."""
+    """Per-round record of one episode: the shared instances ``xs`` and one
+    ``(n, K)`` array per column, row t holding round t + 1 of every lane."""
 
     xs: list
     yhat: np.ndarray
@@ -154,21 +178,11 @@ class EpisodeTrace:
         return len(self.yhat)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(TRACE_COLUMNS) + "\n")
-        for t in range(self.n):
-            row = (
-                str(t + 1),
-                repr(float(self.yhat[t])),
-                repr(float(self.y[t])),
-                repr(float(self.loss[t])),
-                repr(float(self.dloss[t])),
-                str(int(self.eps[t])),
-                repr(float(self.rel_value[t])),
-                repr(float(self.cum_loss[t])),
-            )
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        """The first lane's rounds (an experiment cell runs one lane) in the
+        fixed ``TRACE_COLUMNS`` schema."""
+        columns = (getattr(self, name)[:, 0].tolist() for name in TRACE_COLUMNS[1:])
+        rows = zip(range(1, self.n + 1), *columns)
+        return ",".join(TRACE_COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def run_episode(
@@ -180,87 +194,63 @@ def run_episode(
     cert_grid=None,
     cert_tol: float = 1e-8,
 ) -> EpisodeTrace:
-    """Drive one episode of the online protocol.
+    """Drive one episode of the online protocol over the learner's lanes.
 
-    ``learner`` needs ``predict(x)`` and ``update(x, dloss) -> eps``; a
-    ``begin_round(x)`` hook (doubling tuners) and ``relaxation_value()`` are
-    used when present.  The adversary draws from its own substream so learner
-    and adversary randomness never interact.
+    ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
+    and ``update(x, dloss) -> eps`` taking and returning K values; a
+    ``begin_round(x)`` hook (doubling tuners), ``relaxation_value()`` and
+    ``certificate`` are used when present.  Every lane sees the same x_t, and
+    ``adversary.next_y`` answers the K predictions at once (a label that
+    ignores them is shared by all lanes).  The adversary draws from its own
+    substream so learner and adversary randomness never interact.
     """
     adv_rng = substream(seed, "adversary")
-    xs, yhats, ys, losses, dlosses, epss, rels, cums = [], [], [], [], [], [], [], []
-    cert_slacks = [] if cert_grid is not None else None
-    cum = 0.0
-    for t in range(1, n + 1):
-        x = adversary.next_x(t, adv_rng)
+    columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:]}
+    cert_slacks = np.empty((n, learner.lanes)) if cert_grid is not None else None
+    xs = []
+    cum = np.zeros(learner.lanes)
+    for i in range(n):
+        x = adversary.next_x(i + 1, adv_rng)
         if hasattr(learner, "begin_round"):
             learner.begin_round(x)
         yhat = learner.predict(x)
-        y = adversary.next_y(t, x, yhat, adv_rng)
-        _validate_label(loss_name, y)
-        lv = loss(loss_name, yhat, y)
-        dl = dloss(loss_name, yhat, y)
+        y = adversary.next_y(i + 1, x, yhat, adv_rng)
+        _validate_labels(loss_name, y)
+        lv = loss_batch(loss_name, yhat, y)
+        dl = dloss_batch(loss_name, yhat, y)
         if cert_slacks is not None:
-            rep = learner.certificate(x, grid=cert_grid, tol=cert_tol, yhat=yhat)
-            cert_slacks.append(rep.worst_slack)
+            cert_slacks[i] = learner.certificate(x, grid=cert_grid, tol=cert_tol, yhat=yhat).worst_slack
         eps = learner.update(x, dl)
-        cum += lv
+        cum = cum + lv
+        rel = learner.relaxation_value() if hasattr(learner, "relaxation_value") else np.nan
         xs.append(np.asarray(x, dtype=float))
-        yhats.append(yhat)
-        ys.append(y)
-        losses.append(lv)
-        dlosses.append(dl)
-        epss.append(eps)
-        rels.append(learner.relaxation_value() if hasattr(learner, "relaxation_value") else float("nan"))
-        cums.append(cum)
-    return EpisodeTrace(
-        xs=xs,
-        yhat=np.array(yhats),
-        y=np.array(ys),
-        loss=np.array(losses),
-        dloss=np.array(dlosses),
-        eps=np.array(epss, dtype=int),
-        rel_value=np.array(rels),
-        cum_loss=np.array(cums),
-        cert_worst_slack=np.array(cert_slacks) if cert_slacks is not None else None,
-    )
+        for column, value in zip(columns.values(), (yhat, y, lv, dl, eps, rel, cum)):
+            column[i] = value
+    return EpisodeTrace(xs=xs, cert_worst_slack=cert_slacks, **columns)
 
 
-def _validate_label(loss_name: str, y: float) -> None:
+def _validate_labels(loss_name: str, y) -> None:
+    size = np.abs(np.asarray(y, dtype=float))
     if loss_name in ("hinge", "linear"):
-        if y not in (-1.0, 1.0):
+        if np.count_nonzero(size != 1.0):
             raise ValueError(f"{loss_name} loss needs labels in {{-1, +1}}, got {y}")
-    elif not -1.0 <= y <= 1.0:
+    elif np.count_nonzero(~(size <= 1.0)):
         raise ValueError(f"absolute loss needs labels in [-1, 1], got {y}")
 
 
-def theorem_residual(trace: EpisodeTrace, spec: BurkholderSpec, eta: float) -> dict:
-    """Summary of one realized path against the regret guarantee.
+def theorem_residual(trace: EpisodeTrace, learner: ZigZagLearner) -> dict:
+    """Each lane's realized path against the regret guarantee, from the
+    learner that ran ``trace``: its final sums S and M and its rate.
 
-    Uses the linearized regret sum(yhat_t l'_t) + ||sum l'_t x_t||, which
-    dominates the true regret pathwise, so the reported residual
+    Uses the linearized regret sum(yhat_t l'_t) + ||S_n||, which dominates
+    the true regret pathwise, so the reported residual
 
         linearized_regret - Psi_{eta,p}(beta^p ||M_n||^p)
 
     upper-bounds the residual for any comparator.  Its mean over sign paths
-    is guaranteed <= 0.
+    is guaranteed <= 0.  Every value is a length-K array.
     """
-    if trace.n == 0:
-        s_norm = 0.0
-        m_norm = 0.0
-        lin_payoff = 0.0
-    else:
-        steps = np.array([d * x for d, x in zip(trace.dloss, trace.xs)])
-        s_final = steps.sum(axis=0)
-        m_final = (trace.eps.reshape((-1,) + (1,) * (steps.ndim - 1)) * steps).sum(axis=0)
-        s_norm = spec.norm(s_final)
-        m_norm = spec.norm(m_final)
-        lin_payoff = float(np.dot(trace.yhat, trace.dloss))
-    linearized_regret = lin_payoff + s_norm
-    bound = psi(eta, spec.p, spec.beta**spec.p * m_norm**spec.p)
-    return {
-        "benchmark_linearized": s_norm,
-        "linearized_regret": linearized_regret,
-        "m_norm": m_norm,
-        "residual": linearized_regret - bound,
-    }
+    spec = learner.spec
+    linearized_regret = (trace.yhat * trace.dloss).sum(axis=0) + spec.norm_batch(learner.S)
+    bound = psi(learner.eta, spec.p, spec.beta**spec.p * spec.norm_batch(learner.M) ** spec.p)
+    return {"linearized_regret": linearized_regret, "residual": linearized_regret - bound}

@@ -108,11 +108,12 @@ class GramTag(NormTag):
         self.a = check_psd(gram, "gram")
 
     def norm_batch(self, xs):
-        return np.sqrt(np.maximum(self.inner_batch(xs, xs), 0.0))
+        xs = np.asarray(xs, float)
+        return np.sqrt(np.maximum(np.sum(self.dual(xs) * xs, axis=-1), 0.0))
 
-    def inner_batch(self, xs, ys):
-        """x' A y over the last axis."""
-        return np.sum((np.asarray(xs, float) @ self.a) * np.asarray(ys, float), axis=-1)
+    def dual(self, xs):
+        """x' A over the last axis: the form with x' A y = sum(dual(x) * y)."""
+        return np.asarray(xs, float) @ self.a
 
 
 @dataclass(frozen=True)

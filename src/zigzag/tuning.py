@@ -113,12 +113,15 @@ class PhaseRecord:
 
 
 class DoublingZigZag:
-    """Doubling-trick wrapper around a fresh-per-phase ZigZag learner.
+    """Doubling-trick wrapper around a fresh-per-phase one-lane ZigZag
+    learner.
 
     The wrapped learner keeps one sign stream across phases; phase resets
     zero only its cumulative sums.  ``begin_round`` must be called with x_t
     before ``predict`` each round (the episode driver does this).
     """
+
+    lanes = 1
 
     def __init__(
         self,
@@ -142,7 +145,7 @@ class DoublingZigZag:
         self.mc_paths = mc_paths
 
         self.phase_index = 0
-        self.learner = ZigZagLearner(spec, self.eta_for(0), substream(seed, "learner"))
+        self.learner = ZigZagLearner(spec, self.eta_for(0), [substream(seed, "learner")])
         self.phase_log: list[PhaseRecord] = []
         self._round = 0
         self._phase_start = 1
@@ -238,13 +241,13 @@ class DoublingZigZag:
             self._close_phase(self._round, drop_last_appended=False)
             self._advance_phase(self._round + 1)
 
-    def predict(self, x) -> float:
+    def predict(self, x) -> np.ndarray:
         return self.learner.predict(x)
 
-    def update(self, x, dloss_val: float) -> int:
-        eps = self.learner.update(x, dloss_val)
+    def update(self, x, dloss) -> np.ndarray:
+        eps = self.learner.update(x, dloss)
         if self.mode == "realized":
-            self.doubling_step(eps * dloss_val * np.asarray(x, dtype=float))
+            self.doubling_step((eps * dloss)[0] * np.asarray(x, dtype=float))
         return eps
 
     def finish(self) -> list[PhaseRecord]:
@@ -254,8 +257,8 @@ class DoublingZigZag:
 
     # episode driver compatibility
 
-    def relaxation_value(self) -> float:
+    def relaxation_value(self) -> np.ndarray:
         return self.learner.relaxation_value()
 
-    def certificate(self, x, grid=None, tol: float = 1e-8, yhat: float | None = None):
+    def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None):
         return self.learner.certificate(x, grid=grid, tol=tol, yhat=yhat)

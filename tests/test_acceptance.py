@@ -26,6 +26,7 @@ from zigzag.burkholder import (
 )
 from zigzag.harness import (
     AdaptiveGD,
+    FixedStream,
     IIDGaussianX,
     SignFlip,
     brute_force_minimax,
@@ -34,9 +35,8 @@ from zigzag.harness import (
     run_experiment,
     write_outputs,
 )
-from zigzag.learner import ZigZagLearner, run_episode
+from zigzag.learner import ZigZagLearner, run_episode, theorem_residual
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
-from zigzag.losses import dloss
 from zigzag.rademacher import (
     DyadicTree,
     hitczenko_check,
@@ -145,7 +145,7 @@ def test_criterion_03_per_round_admissibility(capsys):
         for spec, adv_kind, seed in itertools.product(specs, ("iid-gaussian", "sign-flip"), range(5)):
             base = IIDGaussianX(spec.point_shape, spec.tag)
             adversary = SignFlip(base) if adv_kind == "sign-flip" else base
-            learner = ZigZagLearner(spec, 0.5, substream(seed, "learner"))
+            learner = ZigZagLearner(spec, 0.5, [substream(seed, "learner")])
             trace = run_episode(learner, "hinge", adversary, n=200, seed=seed, cert_grid=grid, cert_tol=1e-8)
             low = float(trace.cert_worst_slack.min())
             assert low >= -1e-8, f"{spec.construction} {adv_kind} seed {seed}: slack {low:.2e}"
@@ -154,7 +154,8 @@ def test_criterion_03_per_round_admissibility(capsys):
 
 
 def _residual_paths(spec, eta, n, n_paths, adv_seed=42):
-    # fixed instance stream across sign paths; labels flip the prediction
+    # fixed instance stream across sign paths, one learner lane per path;
+    # labels flip the prediction
     d = spec.point_shape[0] if spec.point_shape else 1
     adv_rng = substream(adv_seed, "adversary")
     if d == 1:
@@ -164,20 +165,9 @@ def _residual_paths(spec, eta, n, n_paths, adv_seed=42):
         raw = adv_rng.normal(size=(n, d))
         nrm = (np.abs(raw) ** spec.p).sum(axis=1) ** (1.0 / spec.p)
         xs = raw / nrm[:, None]
-    out = np.empty(n_paths)
-    for k in range(n_paths):
-        learner = ZigZagLearner(spec, eta, substream(k, "residual-path"))
-        lin = 0.0
-        for t in range(n):
-            x = xs[t] if d > 1 else float(xs[t])
-            yhat = learner.predict(x)
-            y = 1.0 if yhat == 0 else -float(np.sign(yhat))
-            dl = dloss("hinge", yhat, y)
-            learner.update(x, dl)
-            lin += yhat * dl
-        bound = psi(eta, spec.p, spec.beta**spec.p * spec.norm(learner.M) ** spec.p)
-        out[k] = lin + spec.norm(learner.S) - bound
-    return out
+    learner = ZigZagLearner(spec, eta, [substream(k, "residual-path") for k in range(n_paths)])
+    trace = run_episode(learner, "hinge", SignFlip(FixedStream(xs, np.ones(n))), n, seed=adv_seed)
+    return theorem_residual(trace, learner)["residual"]
 
 
 def test_criterion_04_regret_residual(capsys):
@@ -266,16 +256,16 @@ def test_criterion_07_adagrad_recovery(capsys):
                 adv = IIDGaussianX(spec_dim, LpTag(2.0))
                 learner = DoublingZigZag(spec, "realized", seed)
                 trace = run_episode(learner, "hinge", adv, n, seed)
-                fw = offline_comparator(trace.xs, trace.y, LpTag(2.0), "hinge", iters=400)
-                regret = float(trace.cum_loss[-1]) - fw["best_loss"]
-                grad_norm = math.sqrt(sum(d * d * float(np.dot(x, x)) for d, x in zip(trace.dloss, trace.xs)))
+                fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
+                regret = float(trace.cum_loss[-1, 0]) - fw["best_loss"]
+                grad_norm = math.sqrt(sum(d * d * float(np.dot(x, x)) for d, x in zip(trace.dloss[:, 0], trace.xs)))
                 ratios.append(regret / grad_norm)
                 zz_regrets.append(regret)
 
                 gd = AdaptiveGD(spec_dim)
                 trace = run_episode(gd, "hinge", IIDGaussianX(spec_dim, LpTag(2.0)), n, seed)
-                fw = offline_comparator(trace.xs, trace.y, LpTag(2.0), "hinge", iters=400)
-                gd_regrets.append(float(trace.cum_loss[-1]) - fw["best_loss"])
+                fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
+                gd_regrets.append(float(trace.cum_loss[-1, 0]) - fw["best_loss"])
             mean_ratio = float(np.mean(ratios))
             assert mean_ratio <= 5.0, f"n={n}: ratio {mean_ratio:.2f}"
             mz, mg = float(np.mean(zz_regrets)), float(np.mean(gd_regrets))

@@ -19,6 +19,7 @@ from zigzag.burkholder import (
     optimal_constants,
     zeta_l1,
 )
+from zigzag.linalg import GramTag
 from zigzag.rng import rademacher, substream
 
 ALL_SPECS = [
@@ -124,9 +125,32 @@ def assert_leading_axes(spec, xs, ys, zs, sigmas):
     values = spec.value_batch(grid(xs), grid(ys))
     assert values.shape == (2, 8)
     assert np.array_equal(values, spec.value_batch(xs, ys).reshape(2, 8))
+    majorants = spec.majorant_batch(grid(xs), grid(ys))
+    assert majorants.shape == (2, 8)
+    assert np.array_equal(majorants, spec.majorant_batch(xs, ys).reshape(2, 8))
     derivs = spec.dirderiv_batch(grid(xs), grid(ys), grid(zs), sigmas.reshape(2, 8))
     assert derivs.shape == (2, 8)
     assert np.array_equal(derivs, spec.dirderiv_batch(xs, ys, zs, sigmas).reshape(2, 8))
+
+
+def test_gram_blocks_multiply_once_per_point(monkeypatch):
+    products = []
+    dual = GramTag.dual
+
+    def counted(tag, xs):
+        products.append(np.shape(xs))
+        return dual(tag, xs)
+
+    monkeypatch.setattr(GramTag, "dual", counted)
+    gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
+    for spec in (WeightedL2U(gram), HilbertU(2.5, gram=gram)):
+        xs, ys, zs = (spec.sample_points(substream(16, "gram", spec.construction), 5) for _ in range(3))
+        products.clear()
+        spec.value_batch(xs, ys)
+        assert products == [(5, 3), (5, 3)]
+        products.clear()
+        spec.dirderiv_batch(xs[:, None], ys[:, None], zs[:, None], np.array([[1.0, -1.0]]))
+        assert products == [(5, 1, 3), (5, 1, 3)]
 
 
 def kink_free_probes(spec, rng, count, margin=1e-2):

@@ -92,7 +92,7 @@ def test_adaptive_gd_basics():
     # one step: regret against the best fixed w is at most 2 ||x||
     x = np.array([0.6, 0.0, 0.0])
     y = 1.0
-    yhat = gd.predict(x)
+    (yhat,) = gd.predict(x)
     assert yhat == 0.0
     gd.update(x, -1.0)  # gradient for hinge with y=+1, margin active
     assert np.linalg.norm(gd.w) <= 1.0 + 1e-12
@@ -159,7 +159,7 @@ def test_adaptive_gd_sqrt_regret_on_random_stream():
         x = rng.normal(size=d)
         x = x / np.linalg.norm(x)
         y = float(rng.choice([-1.0, 1.0]))
-        yhat = gd.predict(x)
+        (yhat,) = gd.predict(x)
         total += loss("hinge", yhat, y)
         dl = dloss("hinge", yhat, y)
         gd.update(x, dl)

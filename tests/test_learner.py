@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
+from zigzag.harness import IIDGaussianX, SignFlip
 from zigzag.learner import ZigZagLearner, run_episode, theorem_residual
-from zigzag.linalg import conjugate
+from zigzag.linalg import LpTag, conjugate
+from zigzag.losses import dloss_batch
 from zigzag.rng import substream
 from zigzag.tuning import psi
 
@@ -24,23 +26,14 @@ class ConstantX:
         return self.ys[(t - 1) % len(self.ys)]
 
 
-class FlipSign:
-    def __init__(self, x_scale=1.0, dim=None):
-        self.x_scale = x_scale
-        self.dim = dim
-
-    def next_x(self, t, rng):
-        if self.dim is None:
-            return self.x_scale
-        v = rng.normal(size=self.dim)
-        return self.x_scale * v / np.linalg.norm(v)
-
-    def next_y(self, t, x, yhat, rng):
-        return 1.0 if yhat == 0.0 else -float(np.sign(yhat))
+def flip_sign(dim=None):
+    """Sign-flip labels over the constant instance 1.0, or over Gaussian
+    instances on the Euclidean unit sphere of R^dim."""
+    return SignFlip(ConstantX(1.0, [1.0]) if dim is None else IIDGaussianX((dim,), LpTag(2.0)))
 
 
 def make_learner(spec, eta=1.0, seed=0):
-    return ZigZagLearner(spec, eta, substream(seed, "learner"))
+    return ZigZagLearner(spec, eta, [substream(seed, "learner")])
 
 
 def test_fresh_state_predicts_zero():
@@ -64,7 +57,7 @@ def test_hilbert_p2_matches_inner_product_rule():
         for _ in range(13):
             learner.update(rng.normal(size=6), float(rng.uniform(-1, 1)))
         x = rng.normal(size=6)
-        want = -eta * float(np.dot(learner.S, x))
+        want = -eta * float(np.dot(learner.S[0], x))
         assert learner.predict(x) == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 
@@ -98,13 +91,13 @@ def test_update_rejects_shape_mismatch():
 def test_relaxation_value():
     learner = make_learner(ScalarPowerU(2.0), eta=2.0)
     assert learner.relaxation_value() == 0.0
-    learner.S, learner.M = 3.0, 2.0
+    learner.S, learner.M = np.array([3.0]), np.array([2.0])
     assert learner.relaxation_value() == pytest.approx(5.0)  # (2/2)(9 - 4)
 
 
 def test_certificate_scalar_p2_exact():
     learner = make_learner(ScalarPowerU(2.0), eta=1.3)
-    learner.S, learner.M = 1.7, -0.4
+    learner.S, learner.M = np.array([1.7]), np.array([-0.4])
     rep = learner.certificate(0.8, tol=1e-8)
     assert rep.ok
     # for p = 2 the averaged G is linear, so the slack vanishes on the grid
@@ -114,7 +107,7 @@ def test_certificate_scalar_p2_exact():
 def test_certificate_negative_control():
     spec = ScalarPowerU(2.0)
     learner = make_learner(spec, eta=1.0)
-    learner.S, learner.M = 1.0, 0.5
+    learner.S, learner.M = np.array([1.0]), np.array([0.5])
     x = 1.0
     corrupted = learner.predict(x) + 0.5
     rep = learner.certificate(x, tol=1e-8, yhat=corrupted)
@@ -128,7 +121,7 @@ def test_certificate_negative_control():
 )
 def test_certificate_along_episodes(spec):
     dim = spec.point_shape[0] if spec.point_shape else None
-    adversary = FlipSign(dim=dim)
+    adversary = flip_sign(dim)
     learner = make_learner(spec, eta=0.7, seed=11)
     trace = run_episode(learner, "hinge", adversary, n=60, seed=11, cert_grid=np.linspace(-1, 1, 41))
     assert trace.cert_worst_slack.min() >= -1e-8
@@ -164,26 +157,47 @@ def test_one_query_per_predict_and_certificate(spec, monkeypatch):
     x = spec.sample_points(substream(4, "query-x"), 1)[0]
     learner.update(x, 0.5)
     yhat = learner.predict(x)
-    assert type(yhat) is float
+    assert yhat.shape == (1,)
     assert calls == {"dirderiv_batch": 1}
     assert learner.certificate(x, yhat=yhat).ok
     assert calls == {"dirderiv_batch": 1, "value_batch": 1}
 
 
-class MatrixFlipSign:
-    """Sign-flip labels over random matrix instances on the unit ball of the
-    given norm tag."""
+LANE_SPECS = [
+    ScalarPowerU(3.0),
+    LpSumU(3.0, 4),
+    HilbertU(2.5, gram=np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.3, 3.0]])),
+    WeightedL2U(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])),
+    GroupP2U(3.0, (4, 4)),
+    EvenPowerU(4),
+]
 
-    def __init__(self, shape, tag):
-        self.shape = shape
-        self.tag = tag
 
-    def next_x(self, t, rng):
-        x = rng.normal(size=self.shape)
-        return x / self.tag.norm(x)
+@pytest.mark.parametrize("kind", ["sign-flip", "iid-gaussian"])
+@pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.construction)
+def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
+    def adversary():
+        base = IIDGaussianX(spec.point_shape, spec.tag)
+        return SignFlip(base) if kind == "sign-flip" else base
 
-    def next_y(self, t, x, yhat, rng):
-        return 1.0 if yhat == 0.0 else -float(np.sign(yhat))
+    grid = np.linspace(-1, 1, 41)
+    lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(16)])
+    trace = run_episode(lanes, "hinge", adversary(), n=30, seed=9, cert_grid=grid)
+    assert trace.yhat.shape == (30, 16)
+    for seed in range(16):
+        one = run_episode(make_learner(spec, eta=0.7, seed=seed), "hinge", adversary(), n=30, seed=9, cert_grid=grid)
+        for column in ("yhat", "y", "eps", "loss", "dloss", "rel_value", "cum_loss", "cert_worst_slack"):
+            got = np.ascontiguousarray(getattr(trace, column)[:, seed])
+            assert got.tobytes() == getattr(one, column)[:, 0].tobytes(), (seed, column)
+    if kind == "sign-flip" and spec.construction in ("scalar-p", "lp-sum", "group-p2"):
+        # the tie rule is exercised: a -0.0 prediction at round 2 gets +1
+        tied = (trace.yhat[1] == 0.0) & np.signbit(trace.yhat[1])
+        assert np.any(tied) and np.all(trace.y[1][tied] == 1.0)
+
+
+def test_sign_flip_tie_rule():
+    yhat = np.array([-0.0, 0.0, 1e-300, -2.5])
+    assert SignFlip(None).next_y(1, None, yhat, None).tolist() == [1.0, 1.0, -1.0, 1.0]
 
 
 def test_certificate_matrix_and_weighted_specs():
@@ -193,7 +207,7 @@ def test_certificate_matrix_and_weighted_specs():
     b = sub(31, "psd").normal(size=(4, 4))
     specs = [GroupP2U(3.0, (4, 4)), GroupP2U(1.5, (4, 4)), WeightedL2U(b @ b.T + 0.5 * np.eye(4))]
     for spec in specs:
-        adversary = MatrixFlipSign(spec.point_shape, spec.tag)
+        adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag))
         learner = make_learner(spec, eta=0.4, seed=13)
         trace = run_episode(learner, "hinge", adversary, n=40, seed=13, cert_grid=np.linspace(-1, 1, 41))
         assert trace.cert_worst_slack.min() >= -1e-8
@@ -201,16 +215,18 @@ def test_certificate_matrix_and_weighted_specs():
 
 def test_episode_empty_and_constant():
     spec = ScalarPowerU(2.0)
-    trace = run_episode(make_learner(spec), "linear", ConstantX(0.0, [1.0]), n=0, seed=0)
+    learner = make_learner(spec)
+    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0]), n=0, seed=0)
     assert trace.n == 0
-    res = theorem_residual(trace, spec, eta=1.0)
+    res = theorem_residual(trace, learner)
     p_prime, _ = conjugate(spec.p)
     assert res["residual"] == pytest.approx(-psi(1.0, spec.p, 0.0))
     assert res["residual"] <= 0.0
 
-    trace = run_episode(make_learner(spec), "linear", ConstantX(0.0, [1.0, -1.0]), n=20, seed=0)
+    learner = make_learner(spec)
+    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0, -1.0]), n=20, seed=0)
     assert np.all(trace.yhat == 0.0)
-    res = theorem_residual(trace, spec, eta=1.0)
+    res = theorem_residual(trace, learner)
     assert res["linearized_regret"] == pytest.approx(0.0)
 
 
@@ -225,8 +241,8 @@ def test_label_validation():
 
 def test_determinism_bit_identical():
     spec = LpSumU(3.0, 4)
-    t1 = run_episode(make_learner(spec, seed=5), "hinge", FlipSign(dim=4), n=40, seed=5)
-    t2 = run_episode(make_learner(spec, seed=5), "hinge", FlipSign(dim=4), n=40, seed=5)
+    t1 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4), n=40, seed=5)
+    t2 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4), n=40, seed=5)
     assert t1.to_csv() == t2.to_csv()
 
 
@@ -235,30 +251,26 @@ def test_per_round_payoff_never_beats_relaxation():
     # - Rel_{t-1}] <= 0 pathwise (each term is <= 0 by concavity of G)
     spec = LpSumU(3.0, 4)
     learner = make_learner(spec, eta=0.5, seed=21)
-    adversary = FlipSign(dim=4)
+    adversary = flip_sign(4)
     adv_rng = substream(21, "adversary")
     total = 0.0
     for t in range(1, 51):
         x = adversary.next_x(t, adv_rng)
         yhat = learner.predict(x)
         y = adversary.next_y(t, x, yhat, adv_rng)
-        from zigzag.losses import dloss
-
-        dl = dloss("hinge", yhat, y)
-        total += -learner.certificate(x, grid=[dl], yhat=yhat).worst_slack
+        dl = dloss_batch("hinge", yhat, y)
+        total += -learner.certificate(x, grid=dl, yhat=yhat).worst_slack
         learner.update(x, dl)
     assert total <= 1e-10
 
 
 def test_expected_telescoping_over_sign_paths():
     # E_eps [sum yhat l' + Rel_n] <= Rel_0 = 0; check the Monte Carlo mean
-    # against a 3-standard-error band
+    # over 400 sign-path lanes against a 3-standard-error band
     spec = ScalarPowerU(2.0)
-    vals = []
-    for k in range(400):
-        learner = make_learner(spec, eta=1.0, seed=1000 + k)
-        trace = run_episode(learner, "linear", FlipSign(), n=30, seed=777)
-        vals.append(float(np.dot(trace.yhat, trace.dloss)) + learner.relaxation_value())
+    learner = ZigZagLearner(spec, 1.0, [substream(1000 + k, "learner") for k in range(400)])
+    trace = run_episode(learner, "linear", flip_sign(), n=30, seed=777)
+    vals = (trace.yhat * trace.dloss).sum(axis=0) + learner.relaxation_value()
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert mean <= 3.0 * se
