@@ -5,8 +5,12 @@ config-driven runner with fixed CSV/JSON output schemas.
 All adversaries draw instances of the construction's point shape and rescale
 them onto the unit ball of the configured norm, so streams always satisfy the
 protocol's boundedness contract; an optional ``normalize=False`` escape hatch
-exercises scale-free behavior.  Experiment cells run seed by seed, in seed
-order.
+exercises scale-free behavior.  The seeds of a config are lanes: one learner
+steps every seed together through one episode, each seed with its own
+adversary stream, and one batched Frank-Wolfe loop solves every seed's
+comparator.  Doubling configs run a one-lane learner per seed.  A config
+that cannot run raises ``ConfigError`` before any adversary or learner is
+built.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import pathlib
 import numpy as np
 
 from .burkholder import make_spec
-from .learner import ZigZagLearner, run_episode, theorem_residual
+from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual
 from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo
-from .losses import dloss_batch, loss_batch
+from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import rad_estimate, rad_exact
 from .rng import substream
 from .spectral import run_spectral
@@ -33,16 +37,21 @@ __all__ = [
     "FixedStream",
     "LowRankStream",
     "SignFlip",
+    "LaneAdversary",
     "make_adversary",
     "AdaptiveGD",
     "offline_comparator",
     "brute_force_minimax",
     "rad_exact_scalar",
     "run_experiment",
+    "ConfigError",
     "write_outputs",
     "merge_reports",
     "SUMMARY_KEYS",
 ]
+
+ALGORITHMS = ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected", "adaptive-gd", "spectral")
+ADVERSARY_KINDS = ("iid-gaussian", "iid-rademacher-coords", "sign-flip", "low-rank-stream", "fixed-file")
 
 SUMMARY_KEYS = (
     "config",
@@ -55,6 +64,12 @@ SUMMARY_KEYS = (
     "residual_se",
     "phases",
 )
+
+
+class ConfigError(ValueError):
+    """A config that ``run_experiment`` rejects before building any adversary
+    or learner: an unknown algorithm, adversary kind or loss, or a
+    combination that cannot run."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +96,8 @@ class IIDGaussianX:
         return _unit(rng.normal(size=self.shape), self.tag, self.normalize)
 
     def next_y(self, t, x, yhat, rng):
-        return float(rng.choice([-1.0, 1.0]))
+        # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
+        return (-1.0, 1.0)[rng.integers(0, 2)]
 
 
 class IIDRademacherCoordsX(IIDGaussianX):
@@ -138,6 +154,27 @@ class SignFlip:
         return np.where(yhat == 0.0, 1.0, -np.sign(yhat))
 
 
+class LaneAdversary:
+    """One adversary per lane, each drawing from its own
+    ``substream(seed, "adversary")``, answering all lanes at once:
+    ``next_x`` gives the lanes' instances as a ``(K, *shape)`` array (a
+    one-lane run gets its instance as is) and ``next_y`` the K labels.  The
+    generator the episode driver passes in is not used."""
+
+    def __init__(self, adversaries, seeds):
+        self.adversaries = list(adversaries)
+        self.rngs = [substream(seed, "adversary") for seed in seeds]
+        self._xs = []
+
+    def next_x(self, t, rng):
+        self._xs = [adv.next_x(t, r) for adv, r in zip(self.adversaries, self.rngs)]
+        return self._xs[0] if len(self._xs) == 1 else np.stack(self._xs)
+
+    def next_y(self, t, x, yhat, rng):
+        lanes = zip(self.adversaries, self._xs, yhat, self.rngs)
+        return np.array([float(adv.next_y(t, x_k, yhat_k, r)) for adv, x_k, yhat_k, r in lanes])
+
+
 def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
     """The adversary a config names, drawing instances of ``shape``."""
     kind = cfg["kind"]
@@ -157,7 +194,7 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
             data = json.loads(pathlib.Path(cfg["path"]).read_text())
             return FixedStream(data["xs"], data["ys"])
         return FixedStream(cfg["xs"], cfg["ys"])
-    raise ValueError(f"unknown adversary kind {kind!r}")
+    raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,75 +203,73 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
 
 class AdaptiveGD:
     """Online projected gradient descent on the Euclidean unit ball with the
-    adaptive step D / sqrt(sum of squared gradient norms), D = diameter 2.
-    It runs as one lane: ``predict`` returns and ``update`` takes length-one
-    arrays, and the signs it returns are 0."""
+    adaptive step D / sqrt(sum of squared gradient norms), D = diameter 2,
+    over K independent lanes: ``w`` is ``(K, d)``, an instance is shared or
+    one per lane (as for ``ZigZagLearner``), ``predict`` returns and
+    ``update`` takes K values, and the signs it returns are 0."""
 
-    lanes = 1
-
-    def __init__(self, d: int):
-        self.w = np.zeros(d)
-        self.grad_sq = 0.0
+    def __init__(self, d: int, lanes: int = 1):
+        self.lanes = lanes
+        self.shape = (d,)
+        self.w = np.zeros((lanes, d))
+        self.grad_sq = np.zeros(lanes)
 
     def predict(self, x) -> np.ndarray:
-        return np.array([self.w @ np.asarray(x, dtype=float)])
+        return _rowdot(self.w, lane_instances(x, self.shape, self.lanes))
 
     def update(self, x, dloss) -> np.ndarray:
-        g = dloss * np.asarray(x, dtype=float)
-        self.grad_sq += float(g @ g)
-        if self.grad_sq > 0.0:
-            self.w = self.w - (2.0 / math.sqrt(self.grad_sq)) * g
-            nrm = float(np.linalg.norm(self.w))
-            if nrm > 1.0:
-                self.w = self.w / nrm
-        return np.zeros(1, dtype=int)
+        x = lane_instances(x, self.shape, self.lanes)
+        g = np.asarray(dloss, dtype=float).reshape(-1, 1) * x
+        self.grad_sq = self.grad_sq + _rowdot(g, g)
+        rate = np.divide(2.0, np.sqrt(self.grad_sq), out=np.zeros(self.lanes), where=self.grad_sq > 0.0)
+        w = self.w - rate[:, np.newaxis] * g
+        self.w = w / np.maximum(np.sqrt(_rowdot(w, w)), 1.0)[:, np.newaxis]
+        return np.zeros(self.lanes, dtype=int)
 
 
-def _margins(w, xs_matrix, tag):
-    if isinstance(tag, GramTag):
-        return xs_matrix @ (tag.a @ w)
-    return xs_matrix @ w
-
-
-def _pairing(g, v, tag):
-    if isinstance(tag, GramTag):
-        return float(g @ tag.a @ v)
-    return float(g @ v)
+def _rowdot(a, b) -> np.ndarray:
+    """<a, b> over the last axis, one BLAS dot per row, so a row's value does
+    not depend on how many rows there are."""
+    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
 
 
 def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int = 500) -> dict:
     """Frank-Wolfe over the dual-norm unit ball for the best-in-class
-    cumulative loss inf_w sum_t loss(<w, x_t>, y_t).
+    cumulative loss inf_w sum_t loss(<w, x_t>, y_t) of one stream (``xs`` of
+    shape ``(n, d)``, ``ys`` of shape ``(n,)``) or of K streams solved
+    together (``(K, n, d)`` and ``(K, n)``).
 
-    Returns the best loss seen, the iterate, and the final duality gap.  An
-    empty stream yields zero.
+    Returns per stream the best loss seen, its iterate and the final duality
+    gap, with the streams' leading axis (none for one stream).  An empty
+    stream yields zero.
     """
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    if not xs:
-        return {"best_loss": 0.0, "w": None, "gap": 0.0}
-    x_mat = np.stack(xs)
-    ys = np.asarray(ys, dtype=float)
-    w = np.zeros(x_mat.shape[1])
-    best_loss = float(loss_batch(loss_name, _margins(w, x_mat, tag), ys).sum())
-    best_w = w.copy()
-    gap = float("inf")
-    for k in range(iters):
-        margins = _margins(w, x_mat, tag)
-        total = float(loss_batch(loss_name, margins, ys).sum())
-        if total < best_loss:
-            best_loss = total
-            best_w = w.copy()
-        grads = dloss_batch(loss_name, margins, ys)
-        g = grads @ x_mat
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    lead = y.shape[:-1]
+    if y.shape[-1] == 0:
+        return {"best_loss": np.zeros(lead)[()], "w": None, "gap": np.zeros(lead)[()]}
+    gram = tag.a if isinstance(tag, GramTag) else None
+
+    def margins(w):
+        v = w[..., np.newaxis] if gram is None else gram @ w[..., np.newaxis]
+        return (x @ v)[..., 0]
+
+    w = best_w = np.zeros((*lead, x.shape[-1]))
+    best_loss = gap = np.full(lead, np.inf)
+    for k in range(iters + 1):
+        m = margins(w)
+        total = loss_batch(loss_name, m, y).sum(axis=-1)
+        better = total < best_loss
+        best_loss = np.where(better, total, best_loss)
+        best_w = np.where(better[..., np.newaxis], w, best_w)
+        if k == iters:
+            break
+        g = (dloss_batch(loss_name, m, y)[..., np.newaxis, :] @ x)[..., 0, :]
         s = dual_ball_lmo(g, tag)
-        gap = _pairing(g, w - s, tag)
+        gap = _rowdot(g if gram is None else tag.dual(g), w - s)
         step = 2.0 / (k + 2.0)
         w = (1.0 - step) * w + step * s
-    total = float(loss_batch(loss_name, _margins(w, x_mat, tag), ys).sum())
-    if total < best_loss:
-        best_loss = total
-        best_w = w.copy()
-    return {"best_loss": best_loss, "w": best_w, "gap": gap}
+    return {"best_loss": best_loss[()], "w": best_w, "gap": gap[()]}
 
 
 def rad_exact_scalar(xs) -> float:
@@ -281,63 +316,104 @@ def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
 # config-driven experiments
 
 
-def _build_learner(config: dict, spec, seed: int):
+def _check_config(config: dict):
+    """Reject what cannot run; return the config's Burkholder spec (None for
+    adaptive-gd and spectral configs)."""
+    algorithm = config.get("algorithm")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    loss_name = config.get("loss", "hinge")
+    if loss_name not in LOSSES:
+        raise ConfigError(f"unknown loss {loss_name!r}")
+    if algorithm == "spectral":
+        return None
+    adversary = config["adversary"]
+    kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
+    for kind in kinds:
+        if kind not in ADVERSARY_KINDS:
+            raise ConfigError(f"unknown adversary kind {kind!r}")
+    if algorithm == "adaptive-gd":
+        if config.get("certify"):
+            raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
+        return None
+    spec = make_spec(config["spec"])
+    if spec.p <= 1 or len(spec.point_shape) > 1:
+        raise ConfigError(
+            f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
+            f"and the Frank-Wolfe comparator needs vector points (shape {spec.point_shape})"
+        )
+    return spec
+
+
+def _build_learner(config: dict, spec, seeds: list):
+    """The learner of a config with one lane per seed (doubling tuners take
+    exactly one seed)."""
     algorithm = config["algorithm"]
     if algorithm == "zigzag":
         eta = config.get("eta") or 1.0
-        return ZigZagLearner(spec, eta, [substream(seed, "learner")])
+        return ZigZagLearner(spec, eta, [substream(seed, "learner") for seed in seeds])
+    if algorithm == "adaptive-gd":
+        return AdaptiveGD(int(config["d"]), lanes=len(seeds))
+    (seed,) = seeds
     if algorithm == "zigzag-doubling-realized":
         return DoublingZigZag(spec, "realized", seed, eta0=config.get("eta0"))
-    if algorithm == "zigzag-doubling-expected":
-        return DoublingZigZag(spec, "expected", seed, eta0=config.get("eta0"), mc_paths=int(config.get("mc_paths", 500)))
-    if algorithm == "adaptive-gd":
-        return AdaptiveGD(config["d"])
-    raise ValueError(f"unknown algorithm {config['algorithm']!r}")
+    return DoublingZigZag(spec, "expected", seed, eta0=config.get("eta0"), mc_paths=int(config.get("mc_paths", 500)))
 
 
-def _run_cell(config: dict, seed: int) -> dict:
-    spec = make_spec(config["spec"]) if config.get("spec") else None
+def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
+    """The per-seed cells of a zigzag, doubling or adaptive-gd config.  The
+    seeds are the lanes of one learner and one episode; doubling runs a
+    one-lane learner per seed.  One Frank-Wolfe loop solves every seed's
+    comparator."""
+    if not seeds:
+        return []
     loss_name = config.get("loss", "hinge")
     n = int(config["n"])
-    if config["algorithm"] == "adaptive-gd":
-        tag, shape = LpTag(2.0), (int(config["d"]),)
-    else:
-        tag, shape = spec.tag, spec.point_shape
-        if spec.p <= 1 or len(shape) > 1:
-            raise ValueError(
-                f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
-                f"and the Frank-Wolfe comparator needs vector points (shape {shape})"
-            )
-    adversary = make_adversary(config["adversary"], shape, tag, seed)
-    learner = _build_learner(config, spec, seed)
-    if config.get("certify") and not hasattr(learner, "certificate"):
-        raise ValueError(f"algorithm {config['algorithm']!r} has no certificate; it cannot run with certify: true")
+    tag, shape = (LpTag(2.0), (int(config["d"]),)) if spec is None else (spec.tag, spec.point_shape)
     cert_grid = np.linspace(-1, 1, 41) if config.get("certify") else None
-    trace = run_episode(learner, loss_name, adversary, n, seed, cert_grid=cert_grid)
+    doubling = config["algorithm"].startswith("zigzag-doubling")
+    runs = []
+    for lane_seeds in [[seed] for seed in seeds] if doubling else [seeds]:
+        adversary = LaneAdversary([make_adversary(config["adversary"], shape, tag, seed) for seed in lane_seeds], lane_seeds)
+        learner = _build_learner(config, spec, lane_seeds)
+        runs.append((learner, run_episode(learner, loss_name, adversary, n, lane_seeds[0], cert_grid=cert_grid)))
 
-    # the learner runs one lane; the comparator class and the Rademacher
-    # estimate live in R^d, so scalar instances enter them as 1-vectors
-    xs = [np.atleast_1d(x) for x in trace.xs]
-    fw = offline_comparator(xs, trace.y[:, 0], tag, loss_name, iters=int(config.get("fw_iters", 500)))
-    total_loss = float(trace.cum_loss[-1, 0]) if trace.n else 0.0
-    increments = np.array([d_ * x for d_, x in zip(trace.dloss[:, 0], xs)]) if trace.n else np.zeros((0, *shape))
-    rad_mean, rad_se = rad_estimate(increments, tag, int(config.get("rad_samples", 1000)), seed=seed)
-    summary = {
-        "seed": seed,
-        "regret": total_loss - fw["best_loss"],
-        "comparator_fw": fw["best_loss"],
-        "rad_mean": rad_mean,
-        "rad_se": rad_se,
-        "phases": [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else [],
-        # tag.norm(sum_t l'_t x_t)
-        "benchmark_linearized": float(tag.norm(increments.sum(axis=0))),
-        "residual": float(theorem_residual(trace, learner)["residual"][0]) if isinstance(learner, ZigZagLearner) else None,
-        "cert_worst_slack": float(trace.cert_worst_slack.min()) if trace.cert_worst_slack is not None and trace.n else None,
-        # companion to the no-normalize escape hatch: scale-free runs report
-        # how large the instances actually got
-        "max_x_norm": float(max((tag.norm(x) for x in xs), default=0.0)),
-    }
-    return {**summary, "trace_csv": trace.to_csv()}
+    # the comparator class and the Rademacher estimate live in R^m, so
+    # scalar instances enter them as 1-vectors; row k is seed k's stream
+    m = math.prod(shape)
+    xs = np.concatenate([np.reshape(trace.xs, (n, learner.lanes, m)).swapaxes(0, 1) for learner, trace in runs])
+    ys = np.concatenate([trace.y.T for _, trace in runs])
+    fw = offline_comparator(xs, ys, tag, loss_name, iters=int(config.get("fw_iters", 500)))
+    increments = np.concatenate([trace.dloss.T for _, trace in runs])[..., np.newaxis] * xs
+    # one norm per (1, m) batch item reduces exactly as a tag.norm call does
+    max_x_norms = tag.norm_batch(xs.reshape(-1, 1, m)).reshape(len(seeds), n).max(axis=1, initial=0.0)
+    lanes = []
+    for learner, trace in runs:
+        residual = theorem_residual(trace, learner)["residual"] if isinstance(learner, ZigZagLearner) else [None] * learner.lanes
+        phases = [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else []
+        lanes += [(trace, j, residual[j], phases) for j in range(learner.lanes)]
+
+    cells = []
+    for i, (seed, (trace, j, residual, phases)) in enumerate(zip(seeds, lanes)):
+        total_loss = float(trace.cum_loss[-1, j]) if trace.n else 0.0
+        rad_mean, rad_se = rad_estimate(increments[i], tag, int(config.get("rad_samples", 1000)), seed=seed)
+        cells.append({
+            "seed": seed,
+            "regret": total_loss - float(fw["best_loss"][i]),
+            "comparator_fw": float(fw["best_loss"][i]),
+            "rad_mean": rad_mean,
+            "rad_se": rad_se,
+            "phases": phases,
+            # tag.norm(sum_t l'_t x_t)
+            "benchmark_linearized": float(tag.norm(increments[i].sum(axis=0))),
+            "residual": None if residual is None else float(residual),
+            "cert_worst_slack": float(trace.cert_worst_slack[:, j].min()) if cert_grid is not None and trace.n else None,
+            # companion to the no-normalize escape hatch: scale-free runs
+            # report how large the instances actually got
+            "max_x_norm": float(max_x_norms[i]),
+            "trace_csv": trace.to_csv(j),
+        })
+    return cells
 
 
 def _spectral_cell(config: dict, seed: int) -> dict:
@@ -383,12 +459,15 @@ def _spectral_cell(config: dict, seed: int) -> dict:
 
 
 def run_experiment(config: dict) -> dict:
-    """Run every seed cell of a config, in seed order, and assemble the
-    fixed-schema summary.  Spectral configs run seed 0 unless they list
-    seeds."""
-    spectral = config.get("algorithm") == "spectral"
-    run_cell = _spectral_cell if spectral else _run_cell
-    cells = [run_cell(config, seed) for seed in config.get("seeds", [0] if spectral else [])]
+    """Run every seed cell of a config and assemble the fixed-schema summary,
+    cells in seed order.  Spectral configs run seed 0 unless they list
+    seeds.  Raises ``ConfigError`` before any round for a config that cannot
+    run."""
+    spec = _check_config(config)
+    if config["algorithm"] == "spectral":
+        cells = [_spectral_cell(config, seed) for seed in config.get("seeds", [0])]
+    else:
+        cells = _run_cells(config, spec, list(config.get("seeds", [])))
     residuals = [c["residual"] for c in cells if c["residual"] is not None]
     summary = {
         "config": config,

@@ -14,10 +14,13 @@ clipped.
 Lanes: the regret guarantee holds in expectation over the learner's own signs
 eps, so one learner steps K independent sign paths together.  ``S`` and ``M``
 are ``(K, *point_shape)`` arrays, and ``predict``, ``certificate`` and
-``relaxation_value`` answer all K lanes with one U query each.  Lane k draws
-its signs from its own generator in fixed blocks; a block of Philox draws
-equals the same number of single draws, so every lane is bit-identical to a
-one-lane run of its generator.  K = 1 is the single-path learner.
+``relaxation_value`` answer all K lanes with one U query each.  An instance
+is either shared by all lanes (``point_shape``) or one per lane
+(``(K, *point_shape)``, K > 1), so the lanes can be independent sign paths on
+one stream or independent seeds with their own streams.  Lane k draws its
+signs from its own generator in fixed blocks; a block of Philox draws equals
+the same number of single draws, so every lane is bit-identical to a one-lane
+run of its generator and its stream.  K = 1 is the single-path learner.
 
 Admissibility certificate: zig-zag concavity of U makes G_t concave, so for
 every l' in [-1, 1]
@@ -54,6 +57,7 @@ __all__ = [
     "EpisodeTrace",
     "run_episode",
     "theorem_residual",
+    "lane_instances",
     "TRACE_COLUMNS",
 ]
 
@@ -102,14 +106,12 @@ class ZigZagLearner:
         self.M = np.zeros((self.lanes, *self.spec.point_shape))
 
     def _instance(self, x) -> np.ndarray:
-        if np.shape(x) != self.spec.point_shape:
-            raise ValueError(f"instance shape {np.shape(x)} does not match the point shape {self.spec.point_shape}")
-        return np.asarray(x, dtype=float)
+        return lane_instances(x, self.spec.point_shape, self.lanes)
 
     def predict(self, x) -> np.ndarray:
         """The K lanes' predictions for instance x."""
         x = self._instance(x)
-        dd = self.spec.dirderiv_batch(self.S[:, np.newaxis], self.M[:, np.newaxis], x[np.newaxis, np.newaxis], _SIGMAS)
+        dd = self.spec.dirderiv_batch(self.S[:, np.newaxis], self.M[:, np.newaxis], x[:, np.newaxis], _SIGMAS)
         return -(self.eta / self.spec.p) * 0.5 * (dd[:, 0] + dd[:, 1])
 
     def update(self, x, dloss) -> np.ndarray:
@@ -122,7 +124,7 @@ class ZigZagLearner:
         if self.t % _SIGN_BLOCK == 0:
             self._signs = np.stack([rademacher(rng, _SIGN_BLOCK) for rng in self.rngs])
         eps = self._signs[:, self.t % _SIGN_BLOCK]
-        lane_axes = (-1,) + (1,) * x.ndim
+        lane_axes = (-1,) + (1,) * (x.ndim - 1)
         step = dloss.reshape(lane_axes) * x
         self.S = self.S + step
         self.M = self.M + eps.reshape(lane_axes) * step
@@ -140,15 +142,15 @@ class ZigZagLearner:
             grid = np.linspace(-1.0, 1.0, 41)
         grid = np.asarray(grid, dtype=float)
         if yhat is None:
-            yhat = self.predict(xs)
+            yhat = self.predict(x)
         scale = self.eta / self.spec.p
         g = grid.size
         # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
         # (S, M) as the row with l' = 0, for every lane
         ls = np.concatenate([grid, grid, [0.0]])
         signs = np.concatenate([np.ones(g), -np.ones(g), [1.0]])
-        axes = (2 * g + 1,) + (1,) * xs.ndim
-        steps = ls.reshape(axes) * xs
+        axes = (2 * g + 1,) + (1,) * (xs.ndim - 1)
+        steps = ls.reshape(axes) * xs[:, np.newaxis]
         vals = self.spec.value_batch(
             self.S[:, np.newaxis] + steps, self.M[:, np.newaxis] + signs.reshape(axes) * steps
         )  # (K, 2g + 1)
@@ -158,10 +160,24 @@ class ZigZagLearner:
         return CertificateReport(worst_slack=slack.min(axis=1), violations=(slack < -tol).sum(axis=1))
 
 
+def lane_instances(x, point_shape: tuple, lanes: int) -> np.ndarray:
+    """Instance ``x`` as a ``(1 or K, *point_shape)`` array: one instance of
+    ``point_shape`` shared by the K lanes, or, when K > 1, one per lane.  A
+    one-lane learner takes only the shared form, so a stray length-1 axis is
+    never read as a lane axis.  Any other shape raises."""
+    shape = np.shape(x)
+    if shape == point_shape:
+        return np.asarray(x, dtype=float)[np.newaxis]
+    if lanes > 1 and shape == (lanes, *point_shape):
+        return np.asarray(x, dtype=float)
+    raise ValueError(f"instance shape {shape} is neither the point shape {point_shape} nor {(lanes, *point_shape)}")
+
+
 @dataclass
 class EpisodeTrace:
-    """Per-round record of one episode: the shared instances ``xs`` and one
-    ``(n, K)`` array per column, row t holding round t + 1 of every lane."""
+    """Per-round record of one episode: the instances ``xs`` as the adversary
+    gave them (shared by the lanes, or one per lane) and one ``(n, K)`` array
+    per column, row t holding round t + 1 of every lane."""
 
     xs: list
     yhat: np.ndarray
@@ -177,10 +193,10 @@ class EpisodeTrace:
     def n(self) -> int:
         return len(self.yhat)
 
-    def to_csv(self) -> str:
-        """The first lane's rounds (an experiment cell runs one lane) in the
-        fixed ``TRACE_COLUMNS`` schema."""
-        columns = (getattr(self, name)[:, 0].tolist() for name in TRACE_COLUMNS[1:])
+    def to_csv(self, lane: int = 0) -> str:
+        """One lane's rounds (an experiment cell is one lane) in the fixed
+        ``TRACE_COLUMNS`` schema."""
+        columns = (getattr(self, name)[:, lane].tolist() for name in TRACE_COLUMNS[1:])
         rows = zip(range(1, self.n + 1), *columns)
         return ",".join(TRACE_COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -199,10 +215,11 @@ def run_episode(
     ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
     and ``update(x, dloss) -> eps`` taking and returning K values; a
     ``begin_round(x)`` hook (doubling tuners), ``relaxation_value()`` and
-    ``certificate`` are used when present.  Every lane sees the same x_t, and
-    ``adversary.next_y`` answers the K predictions at once (a label that
-    ignores them is shared by all lanes).  The adversary draws from its own
-    substream so learner and adversary randomness never interact.
+    ``certificate`` are used when present.  ``adversary.next_x`` gives one
+    x_t for all lanes or one per lane, and ``adversary.next_y`` answers the K
+    predictions at once (a label that ignores them is shared by all lanes).
+    The adversary draws from its own substream so learner and adversary
+    randomness never interact.
     """
     adv_rng = substream(seed, "adversary")
     columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:]}
@@ -248,9 +265,11 @@ def theorem_residual(trace: EpisodeTrace, learner: ZigZagLearner) -> dict:
         linearized_regret - Psi_{eta,p}(beta^p ||M_n||^p)
 
     upper-bounds the residual for any comparator.  Its mean over sign paths
-    is guaranteed <= 0.  Every value is a length-K array.
+    is guaranteed <= 0.  Every value is a length-K array.  Each lane's sum
+    runs over a contiguous row, so a lane's value does not depend on K.
     """
     spec = learner.spec
-    linearized_regret = (trace.yhat * trace.dloss).sum(axis=0) + spec.norm_batch(learner.S)
+    payoff = np.ascontiguousarray((trace.yhat * trace.dloss).T).sum(axis=1)
+    linearized_regret = payoff + spec.norm_batch(learner.S)
     bound = psi(learner.eta, spec.p, spec.beta**spec.p * spec.norm_batch(learner.M) ** spec.p)
     return {"linearized_regret": linearized_regret, "residual": linearized_regret - bound}

@@ -134,42 +134,42 @@ class GroupP2Tag(NormTag):
 
 
 def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
-    """argmin of <w, g> over the unit ball of the dual of ``tag``'s norm.
+    """argmin of <w, g> over the unit ball of the dual of ``tag``'s norm, for
+    a vector ``g`` or for every row of a ``(K, d)`` batch.
 
     The comparator class lives in the dual ball, so by duality the optimum
     value is -tag.norm(g).  Closed forms are used for lp / gram / sup / one
-    tags.  A zero gradient returns the zero vector.
+    tags.  A zero gradient (row) returns zero.
 
     For gram tags both ``g`` and the result are coefficient vectors and the
     pairing is the Hilbert inner product <w, g>_G = w' G g (the space is
     self-dual); all other tags pair with the standard duality product.
     """
     g = np.asarray(g, dtype=float)
-    if not np.any(g):
-        return np.zeros_like(g)
     if isinstance(tag, LpTag):
         if tag.p == 2.0:
-            return -g / np.linalg.norm(g)
+            return -g / _nonzero(np.linalg.norm(g, axis=-1))
         # Hoelder equality: |w_i| ~ |g_i|^(p-1), scaled onto the dual sphere
-        mag = np.abs(g) ** (tag.p - 1.0)
-        w = -np.sign(g) * mag
+        w = -np.sign(g) * np.abs(g) ** (tag.p - 1.0)
         p_prime, _ = conjugate(tag.p)
-        return w / np.sum(np.abs(w) ** p_prime) ** (1.0 / p_prime)
+        return w / _nonzero(np.sum(np.abs(w) ** p_prime, axis=-1) ** (1.0 / p_prime))
     if isinstance(tag, SupTag):
         # dual ball is l1: a signed basis vector at the largest |g_i|
+        i = np.argmax(np.abs(g), axis=-1)[..., np.newaxis]
         w = np.zeros_like(g)
-        i = np.unravel_index(int(np.argmax(np.abs(g))), g.shape)
-        w[i] = -np.sign(g[i])
+        np.put_along_axis(w, i, -np.sign(np.take_along_axis(g, i, axis=-1)), axis=-1)
         return w
     if isinstance(tag, OneTag):
         return -np.sign(g)
     if isinstance(tag, GramTag):
         # self-dual Hilbert ball in coefficient coordinates
-        denom = tag.norm(g)
-        if denom == 0.0:
-            return np.zeros_like(g)
-        return -g / denom
+        return -g / _nonzero(tag.norm_batch(g))
     raise ValueError(f"dual_ball_lmo does not support tag {tag.name!r}")
+
+
+def _nonzero(norms) -> np.ndarray:
+    """Per-row divisors: a zero norm divides by 1, so a zero row stays zero."""
+    return np.where(norms > 0.0, norms, 1.0)[..., np.newaxis]
 
 
 class IntervalSupTracker:

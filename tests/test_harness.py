@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from zigzag import harness
 from zigzag.harness import (
     AdaptiveGD,
+    ConfigError,
     FixedStream,
     brute_force_minimax,
     make_adversary,
@@ -110,8 +112,35 @@ def test_adaptive_gd_rejects_certify():
         "seeds": [0],
         "certify": True,
     }
-    with pytest.raises(ValueError, match="adaptive-gd.*certify"):
+    with pytest.raises(ConfigError, match="adaptive-gd.*certify"):
         run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"algorithm": "zigzag-tripling"}, "unknown algorithm 'zigzag-tripling'"),
+        ({"adversary": {"kind": "adaptive"}}, "unknown adversary kind 'adaptive'"),
+        ({"adversary": {"kind": "sign-flip", "base": "adaptive"}}, "unknown adversary kind 'adaptive'"),
+        ({"loss": "squared"}, "unknown loss 'squared'"),
+    ],
+)
+def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built before the config was checked")
+
+    monkeypatch.setattr(harness, "make_adversary", never)
+    monkeypatch.setattr(harness, "_build_learner", never)
+    config = {
+        "algorithm": "zigzag",
+        "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},
+        "loss": "hinge",
+        "adversary": {"kind": "iid-gaussian"},
+        "n": 5,
+        "seeds": [0],
+    }
+    with pytest.raises(ConfigError, match=message):
+        run_experiment({**config, **change})
 
 
 def test_every_construction_runs_or_is_rejected_before_any_round():
@@ -139,7 +168,7 @@ def test_every_construction_runs_or_is_rejected_before_any_round():
             }
             try:
                 summary = run_experiment(config)
-            except ValueError as exc:
+            except ConfigError as exc:
                 assert repr(spec["construction"]) in str(exc)
                 rejected.add(spec["construction"])
             else:
@@ -343,3 +372,64 @@ def test_fixed_stream_adversary():
     assert adv.next_y(2, None, 0.0, rng) == -1.0
     with pytest.raises(ValueError):
         FixedStream([[1.0]], [1.0, 2.0])
+
+
+SEED_LANE_SPECS = [
+    {"construction": "scalar-p", "p": 3.0},
+    {"construction": "lp-sum", "p": 3.0, "d": 4},
+    {"construction": "hilbert", "p": 2.5, "d": 4},
+    {"construction": "weighted-l2", "weight": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]},
+    {"construction": "even-power", "k": 4},
+]
+SEED_LANE_ADVERSARIES = ["sign-flip", "iid-gaussian", "low-rank-stream", "fixed-file"]
+
+
+def _seed_lane_config(algorithm, spec, kind):
+    n = 25
+    shape, norm = (4,), np.linalg.norm
+    if spec is not None:
+        built = make_spec(spec)
+        shape, norm = built.point_shape, built.norm
+    adversary = {"kind": kind}
+    if kind == "low-rank-stream":
+        adversary["rank"] = 2
+    if kind == "fixed-file":
+        rng = substream(21, "seed-lanes")
+        xs = [rng.normal(size=shape) for _ in range(n)]
+        adversary.update(xs=[(x / norm(x)).tolist() for x in xs], ys=rng.choice([-1.0, 1.0], size=n).tolist())
+    config = {"algorithm": algorithm, "loss": "hinge", "adversary": adversary, "n": n, "fw_iters": 60, "rad_samples": 100}
+    if spec is None:
+        return dict(config, d=4)
+    return dict(config, spec=spec, certify=algorithm == "zigzag", eta=0.7)
+
+
+SEED_LANE_CONFIGS = (
+    [("zigzag", spec, kind) for spec in SEED_LANE_SPECS for kind in SEED_LANE_ADVERSARIES]
+    + [("adaptive-gd", None, kind) for kind in SEED_LANE_ADVERSARIES]
+    + [("zigzag-doubling-realized", SEED_LANE_SPECS[1], "iid-gaussian")]
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm, spec, kind",
+    SEED_LANE_CONFIGS,
+    ids=[f"{a}-{s['construction'] if s else 'gd'}-{k}" for a, s, k in SEED_LANE_CONFIGS],
+)
+def test_seed_lanes_match_one_seed_runs(algorithm, spec, kind, tmp_path):
+    """Seeds run together as lanes write the same cells as seeds run one at
+    a time: byte-identical traces, and the batched Frank-Wolfe comparator
+    agrees to 1e-12 relative."""
+    config = _seed_lane_config(algorithm, spec, kind)
+    seeds = [0, 1, 2, 3]
+    together = run_experiment(dict(config, seeds=seeds))
+    write_outputs(together, tmp_path / "together")
+    for i, seed in enumerate(seeds):
+        alone = run_experiment(dict(config, seeds=[seed]))
+        write_outputs(alone, tmp_path / f"alone{seed}")
+        name = f"episode_seed{seed}.csv"
+        assert (tmp_path / "together" / name).read_bytes() == (tmp_path / f"alone{seed}" / name).read_bytes()
+        cell, want = together["_cells"][i], alone["_cells"][0]
+        for key in ("regret", "comparator_fw"):
+            assert cell[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+        for key in ("rad_mean", "benchmark_linearized", "residual", "cert_worst_slack", "max_x_norm", "phases"):
+            assert cell[key] == want[key], key

@@ -184,15 +184,43 @@ def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
     lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(16)])
     trace = run_episode(lanes, "hinge", adversary(), n=30, seed=9, cert_grid=grid)
     assert trace.yhat.shape == (30, 16)
+    residual = theorem_residual(trace, lanes)
     for seed in range(16):
-        one = run_episode(make_learner(spec, eta=0.7, seed=seed), "hinge", adversary(), n=30, seed=9, cert_grid=grid)
+        learner = make_learner(spec, eta=0.7, seed=seed)
+        one = run_episode(learner, "hinge", adversary(), n=30, seed=9, cert_grid=grid)
         for column in ("yhat", "y", "eps", "loss", "dloss", "rel_value", "cum_loss", "cert_worst_slack"):
             got = np.ascontiguousarray(getattr(trace, column)[:, seed])
             assert got.tobytes() == getattr(one, column)[:, 0].tobytes(), (seed, column)
+        for key, value in theorem_residual(one, learner).items():
+            assert residual[key][seed].tobytes() == value[0].tobytes(), (seed, key)
     if kind == "sign-flip" and spec.construction in ("scalar-p", "lp-sum", "group-p2"):
         # the tie rule is exercised: a -0.0 prediction at round 2 gets +1
         tied = (trace.yhat[1] == 0.0) & np.signbit(trace.yhat[1])
         assert np.any(tied) and np.all(trace.y[1][tied] == 1.0)
+
+
+def test_per_lane_instances_match_one_lane_learners():
+    spec = LpSumU(3.0, 4)
+    rng = substream(5, "per-lane")
+    lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(3)])
+    ones = [make_learner(spec, eta=0.7, seed=seed) for seed in range(3)]
+    for _ in range(20):
+        xs = rng.normal(size=(3, 4))
+        yhat = lanes.predict(xs)
+        cert = lanes.certificate(xs, yhat=yhat)
+        dl = np.clip(-yhat, -1.0, 1.0)
+        eps = lanes.update(xs, dl)
+        for k, one in enumerate(ones):
+            (want,) = one.predict(xs[k])
+            assert yhat[k].tobytes() == want.tobytes()
+            assert cert.worst_slack[k] == one.certificate(xs[k], yhat=want).worst_slack[0]
+            assert eps[k] == one.update(xs[k], dl[k])[0]
+    assert lanes.S.tobytes() == np.concatenate([one.S for one in ones]).tobytes()
+    # neither a wrong lane count nor, on one lane, a length-1 lane axis
+    with pytest.raises(ValueError):
+        lanes.predict(np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        ones[0].predict(np.ones((1, 4)))
 
 
 def test_sign_flip_tie_rule():

@@ -129,6 +129,20 @@ def test_lmo_weighted_and_gram_duality():
         assert w @ a @ g == pytest.approx(-gram.norm(g), rel=1e-8)
 
 
+def test_lmo_answers_a_lane_axis_row_by_row():
+    rng = substream(13, "lmo-lanes")
+    b = rng.normal(size=(4, 4))
+    tags = [LpTag(2.0), LpTag(3.0), SupTag(), OneTag(), GramTag(b @ b.T + 0.5 * np.eye(4))]
+    g = rng.normal(size=(5, 4))
+    g[2] = 0.0
+    for tag in tags:
+        got = dual_ball_lmo(g, tag)
+        assert got.shape == g.shape
+        assert not np.any(got[2]), tag.name  # a zero row stays zero
+        for row, want in zip(got, g):
+            assert np.allclose(row, dual_ball_lmo(want, tag), rtol=1e-14, atol=0.0), tag.name
+
+
 def test_lmo_unsupported_tag():
     with pytest.raises(ValueError):
         dual_ball_lmo(np.eye(2), GroupP2Tag(2.0))
