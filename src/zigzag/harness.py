@@ -52,6 +52,7 @@ __all__ = [
 
 ALGORITHMS = ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected", "adaptive-gd", "spectral")
 ADVERSARY_KINDS = ("iid-gaussian", "iid-rademacher-coords", "sign-flip", "low-rank-stream", "fixed-file")
+ENTRY_DISTRIBUTIONS = ("uniform", "row-spiky")
 
 SUMMARY_KEYS = (
     "config",
@@ -185,7 +186,8 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
         return IIDRademacherCoordsX(shape, tag, normalize)
     if kind == "sign-flip":
         base_kind = cfg.get("base", "iid-gaussian")
-        base = make_adversary({"kind": base_kind, "normalize": normalize}, shape, tag, seed)
+        base_cfg = {k: v for k, v in cfg.items() if k != "base"}
+        base = make_adversary(dict(base_cfg, kind=base_kind), shape, tag, seed)
         return SignFlip(base)
     if kind == "low-rank-stream":
         return LowRankStream(shape, int(cfg["rank"]), tag, seed, normalize)
@@ -326,6 +328,12 @@ def _check_config(config: dict):
     if loss_name not in LOSSES:
         raise ConfigError(f"unknown loss {loss_name!r}")
     if algorithm == "spectral":
+        sizes = {key: int(config[key]) for key in ("d", "r", "n")}
+        if min(sizes.values()) < 1 or not float(config["tau"]) > 0:
+            raise ConfigError(f"a spectral run needs d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
+        stream = config.get("entry_distribution", "uniform")
+        if stream not in ENTRY_DISTRIBUTIONS:
+            raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
         return None
     adversary = config["adversary"]
     kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])

@@ -12,6 +12,10 @@ radius actually achieved.  One shared sign draw per round updates every
 expert.  Multiplicative-weights losses use the clipped predictions (the
 aggregation needs bounded losses); sub-learner gradients are taken at the
 unclipped predictions.
+
+The certificate and the net build run on arrays whose long axis (experts x
+grid, or pool and probe points) is innermost and contiguous; the public
+arrays ``sv``, ``mv`` and ``experts`` keep their ``(m, d, r)`` layout.
 """
 
 from __future__ import annotations
@@ -75,24 +79,35 @@ def build_net(
         raise ValueError(f"tau must be positive, got {tau}")
     rng = substream(seed, "net")
     pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau)
-    net = [pool[0]]
-    dists = np.sqrt(np.sum((pool - pool[0]) ** 2, axis=(1, 2)))
+    pool_cols = _columns(pool)
+    net = [0]
+    dists = _distances(pool_cols, pool_cols[:, 0])
     while len(net) < max_size and dists.max() > net_alpha:
         pick = int(np.argmax(dists))
-        net.append(pool[pick])
-        dists = np.minimum(dists, np.sqrt(np.sum((pool - pool[pick]) ** 2, axis=(1, 2))))
-    net_arr = np.stack(net)
+        net.append(pick)
+        np.minimum(dists, _distances(pool_cols, pool_cols[:, pick]), out=dists)
 
-    probes = _sphere_sample(rng, probe_count, d, r, tau)
+    probe_cols = _columns(_sphere_sample(rng, probe_count, d, r, tau))
     min_dist = np.full(probe_count, np.inf)
-    for v in net_arr:
-        min_dist = np.minimum(min_dist, np.sqrt(np.sum((probes - v) ** 2, axis=(1, 2))))
+    for pick in net:
+        np.minimum(min_dist, _distances(probe_cols, pool_cols[:, pick]), out=min_dist)
     coverage = NetCoverage(
         size=len(net),
         radius_requested=net_alpha,
         radius_achieved=float(min_dist.max()),
     )
-    return net_arr, coverage
+    return pool[net], coverage
+
+
+def _columns(points: np.ndarray) -> np.ndarray:
+    """``(count, d, r)`` points as contiguous ``(d*r, count)`` columns."""
+    return np.ascontiguousarray(points.reshape(points.shape[0], -1).T)
+
+
+def _distances(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Frobenius distance from every column of ``cols`` to the flattened
+    point ``v``; the d*r squared differences add in sequence."""
+    return np.sqrt(np.sum((cols - v.reshape(-1, 1)) ** 2, axis=0))
 
 
 def mw_step(log_weights: np.ndarray, loss_vec: np.ndarray, gamma: float) -> np.ndarray:
@@ -111,6 +126,10 @@ def entry_stats(entries) -> tuple[int, int]:
         rows[i] = rows.get(i, 0) + 1
         cols[j] = cols.get(j, 0) + 1
     return (max(rows.values(), default=0), max(cols.values(), default=0))
+
+
+_GRID = np.linspace(-1.0, 1.0, 41)
+_GRID.flags.writeable = False
 
 
 class SpectralZigZag:
@@ -137,6 +156,8 @@ class SpectralZigZag:
         max_net: int = 500,
         eta: float | None = None,
     ):
+        if horizon < 1 or not tau > 0:
+            raise ValueError(f"horizon must be at least 1 and tau positive, got horizon={horizon}, tau={tau}")
         self.d = d
         self.r = r
         self.tau = float(tau)
@@ -154,6 +175,7 @@ class SpectralZigZag:
         self.cum_mw_loss = np.zeros(self.m)
         self._choice_rng = substream(seed, "mw-choice")
         self._sign_rng = substream(seed, "signs")
+        self._terms = np.empty((3, r, self.m, _GRID.size))  # certificate scratch
         self.t = 0
 
     @property
@@ -164,31 +186,40 @@ class SpectralZigZag:
         inner = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])
         return -2.0 * self.coef * inner
 
-    def certificate(self, i: int, j: int, grid=None, tol: float = 1e-8) -> tuple[float, int]:
-        """Worst admissibility slack over experts and a grid of l' values,
-        evaluated at the current state.  Returns (worst_slack, violations)."""
-        if grid is None:
-            grid = np.linspace(-1.0, 1.0, 41)
-        grid = np.asarray(grid, dtype=float)
+    def certificate(self, i: int, j: int, tol: float = 1e-8) -> tuple[float, int]:
+        """Worst admissibility slack over experts and the 41-point grid of l'
+        values in [-1, 1], evaluated at the current state.  Returns
+        (worst_slack, violations)."""
         f = self.predict_all(i, j)
-        vj = self.experts[:, j, :]  # (m, r)
-        s_row = self.sv[:, i, :]
-        m_row = self.mv[:, i, :]
+        vj = self.experts[:, j, :].T[:, :, np.newaxis]  # (r, m, 1)
+        s_row = self.sv[:, i, :].T[:, :, np.newaxis]
+        m_row = self.mv[:, i, :].T[:, :, np.newaxis]
         s_tot = np.sum(self.sv**2, axis=(1, 2))
         m_tot = np.sum(self.mv**2, axis=(1, 2))
         rhs = self.coef * (s_tot - m_tot)
-        g = grid[np.newaxis, :, np.newaxis]  # (1, grid, 1)
-        s_new = s_row[:, np.newaxis, :] + g * vj[:, np.newaxis, :]
-        m_plus = m_row[:, np.newaxis, :] + g * vj[:, np.newaxis, :]
-        m_minus = m_row[:, np.newaxis, :] - g * vj[:, np.newaxis, :]
-        s_norm2 = s_tot[:, np.newaxis] - np.sum(s_row**2, axis=1)[:, np.newaxis] + np.sum(s_new**2, axis=2)
-        m_norm2 = (
-            m_tot[:, np.newaxis]
-            - np.sum(m_row**2, axis=1)[:, np.newaxis]
-            + 0.5 * (np.sum(m_plus**2, axis=2) + np.sum(m_minus**2, axis=2))
-        )
-        lhs = f[:, np.newaxis] * grid[np.newaxis, :] + self.coef * (s_norm2 - m_norm2)
-        slack = rhs[:, np.newaxis] - lhs
+        # (3, r, m, G): the rows S_i + l' v_j and M_i +- l' v_j, squared and
+        # summed over the rank axis in sequence; all later (m, G) steps work
+        # in place in the rank-0 slices
+        terms = self._terms
+        s_new, m_plus, m_minus = terms
+        np.multiply(_GRID, vj, out=m_minus)
+        np.add(s_row, m_minus, out=s_new)
+        np.add(m_row, m_minus, out=m_plus)
+        np.subtract(m_row, m_minus, out=m_minus)
+        np.square(terms, out=terms)
+        sums = terms[:, 0]
+        for k in range(1, self.r):
+            sums += terms[:, k]
+        s_norm2, m_norm2, m_minus2 = sums
+        s_norm2 += s_tot[:, np.newaxis] - np.sum(s_row**2, axis=0)
+        m_norm2 += m_minus2
+        m_norm2 *= 0.5
+        m_norm2 += m_tot[:, np.newaxis] - np.sum(m_row**2, axis=0)
+        s_norm2 -= m_norm2
+        s_norm2 *= self.coef
+        lhs = np.multiply(f[:, np.newaxis], _GRID, out=m_minus2)
+        lhs += s_norm2
+        slack = np.subtract(rhs[:, np.newaxis], lhs, out=lhs)
         return float(slack.min()), int(np.sum(slack < -tol))
 
     def round(self, i: int, j: int, y: float) -> dict:

@@ -76,6 +76,35 @@ def test_sign_flip_labels():
     assert adv.next_y(1, None, 0.0, rng) == 1.0  # tie toward +1
 
 
+SIGN_FLIP_BASES = [
+    {"base": "low-rank-stream", "rank": 2},
+    {"base": "fixed-file", "xs": (0.2 * substream(9, "fixed").uniform(-1.0, 1.0, size=(6, 4))).tolist(), "ys": [1.0] * 6},
+]
+
+
+@pytest.mark.parametrize("base", SIGN_FLIP_BASES, ids=[b["base"] for b in SIGN_FLIP_BASES])
+def test_sign_flip_base_takes_its_own_keys(base):
+    flip = make_adversary({"kind": "sign-flip", **base}, shape=(4,), tag=LpTag(3.0), seed=9)
+    own = {k: v for k, v in base.items() if k != "base"}
+    plain = make_adversary(dict(own, kind=base["base"]), shape=(4,), tag=LpTag(3.0), seed=9)
+    rng_flip, rng_plain = substream(9, "x"), substream(9, "x")
+    for t in range(1, 7):
+        assert np.array_equal(flip.next_x(t, rng_flip), plain.next_x(t, rng_plain))
+    assert flip.next_y(1, None, np.array([0.5, -0.5, 0.0]), rng_flip).tolist() == [-1.0, 1.0, 1.0]
+    config = {
+        "algorithm": "zigzag",
+        "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},
+        "loss": "hinge",
+        "adversary": {"kind": "sign-flip", **base},
+        "n": 6,
+        "seeds": [0, 1],
+        "certify": True,
+    }
+    summary = run_experiment(config)
+    assert {k for k in summary if not k.startswith("_")} == set(SUMMARY_KEYS)
+    assert all(cell["cert_worst_slack"] >= -1e-8 for cell in summary["_cells"])
+
+
 def test_low_rank_stream_lives_in_subspace():
     adv = make_adversary({"kind": "low-rank-stream", "rank": 2}, shape=(8,), tag=LpTag(2.0), seed=5)
     rng = substream(5, "lr")
@@ -116,6 +145,9 @@ def test_adaptive_gd_rejects_certify():
         run_experiment(config)
 
 
+SPECTRAL = {"algorithm": "spectral", "d": 3, "r": 1, "tau": 3.0, "n": 30, "net_size": 40}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -123,6 +155,13 @@ def test_adaptive_gd_rejects_certify():
         ({"adversary": {"kind": "adaptive"}}, "unknown adversary kind 'adaptive'"),
         ({"adversary": {"kind": "sign-flip", "base": "adaptive"}}, "unknown adversary kind 'adaptive'"),
         ({"loss": "squared"}, "unknown loss 'squared'"),
+        (dict(SPECTRAL, n=0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, tau=0.0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, tau=-1.0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, d=0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, r=0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, entry_distribution="bogus"), "unknown entry_distribution 'bogus'"),
+        (dict(SPECTRAL, entry_distribution="explicit"), "unknown entry_distribution 'explicit'"),
     ],
 )
 def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
@@ -131,6 +170,7 @@ def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, mess
 
     monkeypatch.setattr(harness, "make_adversary", never)
     monkeypatch.setattr(harness, "_build_learner", never)
+    monkeypatch.setattr(harness, "run_spectral", never)
     config = {
         "algorithm": "zigzag",
         "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from zigzag.rng import substream
 from zigzag.spectral import (
     SpectralZigZag,
+    _sphere_sample,
     build_net,
     entry_stats,
     make_entry_stream,
@@ -31,6 +33,20 @@ def test_build_net_frobenius_sphere_and_coverage():
     # a tiny net cannot cover: reported, not fatal
     _, tight = build_net(3, 1, 3.0, net_alpha=1e-4, seed=1, max_size=8)
     assert not tight.covered
+
+
+def test_build_net_twelve_coordinates_against_brute_force():
+    d, r, tau, seed = 6, 2, 6.0, 11
+    net, cov = build_net(d, r, tau, net_alpha=1e-3, seed=seed, max_size=40, probe_count=500)
+    rng = substream(seed, "net")
+    pool = _sphere_sample(rng, 1000, d, r, tau)
+    probes = _sphere_sample(rng, 500, d, r, tau)
+    assert net.shape == (40, d, r) and cov.size == 40
+    for point in net:
+        assert np.any(np.all(pool == point, axis=(1, 2)))
+        assert np.linalg.norm(point) == pytest.approx(math.sqrt(tau), rel=1e-12)
+    radius = max(min(np.linalg.norm(probe - point) for point in net) for probe in probes)
+    assert cov.radius_achieved == pytest.approx(radius, rel=1e-12)
 
 
 def test_mw_step_examples():
@@ -85,6 +101,33 @@ def test_prediction_closed_form():
     assert np.allclose(alg2.predict_all(1, 0), 0.0)
 
 
+def test_rank_two_certificate_catches_a_wrong_prediction(monkeypatch):
+    alg = SpectralZigZag(4, 2, 2.0, horizon=30, seed=12, max_net=50)
+    rng = np.random.default_rng(12)
+    alg.sv = rng.normal(size=alg.sv.shape)
+    alg.mv = rng.normal(size=alg.mv.shape)
+    i, j = 1, 3
+    assert alg.certificate(i, j)[1] == 0
+
+    honest = alg.predict_all
+    monkeypatch.setattr(alg, "predict_all", lambda i, j: 1.5 * honest(i, j))
+    worst, violations = alg.certificate(i, j)
+    assert violations > 0
+
+    f = alg.predict_all(i, j)
+    want = math.inf
+    for v in range(alg.m):
+        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(alg.mv[v] ** 2))
+        for g in np.linspace(-1.0, 1.0, 41):
+            step = np.zeros((4, 2))
+            step[i] = g * alg.experts[v, j]
+            s_new = np.sum((alg.sv[v] + step) ** 2)
+            m_plus = np.sum((alg.mv[v] + step) ** 2)
+            m_minus = np.sum((alg.mv[v] - step) ** 2)
+            want = min(want, rel - (f[v] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus)))
+    assert worst == pytest.approx(want, rel=1e-10)
+
+
 def test_certificate_passes_along_run():
     res = run_spectral(3, 1, 3.0, n=60, stream_kind="uniform", seed=5, max_net=60)
     assert res.cert_violations == 0
@@ -92,6 +135,15 @@ def test_certificate_passes_along_run():
     assert res.weight_drift <= 1e-12
     assert res.n_row >= 60 // 3 // 3  # sanity on counts
     assert len(res.rows) == 60
+
+
+def test_empty_horizon_and_nonpositive_tau_are_rejected():
+    with pytest.raises(ValueError, match="horizon"):
+        SpectralZigZag(3, 1, 3.0, horizon=0)
+    with pytest.raises(ValueError, match="tau"):
+        SpectralZigZag(3, 1, 0.0, horizon=10)
+    with pytest.raises(ValueError, match="horizon"):
+        run_spectral(3, 1, 3.0, n=0)
 
 
 def test_row_spiky_stream_counts():
