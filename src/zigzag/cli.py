@@ -127,6 +127,8 @@ def _cmd_spectral(args) -> int:
     entries = None
     kind = args.entry_distribution
     if kind == "adversarial-file":
+        if args.file is None:
+            args.usage_error("--entry-distribution adversarial-file needs --file")
         entries = json.loads(pathlib.Path(args.file).read_text())
         kind = "explicit"
     res = run_spectral(
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_spec.add_argument("--file", default=None, help="entry triples JSON for adversarial-file")
     p_spec.add_argument("--out", default=None)
-    p_spec.set_defaults(func=_cmd_spectral)
+    p_spec.set_defaults(func=_cmd_spectral, usage_error=p_spec.error)
 
     p_rep = sub.add_parser("report", help="digest summary.json files under a directory")
     p_rep.add_argument("directory")

@@ -6,11 +6,11 @@ All adversaries draw instances of the construction's point shape and rescale
 them onto the unit ball of the configured norm, so streams always satisfy the
 protocol's boundedness contract; an optional ``normalize=False`` escape hatch
 exercises scale-free behavior.  The seeds of a config are lanes: one learner
-steps every seed together through one episode, each seed with its own
-adversary stream, and one batched Frank-Wolfe loop solves every seed's
-comparator.  Doubling configs run a one-lane learner per seed.  A config
-that cannot run raises ``ConfigError`` before any adversary or learner is
-built.
+and one adversary serve every seed, each seed drawing from its own adversary
+stream, and one batched Frank-Wolfe loop solves every seed's comparator.
+Doubling configs run a one-lane learner per seed.  A config that cannot run,
+a fixed-file stream that cannot serve n rounds included, raises
+``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pathlib
 import numpy as np
 
 from .burkholder import make_spec
-from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual
+from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
 from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import rad_estimate, rad_exact
@@ -37,7 +37,6 @@ __all__ = [
     "FixedStream",
     "LowRankStream",
     "SignFlip",
-    "LaneAdversary",
     "make_adversary",
     "AdaptiveGD",
     "offline_comparator",
@@ -77,64 +76,66 @@ class ConfigError(ValueError):
 # adversaries
 
 
-def _unit(x, tag: NormTag, normalize: bool):
-    if not normalize:
-        return x
-    n = tag.norm(x)
-    return x / n if n > 0 else x
-
-
 class IIDGaussianX:
     """Gaussian instances of the given shape scaled onto the unit sphere of
-    the configured norm; labels are fresh uniform signs."""
+    the configured norm; labels are fresh uniform signs.  ``next_x`` gives the
+    K lanes' instances (the instance itself when K = 1), ``next_y`` K labels."""
 
-    def __init__(self, shape, tag: NormTag, normalize: bool = True):
+    def __init__(self, shape, tag: NormTag, seeds, normalize: bool = True):
         self.shape = shape
         self.tag = tag
         self.normalize = normalize
+        self.rngs = [substream(seed, "adversary") for seed in seeds]
 
-    def next_x(self, t, rng):
-        return _unit(rng.normal(size=self.shape), self.tag, self.normalize)
+    def _draw(self, k):
+        return self.rngs[k].normal(size=self.shape)
 
-    def next_y(self, t, x, yhat, rng):
+    def next_x(self, t):
+        xs = np.stack([self._draw(k) for k in range(len(self.rngs))])
+        if self.normalize:
+            # one (1, *shape) item per lane reduces exactly as tag.norm does
+            norms = self.tag.norm_batch(xs[:, np.newaxis]).reshape(-1)
+            xs = xs / np.where(norms > 0, norms, 1.0).reshape((-1,) + (1,) * (xs.ndim - 1))
+        return xs[0] if len(xs) == 1 else xs
+
+    def next_y(self, t, x, yhat):
         # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
-        return (-1.0, 1.0)[rng.integers(0, 2)]
+        return np.array([(-1.0, 1.0)[rng.integers(0, 2)] for rng in self.rngs])
 
 
 class IIDRademacherCoordsX(IIDGaussianX):
     """Sign-vector instances scaled onto the unit sphere of the norm."""
 
-    def next_x(self, t, rng):
-        x = (rng.integers(0, 2, size=self.shape) * 2 - 1).astype(float)
-        return _unit(x, self.tag, self.normalize)
+    def _draw(self, k):
+        return (self.rngs[k].integers(0, 2, size=self.shape) * 2 - 1).astype(float)
 
 
 class LowRankStream(IIDGaussianX):
-    """Instances drawn from a fixed random subspace of the given rank; the
-    shape is a tuple."""
+    """Instances drawn from a fixed random subspace of the given rank, one
+    subspace per seed; the shape is a tuple."""
 
-    def __init__(self, shape: tuple, rank: int, tag: NormTag, seed: int, normalize: bool = True):
-        super().__init__(shape, tag, normalize)
-        self.basis = substream(seed, "low-rank-basis").normal(size=(*shape, rank))
+    def __init__(self, shape: tuple, rank: int, tag: NormTag, seeds, normalize: bool = True):
+        super().__init__(shape, tag, seeds, normalize)
+        self.bases = [substream(seed, "low-rank-basis").normal(size=(*shape, rank)) for seed in seeds]
 
-    def next_x(self, t, rng):
-        x = self.basis @ rng.normal(size=self.basis.shape[-1])
-        return _unit(x, self.tag, self.normalize)
+    def _draw(self, k):
+        basis = self.bases[k]
+        return basis @ self.rngs[k].normal(size=basis.shape[-1])
 
 
 class FixedStream:
-    """Replay explicit arrays of instances and labels."""
+    """Replay explicit arrays of instances and labels, the same to every lane."""
 
     def __init__(self, xs, ys):
         self.xs = [np.asarray(x, dtype=float) for x in xs]
         self.ys = [float(y) for y in ys]
         if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
+            raise ConfigError(f"a fixed-file stream needs as many labels as instances, got {len(self.ys)} and {len(self.xs)}")
 
-    def next_x(self, t, rng):
+    def next_x(self, t):
         return self.xs[t - 1]
 
-    def next_y(self, t, x, yhat, rng):
+    def next_y(self, t, x, yhat):
         return self.ys[t - 1]
 
 
@@ -148,54 +149,31 @@ class SignFlip:
     def __init__(self, base):
         self.base = base
 
-    def next_x(self, t, rng):
-        return self.base.next_x(t, rng)
+    def next_x(self, t):
+        return self.base.next_x(t)
 
-    def next_y(self, t, x, yhat, rng):
+    def next_y(self, t, x, yhat):
         return np.where(yhat == 0.0, 1.0, -np.sign(yhat))
 
 
-class LaneAdversary:
-    """One adversary per lane, each drawing from its own
-    ``substream(seed, "adversary")``, answering all lanes at once:
-    ``next_x`` gives the lanes' instances as a ``(K, *shape)`` array (a
-    one-lane run gets its instance as is) and ``next_y`` the K labels.  The
-    generator the episode driver passes in is not used."""
-
-    def __init__(self, adversaries, seeds):
-        self.adversaries = list(adversaries)
-        self.rngs = [substream(seed, "adversary") for seed in seeds]
-        self._xs = []
-
-    def next_x(self, t, rng):
-        self._xs = [adv.next_x(t, r) for adv, r in zip(self.adversaries, self.rngs)]
-        return self._xs[0] if len(self._xs) == 1 else np.stack(self._xs)
-
-    def next_y(self, t, x, yhat, rng):
-        lanes = zip(self.adversaries, self._xs, yhat, self.rngs)
-        return np.array([float(adv.next_y(t, x_k, yhat_k, r)) for adv, x_k, yhat_k, r in lanes])
-
-
-def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seed: int):
-    """The adversary a config names, drawing instances of ``shape``."""
+def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
+    """The adversary a config names, drawing instances of ``shape`` for one lane per seed."""
     kind = cfg["kind"]
     normalize = bool(cfg.get("normalize", True))
     if kind == "iid-gaussian":
-        return IIDGaussianX(shape, tag, normalize)
+        return IIDGaussianX(shape, tag, seeds, normalize)
     if kind == "iid-rademacher-coords":
-        return IIDRademacherCoordsX(shape, tag, normalize)
+        return IIDRademacherCoordsX(shape, tag, seeds, normalize)
     if kind == "sign-flip":
         base_kind = cfg.get("base", "iid-gaussian")
         base_cfg = {k: v for k, v in cfg.items() if k != "base"}
-        base = make_adversary(dict(base_cfg, kind=base_kind), shape, tag, seed)
+        base = make_adversary(dict(base_cfg, kind=base_kind), shape, tag, seeds)
         return SignFlip(base)
     if kind == "low-rank-stream":
-        return LowRankStream(shape, int(cfg["rank"]), tag, seed, normalize)
+        return LowRankStream(shape, int(cfg["rank"]), tag, seeds, normalize)
     if kind == "fixed-file":
-        if "path" in cfg:
-            data = json.loads(pathlib.Path(cfg["path"]).read_text())
-            return FixedStream(data["xs"], data["ys"])
-        return FixedStream(cfg["xs"], cfg["ys"])
+        data = json.loads(pathlib.Path(cfg["path"]).read_text()) if "path" in cfg else cfg
+        return FixedStream(data["xs"], data["ys"])
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
 
@@ -329,8 +307,9 @@ def _check_config(config: dict):
         raise ConfigError(f"unknown loss {loss_name!r}")
     if algorithm == "spectral":
         sizes = {key: int(config[key]) for key in ("d", "r", "n")}
+        sizes["net_size"] = int(config.get("net_size", 500))
         if min(sizes.values()) < 1 or not float(config["tau"]) > 0:
-            raise ConfigError(f"a spectral run needs d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
+            raise ConfigError(f"a spectral run needs net_size, d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
         stream = config.get("entry_distribution", "uniform")
         if stream not in ENTRY_DISTRIBUTIONS:
             raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
@@ -340,17 +319,32 @@ def _check_config(config: dict):
     for kind in kinds:
         if kind not in ADVERSARY_KINDS:
             raise ConfigError(f"unknown adversary kind {kind!r}")
-    if algorithm == "adaptive-gd":
-        if config.get("certify"):
-            raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
-        return None
-    spec = make_spec(config["spec"])
-    if spec.p <= 1 or len(spec.point_shape) > 1:
+    if algorithm == "adaptive-gd" and config.get("certify"):
+        raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
+    spec = None if algorithm == "adaptive-gd" else make_spec(config["spec"])
+    if spec is not None and (spec.p <= 1 or len(spec.point_shape) > 1):
         raise ConfigError(
             f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
             f"and the Frank-Wolfe comparator needs vector points (shape {spec.point_shape})"
         )
+    if "fixed-file" in kinds:
+        _check_fixed_stream(adversary, (int(config["d"]),) if spec is None else spec.point_shape, int(config["n"]), loss_name)
     return spec
+
+
+def _check_fixed_stream(cfg: dict, shape: tuple, n: int, loss_name: str):
+    """Reject a fixed-file stream (or sign-flip base) that cannot serve n rounds of ``shape`` under the loss."""
+    stream = make_adversary(dict(cfg, kind="fixed-file"), shape, None, [])
+    if len(stream.xs) < n:
+        raise ConfigError(f"a fixed-file stream of {len(stream.xs)} rows cannot serve n = {n} rounds")
+    wrong = [i for i, x in enumerate(stream.xs) if x.shape != shape]
+    if wrong:
+        raise ConfigError(f"fixed-file instance {wrong[0]} is not of the point shape {shape}")
+    if cfg["kind"] == "fixed-file":  # a sign-flip base's labels are never read
+        try:
+            validate_labels(loss_name, stream.ys)
+        except ValueError as exc:
+            raise ConfigError(f"fixed-file {exc}") from None
 
 
 def _build_learner(config: dict, spec, seeds: list):
@@ -382,14 +376,17 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     doubling = config["algorithm"].startswith("zigzag-doubling")
     runs = []
     for lane_seeds in [[seed] for seed in seeds] if doubling else [seeds]:
-        adversary = LaneAdversary([make_adversary(config["adversary"], shape, tag, seed) for seed in lane_seeds], lane_seeds)
+        adversary = make_adversary(config["adversary"], shape, tag, lane_seeds)
         learner = _build_learner(config, spec, lane_seeds)
-        runs.append((learner, run_episode(learner, loss_name, adversary, n, lane_seeds[0], cert_grid=cert_grid)))
+        runs.append((learner, run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)))
 
     # the comparator class and the Rademacher estimate live in R^m, so
-    # scalar instances enter them as 1-vectors; row k is seed k's stream
+    # scalar instances enter them as 1-vectors; row k is seed k's stream,
+    # and an instance shared by the lanes (fixed-file) is in every row
     m = math.prod(shape)
-    xs = np.concatenate([np.reshape(trace.xs, (n, learner.lanes, m)).swapaxes(0, 1) for learner, trace in runs])
+    xs = np.concatenate([
+        np.broadcast_to(np.reshape(trace.xs, (n, -1, m)), (n, learner.lanes, m)).swapaxes(0, 1) for learner, trace in runs
+    ])
     ys = np.concatenate([trace.y.T for _, trace in runs])
     fw = offline_comparator(xs, ys, tag, loss_name, iters=int(config.get("fw_iters", 500)))
     increments = np.concatenate([trace.dloss.T for _, trace in runs])[..., np.newaxis] * xs

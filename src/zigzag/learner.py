@@ -41,14 +41,13 @@ would serve as the exact oracle if that mode were ever needed.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .burkholder import BurkholderSpec
 from .losses import dloss_batch, loss_batch
-from .rng import rademacher, substream
+from .rng import rademacher
 from .tuning import psi
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
     "run_episode",
     "theorem_residual",
     "lane_instances",
+    "validate_labels",
     "TRACE_COLUMNS",
 ]
 
@@ -206,7 +206,6 @@ def run_episode(
     loss_name: str,
     adversary,
     n: int,
-    seed: int,
     cert_grid=None,
     cert_tol: float = 1e-8,
 ) -> EpisodeTrace:
@@ -215,24 +214,23 @@ def run_episode(
     ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
     and ``update(x, dloss) -> eps`` taking and returning K values; a
     ``begin_round(x)`` hook (doubling tuners), ``relaxation_value()`` and
-    ``certificate`` are used when present.  ``adversary.next_x`` gives one
-    x_t for all lanes or one per lane, and ``adversary.next_y`` answers the K
-    predictions at once (a label that ignores them is shared by all lanes).
-    The adversary draws from its own substream so learner and adversary
-    randomness never interact.
+    ``certificate`` are used when present.  ``adversary.next_x(t)`` gives one
+    x_t for all lanes or one per lane, and ``adversary.next_y(t, x, yhat)``
+    answers the K predictions at once (a label that ignores them may be
+    shared by all lanes).  The adversary owns its randomness, so learner and
+    adversary draws never interact.
     """
-    adv_rng = substream(seed, "adversary")
     columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:]}
     cert_slacks = np.empty((n, learner.lanes)) if cert_grid is not None else None
     xs = []
     cum = np.zeros(learner.lanes)
     for i in range(n):
-        x = adversary.next_x(i + 1, adv_rng)
+        x = adversary.next_x(i + 1)
         if hasattr(learner, "begin_round"):
             learner.begin_round(x)
         yhat = learner.predict(x)
-        y = adversary.next_y(i + 1, x, yhat, adv_rng)
-        _validate_labels(loss_name, y)
+        y = adversary.next_y(i + 1, x, yhat)
+        validate_labels(loss_name, y)
         lv = loss_batch(loss_name, yhat, y)
         dl = dloss_batch(loss_name, yhat, y)
         if cert_slacks is not None:
@@ -246,7 +244,8 @@ def run_episode(
     return EpisodeTrace(xs=xs, cert_worst_slack=cert_slacks, **columns)
 
 
-def _validate_labels(loss_name: str, y) -> None:
+def validate_labels(loss_name: str, y) -> None:
+    """Raise ``ValueError`` unless the labels suit the loss: {-1, +1} for hinge and linear, [-1, 1] for absolute."""
     size = np.abs(np.asarray(y, dtype=float))
     if loss_name in ("hinge", "linear"):
         if np.count_nonzero(size != 1.0):

@@ -186,11 +186,10 @@ class SpectralZigZag:
         inner = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])
         return -2.0 * self.coef * inner
 
-    def certificate(self, i: int, j: int, tol: float = 1e-8) -> tuple[float, int]:
-        """Worst admissibility slack over experts and the 41-point grid of l'
-        values in [-1, 1], evaluated at the current state.  Returns
-        (worst_slack, violations)."""
-        f = self.predict_all(i, j)
+    def certificate(self, i: int, j: int, f: np.ndarray, tol: float = 1e-8) -> tuple[float, int]:
+        """Worst admissibility slack of the experts' predictions ``f`` over
+        experts and the 41-point grid of l' values in [-1, 1], evaluated at
+        the current state.  Returns (worst_slack, violations)."""
         vj = self.experts[:, j, :].T[:, :, np.newaxis]  # (r, m, 1)
         s_row = self.sv[:, i, :].T[:, :, np.newaxis]
         m_row = self.mv[:, i, :].T[:, :, np.newaxis]
@@ -222,8 +221,7 @@ class SpectralZigZag:
         slack = np.subtract(rhs[:, np.newaxis], lhs, out=lhs)
         return float(slack.min()), int(np.sum(slack < -tol))
 
-    def round(self, i: int, j: int, y: float) -> dict:
-        f = self.predict_all(i, j)
+    def round(self, i: int, j: int, y: float, f: np.ndarray) -> dict:
         clipped = np.clip(f, -1.0, 1.0)
         q = self.weights
         v = int(self._choice_rng.choice(self.m, p=q / q.sum()))
@@ -369,11 +367,12 @@ def run_spectral(
     weight_drift = 0.0
     rows = []
     for t, (i, j, y) in enumerate(stream, start=1):
+        f = alg.predict_all(i, j)
         if certify:
-            slack, viol = alg.certificate(i, j)
+            slack, viol = alg.certificate(i, j, f)
             worst_slack = min(worst_slack, slack)
             violations += viol
-        rec = alg.round(i, j, y)
+        rec = alg.round(i, j, y, f)
         weight_drift = max(weight_drift, abs(rec["weight_sum"] - 1.0))
         total += rec["loss"]
         rows.append((t, i, j, rec["yhat"], y, rec["loss"], rec["expert"]))

@@ -143,10 +143,10 @@ def test_criterion_03_per_round_admissibility(capsys):
         grid = np.linspace(-1, 1, 41)
         worst = 0.0
         for spec, adv_kind, seed in itertools.product(specs, ("iid-gaussian", "sign-flip"), range(5)):
-            base = IIDGaussianX(spec.point_shape, spec.tag)
+            base = IIDGaussianX(spec.point_shape, spec.tag, [seed])
             adversary = SignFlip(base) if adv_kind == "sign-flip" else base
             learner = ZigZagLearner(spec, 0.5, [substream(seed, "learner")])
-            trace = run_episode(learner, "hinge", adversary, n=200, seed=seed, cert_grid=grid, cert_tol=1e-8)
+            trace = run_episode(learner, "hinge", adversary, n=200, cert_grid=grid, cert_tol=1e-8)
             low = float(trace.cert_worst_slack.min())
             assert low >= -1e-8, f"{spec.construction} {adv_kind} seed {seed}: slack {low:.2e}"
             worst = min(worst, low)
@@ -166,7 +166,7 @@ def _residual_paths(spec, eta, n, n_paths, adv_seed=42):
         nrm = (np.abs(raw) ** spec.p).sum(axis=1) ** (1.0 / spec.p)
         xs = raw / nrm[:, None]
     learner = ZigZagLearner(spec, eta, [substream(k, "residual-path") for k in range(n_paths)])
-    trace = run_episode(learner, "hinge", SignFlip(FixedStream(xs, np.ones(n))), n, seed=adv_seed)
+    trace = run_episode(learner, "hinge", SignFlip(FixedStream(xs, np.ones(n))), n)
     return theorem_residual(trace, learner)["residual"]
 
 
@@ -203,10 +203,10 @@ def test_criterion_05_variational_identity(capsys):
 
 
 class _AlternatingLabels:
-    def next_x(self, t, rng):
+    def next_x(self, t):
         return 1.0
 
-    def next_y(self, t, x, yhat, rng):
+    def next_y(self, t, x, yhat):
         return 1.0 if t % 2 == 0 else -1.0
 
 
@@ -222,7 +222,7 @@ def test_criterion_06_doubling_schedule(capsys):
         # crafted stream forcing phase changes: unit instances, alternating
         # linear-loss labels, and a deliberately huge starting rate
         tuner = DoublingZigZag(ScalarPowerU(2.0), "realized", seed=3, eta0=8.0)
-        run_episode(tuner, "linear", _AlternatingLabels(), n=120, seed=3)
+        run_episode(tuner, "linear", _AlternatingLabels(), n=120)
         log = tuner.finish()
         completed = [rec for rec in log if not rec.final]
         assert len(completed) >= 3
@@ -253,9 +253,9 @@ def test_criterion_07_adagrad_recovery(capsys):
             ratios, zz_regrets, gd_regrets = [], [], []
             for seed in range(20):
                 spec = HilbertU(2.0, dim=spec_dim)
-                adv = IIDGaussianX(spec_dim, LpTag(2.0))
+                adv = IIDGaussianX((spec_dim,), LpTag(2.0), [seed])
                 learner = DoublingZigZag(spec, "realized", seed)
-                trace = run_episode(learner, "hinge", adv, n, seed)
+                trace = run_episode(learner, "hinge", adv, n)
                 fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
                 regret = float(trace.cum_loss[-1, 0]) - fw["best_loss"]
                 grad_norm = math.sqrt(sum(d * d * float(np.dot(x, x)) for d, x in zip(trace.dloss[:, 0], trace.xs)))
@@ -263,7 +263,7 @@ def test_criterion_07_adagrad_recovery(capsys):
                 zz_regrets.append(regret)
 
                 gd = AdaptiveGD(spec_dim)
-                trace = run_episode(gd, "hinge", IIDGaussianX(spec_dim, LpTag(2.0)), n, seed)
+                trace = run_episode(gd, "hinge", IIDGaussianX((spec_dim,), LpTag(2.0), [seed]), n)
                 fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
                 gd_regrets.append(float(trace.cum_loss[-1, 0]) - fw["best_loss"])
             mean_ratio = float(np.mean(ratios))

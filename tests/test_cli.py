@@ -49,6 +49,13 @@ def test_spectral_command(tmp_path, capsys):
     assert "rows" not in payload
 
 
+def test_spectral_adversarial_file_needs_a_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--entry-distribution", "adversarial-file", "--n", "5"])
+    assert exc.value.code == 2
+    assert "needs --file" in capsys.readouterr().err
+
+
 def test_run_and_report(tmp_path, capsys):
     config = {
         "algorithm": "zigzag",

@@ -40,10 +40,9 @@ def test_adversaries_emit_unit_ball_instances():
             {"kind": "low-rank-stream", "rank": 2},
             {"kind": "fixed-file", "xs": fixed, "ys": [1.0] * 79},
         ):
-            adv = make_adversary(cfg, shape=spec.point_shape, tag=spec.tag, seed=3)
-            rng = substream(3, "check")
+            adv = make_adversary(cfg, shape=spec.point_shape, tag=spec.tag, seeds=[3])
             for t in range(1, 80):
-                x = adv.next_x(t, rng)
+                x = adv.next_x(t)
                 assert np.shape(x) == spec.point_shape, (spec.construction, cfg["kind"])
                 assert spec.tag.norm(x) <= 1.0 + 1e-12
 
@@ -69,11 +68,10 @@ def test_no_normalize_escape_hatch_reports_scale(tmp_path):
 
 
 def test_sign_flip_labels():
-    adv = make_adversary({"kind": "sign-flip"}, shape=(3,), tag=LpTag(2.0), seed=0)
-    rng = substream(0, "y")
-    assert adv.next_y(1, None, 0.7, rng) == -1.0
-    assert adv.next_y(1, None, -0.2, rng) == 1.0
-    assert adv.next_y(1, None, 0.0, rng) == 1.0  # tie toward +1
+    adv = make_adversary({"kind": "sign-flip"}, shape=(3,), tag=LpTag(2.0), seeds=[0])
+    assert adv.next_y(1, None, 0.7) == -1.0
+    assert adv.next_y(1, None, -0.2) == 1.0
+    assert adv.next_y(1, None, 0.0) == 1.0  # tie toward +1
 
 
 SIGN_FLIP_BASES = [
@@ -84,13 +82,12 @@ SIGN_FLIP_BASES = [
 
 @pytest.mark.parametrize("base", SIGN_FLIP_BASES, ids=[b["base"] for b in SIGN_FLIP_BASES])
 def test_sign_flip_base_takes_its_own_keys(base):
-    flip = make_adversary({"kind": "sign-flip", **base}, shape=(4,), tag=LpTag(3.0), seed=9)
+    flip = make_adversary({"kind": "sign-flip", **base}, shape=(4,), tag=LpTag(3.0), seeds=[9])
     own = {k: v for k, v in base.items() if k != "base"}
-    plain = make_adversary(dict(own, kind=base["base"]), shape=(4,), tag=LpTag(3.0), seed=9)
-    rng_flip, rng_plain = substream(9, "x"), substream(9, "x")
+    plain = make_adversary(dict(own, kind=base["base"]), shape=(4,), tag=LpTag(3.0), seeds=[9])
     for t in range(1, 7):
-        assert np.array_equal(flip.next_x(t, rng_flip), plain.next_x(t, rng_plain))
-    assert flip.next_y(1, None, np.array([0.5, -0.5, 0.0]), rng_flip).tolist() == [-1.0, 1.0, 1.0]
+        assert np.array_equal(flip.next_x(t), plain.next_x(t))
+    assert flip.next_y(1, None, np.array([0.5, -0.5, 0.0])).tolist() == [-1.0, 1.0, 1.0]
     config = {
         "algorithm": "zigzag",
         "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},
@@ -106,9 +103,8 @@ def test_sign_flip_base_takes_its_own_keys(base):
 
 
 def test_low_rank_stream_lives_in_subspace():
-    adv = make_adversary({"kind": "low-rank-stream", "rank": 2}, shape=(8,), tag=LpTag(2.0), seed=5)
-    rng = substream(5, "lr")
-    xs = np.stack([adv.next_x(t, rng) for t in range(1, 30)])
+    adv = make_adversary({"kind": "low-rank-stream", "rank": 2}, shape=(8,), tag=LpTag(2.0), seeds=[5])
+    xs = np.stack([adv.next_x(t) for t in range(1, 30)])
     assert np.linalg.matrix_rank(xs, tol=1e-8) == 2
 
 
@@ -162,6 +158,7 @@ SPECTRAL = {"algorithm": "spectral", "d": 3, "r": 1, "tau": 3.0, "n": 30, "net_s
         (dict(SPECTRAL, r=0), "n >= 1 and tau > 0"),
         (dict(SPECTRAL, entry_distribution="bogus"), "unknown entry_distribution 'bogus'"),
         (dict(SPECTRAL, entry_distribution="explicit"), "unknown entry_distribution 'explicit'"),
+        (dict(SPECTRAL, net_size=0), "net_size, d, r, n >= 1"),
     ],
 )
 def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
@@ -181,6 +178,32 @@ def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, mess
     }
     with pytest.raises(ConfigError, match=message):
         run_experiment({**config, **change})
+
+
+FIXED_FILE_FAULTS = {
+    "too-few-rows": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 2, "ys": [1.0, -1.0]}, "2 rows cannot serve n = 5"),
+    "not-point-shape": ({"xs": [[0.5, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 4, "ys": [1.0] * 5}, "instance 0 is not of the point shape"),
+    "label-not-a-sign": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 5, "ys": [1.0, -1.0, 0.5, 1.0, 1.0]}, "hinge loss needs labels"),
+}
+
+
+@pytest.mark.parametrize("data, message", FIXED_FILE_FAULTS.values(), ids=FIXED_FILE_FAULTS.keys())
+def test_fixed_file_faults_are_rejected_before_the_first_round(data, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reached before the fixed-file stream was checked")
+
+    monkeypatch.setattr(harness, "_build_learner", never)
+    monkeypatch.setattr(harness, "run_episode", never)
+    config = {
+        "algorithm": "zigzag",
+        "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},
+        "loss": "hinge",
+        "adversary": {"kind": "fixed-file", **data},
+        "n": 5,
+        "seeds": [0],
+    }
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(config)
 
 
 def test_every_construction_runs_or_is_rejected_before_any_round():
@@ -407,9 +430,8 @@ def test_run_experiment_reproducible(tmp_path):
 
 def test_fixed_stream_adversary():
     adv = FixedStream([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])
-    rng = substream(0, "fs")
-    assert np.allclose(adv.next_x(1, rng), [1.0, 0.0])
-    assert adv.next_y(2, None, 0.0, rng) == -1.0
+    assert np.allclose(adv.next_x(1), [1.0, 0.0])
+    assert adv.next_y(2, None, 0.0) == -1.0
     with pytest.raises(ValueError):
         FixedStream([[1.0]], [1.0, 2.0])
 
@@ -421,22 +443,30 @@ SEED_LANE_SPECS = [
     {"construction": "weighted-l2", "weight": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]},
     {"construction": "even-power", "k": 4},
 ]
-SEED_LANE_ADVERSARIES = ["sign-flip", "iid-gaussian", "low-rank-stream", "fixed-file"]
+SEED_LANE_ADVERSARIES = [
+    {"kind": "sign-flip"},
+    {"kind": "iid-gaussian"},
+    {"kind": "low-rank-stream", "rank": 2},
+    {"kind": "fixed-file"},
+    {"kind": "iid-rademacher-coords"},
+    {"kind": "iid-gaussian", "normalize": False},
+]
 
 
-def _seed_lane_config(algorithm, spec, kind):
+def _adversary_id(adversary):
+    return adversary["kind"] + ("-unnormalized" if adversary.get("normalize") is False else "")
+
+
+def _seed_lane_config(algorithm, spec, adversary):
     n = 25
     shape, norm = (4,), np.linalg.norm
     if spec is not None:
         built = make_spec(spec)
         shape, norm = built.point_shape, built.norm
-    adversary = {"kind": kind}
-    if kind == "low-rank-stream":
-        adversary["rank"] = 2
-    if kind == "fixed-file":
+    if adversary["kind"] == "fixed-file":
         rng = substream(21, "seed-lanes")
         xs = [rng.normal(size=shape) for _ in range(n)]
-        adversary.update(xs=[(x / norm(x)).tolist() for x in xs], ys=rng.choice([-1.0, 1.0], size=n).tolist())
+        adversary = dict(adversary, xs=[(x / norm(x)).tolist() for x in xs], ys=rng.choice([-1.0, 1.0], size=n).tolist())
     config = {"algorithm": algorithm, "loss": "hinge", "adversary": adversary, "n": n, "fw_iters": 60, "rad_samples": 100}
     if spec is None:
         return dict(config, d=4)
@@ -444,22 +474,22 @@ def _seed_lane_config(algorithm, spec, kind):
 
 
 SEED_LANE_CONFIGS = (
-    [("zigzag", spec, kind) for spec in SEED_LANE_SPECS for kind in SEED_LANE_ADVERSARIES]
-    + [("adaptive-gd", None, kind) for kind in SEED_LANE_ADVERSARIES]
-    + [("zigzag-doubling-realized", SEED_LANE_SPECS[1], "iid-gaussian")]
+    [("zigzag", spec, adversary) for spec in SEED_LANE_SPECS for adversary in SEED_LANE_ADVERSARIES]
+    + [("adaptive-gd", None, adversary) for adversary in SEED_LANE_ADVERSARIES]
+    + [("zigzag-doubling-realized", SEED_LANE_SPECS[1], {"kind": "iid-gaussian"})]
 )
 
 
 @pytest.mark.parametrize(
-    "algorithm, spec, kind",
+    "algorithm, spec, adversary",
     SEED_LANE_CONFIGS,
-    ids=[f"{a}-{s['construction'] if s else 'gd'}-{k}" for a, s, k in SEED_LANE_CONFIGS],
+    ids=[f"{a}-{s['construction'] if s else 'gd'}-{_adversary_id(k)}" for a, s, k in SEED_LANE_CONFIGS],
 )
-def test_seed_lanes_match_one_seed_runs(algorithm, spec, kind, tmp_path):
+def test_seed_lanes_match_one_seed_runs(algorithm, spec, adversary, tmp_path):
     """Seeds run together as lanes write the same cells as seeds run one at
     a time: byte-identical traces, and the batched Frank-Wolfe comparator
     agrees to 1e-12 relative."""
-    config = _seed_lane_config(algorithm, spec, kind)
+    config = _seed_lane_config(algorithm, spec, adversary)
     seeds = [0, 1, 2, 3]
     together = run_experiment(dict(config, seeds=seeds))
     write_outputs(together, tmp_path / "together")

@@ -19,17 +19,18 @@ class ConstantX:
         self.x = x
         self.ys = ys
 
-    def next_x(self, t, rng):
+    def next_x(self, t):
         return self.x
 
-    def next_y(self, t, x, yhat, rng):
+    def next_y(self, t, x, yhat):
         return self.ys[(t - 1) % len(self.ys)]
 
 
-def flip_sign(dim=None):
+def flip_sign(dim=None, seed=0):
     """Sign-flip labels over the constant instance 1.0, or over Gaussian
-    instances on the Euclidean unit sphere of R^dim."""
-    return SignFlip(ConstantX(1.0, [1.0]) if dim is None else IIDGaussianX((dim,), LpTag(2.0)))
+    instances on the Euclidean unit sphere of R^dim drawn from ``seed``'s
+    adversary stream."""
+    return SignFlip(ConstantX(1.0, [1.0]) if dim is None else IIDGaussianX((dim,), LpTag(2.0), [seed]))
 
 
 def make_learner(spec, eta=1.0, seed=0):
@@ -121,9 +122,9 @@ def test_certificate_negative_control():
 )
 def test_certificate_along_episodes(spec):
     dim = spec.point_shape[0] if spec.point_shape else None
-    adversary = flip_sign(dim)
+    adversary = flip_sign(dim, seed=11)
     learner = make_learner(spec, eta=0.7, seed=11)
-    trace = run_episode(learner, "hinge", adversary, n=60, seed=11, cert_grid=np.linspace(-1, 1, 41))
+    trace = run_episode(learner, "hinge", adversary, n=60, cert_grid=np.linspace(-1, 1, 41))
     assert trace.cert_worst_slack.min() >= -1e-8
 
 
@@ -177,17 +178,17 @@ LANE_SPECS = [
 @pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.construction)
 def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
     def adversary():
-        base = IIDGaussianX(spec.point_shape, spec.tag)
+        base = IIDGaussianX(spec.point_shape, spec.tag, [9])
         return SignFlip(base) if kind == "sign-flip" else base
 
     grid = np.linspace(-1, 1, 41)
     lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(16)])
-    trace = run_episode(lanes, "hinge", adversary(), n=30, seed=9, cert_grid=grid)
+    trace = run_episode(lanes, "hinge", adversary(), n=30, cert_grid=grid)
     assert trace.yhat.shape == (30, 16)
     residual = theorem_residual(trace, lanes)
     for seed in range(16):
         learner = make_learner(spec, eta=0.7, seed=seed)
-        one = run_episode(learner, "hinge", adversary(), n=30, seed=9, cert_grid=grid)
+        one = run_episode(learner, "hinge", adversary(), n=30, cert_grid=grid)
         for column in ("yhat", "y", "eps", "loss", "dloss", "rel_value", "cum_loss", "cert_worst_slack"):
             got = np.ascontiguousarray(getattr(trace, column)[:, seed])
             assert got.tobytes() == getattr(one, column)[:, 0].tobytes(), (seed, column)
@@ -225,7 +226,7 @@ def test_per_lane_instances_match_one_lane_learners():
 
 def test_sign_flip_tie_rule():
     yhat = np.array([-0.0, 0.0, 1e-300, -2.5])
-    assert SignFlip(None).next_y(1, None, yhat, None).tolist() == [1.0, 1.0, -1.0, 1.0]
+    assert SignFlip(None).next_y(1, None, yhat).tolist() == [1.0, 1.0, -1.0, 1.0]
 
 
 def test_certificate_matrix_and_weighted_specs():
@@ -235,16 +236,16 @@ def test_certificate_matrix_and_weighted_specs():
     b = sub(31, "psd").normal(size=(4, 4))
     specs = [GroupP2U(3.0, (4, 4)), GroupP2U(1.5, (4, 4)), WeightedL2U(b @ b.T + 0.5 * np.eye(4))]
     for spec in specs:
-        adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag))
+        adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag, [13]))
         learner = make_learner(spec, eta=0.4, seed=13)
-        trace = run_episode(learner, "hinge", adversary, n=40, seed=13, cert_grid=np.linspace(-1, 1, 41))
+        trace = run_episode(learner, "hinge", adversary, n=40, cert_grid=np.linspace(-1, 1, 41))
         assert trace.cert_worst_slack.min() >= -1e-8
 
 
 def test_episode_empty_and_constant():
     spec = ScalarPowerU(2.0)
     learner = make_learner(spec)
-    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0]), n=0, seed=0)
+    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0]), n=0)
     assert trace.n == 0
     res = theorem_residual(trace, learner)
     p_prime, _ = conjugate(spec.p)
@@ -252,7 +253,7 @@ def test_episode_empty_and_constant():
     assert res["residual"] <= 0.0
 
     learner = make_learner(spec)
-    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0, -1.0]), n=20, seed=0)
+    trace = run_episode(learner, "linear", ConstantX(0.0, [1.0, -1.0]), n=20)
     assert np.all(trace.yhat == 0.0)
     res = theorem_residual(trace, learner)
     assert res["linearized_regret"] == pytest.approx(0.0)
@@ -261,16 +262,16 @@ def test_episode_empty_and_constant():
 def test_label_validation():
     spec = ScalarPowerU(2.0)
     with pytest.raises(ValueError):
-        run_episode(make_learner(spec), "hinge", ConstantX(1.0, [0.3]), n=2, seed=0)
+        run_episode(make_learner(spec), "hinge", ConstantX(1.0, [0.3]), n=2)
     # absolute loss accepts interior labels
-    trace = run_episode(make_learner(spec), "absolute", ConstantX(1.0, [0.3]), n=2, seed=0)
+    trace = run_episode(make_learner(spec), "absolute", ConstantX(1.0, [0.3]), n=2)
     assert trace.n == 2
 
 
 def test_determinism_bit_identical():
     spec = LpSumU(3.0, 4)
-    t1 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4), n=40, seed=5)
-    t2 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4), n=40, seed=5)
+    t1 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4, seed=5), n=40)
+    t2 = run_episode(make_learner(spec, seed=5), "hinge", flip_sign(4, seed=5), n=40)
     assert t1.to_csv() == t2.to_csv()
 
 
@@ -279,13 +280,12 @@ def test_per_round_payoff_never_beats_relaxation():
     # - Rel_{t-1}] <= 0 pathwise (each term is <= 0 by concavity of G)
     spec = LpSumU(3.0, 4)
     learner = make_learner(spec, eta=0.5, seed=21)
-    adversary = flip_sign(4)
-    adv_rng = substream(21, "adversary")
+    adversary = flip_sign(4, seed=21)
     total = 0.0
     for t in range(1, 51):
-        x = adversary.next_x(t, adv_rng)
+        x = adversary.next_x(t)
         yhat = learner.predict(x)
-        y = adversary.next_y(t, x, yhat, adv_rng)
+        y = adversary.next_y(t, x, yhat)
         dl = dloss_batch("hinge", yhat, y)
         total += -learner.certificate(x, grid=dl, yhat=yhat).worst_slack
         learner.update(x, dl)
@@ -297,7 +297,7 @@ def test_expected_telescoping_over_sign_paths():
     # over 400 sign-path lanes against a 3-standard-error band
     spec = ScalarPowerU(2.0)
     learner = ZigZagLearner(spec, 1.0, [substream(1000 + k, "learner") for k in range(400)])
-    trace = run_episode(learner, "linear", flip_sign(), n=30, seed=777)
+    trace = run_episode(learner, "linear", flip_sign(), n=30)
     vals = (trace.yhat * trace.dloss).sum(axis=0) + learner.relaxation_value()
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))

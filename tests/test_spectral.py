@@ -75,13 +75,13 @@ def test_fresh_experts_predict_zero_and_clip():
     alg = SpectralZigZag(3, 1, 3.0, horizon=50, seed=2, max_net=40)
     f = alg.predict_all(0, 1)
     assert np.allclose(f, 0.0)
-    rec = alg.round(0, 1, 1.0)
+    rec = alg.round(0, 1, 1.0, f)
     assert rec["yhat"] == 0.0
     # force a huge state: predictions clip to [-1, 1]
     alg.sv[:, 2, :] = 50.0
     f = alg.predict_all(2, 0)
     assert np.max(np.abs(f)) > 1.0
-    rec = alg.round(2, 0, -1.0)
+    rec = alg.round(2, 0, -1.0, f)
     assert -1.0 <= rec["yhat"] <= 1.0
 
 
@@ -97,24 +97,22 @@ def test_prediction_closed_form():
         assert f[v] == pytest.approx(want, rel=1e-12)
     # entry never seen, disjoint row support: prediction stays zero
     alg2 = SpectralZigZag(4, 1, 1.0, horizon=10, seed=4, max_net=16)
-    alg2.round(0, 0, 1.0)
+    alg2.round(0, 0, 1.0, alg2.predict_all(0, 0))
     assert np.allclose(alg2.predict_all(1, 0), 0.0)
 
 
-def test_rank_two_certificate_catches_a_wrong_prediction(monkeypatch):
+def test_rank_two_certificate_catches_a_wrong_prediction():
     alg = SpectralZigZag(4, 2, 2.0, horizon=30, seed=12, max_net=50)
     rng = np.random.default_rng(12)
     alg.sv = rng.normal(size=alg.sv.shape)
     alg.mv = rng.normal(size=alg.mv.shape)
     i, j = 1, 3
-    assert alg.certificate(i, j)[1] == 0
+    assert alg.certificate(i, j, alg.predict_all(i, j))[1] == 0
 
-    honest = alg.predict_all
-    monkeypatch.setattr(alg, "predict_all", lambda i, j: 1.5 * honest(i, j))
-    worst, violations = alg.certificate(i, j)
+    f = 1.5 * alg.predict_all(i, j)
+    worst, violations = alg.certificate(i, j, f)
     assert violations > 0
 
-    f = alg.predict_all(i, j)
     want = math.inf
     for v in range(alg.m):
         rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(alg.mv[v] ** 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zigzag.burkholder import LpSumU, ScalarPowerU
+from zigzag.harness import IIDGaussianX
 from zigzag.learner import run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
@@ -126,17 +127,17 @@ def test_default_eta0():
 class AlternatingLabels:
     """x = 1 always; labels alternate so the linear-loss gradient is +-1."""
 
-    def next_x(self, t, rng):
+    def next_x(self, t):
         return 1.0
 
-    def next_y(self, t, x, yhat, rng):
+    def next_y(self, t, x, yhat):
         return 1.0 if t % 2 == 0 else -1.0
 
 
 def run_tuned(mode, n, eta0, seed=0, spec=None):
     spec = spec or ScalarPowerU(2.0)
     tuner = DoublingZigZag(spec, mode, seed=seed, eta0=eta0, mc_paths=200)
-    run_episode(tuner, "linear", AlternatingLabels(), n=n, seed=seed)
+    run_episode(tuner, "linear", AlternatingLabels(), n=n)
     log = tuner.finish()
     return tuner, log
 
@@ -165,24 +166,11 @@ def test_restart_predicate_causality(mode, eta0):
     assert full_starts == short_starts
 
 
-class RandomUnitLp:
-    def __init__(self, d, p):
-        self.d = d
-        self.p = p
-
-    def next_x(self, t, rng):
-        v = rng.normal(size=self.d)
-        return v / np.sum(np.abs(v) ** self.p) ** (1.0 / self.p)
-
-    def next_y(self, t, x, yhat, rng):
-        return float(rng.choice([-1.0, 1.0]))
-
-
 @pytest.mark.parametrize("mode", ["realized", "expected"])
 def test_doubling_with_lp_spec_runs(mode):
     spec = LpSumU(3.0, 3)
     tuner = DoublingZigZag(spec, mode, seed=2, mc_paths=150)
-    trace = run_episode(tuner, "hinge", RandomUnitLp(3, 3.0), n=80, seed=2)
+    trace = run_episode(tuner, "hinge", IIDGaussianX((3,), LpTag(3.0), [2]), n=80)
     log = tuner.finish()
     assert trace.n == 80
     assert log[-1].end == 80
