@@ -8,8 +8,7 @@ Subpackages:
 - ``burkholder``: the Burkholder function catalogue and probe checks
 - ``learner``: the ZigZag prediction engine with runtime admissibility
   certificates
-- ``tuning``: the variational learning-rate identity and doubling-trick
-  schedules
+- ``tuning``: doubling-trick learning-rate schedules, one per lane
 - ``spectral``: matrix prediction from an expert net of factor matrices
 - ``rademacher``: Monte Carlo Rademacher-complexity estimators and
   martingale-inequality verifiers on dyadic trees

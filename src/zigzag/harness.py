@@ -8,9 +8,9 @@ protocol's boundedness contract; an optional ``normalize=False`` escape hatch
 exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
-Doubling configs run a one-lane learner per seed.  A config that cannot run,
-a fixed-file stream that cannot serve n rounds included, raises
-``ConfigError`` before any adversary or learner is built.
+In doubling configs each lane keeps its own phase schedule.  A config that
+cannot run, n < 1 or a fixed-file stream that cannot serve n rounds
+included, raises ``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -314,6 +314,8 @@ def _check_config(config: dict):
         if stream not in ENTRY_DISTRIBUTIONS:
             raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
         return None
+    if int(config["n"]) < 1:
+        raise ConfigError(f"a run needs n >= 1 rounds, got n = {config['n']!r}")
     adversary = config["adversary"]
     kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
     for kind in kinds:
@@ -348,24 +350,21 @@ def _check_fixed_stream(cfg: dict, shape: tuple, n: int, loss_name: str):
 
 
 def _build_learner(config: dict, spec, seeds: list):
-    """The learner of a config with one lane per seed (doubling tuners take
-    exactly one seed)."""
+    """The learner of a config with one lane per seed."""
     algorithm = config["algorithm"]
     if algorithm == "zigzag":
         eta = config.get("eta") or 1.0
         return ZigZagLearner(spec, eta, [substream(seed, "learner") for seed in seeds])
     if algorithm == "adaptive-gd":
         return AdaptiveGD(int(config["d"]), lanes=len(seeds))
-    (seed,) = seeds
-    if algorithm == "zigzag-doubling-realized":
-        return DoublingZigZag(spec, "realized", seed, eta0=config.get("eta0"))
-    return DoublingZigZag(spec, "expected", seed, eta0=config.get("eta0"), mc_paths=int(config.get("mc_paths", 500)))
+    mode = algorithm.removeprefix("zigzag-doubling-")
+    return DoublingZigZag(spec, mode, seeds, eta0=config.get("eta0"), mc_paths=int(config.get("mc_paths", 500)))
 
 
 def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     """The per-seed cells of a zigzag, doubling or adaptive-gd config.  The
-    seeds are the lanes of one learner and one episode; doubling runs a
-    one-lane learner per seed.  One Frank-Wolfe loop solves every seed's
+    seeds are the lanes of one learner and one episode (a doubling lane keeps
+    its own phases), and one Frank-Wolfe loop solves every seed's
     comparator."""
     if not seeds:
         return []
@@ -373,34 +372,27 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     n = int(config["n"])
     tag, shape = (LpTag(2.0), (int(config["d"]),)) if spec is None else (spec.tag, spec.point_shape)
     cert_grid = np.linspace(-1, 1, 41) if config.get("certify") else None
-    doubling = config["algorithm"].startswith("zigzag-doubling")
-    runs = []
-    for lane_seeds in [[seed] for seed in seeds] if doubling else [seeds]:
-        adversary = make_adversary(config["adversary"], shape, tag, lane_seeds)
-        learner = _build_learner(config, spec, lane_seeds)
-        runs.append((learner, run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)))
+    adversary = make_adversary(config["adversary"], shape, tag, seeds)
+    learner = _build_learner(config, spec, seeds)
+    trace = run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)
 
     # the comparator class and the Rademacher estimate live in R^m, so
     # scalar instances enter them as 1-vectors; row k is seed k's stream,
     # and an instance shared by the lanes (fixed-file) is in every row
     m = math.prod(shape)
-    xs = np.concatenate([
-        np.broadcast_to(np.reshape(trace.xs, (n, -1, m)), (n, learner.lanes, m)).swapaxes(0, 1) for learner, trace in runs
-    ])
-    ys = np.concatenate([trace.y.T for _, trace in runs])
+    lanes = len(seeds)
+    xs = np.ascontiguousarray(np.broadcast_to(np.reshape(trace.xs, (n, -1, m)), (n, lanes, m)).swapaxes(0, 1))
+    ys = np.ascontiguousarray(trace.y.T)
     fw = offline_comparator(xs, ys, tag, loss_name, iters=int(config.get("fw_iters", 500)))
-    increments = np.concatenate([trace.dloss.T for _, trace in runs])[..., np.newaxis] * xs
+    increments = np.ascontiguousarray(trace.dloss.T)[..., np.newaxis] * xs
     # one norm per (1, m) batch item reduces exactly as a tag.norm call does
-    max_x_norms = tag.norm_batch(xs.reshape(-1, 1, m)).reshape(len(seeds), n).max(axis=1, initial=0.0)
-    lanes = []
-    for learner, trace in runs:
-        residual = theorem_residual(trace, learner)["residual"] if isinstance(learner, ZigZagLearner) else [None] * learner.lanes
-        phases = [dataclasses.asdict(rec) for rec in learner.finish()] if hasattr(learner, "finish") else []
-        lanes += [(trace, j, residual[j], phases) for j in range(learner.lanes)]
+    max_x_norms = tag.norm_batch(xs.reshape(-1, 1, m)).reshape(lanes, n).max(axis=1)
+    residuals = theorem_residual(trace, learner)["residual"] if config["algorithm"] == "zigzag" else [None] * lanes
+    phases = learner.finish() if isinstance(learner, DoublingZigZag) else [[]] * lanes
 
     cells = []
-    for i, (seed, (trace, j, residual, phases)) in enumerate(zip(seeds, lanes)):
-        total_loss = float(trace.cum_loss[-1, j]) if trace.n else 0.0
+    for i, seed in enumerate(seeds):
+        total_loss = float(trace.cum_loss[-1, i])
         rad_mean, rad_se = rad_estimate(increments[i], tag, int(config.get("rad_samples", 1000)), seed=seed)
         cells.append({
             "seed": seed,
@@ -408,15 +400,15 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
             "comparator_fw": float(fw["best_loss"][i]),
             "rad_mean": rad_mean,
             "rad_se": rad_se,
-            "phases": phases,
+            "phases": [dataclasses.asdict(rec) for rec in phases[i]],
             # tag.norm(sum_t l'_t x_t)
             "benchmark_linearized": float(tag.norm(increments[i].sum(axis=0))),
-            "residual": None if residual is None else float(residual),
-            "cert_worst_slack": float(trace.cert_worst_slack[:, j].min()) if cert_grid is not None and trace.n else None,
+            "residual": None if residuals[i] is None else float(residuals[i]),
+            "cert_worst_slack": float(trace.cert_worst_slack[:, i].min()) if cert_grid is not None else None,
             # companion to the no-normalize escape hatch: scale-free runs
             # report how large the instances actually got
             "max_x_norm": float(max_x_norms[i]),
-            "trace_csv": trace.to_csv(j),
+            "trace_csv": trace.to_csv(i),
         })
     return cells
 

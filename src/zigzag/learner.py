@@ -46,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkholder import BurkholderSpec
+from .linalg import conjugate
 from .losses import dloss_batch, loss_batch
 from .rng import rademacher
-from .tuning import psi
 
 __all__ = [
     "ZigZagLearner",
@@ -56,6 +56,7 @@ __all__ = [
     "EpisodeTrace",
     "run_episode",
     "theorem_residual",
+    "psi",
     "lane_instances",
     "validate_labels",
     "TRACE_COLUMNS",
@@ -82,28 +83,25 @@ class ZigZagLearner:
     """Online learner driven by a Burkholder function, over K lanes.
 
     State: cumulative sums ``S`` and ``M`` of shape ``(K, *point_shape)``,
-    the round index, the learning rate, and one sign stream per lane; K is
+    the round index, the learning rate (one for all lanes, or a length-K
+    array of per-lane rates), and one sign stream per lane; K is
     ``len(rngs)``.
     """
 
-    def __init__(self, spec: BurkholderSpec, eta: float, rngs):
-        if eta <= 0:
-            raise ValueError(f"learning rate must be positive, got {eta}")
+    def __init__(self, spec: BurkholderSpec, eta, rngs):
         self.rngs = list(rngs)
         if not self.rngs:
             raise ValueError("need one sign generator per lane, got none")
-        self.spec = spec
-        self.eta = float(eta)
         self.lanes = len(self.rngs)
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape not in ((), (self.lanes,)) or np.any(eta <= 0):
+            raise ValueError(f"learning rate must be positive, one for all lanes or one per lane, got {eta}")
+        self.spec = spec
+        self.eta = float(eta) if eta.ndim == 0 else eta
         self.t = 0
         self._signs = None
-        self.reset_sums()
-
-    def reset_sums(self) -> None:
-        """Zero the cumulative sums (used at doubling-phase boundaries); the
-        sign streams keep running."""
-        self.S = np.zeros((self.lanes, *self.spec.point_shape))
-        self.M = np.zeros((self.lanes, *self.spec.point_shape))
+        self.S = np.zeros((self.lanes, *spec.point_shape))
+        self.M = np.zeros((self.lanes, *spec.point_shape))
 
     def _instance(self, x) -> np.ndarray:
         return lane_instances(x, self.spec.point_shape, self.lanes)
@@ -132,7 +130,9 @@ class ZigZagLearner:
         return eps
 
     def relaxation_value(self) -> np.ndarray:
-        return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
+        # each lane is a batch of one point, so a Gram product (a BLAS call)
+        # rounds the same way for any K
+        return (self.eta / self.spec.p) * self.spec.value_batch(self.S[:, np.newaxis], self.M[:, np.newaxis])[:, 0]
 
     def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None) -> CertificateReport:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in
@@ -143,7 +143,7 @@ class ZigZagLearner:
         grid = np.asarray(grid, dtype=float)
         if yhat is None:
             yhat = self.predict(x)
-        scale = self.eta / self.spec.p
+        scale = np.reshape(self.eta / self.spec.p, (-1, 1))
         g = grid.size
         # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
         # (S, M) as the row with l' = 0, for every lane
@@ -252,6 +252,15 @@ def validate_labels(loss_name: str, y) -> None:
             raise ValueError(f"{loss_name} loss needs labels in {{-1, +1}}, got {y}")
     elif np.count_nonzero(~(size <= 1.0)):
         raise ValueError(f"absolute loss needs labels in [-1, 1], got {y}")
+
+
+def psi(eta: float, p: float, x: float) -> float:
+    """Psi_{eta,p}(x) = (1/p) (eta x + eta^(1-p') / (p' - 1)); minimizing
+    over eta > 0 recovers x^(1/p)."""
+    if eta <= 0:
+        raise ValueError(f"psi requires eta > 0, got {eta}")
+    p_prime, _ = conjugate(p)
+    return (eta * x + eta ** (1.0 - p_prime) / (p_prime - 1.0)) / p
 
 
 def theorem_residual(trace: EpisodeTrace, learner: ZigZagLearner) -> dict:

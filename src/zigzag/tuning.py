@@ -1,10 +1,9 @@
-"""Learning-rate machinery: the variational identity behind the p-th root,
+"""Doubling-trick schedules for the learning rate.
 
-    x^(1/p) = inf_{eta > 0} Psi_{eta,p}(x),
-    Psi_{eta,p}(x) = (1/p) (eta x + eta^(1-p') / (p' - 1)),
-
-and two doubling-trick schedules that halve eta (in the p'-1 power) whenever
-a running interval-sup complexity functional Phi crosses eta^-(p'-1):
+The regret guarantee pays Psi_{eta,p} (``learner.psi``), whose infimum over
+eta > 0 is the p-th root.  Two schedules halve eta (in the p'-1 power)
+whenever a running interval-sup complexity functional Phi crosses
+eta^-(p'-1):
 
 - realized mode: Phi is built from the learner's own signed increments
   eps_t l'_t x_t; the trigger is evaluated after each completed round, so a
@@ -16,6 +15,8 @@ a running interval-sup complexity functional Phi crosses eta^-(p'-1):
   the new phase.
 
 Both schedules use eta_i = 2^(-i/(p'-1)) eta_0 computed in closed form.
+The tuner is a ZigZag learner with one lane per seed, and each lane keeps
+its own phase schedule.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learner import ZigZagLearner
 from .linalg import IntervalSupTracker, NormTag, conjugate
 from .rng import rademacher, substream
 
 __all__ = [
-    "psi",
     "phi_expected",
     "ExpectedPhiTracker",
     "DoublingZigZag",
@@ -37,14 +38,6 @@ __all__ = [
 ]
 
 MAX_RESTARTS_PER_ROUND = 200
-
-
-def psi(eta: float, p: float, x: float) -> float:
-    """Psi_{eta,p}(x); minimizing over eta recovers x^(1/p)."""
-    if eta <= 0:
-        raise ValueError(f"psi requires eta > 0, got {eta}")
-    p_prime, _ = conjugate(p)
-    return (eta * x + eta ** (1.0 - p_prime) / (p_prime - 1.0)) / p
 
 
 class ExpectedPhiTracker(IntervalSupTracker):
@@ -112,153 +105,127 @@ class PhaseRecord:
     final: bool = False
 
 
-class DoublingZigZag:
-    """Doubling-trick wrapper around a fresh-per-phase one-lane ZigZag
-    learner.
+class DoublingZigZag(ZigZagLearner):
+    """Doubling-trick ZigZag learner with one lane per seed.
 
-    The wrapped learner keeps one sign stream across phases; phase resets
-    zero only its cumulative sums.  ``begin_round`` must be called with x_t
-    before ``predict`` each round (the episode driver does this).
+    Lane k draws its signs from ``substream(seed_k, "learner")`` across all
+    of its phases and keeps its own phase index, rate ``eta[k]``, complexity
+    tracker and phase log; a phase reset zeroes only that lane's sums, so
+    every lane is bit-identical to a one-seed run.  ``begin_round`` must be
+    called with x_t before ``predict`` each round (the episode driver does
+    this).
     """
 
-    lanes = 1
-
-    def __init__(
-        self,
-        spec,
-        mode: str,
-        seed: int,
-        eta0: float | None = None,
-        mc_paths: int = 500,
-    ):
-        from .learner import ZigZagLearner  # deferred: learner imports psi from here
-
+    def __init__(self, spec, mode: str, seeds, eta0: float | None = None, mc_paths: int = 500):
         if mode not in ("realized", "expected"):
             raise ValueError(f"mode must be 'realized' or 'expected', got {mode!r}")
-        self.spec = spec
         self.mode = mode
-        self.seed = seed
-        self.p = spec.p
+        self.seeds = list(seeds)
         self.p_prime, _ = conjugate(spec.p)
-        self.beta = spec.beta
         self.eta0 = float(eta0) if eta0 is not None else default_eta0(spec.p, spec.beta, mode)
         self.mc_paths = mc_paths
-
-        self.phase_index = 0
-        self.learner = ZigZagLearner(spec, self.eta_for(0), [substream(seed, "learner")])
-        self.phase_log: list[PhaseRecord] = []
-        self._round = 0
-        self._phase_start = 1
-        self._phi_history: list[float] = []  # tracker value after each append
-        self._tracker = self._new_tracker()
+        super().__init__(spec, np.full(len(self.seeds), self.eta_for(0)), [substream(seed, "learner") for seed in self.seeds])
+        self.phase_index = [0] * self.lanes
+        self.phase_log: list[list[PhaseRecord]] = [[] for _ in range(self.lanes)]
+        self._phase_start = [1] * self.lanes
+        self._phi_history: list[list[float]] = [[] for _ in range(self.lanes)]  # lane k's Phi after each append
+        self._trackers = [self._new_tracker(k) for k in range(self.lanes)]
 
     # -- schedule ------------------------------------------------------
 
     def eta_for(self, i: int) -> float:
         return 2.0 ** (-i / (self.p_prime - 1.0)) * self.eta0
 
-    @property
-    def eta(self) -> float:
-        return self.learner.eta
+    def _threshold(self, k: int) -> float:
+        return float(self.eta[k]) ** (-(self.p_prime - 1.0))
 
-    @property
-    def threshold(self) -> float:
-        return self.eta ** (-(self.p_prime - 1.0))
+    def _burst(self, k: int) -> bool:
+        return float(self.eta[k]) * self._phi_value(k) > self._threshold(k)
 
-    # -- tracker -------------------------------------------------------
+    # -- lane k's tracker ----------------------------------------------
 
-    def _new_tracker(self):
-        self._phi_history = []
+    def _new_tracker(self, k: int):
+        self._phi_history[k] = []
         if self.mode == "realized":
             return IntervalSupTracker(self.spec.tag, shape=self.spec.point_shape)
         return ExpectedPhiTracker(
             self.spec.tag,
-            self.p,
-            self.beta,
+            self.spec.p,
+            self.spec.beta,
             self.mc_paths,
-            substream(self.seed, "phi-mc", self.phase_index),
+            substream(self.seeds[k], "phi-mc", self.phase_index[k]),
             shape=self.spec.point_shape,
         )
 
-    def _phi_value(self) -> float:
+    def _phi_value(self, k: int) -> float:
         if self.mode == "realized":
-            return self.beta**self.p * self._tracker.value**self.p
-        return self._tracker.value
+            return self.spec.beta**self.spec.p * self._trackers[k].value**self.spec.p
+        return self._trackers[k].value
 
-    def _append(self, increment) -> None:
-        self._tracker.append(increment)
-        self._phi_history.append(self._phi_value())
+    def _append(self, k: int, increment) -> None:
+        self._trackers[k].append(increment)
+        self._phi_history[k].append(self._phi_value(k))
 
-    def _close_phase(self, end_round: int, drop_last_appended: bool, final: bool = False) -> None:
-        hist = self._phi_history[:-1] if drop_last_appended else self._phi_history
-        phi_full = hist[-1] if hist else 0.0
-        phi_minus_last = hist[-2] if len(hist) >= 2 else 0.0
-        self.phase_log.append(
+    def _close_phase(self, k: int, end_round: int, drop_last_appended: bool, final: bool = False) -> None:
+        hist = self._phi_history[k][:-1] if drop_last_appended else self._phi_history[k]
+        self.phase_log[k].append(
             PhaseRecord(
-                index=self.phase_index,
-                start=self._phase_start,
+                index=self.phase_index[k],
+                start=self._phase_start[k],
                 end=end_round,
-                eta=self.eta,
-                threshold=self.threshold,
-                phi_full=phi_full,
-                phi_minus_last=phi_minus_last,
+                eta=float(self.eta[k]),
+                threshold=self._threshold(k),
+                phi_full=hist[-1] if hist else 0.0,
+                phi_minus_last=hist[-2] if len(hist) >= 2 else 0.0,
                 final=final,
             )
         )
 
-    def _advance_phase(self, first_round_of_new_phase: int) -> None:
-        self.phase_index += 1
-        self.learner.eta = self.eta_for(self.phase_index)
-        self.learner.reset_sums()
-        self._phase_start = first_round_of_new_phase
-        self._tracker = self._new_tracker()
+    def _advance_phase(self, k: int, first_round_of_new_phase: int) -> None:
+        self.phase_index[k] += 1
+        self.eta[k] = self.eta_for(self.phase_index[k])
+        self.S[k] = 0.0
+        self.M[k] = 0.0
+        self._phase_start[k] = first_round_of_new_phase
+        self._trackers[k] = self._new_tracker(k)
 
     # -- per-round interface --------------------------------------------
 
     def begin_round(self, x) -> None:
-        """Expected mode only: fold the incoming x into the phase complexity
-        and restart if the threshold is crossed (the bursting x opens the new
-        phase)."""
-        self._round += 1
+        """Expected mode only: fold the incoming x into each lane's phase
+        complexity and restart the lanes whose threshold is crossed (the
+        bursting x opens their new phase)."""
         if self.mode != "expected":
             return
-        self._append(x)
-        restarts = 0
-        while self.eta * self._tracker.value > self.threshold:
-            if restarts >= MAX_RESTARTS_PER_ROUND:
-                raise RuntimeError("doubling restart loop exceeded the safety cap")
-            self._close_phase(self._round - 1, drop_last_appended=True)
-            self._advance_phase(self._round)
-            self._append(x)
-            restarts += 1
-
-    def doubling_step(self, increment) -> None:
-        """Realized mode: absorb one signed increment into the phase
-        complexity; if the threshold is crossed the phase closes (keeping the
-        round that burst it) and the reset takes effect from the next round."""
-        self._append(increment)
-        if self.eta * self._phi_value() > self.threshold:
-            self._close_phase(self._round, drop_last_appended=False)
-            self._advance_phase(self._round + 1)
-
-    def predict(self, x) -> np.ndarray:
-        return self.learner.predict(x)
+        for k, x_k in enumerate(np.broadcast_to(self._instance(x), self.S.shape)):
+            self._append(k, x_k)
+            restarts = 0
+            while self._burst(k):
+                if restarts >= MAX_RESTARTS_PER_ROUND:
+                    raise RuntimeError("doubling restart loop exceeded the safety cap")
+                self._close_phase(k, self.t, drop_last_appended=True)
+                self._advance_phase(k, self.t + 1)
+                self._append(k, x_k)
+                restarts += 1
 
     def update(self, x, dloss) -> np.ndarray:
-        eps = self.learner.update(x, dloss)
+        """The ZigZag update; in realized mode each lane then absorbs its
+        signed increment eps l' x into its phase complexity, and a lane whose
+        threshold is crossed closes its phase (keeping the round that burst
+        it) with the reset taking effect from the next round."""
+        eps = super().update(x, dloss)
         if self.mode == "realized":
-            self.doubling_step((eps * dloss)[0] * np.asarray(x, dtype=float))
+            xs = np.broadcast_to(self._instance(x), self.S.shape)
+            for k, signed in enumerate(eps * np.asarray(dloss, dtype=float)):
+                self._append(k, signed * xs[k])
+                if self._burst(k):
+                    self._close_phase(k, self.t, drop_last_appended=False)
+                    self._advance_phase(k, self.t + 1)
         return eps
 
-    def finish(self) -> list[PhaseRecord]:
-        """Close the final phase and return the complete phase log."""
-        self._close_phase(self._round, drop_last_appended=False, final=True)
+    def finish(self) -> list[list[PhaseRecord]]:
+        """Close every lane's final phase and return the K complete phase
+        logs."""
+        for k in range(self.lanes):
+            self._close_phase(k, self.t, drop_last_appended=False, final=True)
         return self.phase_log
-
-    # episode driver compatibility
-
-    def relaxation_value(self) -> np.ndarray:
-        return self.learner.relaxation_value()
-
-    def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None):
-        return self.learner.certificate(x, grid=grid, tol=tol, yhat=yhat)

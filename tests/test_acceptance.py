@@ -35,7 +35,7 @@ from zigzag.harness import (
     run_experiment,
     write_outputs,
 )
-from zigzag.learner import ZigZagLearner, run_episode, theorem_residual
+from zigzag.learner import ZigZagLearner, psi, run_episode, theorem_residual
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rademacher import (
     DyadicTree,
@@ -48,7 +48,7 @@ from zigzag.rademacher import (
 )
 from zigzag.rng import rademacher, substream
 from zigzag.spectral import run_spectral
-from zigzag.tuning import DoublingZigZag, phi_expected, psi
+from zigzag.tuning import DoublingZigZag, phi_expected
 
 
 @contextmanager
@@ -213,7 +213,7 @@ class _AlternatingLabels:
 def test_criterion_06_doubling_schedule(capsys):
     with criterion(capsys, 6, "doubling schedule exactness and phase invariant") as info:
         for p, beta in ((1.5, 2.0), (2.0, 1.0), (3.0, 2.0)):
-            tuner = DoublingZigZag(ScalarPowerU(p), "realized", seed=0)
+            tuner = DoublingZigZag(ScalarPowerU(p), "realized", [0])
             p_prime, _ = conjugate(p)
             for i in range(41):
                 want = 2.0 ** (-i / (p_prime - 1.0))
@@ -221,9 +221,9 @@ def test_criterion_06_doubling_schedule(capsys):
 
         # crafted stream forcing phase changes: unit instances, alternating
         # linear-loss labels, and a deliberately huge starting rate
-        tuner = DoublingZigZag(ScalarPowerU(2.0), "realized", seed=3, eta0=8.0)
+        tuner = DoublingZigZag(ScalarPowerU(2.0), "realized", [3], eta0=8.0)
         run_episode(tuner, "linear", _AlternatingLabels(), n=120)
-        log = tuner.finish()
+        (log,) = tuner.finish()
         completed = [rec for rec in log if not rec.final]
         assert len(completed) >= 3
         for rec in completed:
@@ -249,23 +249,20 @@ def test_criterion_07_adagrad_recovery(capsys):
     with criterion(capsys, 7, "euclidean rate recovery and baseline agreement") as info:
         spec_dim = 10
         details = []
-        for n in (100, 1000):
-            ratios, zz_regrets, gd_regrets = [], [], []
-            for seed in range(20):
-                spec = HilbertU(2.0, dim=spec_dim)
-                adv = IIDGaussianX((spec_dim,), LpTag(2.0), [seed])
-                learner = DoublingZigZag(spec, "realized", seed)
-                trace = run_episode(learner, "hinge", adv, n)
-                fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
-                regret = float(trace.cum_loss[-1, 0]) - fw["best_loss"]
-                grad_norm = math.sqrt(sum(d * d * float(np.dot(x, x)) for d, x in zip(trace.dloss[:, 0], trace.xs)))
-                ratios.append(regret / grad_norm)
-                zz_regrets.append(regret)
+        seeds = range(20)
 
-                gd = AdaptiveGD(spec_dim)
-                trace = run_episode(gd, "hinge", IIDGaussianX((spec_dim,), LpTag(2.0), [seed]), n)
-                fw = offline_comparator(trace.xs, trace.y[:, 0], LpTag(2.0), "hinge", iters=400)
-                gd_regrets.append(float(trace.cum_loss[-1, 0]) - fw["best_loss"])
+        def regrets(learner, n):
+            # the 20 seeds are lanes of one episode and one Frank-Wolfe loop
+            trace = run_episode(learner, "hinge", IIDGaussianX((spec_dim,), LpTag(2.0), seeds), n)
+            xs = np.stack(trace.xs, axis=1)  # (lanes, n, d)
+            fw = offline_comparator(xs, trace.y.T, LpTag(2.0), "hinge", iters=400)
+            return trace.cum_loss[-1] - fw["best_loss"], trace, xs
+
+        for n in (100, 1000):
+            zz_regrets, trace, xs = regrets(DoublingZigZag(HilbertU(2.0, dim=spec_dim), "realized", seeds), n)
+            grad_norms = np.sqrt(np.sum(trace.dloss.T**2 * np.sum(xs * xs, axis=-1), axis=1))
+            ratios = zz_regrets / grad_norms
+            gd_regrets, _, _ = regrets(AdaptiveGD(spec_dim, lanes=len(seeds)), n)
             mean_ratio = float(np.mean(ratios))
             assert mean_ratio <= 5.0, f"n={n}: ratio {mean_ratio:.2f}"
             mz, mg = float(np.mean(zz_regrets)), float(np.mean(gd_regrets))

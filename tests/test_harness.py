@@ -159,6 +159,7 @@ SPECTRAL = {"algorithm": "spectral", "d": 3, "r": 1, "tau": 3.0, "n": 30, "net_s
         (dict(SPECTRAL, entry_distribution="bogus"), "unknown entry_distribution 'bogus'"),
         (dict(SPECTRAL, entry_distribution="explicit"), "unknown entry_distribution 'explicit'"),
         (dict(SPECTRAL, net_size=0), "net_size, d, r, n >= 1"),
+        ({"n": 0}, "n >= 1 rounds, got n = 0"),
     ],
 )
 def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
@@ -443,6 +444,11 @@ SEED_LANE_SPECS = [
     {"construction": "weighted-l2", "weight": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]},
     {"construction": "even-power", "k": 4},
 ]
+GRAM_HILBERT = {
+    "construction": "hilbert",
+    "p": 2.5,
+    "gram": [[3.0, 0.4, -0.7, 0.2], [0.4, 2.0, 0.3, -0.5], [-0.7, 0.3, 4.0, 0.6], [0.2, -0.5, 0.6, 1.5]],
+}
 SEED_LANE_ADVERSARIES = [
     {"kind": "sign-flip"},
     {"kind": "iid-gaussian"},
@@ -457,7 +463,11 @@ def _adversary_id(adversary):
     return adversary["kind"] + ("-unnormalized" if adversary.get("normalize") is False else "")
 
 
-def _seed_lane_config(algorithm, spec, adversary):
+def _lane_id(algorithm, spec, adversary, extra):
+    return "-".join([algorithm, spec["construction"] if spec else "gd", _adversary_id(adversary), *extra])
+
+
+def _seed_lane_config(algorithm, spec, adversary, extra):
     n = 25
     shape, norm = (4,), np.linalg.norm
     if spec is not None:
@@ -470,28 +480,38 @@ def _seed_lane_config(algorithm, spec, adversary):
     config = {"algorithm": algorithm, "loss": "hinge", "adversary": adversary, "n": n, "fw_iters": 60, "rad_samples": 100}
     if spec is None:
         return dict(config, d=4)
-    return dict(config, spec=spec, certify=algorithm == "zigzag", eta=0.7)
+    return {**config, "spec": spec, "certify": algorithm == "zigzag", "eta": 0.7, **extra}
 
 
 SEED_LANE_CONFIGS = (
-    [("zigzag", spec, adversary) for spec in SEED_LANE_SPECS for adversary in SEED_LANE_ADVERSARIES]
-    + [("adaptive-gd", None, adversary) for adversary in SEED_LANE_ADVERSARIES]
-    + [("zigzag-doubling-realized", SEED_LANE_SPECS[1], {"kind": "iid-gaussian"})]
+    [("zigzag", spec, adversary, {}) for spec in SEED_LANE_SPECS for adversary in SEED_LANE_ADVERSARIES]
+    + [("adaptive-gd", None, adversary, {}) for adversary in SEED_LANE_ADVERSARIES]
+    + [
+        ("zigzag-doubling-realized", SEED_LANE_SPECS[1], {"kind": "iid-gaussian"}, {}),
+        ("zigzag-doubling-realized", SEED_LANE_SPECS[1], {"kind": "sign-flip"}, {"eta0": 50.0}),
+        ("zigzag-doubling-expected", SEED_LANE_SPECS[1], {"kind": "iid-gaussian"}, {"mc_paths": 100}),
+        ("zigzag-doubling-expected", SEED_LANE_SPECS[1], {"kind": "fixed-file"}, {"mc_paths": 100, "eta0": 0.9}),
+        # a dense Gram product is a BLAS call whose rounding may depend on the number of rows
+        ("zigzag-doubling-realized", GRAM_HILBERT, {"kind": "iid-gaussian"}, {"certify": True}),
+    ]
 )
 
 
 @pytest.mark.parametrize(
-    "algorithm, spec, adversary",
+    "algorithm, spec, adversary, extra",
     SEED_LANE_CONFIGS,
-    ids=[f"{a}-{s['construction'] if s else 'gd'}-{_adversary_id(k)}" for a, s, k in SEED_LANE_CONFIGS],
+    ids=[_lane_id(*config) for config in SEED_LANE_CONFIGS],
 )
-def test_seed_lanes_match_one_seed_runs(algorithm, spec, adversary, tmp_path):
+def test_seed_lanes_match_one_seed_runs(algorithm, spec, adversary, extra, tmp_path):
     """Seeds run together as lanes write the same cells as seeds run one at
     a time: byte-identical traces, and the batched Frank-Wolfe comparator
-    agrees to 1e-12 relative."""
-    config = _seed_lane_config(algorithm, spec, adversary)
+    agrees to 1e-12 relative.  With a large eta0 the doubling lanes restart
+    on schedules of their own, not in lockstep."""
+    config = _seed_lane_config(algorithm, spec, adversary, extra)
     seeds = [0, 1, 2, 3]
     together = run_experiment(dict(config, seeds=seeds))
+    if "eta0" in extra:
+        assert len({tuple(phase["start"] for phase in lane) for lane in together["phases"]}) > 1
     write_outputs(together, tmp_path / "together")
     for i, seed in enumerate(seeds):
         alone = run_experiment(dict(config, seeds=[seed]))

@@ -5,11 +5,10 @@ import pytest
 
 from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import IIDGaussianX, SignFlip
-from zigzag.learner import ZigZagLearner, run_episode, theorem_residual
+from zigzag.learner import ZigZagLearner, psi, run_episode, theorem_residual
 from zigzag.linalg import LpTag, conjugate
 from zigzag.losses import dloss_batch
 from zigzag.rng import substream
-from zigzag.tuning import psi
 
 
 class ConstantX:

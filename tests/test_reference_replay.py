@@ -3,8 +3,9 @@
 
 ``perfbench/reference`` holds the outputs of every pool seed of the
 benchmark's workloads.  This test only reads those files: it runs every pool
-seed of the ``episodes`` groups and of the ``realized`` doubling group, all
-seeds of a group in one config, and checks them the way the benchmark does:
+seed of the ``episodes`` groups and of both doubling groups (``realized``
+and ``expected``), all seeds of a group as the lanes of one config, and
+checks them the way the benchmark does:
 ``regret``, ``rad_mean`` and ``residual`` to 1e-9 relative, the doubling
 phases exactly, and a certificate worst slack of at least -1e-8.  Of the
 ``spectral`` pools it runs every seed of the d=6, r=2 group, where the
@@ -29,7 +30,7 @@ CERT_TOL = 1e-8
 def _groups():
     episodes = json.loads((REFERENCE / "episodes.json").read_text())["groups"]
     doubling = json.loads((REFERENCE / "doubling.json").read_text())["groups"]
-    return [("episodes", g) for g in episodes] + [("doubling", g) for g in doubling if g["id"] == "realized"]
+    return [("episodes", g) for g in episodes] + [("doubling", g) for g in doubling]
 
 
 GROUPS = _groups()

@@ -5,15 +5,10 @@ import pytest
 
 from zigzag.burkholder import LpSumU, ScalarPowerU
 from zigzag.harness import IIDGaussianX
-from zigzag.learner import run_episode
+from zigzag.learner import psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
-from zigzag.tuning import (
-    DoublingZigZag,
-    default_eta0,
-    phi_expected,
-    psi,
-)
+from zigzag.tuning import DoublingZigZag, default_eta0, phi_expected
 
 
 def phi_realized(increments, tag, p, beta):
@@ -111,7 +106,7 @@ def test_phi_expected_requires_enough_paths():
 def test_schedule_exactness():
     for p, beta in [(2.0, 1.0), (3.0, 2.0), (1.5, 2.0)]:
         spec = ScalarPowerU(p)
-        tuner = DoublingZigZag(spec, "realized", seed=0)
+        tuner = DoublingZigZag(spec, "realized", [0])
         p_prime, _ = conjugate(p)
         for i in range(41):
             want = 2.0 ** (-i / (p_prime - 1.0))
@@ -136,9 +131,9 @@ class AlternatingLabels:
 
 def run_tuned(mode, n, eta0, seed=0, spec=None):
     spec = spec or ScalarPowerU(2.0)
-    tuner = DoublingZigZag(spec, mode, seed=seed, eta0=eta0, mc_paths=200)
+    tuner = DoublingZigZag(spec, mode, [seed], eta0=eta0, mc_paths=200)
     run_episode(tuner, "linear", AlternatingLabels(), n=n)
-    log = tuner.finish()
+    (log,) = tuner.finish()
     return tuner, log
 
 
@@ -169,9 +164,9 @@ def test_restart_predicate_causality(mode, eta0):
 @pytest.mark.parametrize("mode", ["realized", "expected"])
 def test_doubling_with_lp_spec_runs(mode):
     spec = LpSumU(3.0, 3)
-    tuner = DoublingZigZag(spec, mode, seed=2, mc_paths=150)
+    tuner = DoublingZigZag(spec, mode, [2], mc_paths=150)
     trace = run_episode(tuner, "hinge", IIDGaussianX((3,), LpTag(3.0), [2]), n=80)
-    log = tuner.finish()
+    (log,) = tuner.finish()
     assert trace.n == 80
     assert log[-1].end == 80
     for rec in log:
