@@ -153,21 +153,17 @@ class BurkholderSpec:
 class _PowerU(BurkholderSpec):
     """The sharp Hilbert-space function alpha_p (r - beta_p s)(r + s)^(p-1)
     of the block norms r = |x|_b and s = |y|_b, summed over the last
-    ``block_axes`` axes of the norms (Burkholder 1984).  Blocks are Euclidean
-    over the last point axis unless a subclass states another inner product
-    (``_dual``, applied once per point argument of a query) or another block
-    norm (``_norms``) and its derivative along z (``_slopes``)."""
+    ``block_axes`` axes of the norms (Burkholder 1984).  A block's inner
+    product is the tag's pairing over the last point axis: ``tag.dual`` gives
+    the form xd of x with <x, z>_b = sum(xd * z), once per point argument of
+    a query.  A subclass may state another block norm (``_norms``) and its
+    derivative along z (``_slopes``)."""
 
     block_axes = 0
 
     def __init__(self, p: float):
         self.p = float(p)
         self.alpha, self.beta = optimal_constants(self.p)
-
-    @staticmethod
-    def _dual(xs):
-        """The form xd of x with <x, z>_b = sum(xd * z) over the last axis."""
-        return xs
 
     @staticmethod
     def _norms(xs, xd):
@@ -186,8 +182,8 @@ class _PowerU(BurkholderSpec):
     def value_batch(self, xs, ys):
         xs = np.asarray(xs, float)
         ys = np.asarray(ys, float)
-        r = self._norms(xs, self._dual(xs))
-        s = self._norms(ys, self._dual(ys))
+        r = self._norms(xs, self.tag.dual(xs))
+        s = self._norms(ys, self.tag.dual(ys))
         return self._sum_blocks(self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0))
 
     def dirderiv_batch(self, xs, ys, zs, sigmas):
@@ -197,8 +193,8 @@ class _PowerU(BurkholderSpec):
         zs = np.asarray(zs, float)
         sigmas = np.asarray(sigmas, float)
         sigmas = sigmas.reshape(sigmas.shape + (1,) * self.block_axes)
-        xd = self._dual(xs)
-        yd = self._dual(ys)
+        xd = self.tag.dual(xs)
+        yd = self.tag.dual(ys)
         r = self._norms(xs, xd)
         s = self._norms(ys, yd)
         t = r + s
@@ -258,7 +254,6 @@ class HilbertU(_PowerU):
         if gram is not None:
             self.tag = GramTag(np.asarray(gram, dtype=float))
             self.dim = self.tag.a.shape[0]
-            self._dual = self.tag.dual
         else:
             self.dim = int(dim)
             self.tag = LpTag(2.0)

@@ -9,8 +9,8 @@ exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
 In doubling configs each lane keeps its own phase schedule.  A config that
-cannot run, n < 1 or a fixed-file stream that cannot serve n rounds
-included, raises ``ConfigError`` before any adversary or learner is built.
+cannot run (n < 1, a bad number, a fixed-file stream too short for n rounds)
+raises ``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .burkholder import make_spec
 from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
-from .linalg import GramTag, LpTag, NormTag, dual_ball_lmo
+from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import rad_estimate, rad_exact
 from .rng import substream
@@ -93,8 +93,7 @@ class IIDGaussianX:
     def next_x(self, t):
         xs = np.stack([self._draw(k) for k in range(len(self.rngs))])
         if self.normalize:
-            # one (1, *shape) item per lane reduces exactly as tag.norm does
-            norms = self.tag.norm_batch(xs[:, np.newaxis]).reshape(-1)
+            norms = self.tag.norm_batch(xs)
             xs = xs / np.where(norms > 0, norms, 1.0).reshape((-1,) + (1,) * (xs.ndim - 1))
         return xs[0] if len(xs) == 1 else xs
 
@@ -219,37 +218,30 @@ def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int = 500) -
     shape ``(n, d)``, ``ys`` of shape ``(n,)``) or of K streams solved
     together (``(K, n, d)`` and ``(K, n)``).
 
-    Returns per stream the best loss seen, its iterate and the final duality
-    gap, with the streams' leading axis (none for one stream).  An empty
-    stream yields zero.
+    Returns per stream the best loss seen and the duality gap of the last
+    step, with the streams' leading axis (none for one stream).  An empty
+    stream yields zero.  Iterates pair with instances through ``tag.dual``.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     lead = y.shape[:-1]
     if y.shape[-1] == 0:
-        return {"best_loss": np.zeros(lead)[()], "w": None, "gap": np.zeros(lead)[()]}
-    gram = tag.a if isinstance(tag, GramTag) else None
-
-    def margins(w):
-        v = w[..., np.newaxis] if gram is None else gram @ w[..., np.newaxis]
-        return (x @ v)[..., 0]
-
-    w = best_w = np.zeros((*lead, x.shape[-1]))
+        return {"best_loss": np.zeros(lead)[()], "gap": np.zeros(lead)[()]}
+    w = np.zeros((*lead, x.shape[-1]))
     best_loss = gap = np.full(lead, np.inf)
     for k in range(iters + 1):
-        m = margins(w)
+        m = (x @ tag.dual(w)[..., np.newaxis])[..., 0]
         total = loss_batch(loss_name, m, y).sum(axis=-1)
-        better = total < best_loss
-        best_loss = np.where(better, total, best_loss)
-        best_w = np.where(better[..., np.newaxis], w, best_w)
+        best_loss = np.where(total < best_loss, total, best_loss)
         if k == iters:
             break
         g = (dloss_batch(loss_name, m, y)[..., np.newaxis, :] @ x)[..., 0, :]
         s = dual_ball_lmo(g, tag)
-        gap = _rowdot(g if gram is None else tag.dual(g), w - s)
+        if k == iters - 1:
+            gap = _rowdot(tag.dual(g), w - s)
         step = 2.0 / (k + 2.0)
         w = (1.0 - step) * w + step * s
-    return {"best_loss": best_loss[()], "w": best_w, "gap": gap[()]}
+    return {"best_loss": best_loss[()], "gap": gap[()]}
 
 
 def rad_exact_scalar(xs) -> float:
@@ -305,6 +297,12 @@ def _check_config(config: dict):
     loss_name = config.get("loss", "hinge")
     if loss_name not in LOSSES:
         raise ConfigError(f"unknown loss {loss_name!r}")
+    for key in ("eta", "eta0"):  # absent or null: the default rate
+        if config.get(key) is not None and not 0 < float(config[key]) < math.inf:
+            raise ConfigError(f"{key} must be a finite number > 0, got {config[key]!r}")
+    for key, low in {"fw_iters": 0, "rad_samples": 100, "mc_paths": 100}.items():
+        if key in config and not float(config[key]) >= low:
+            raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}")
     if algorithm == "spectral":
         sizes = {key: int(config[key]) for key in ("d", "r", "n")}
         sizes["net_size"] = int(config.get("net_size", 500))
@@ -353,7 +351,7 @@ def _build_learner(config: dict, spec, seeds: list):
     """The learner of a config with one lane per seed."""
     algorithm = config["algorithm"]
     if algorithm == "zigzag":
-        eta = config.get("eta") or 1.0
+        eta = 1.0 if config.get("eta") is None else config["eta"]
         return ZigZagLearner(spec, eta, [substream(seed, "learner") for seed in seeds])
     if algorithm == "adaptive-gd":
         return AdaptiveGD(int(config["d"]), lanes=len(seeds))
@@ -385,8 +383,8 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     ys = np.ascontiguousarray(trace.y.T)
     fw = offline_comparator(xs, ys, tag, loss_name, iters=int(config.get("fw_iters", 500)))
     increments = np.ascontiguousarray(trace.dloss.T)[..., np.newaxis] * xs
-    # one norm per (1, m) batch item reduces exactly as a tag.norm call does
-    max_x_norms = tag.norm_batch(xs.reshape(-1, 1, m)).reshape(lanes, n).max(axis=1)
+    linearized = tag.norm_batch(increments.sum(axis=1))  # ||sum_t l'_t x_t|| per lane
+    max_x_norms = tag.norm_batch(xs.reshape(-1, m)).reshape(lanes, n).max(axis=1)
     residuals = theorem_residual(trace, learner)["residual"] if config["algorithm"] == "zigzag" else [None] * lanes
     phases = learner.finish() if isinstance(learner, DoublingZigZag) else [[]] * lanes
 
@@ -401,8 +399,7 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
             "rad_mean": rad_mean,
             "rad_se": rad_se,
             "phases": [dataclasses.asdict(rec) for rec in phases[i]],
-            # tag.norm(sum_t l'_t x_t)
-            "benchmark_linearized": float(tag.norm(increments[i].sum(axis=0))),
+            "benchmark_linearized": float(linearized[i]),
             "residual": None if residuals[i] is None else float(residuals[i]),
             "cert_worst_slack": float(trace.cert_worst_slack[:, i].min()) if cert_grid is not None else None,
             # companion to the no-normalize escape hatch: scale-free runs

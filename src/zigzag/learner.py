@@ -130,9 +130,7 @@ class ZigZagLearner:
         return eps
 
     def relaxation_value(self) -> np.ndarray:
-        # each lane is a batch of one point, so a Gram product (a BLAS call)
-        # rounds the same way for any K
-        return (self.eta / self.spec.p) * self.spec.value_batch(self.S[:, np.newaxis], self.M[:, np.newaxis])[:, 0]
+        return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
 
     def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None) -> CertificateReport:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in

@@ -5,6 +5,9 @@ prefix sums.
 Points are plain numpy arrays (scalars, vectors, or matrices).  Norm tags are
 small immutable objects; batched evaluation treats the leading axis as the
 batch axis (``GramTag`` and ``GroupP2Tag`` take any number of leading axes).
+A tag's ``dual`` is its pairing (x itself for the standard duality product).
+Gram products are row-stable: each row is its own vector-matrix product, so a
+row's norm and form do not depend on how many rows share the call.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ class NormTag:
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def dual(self, xs):
+        """The form of x with <x, z> = sum(dual(x) * z) over the last axis."""
+        return xs
+
 
 @dataclass(frozen=True)
 class LpTag(NormTag):
@@ -113,7 +120,7 @@ class GramTag(NormTag):
 
     def dual(self, xs):
         """x' A over the last axis: the form with x' A y = sum(dual(x) * y)."""
-        return np.asarray(xs, float) @ self.a
+        return (np.asarray(xs, float)[..., np.newaxis, :] @ self.a)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,8 @@ def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     value is -tag.norm(g).  Closed forms are used for lp / gram / sup / one
     tags.  A zero gradient (row) returns zero.
 
-    For gram tags both ``g`` and the result are coefficient vectors and the
-    pairing is the Hilbert inner product <w, g>_G = w' G g (the space is
+    The pairing is the tag's ``dual``: for gram tags both ``g`` and the
+    result are coefficient vectors and <w, g>_G = w' G g (the space is
     self-dual); all other tags pair with the standard duality product.
     """
     g = np.asarray(g, dtype=float)

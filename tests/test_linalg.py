@@ -59,6 +59,24 @@ def test_weighted_and_gram_norms():
     assert np.array_equal(GramTag(a).norm_batch(np.ones((2, 3, 2))), np.full((2, 3), np.sqrt(3.0)))
 
 
+def test_gram_products_are_row_stable():
+    """A dense Gram tag gives every row of a batch its one-row norm and form,
+    whatever the batch size or the number of leading axes."""
+    rng = substream(14, "gram-rows")
+    b = rng.normal(size=(4, 4))
+    tag = GramTag(b @ b.T + 0.5 * np.eye(4))
+    xs = rng.normal(size=(300, 4))
+    norms = np.array([tag.norm(x) for x in xs])
+    forms = np.stack([tag.dual(x) for x in xs])
+    for rows in range(1, 301):
+        assert np.array_equal(tag.norm_batch(xs[:rows]), norms[:rows]), rows
+        assert np.array_equal(tag.dual(xs[:rows]), forms[:rows]), rows
+    for lanes in (1, 2, 3, 5):
+        stacked = xs[: lanes * 60].reshape(lanes, 60, 4)
+        assert np.array_equal(tag.norm_batch(stacked), norms[: lanes * 60].reshape(lanes, 60))
+        assert np.array_equal(tag.dual(stacked), forms[: lanes * 60].reshape(lanes, 60, 4))
+
+
 def test_psd_validation_rejects_indefinite():
     with pytest.raises(ValueError):
         GramTag(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -140,7 +158,7 @@ def test_lmo_answers_a_lane_axis_row_by_row():
         assert got.shape == g.shape
         assert not np.any(got[2]), tag.name  # a zero row stays zero
         for row, want in zip(got, g):
-            assert np.allclose(row, dual_ball_lmo(want, tag), rtol=1e-14, atol=0.0), tag.name
+            assert np.array_equal(row, dual_ball_lmo(want, tag)), tag.name
 
 
 def test_lmo_unsupported_tag():
