@@ -9,8 +9,9 @@ exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
 In doubling configs each lane keeps its own phase schedule.  A config that
-cannot run (n < 1, a bad number, a fixed-file stream too short for n rounds)
-raises ``ConfigError`` before any adversary or learner is built.
+cannot run (a missing key, a spec that cannot be built, n < 1, a bad number,
+a fixed-file stream too short for n rounds) raises ``ConfigError`` before any
+adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
         return LowRankStream(shape, int(cfg["rank"]), tag, seeds, normalize)
     if kind == "fixed-file":
         data = json.loads(pathlib.Path(cfg["path"]).read_text()) if "path" in cfg else cfg
+        _require(data, ("xs", "ys"), "a fixed-file stream")
         return FixedStream(data["xs"], data["ys"])
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
@@ -304,6 +306,7 @@ def _check_config(config: dict):
         if key in config and not float(config[key]) >= low:
             raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}")
     if algorithm == "spectral":
+        _require(config, ("d", "r", "n", "tau"), "a spectral config")
         sizes = {key: int(config[key]) for key in ("d", "r", "n")}
         sizes["net_size"] = int(config.get("net_size", 500))
         if min(sizes.values()) < 1 or not float(config["tau"]) > 0:
@@ -312,16 +315,25 @@ def _check_config(config: dict):
         if stream not in ENTRY_DISTRIBUTIONS:
             raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
         return None
+    _require(config, ("n", "adversary", "d" if algorithm == "adaptive-gd" else "spec"), f"algorithm {algorithm!r}")
     if int(config["n"]) < 1:
         raise ConfigError(f"a run needs n >= 1 rounds, got n = {config['n']!r}")
     adversary = config["adversary"]
+    _require(adversary, ("kind",), "an adversary")
     kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
     for kind in kinds:
         if kind not in ADVERSARY_KINDS:
             raise ConfigError(f"unknown adversary kind {kind!r}")
+    if "low-rank-stream" in kinds:
+        _require(adversary, ("rank",), "a low-rank-stream adversary")
     if algorithm == "adaptive-gd" and config.get("certify"):
         raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
-    spec = None if algorithm == "adaptive-gd" else make_spec(config["spec"])
+    try:
+        spec = None if algorithm == "adaptive-gd" else make_spec(config["spec"])
+    except KeyError as exc:
+        raise ConfigError(f"spec {config['spec']!r} needs the key {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"spec {config['spec']!r} cannot be built: {exc}") from None
     if spec is not None and (spec.p <= 1 or len(spec.point_shape) > 1):
         raise ConfigError(
             f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
@@ -330,6 +342,12 @@ def _check_config(config: dict):
     if "fixed-file" in kinds:
         _check_fixed_stream(adversary, (int(config["d"]),) if spec is None else spec.point_shape, int(config["n"]), loss_name)
     return spec
+
+
+def _require(cfg: dict, keys: tuple, what: str):
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ConfigError(f"{what} needs {', '.join(map(repr, missing))}")
 
 
 def _check_fixed_stream(cfg: dict, shape: tuple, n: int, loss_name: str):

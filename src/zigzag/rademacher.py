@@ -86,18 +86,13 @@ class DyadicTree:
         (ties resolved to +1), so each increment pushes away from zero."""
         levels = [np.ones((1, 1))]
         prefix = np.zeros(1)
-        for t in range(1, depth):
-            # index i at level t encodes the t signs; build prefix sums for
-            # all 2^t paths from the 2^(t-1) parents
-            parent_vals = levels[t - 1][:, 0]
-            new_prefix = np.empty(2**t)
-            for parent in range(2 ** (t - 1)):
-                for bit, eps in ((0, -1.0), (1, 1.0)):
-                    child = parent | (bit << (t - 1))
-                    new_prefix[child] = prefix[parent] + eps * parent_vals[parent]
-            vals = np.where(new_prefix >= 0.0, 1.0, -1.0)
-            levels.append(vals[:, np.newaxis])
-            prefix = new_prefix
+        for _ in range(1, depth):
+            # at level t a child's index is its parent's plus bit * 2^(t-1),
+            # so the children of sign -1 come first, in parent order, then
+            # those of sign +1
+            vals = levels[-1][:, 0]
+            prefix = np.concatenate([prefix - vals, prefix + vals])
+            levels.append(np.where(prefix >= 0.0, 1.0, -1.0)[:, np.newaxis])
         return cls(levels)
 
     def path_values(self, signs: np.ndarray) -> np.ndarray:

@@ -250,9 +250,9 @@ def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None
     - uniform: entries uniform over the grid, labels from the sign of a
       planted random rank-r matrix
     - row-spiky: all entries in row 0 (worst-case row counts)
-    - file / explicit: caller-provided (i, j, y) triples
+    - explicit: caller-provided (i, j, y) triples
     """
-    if kind in ("file", "explicit"):
+    if kind == "explicit":
         if entries is None:
             raise ValueError("explicit stream needs entries")
         return [(int(i), int(j), float(y)) for i, j, y in entries]
@@ -355,7 +355,6 @@ def run_spectral(
     max_net: int = 500,
     eta: float | None = None,
     entries=None,
-    certify: bool = True,
 ) -> SpectralResult:
     """Full desk-scale run: stream, aggregation, certificates, comparators,
     and the rate ratio regret / (sqrt(r) d sqrt(max(N_row, N_col)))."""
@@ -368,10 +367,9 @@ def run_spectral(
     rows = []
     for t, (i, j, y) in enumerate(stream, start=1):
         f = alg.predict_all(i, j)
-        if certify:
-            slack, viol = alg.certificate(i, j, f)
-            worst_slack = min(worst_slack, slack)
-            violations += viol
+        slack, viol = alg.certificate(i, j, f)
+        worst_slack = min(worst_slack, slack)
+        violations += viol
         rec = alg.round(i, j, y, f)
         weight_drift = max(weight_drift, abs(rec["weight_sum"] - 1.0))
         total += rec["loss"]
@@ -405,7 +403,7 @@ def run_spectral(
         regret_rate_mid=rate_mid,
         regret_rate_end=rate_end,
         coverage=alg.coverage,
-        cert_worst_slack=worst_slack if certify else float("nan"),
+        cert_worst_slack=worst_slack,
         cert_violations=violations,
         weight_drift=weight_drift,
         rows=rows,

@@ -15,8 +15,8 @@ eta^-(p'-1):
   the new phase.
 
 Both schedules use eta_i = 2^(-i/(p'-1)) eta_0 computed in closed form.
-The tuner is a ZigZag learner with one lane per seed, and each lane keeps
-its own phase schedule.
+The tuner is a ZigZag learner with one lane per seed; each lane keeps its
+own phase log, whose last ``PhaseRecord`` is the lane's open phase.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def default_eta0(p: float, beta: float, mode: str) -> float:
 class PhaseRecord:
     index: int
     start: int  # first round of the phase (1-based)
-    end: int  # last round of the phase (inclusive); start-1 for empty phases
+    end: int  # last round of the phase (inclusive); start-1 while open and for empty phases
     eta: float
     threshold: float
     phi_full: float
@@ -109,11 +109,13 @@ class DoublingZigZag(ZigZagLearner):
     """Doubling-trick ZigZag learner with one lane per seed.
 
     Lane k draws its signs from ``substream(seed_k, "learner")`` across all
-    of its phases and keeps its own phase index, rate ``eta[k]``, complexity
-    tracker and phase log; a phase reset zeroes only that lane's sums, so
-    every lane is bit-identical to a one-seed run.  ``begin_round`` must be
-    called with x_t before ``predict`` each round (the episode driver does
-    this).
+    of its phases and keeps its own rate ``eta[k]``, complexity tracker and
+    phase log.  The last record of a lane's log is its open phase: index,
+    start, rate and threshold are set when it opens, the two Phi fields shift
+    as increments are folded in, and the end is set when it closes.  A phase
+    reset zeroes only that lane's sums, so every lane is bit-identical to a
+    one-seed run.  ``begin_round`` must be called with x_t before ``predict``
+    each round (the episode driver does this).
     """
 
     def __init__(self, spec, mode: str, seeds, eta0: float | None = None, mc_paths: int = 500):
@@ -125,71 +127,43 @@ class DoublingZigZag(ZigZagLearner):
         self.eta0 = float(eta0) if eta0 is not None else default_eta0(spec.p, spec.beta, mode)
         self.mc_paths = mc_paths
         super().__init__(spec, np.full(len(self.seeds), self.eta_for(0)), [substream(seed, "learner") for seed in self.seeds])
-        self.phase_index = [0] * self.lanes
         self.phase_log: list[list[PhaseRecord]] = [[] for _ in range(self.lanes)]
-        self._phase_start = [1] * self.lanes
-        self._phi_history: list[list[float]] = [[] for _ in range(self.lanes)]  # lane k's Phi after each append
-        self._trackers = [self._new_tracker(k) for k in range(self.lanes)]
-
-    # -- schedule ------------------------------------------------------
+        self._trackers = [None] * self.lanes
+        for k in range(self.lanes):
+            self._open_phase(k)
 
     def eta_for(self, i: int) -> float:
         return 2.0 ** (-i / (self.p_prime - 1.0)) * self.eta0
 
-    def _threshold(self, k: int) -> float:
-        return float(self.eta[k]) ** (-(self.p_prime - 1.0))
-
-    def _burst(self, k: int) -> bool:
-        return float(self.eta[k]) * self._phi_value(k) > self._threshold(k)
-
-    # -- lane k's tracker ----------------------------------------------
-
-    def _new_tracker(self, k: int):
-        self._phi_history[k] = []
+    def _open_phase(self, k: int) -> None:
+        """Close lane k's open phase after round t and open its next phase
+        at round t + 1, with the next rate, zero sums and a fresh tracker."""
+        log = self.phase_log[k]
+        if log:
+            log[-1].end = self.t
+        index = len(log)
+        self.eta[k] = eta = self.eta_for(index)
+        log.append(PhaseRecord(index, self.t + 1, self.t, eta, eta ** (-(self.p_prime - 1.0)), 0.0, 0.0))
+        self.S[k] = self.M[k] = 0.0
+        spec = self.spec
         if self.mode == "realized":
-            return IntervalSupTracker(self.spec.tag, shape=self.spec.point_shape)
-        return ExpectedPhiTracker(
-            self.spec.tag,
-            self.spec.p,
-            self.spec.beta,
-            self.mc_paths,
-            substream(self.seeds[k], "phi-mc", self.phase_index[k]),
-            shape=self.spec.point_shape,
-        )
+            self._trackers[k] = IntervalSupTracker(spec.tag, shape=spec.point_shape)
+        else:
+            rng = substream(self.seeds[k], "phi-mc", index)
+            self._trackers[k] = ExpectedPhiTracker(spec.tag, spec.p, spec.beta, self.mc_paths, rng, shape=spec.point_shape)
 
-    def _phi_value(self, k: int) -> float:
-        if self.mode == "realized":
-            return self.spec.beta**self.spec.p * self._trackers[k].value**self.spec.p
-        return self._trackers[k].value
-
-    def _append(self, k: int, increment) -> None:
-        self._trackers[k].append(increment)
-        self._phi_history[k].append(self._phi_value(k))
-
-    def _close_phase(self, k: int, end_round: int, drop_last_appended: bool, final: bool = False) -> None:
-        hist = self._phi_history[k][:-1] if drop_last_appended else self._phi_history[k]
-        self.phase_log[k].append(
-            PhaseRecord(
-                index=self.phase_index[k],
-                start=self._phase_start[k],
-                end=end_round,
-                eta=float(self.eta[k]),
-                threshold=self._threshold(k),
-                phi_full=hist[-1] if hist else 0.0,
-                phi_minus_last=hist[-2] if len(hist) >= 2 else 0.0,
-                final=final,
-            )
-        )
-
-    def _advance_phase(self, k: int, first_round_of_new_phase: int) -> None:
-        self.phase_index[k] += 1
-        self.eta[k] = self.eta_for(self.phase_index[k])
-        self.S[k] = 0.0
-        self.M[k] = 0.0
-        self._phase_start[k] = first_round_of_new_phase
-        self._trackers[k] = self._new_tracker(k)
-
-    # -- per-round interface --------------------------------------------
+    def _fold(self, k: int, increment) -> bool:
+        """Fold an increment into lane k's Phi and say whether eta Phi crosses
+        the open phase's threshold; in expected mode a crossing Phi is not
+        recorded, because its increment opens the next phase."""
+        tracker = self._trackers[k]
+        tracker.append(increment)
+        phi = tracker.value if self.mode == "expected" else self.spec.beta**self.spec.p * tracker.value**self.spec.p
+        rec = self.phase_log[k][-1]
+        crosses = rec.eta * phi > rec.threshold
+        if not (crosses and self.mode == "expected"):
+            rec.phi_minus_last, rec.phi_full = rec.phi_full, phi
+        return crosses
 
     def begin_round(self, x) -> None:
         """Expected mode only: fold the incoming x into each lane's phase
@@ -198,14 +172,11 @@ class DoublingZigZag(ZigZagLearner):
         if self.mode != "expected":
             return
         for k, x_k in enumerate(np.broadcast_to(self._instance(x), self.S.shape)):
-            self._append(k, x_k)
             restarts = 0
-            while self._burst(k):
+            while self._fold(k, x_k):
                 if restarts >= MAX_RESTARTS_PER_ROUND:
                     raise RuntimeError("doubling restart loop exceeded the safety cap")
-                self._close_phase(k, self.t, drop_last_appended=True)
-                self._advance_phase(k, self.t + 1)
-                self._append(k, x_k)
+                self._open_phase(k)
                 restarts += 1
 
     def update(self, x, dloss) -> np.ndarray:
@@ -217,15 +188,14 @@ class DoublingZigZag(ZigZagLearner):
         if self.mode == "realized":
             xs = np.broadcast_to(self._instance(x), self.S.shape)
             for k, signed in enumerate(eps * np.asarray(dloss, dtype=float)):
-                self._append(k, signed * xs[k])
-                if self._burst(k):
-                    self._close_phase(k, self.t, drop_last_appended=False)
-                    self._advance_phase(k, self.t + 1)
+                if self._fold(k, signed * xs[k]):
+                    self._open_phase(k)
         return eps
 
     def finish(self) -> list[list[PhaseRecord]]:
-        """Close every lane's final phase and return the K complete phase
+        """Close every lane's open phase and return the K complete phase
         logs."""
-        for k in range(self.lanes):
-            self._close_phase(k, self.t, drop_last_appended=False, final=True)
+        for log in self.phase_log:
+            log[-1].end = self.t
+            log[-1].final = True
         return self.phase_log

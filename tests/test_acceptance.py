@@ -436,7 +436,7 @@ def test_criterion_13_reproducibility(capsys, tmp_path):
         files = ["summary.json", "episode_seed0.csv", "episode_seed1.csv"]
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        r1 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60, certify=False)
-        r2 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60, certify=False)
+        r1 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60)
+        r2 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60)
         assert r1.rows == r2.rows and r1.learner_loss == r2.learner_loss
         info["detail"] = f"{len(files)} files byte-identical; spectral rows identical"

@@ -166,6 +166,9 @@ def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, mess
     _assert_rejected_before_building(change, message, monkeypatch)
 
 
+MISSING = object()  # a change value that deletes the key from the config
+
+
 def _assert_rejected_before_building(change, message, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("built before the config was checked")
@@ -182,7 +185,7 @@ def _assert_rejected_before_building(change, message, monkeypatch):
         "seeds": [0],
     }
     with pytest.raises(ConfigError, match=message):
-        run_experiment({**config, **change})
+        run_experiment({k: v for k, v in {**config, **change}.items() if v is not MISSING})
 
 
 BAD_NUMBERS = {
@@ -201,6 +204,26 @@ BAD_NUMBERS = {
 
 @pytest.mark.parametrize("change, message", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
 def test_bad_numbers_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
+    _assert_rejected_before_building(change, message, monkeypatch)
+
+
+MISSING_OR_UNBUILDABLE = {
+    "no-n": ({"n": MISSING}, "algorithm 'zigzag' needs 'n'"),
+    "no-spec": ({"spec": MISSING}, "algorithm 'zigzag' needs 'spec'"),
+    "spec-no-d": ({"spec": {"construction": "lp-sum", "p": 3.0}}, "needs the key 'd'"),
+    "no-adversary": ({"adversary": MISSING}, "algorithm 'zigzag' needs 'adversary'"),
+    "adversary-no-kind": ({"adversary": {}}, "an adversary needs 'kind'"),
+    "low-rank-no-rank": ({"adversary": {"kind": "low-rank-stream"}}, "low-rank-stream adversary needs 'rank'"),
+    "sign-flip-low-rank-no-rank": ({"adversary": {"kind": "sign-flip", "base": "low-rank-stream"}}, "needs 'rank'"),
+    "adaptive-gd-no-d": ({"algorithm": "adaptive-gd"}, "algorithm 'adaptive-gd' needs 'd'"),
+    "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "a spectral config needs 'tau'"),
+    "construction-lp": ({"spec": {"construction": "lp", "p": 3.0, "d": 4}}, "unknown construction 'lp'"),
+    "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
+}
+
+
+@pytest.mark.parametrize("change, message", MISSING_OR_UNBUILDABLE.values(), ids=MISSING_OR_UNBUILDABLE.keys())
+def test_missing_keys_and_unbuildable_specs_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
     _assert_rejected_before_building(change, message, monkeypatch)
 
 
@@ -223,6 +246,7 @@ FIXED_FILE_FAULTS = {
     "too-few-rows": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 2, "ys": [1.0, -1.0]}, "2 rows cannot serve n = 5"),
     "not-point-shape": ({"xs": [[0.5, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 4, "ys": [1.0] * 5}, "instance 0 is not of the point shape"),
     "label-not-a-sign": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 5, "ys": [1.0, -1.0, 0.5, 1.0, 1.0]}, "hinge loss needs labels"),
+    "no-xs": ({"ys": [1.0] * 5}, "a fixed-file stream needs 'xs'"),
 }
 
 

@@ -46,14 +46,14 @@ def test_constant_tree_is_non_anticipating():
 
 
 def test_prefix_sign_tree_pushes_away_from_zero():
-    tree = DyadicTree.prefix_sign(6)
-    signs, values = tree.enumerate_paths()
-    vals = values.squeeze(-1)
-    prefix = np.zeros(len(signs))
-    for t in range(6):
-        expected = np.where(prefix >= 0.0, 1.0, -1.0)
-        assert np.allclose(vals[:, t], expected)
-        prefix = prefix + signs[:, t] * vals[:, t]
+    for depth in (1, 6, 10):
+        signs, values = DyadicTree.prefix_sign(depth).enumerate_paths()
+        vals = values.squeeze(-1)
+        prefix = np.zeros(len(signs))
+        for t in range(depth):
+            expected = np.where(prefix >= 0.0, 1.0, -1.0)
+            assert np.array_equal(vals[:, t], expected)
+            prefix = prefix + signs[:, t] * vals[:, t]
 
 
 def test_rad_single_vector_and_empty():

@@ -166,7 +166,7 @@ def test_trace_norm_comparator_fits_planted_labels():
 
 
 def test_run_is_deterministic():
-    r1 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40, certify=False)
-    r2 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40, certify=False)
+    r1 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40)
+    r2 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40)
     assert r1.rows == r2.rows
     assert r1.learner_loss == r2.learner_loss

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from zigzag.burkholder import LpSumU, ScalarPowerU
-from zigzag.harness import IIDGaussianX
+from zigzag import tuning
+from zigzag.burkholder import HilbertU, LpSumU, ScalarPowerU
+from zigzag.harness import FixedStream, IIDGaussianX
 from zigzag.learner import psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
@@ -172,3 +173,34 @@ def test_doubling_with_lp_spec_runs(mode):
     for rec in log:
         if not rec.final:
             assert rec.eta * rec.phi_minus_last <= rec.threshold + 1e-12
+
+
+def run_burst_stream():
+    """Expected mode over three unit rounds, one x of norm 1000 and three
+    more unit rounds: the large x crosses eight thresholds in one round."""
+    xs = [[1.0, 0.0]] * 3 + [[1000.0, 0.0]] + [[0.0, 1.0]] * 3
+    tuner = DoublingZigZag(HilbertU(2.0, dim=2), "expected", [0], eta0=0.5, mc_paths=100)
+    run_episode(tuner, "linear", FixedStream(xs, [1.0] * len(xs)), n=len(xs))
+    (log,) = tuner.finish()
+    return log
+
+
+def test_expected_restart_loop_logs_empty_phases():
+    log = run_burst_stream()
+    # phases 2-8 open at round 4 and close before taking it: the bursting x
+    # crosses their thresholds too, so none of them records a Phi
+    empty = [(i, 4, 3, 0.0, 0.0, False) for i in range(2, 9)]
+    assert [(r.index, r.start, r.end, r.phi_full, r.phi_minus_last, r.final) for r in log] == [
+        (0, 1, 2, 2.68, 1.0, False),
+        (1, 3, 3, 1.0, 0.0, False),
+        *empty,
+        (9, 4, 7, 1000003.65, 1000002.65, True),
+    ]
+    assert [r.eta for r in log] == [0.5 * 2.0**-i for i in range(10)]
+    assert [r.threshold for r in log] == [2.0 ** (i + 1) for i in range(10)]
+
+
+def test_expected_restart_loop_safety_cap(monkeypatch):
+    monkeypatch.setattr(tuning, "MAX_RESTARTS_PER_ROUND", 2)
+    with pytest.raises(RuntimeError, match="safety cap"):
+        run_burst_stream()
