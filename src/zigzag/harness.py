@@ -9,9 +9,9 @@ exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
 In doubling configs each lane keeps its own phase schedule.  A config that
-cannot run (a missing key, a spec that cannot be built, n < 1, a bad number,
-a fixed-file stream too short for n rounds) raises ``ConfigError`` before any
-adversary or learner is built.
+cannot run (a missing key, a spec that cannot be built, a size or rank that
+is not a whole number >= 1, a bad number, a fixed-file stream too short for
+n rounds) raises ``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import pathlib
 
 import numpy as np
@@ -307,17 +308,19 @@ def _check_config(config: dict):
             raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}")
     if algorithm == "spectral":
         _require(config, ("d", "r", "n", "tau"), "a spectral config")
-        sizes = {key: int(config[key]) for key in ("d", "r", "n")}
-        sizes["net_size"] = int(config.get("net_size", 500))
-        if min(sizes.values()) < 1 or not float(config["tau"]) > 0:
+        sizes = {key: config[key] for key in ("d", "r", "n")}
+        sizes["net_size"] = config.get("net_size", 500)
+        if not all(map(_is_count, sizes.values())) or not float(config["tau"]) > 0:
             raise ConfigError(f"a spectral run needs net_size, d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
         stream = config.get("entry_distribution", "uniform")
         if stream not in ENTRY_DISTRIBUTIONS:
             raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
         return None
     _require(config, ("n", "adversary", "d" if algorithm == "adaptive-gd" else "spec"), f"algorithm {algorithm!r}")
-    if int(config["n"]) < 1:
-        raise ConfigError(f"a run needs n >= 1 rounds, got n = {config['n']!r}")
+    if not _is_count(config["n"]):
+        raise ConfigError(f"a run needs a whole number of n >= 1 rounds, got n = {config['n']!r}")
+    if algorithm == "adaptive-gd" and not _is_count(config["d"]):
+        raise ConfigError(f"algorithm 'adaptive-gd' needs a whole number d >= 1, got d = {config['d']!r}")
     adversary = config["adversary"]
     _require(adversary, ("kind",), "an adversary")
     kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
@@ -326,8 +329,12 @@ def _check_config(config: dict):
             raise ConfigError(f"unknown adversary kind {kind!r}")
     if "low-rank-stream" in kinds:
         _require(adversary, ("rank",), "a low-rank-stream adversary")
+        if not _is_count(adversary["rank"]):
+            raise ConfigError(f"a low-rank-stream adversary needs a whole number rank >= 1, got rank = {adversary['rank']!r}")
     if algorithm == "adaptive-gd" and config.get("certify"):
         raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
+    if algorithm != "adaptive-gd" and "d" in config["spec"] and not _is_count(config["spec"]["d"]):
+        raise ConfigError(f"spec {config['spec']!r} needs a whole number d >= 1, got d = {config['spec']['d']!r}")
     try:
         spec = None if algorithm == "adaptive-gd" else make_spec(config["spec"])
     except KeyError as exc:
@@ -342,6 +349,12 @@ def _check_config(config: dict):
     if "fixed-file" in kinds:
         _check_fixed_stream(adversary, (int(config["d"]),) if spec is None else spec.point_shape, int(config["n"]), loss_name)
     return spec
+
+
+def _is_count(value) -> bool:
+    """Whether a config value is a whole number >= 1: 3 and 3.0 are, 2.7,
+    "abc" and True are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer() and value >= 1
 
 
 def _require(cfg: dict, keys: tuple, what: str):

@@ -16,7 +16,10 @@ eta^-(p'-1):
 
 Both schedules use eta_i = 2^(-i/(p'-1)) eta_0 computed in closed form.
 The tuner is a ZigZag learner with one lane per seed; each lane keeps its
-own phase log, whose last ``PhaseRecord`` is the lane's open phase.
+own phase log, whose last ``PhaseRecord`` is the lane's open phase.  One
+interval-sup tracker measures Phi for all lanes at once (``linalg``'s exact
+triangle-inequality pruning keeps its cost well below O(t) norms per path
+and round), and a lane's phase reset restarts only that lane's paths.
 """
 
 from __future__ import annotations
@@ -38,46 +41,71 @@ __all__ = [
 ]
 
 MAX_RESTARTS_PER_ROUND = 200
+_SIGN_BLOCK = 32  # rounds of Monte Carlo signs each lane draws at a time
 
 
 class ExpectedPhiTracker(IntervalSupTracker):
     """Monte Carlo estimate of beta^p E_eps sup-over-intervals ||sum eps_t
-    z_t||^p, maintained incrementally.
+    z_t||^p, maintained incrementally for one or more lanes.
 
-    An interval-sup tracker over K sign paths fixed once (common random
-    numbers): appending z extends path k by eps_k z with a fresh sign, so
-    earlier rounds' contributions never change and the restart predicate is
-    stable.
+    One interval-sup tracker over ``k_paths`` sign paths per lane, fixed once
+    per lane (common random numbers): appending z extends every path of a
+    lane by eps z with a fresh sign from that lane's generator, so earlier
+    rounds' contributions never change and the restart predicate is stable.
+    Each lane draws its signs in blocks of rounds; a block of Philox draws
+    equals the same number of single draws.
     """
 
-    def __init__(self, tag: NormTag, p: float, beta: float, k_paths: int, rng: np.random.Generator, shape=()):
+    def __init__(self, tag: NormTag, p: float, beta: float, k_paths: int, rngs, shape=()):
         if k_paths < 100:
             raise ValueError(f"need at least 100 Monte Carlo paths, got {k_paths}")
-        super().__init__(tag, shape, paths=k_paths)
+        self.rngs = list(rngs)
+        super().__init__(tag, shape, paths=len(self.rngs) * k_paths)
         self.p = p
         self.beta = beta
-        self.rng = rng
+        self.k_paths = k_paths
+        self._signs = None  # (block, lanes, k_paths)
 
     def append(self, increment) -> None:
-        z = np.asarray(increment, dtype=float).reshape(self.shape)
-        signs = rademacher(self.rng, self.k).astype(float)
-        super().append(signs.reshape((self.k,) + (1,) * z.ndim) * z)
+        """Extend the paths of lane l by eps z_l; ``increment`` is one z of
+        ``shape`` for every lane or one per lane."""
+        z = np.asarray(increment, dtype=float).reshape(-1, 1, *self.shape)
+        j = self.n % _SIGN_BLOCK
+        if j == 0:
+            self._signs = np.stack([rademacher(rng, (_SIGN_BLOCK, self.k_paths)) for rng in self.rngs], axis=1)
+        signs = self._signs[j].reshape(len(self.rngs), self.k_paths, *(1,) * len(self.shape))
+        super().append((signs * z).reshape(self.k, *self.shape))
+
+    def restart_lane(self, lane: int, rng: np.random.Generator, z) -> None:
+        """Restart one lane as a fresh tracker on ``rng`` that is fed z: the
+        lane's newest append is redrawn from ``rng``, which then serves its
+        later rounds."""
+        self.rngs[lane] = rng
+        j = (self.n - 1) % _SIGN_BLOCK
+        self._signs[j:, lane] = rademacher(rng, (_SIGN_BLOCK - j, self.k_paths))
+        signs = self._signs[j, lane].reshape(self.k_paths, *(1,) * len(self.shape))
+        self.restart(slice(lane * self.k_paths, (lane + 1) * self.k_paths), signs * np.asarray(z, dtype=float))
+
+    @property
+    def values(self) -> np.ndarray:
+        """Each lane's estimate."""
+        return self.beta**self.p * np.mean(self.sups.reshape(len(self.rngs), self.k_paths) ** self.p, axis=1)
 
     @property
     def value(self) -> float:
-        return float(self.beta**self.p * np.mean(self.sups**self.p))
+        return float(self.values[0])
 
     @property
     def standard_error(self) -> float:
-        vals = self.beta**self.p * self.sups**self.p
-        return float(np.std(vals, ddof=1) / np.sqrt(self.k))
+        vals = self.beta**self.p * self.sups[: self.k_paths] ** self.p
+        return float(np.std(vals, ddof=1) / np.sqrt(self.k_paths))
 
 
 def phi_expected(increments, tag: NormTag, p: float, beta: float, k_paths: int = 500, seed: int = 0):
     """One-shot Monte Carlo (mean, standard error) of the expected-sign
     interval-sup functional over the given raw increments."""
     arr = np.asarray(increments, dtype=float)
-    tracker = ExpectedPhiTracker(tag, p, beta, k_paths, substream(seed, "phi-expected"), shape=arr.shape[1:])
+    tracker = ExpectedPhiTracker(tag, p, beta, k_paths, [substream(seed, "phi-expected")], shape=arr.shape[1:])
     for z in arr:
         tracker.append(z)
     return tracker.value, tracker.standard_error
@@ -109,13 +137,16 @@ class DoublingZigZag(ZigZagLearner):
     """Doubling-trick ZigZag learner with one lane per seed.
 
     Lane k draws its signs from ``substream(seed_k, "learner")`` across all
-    of its phases and keeps its own rate ``eta[k]``, complexity tracker and
-    phase log.  The last record of a lane's log is its open phase: index,
-    start, rate and threshold are set when it opens, the two Phi fields shift
-    as increments are folded in, and the end is set when it closes.  A phase
-    reset zeroes only that lane's sums, so every lane is bit-identical to a
-    one-seed run.  ``begin_round`` must be called with x_t before ``predict``
-    each round (the episode driver does this).
+    of its phases and keeps its own rate ``eta[k]`` and phase log.  The last
+    record of a lane's log is its open phase: index, start, rate and
+    threshold are set when it opens, and its end and two Phi fields when it
+    closes (while it is open, the Phi fields live in one array over the
+    lanes).  One complexity tracker serves every lane: realized mode tracks
+    one path per lane, expected mode ``mc_paths`` per lane, and a phase reset
+    restarts only that lane's paths and zeroes only its sums, so every lane
+    is bit-identical to a one-seed run.  A round runs per-lane Python only
+    for the lanes that cross.  ``begin_round`` must be called with x_t
+    before ``predict`` each round (the episode driver does this).
     """
 
     def __init__(self, spec, mode: str, seeds, eta0: float | None = None, mc_paths: int = 500):
@@ -125,59 +156,66 @@ class DoublingZigZag(ZigZagLearner):
         self.seeds = list(seeds)
         self.p_prime, _ = conjugate(spec.p)
         self.eta0 = float(eta0) if eta0 is not None else default_eta0(spec.p, spec.beta, mode)
-        self.mc_paths = mc_paths
         super().__init__(spec, np.full(len(self.seeds), self.eta_for(0)), [substream(seed, "learner") for seed in self.seeds])
         self.phase_log: list[list[PhaseRecord]] = [[] for _ in range(self.lanes)]
-        self._trackers = [None] * self.lanes
+        self._threshold = np.empty(self.lanes)
+        self._phi = np.zeros((2, self.lanes))  # the open phases' (phi_minus_last, phi_full)
+        if mode == "realized":
+            self.tracker = IntervalSupTracker(spec.tag, spec.point_shape, paths=self.lanes)
+        else:
+            rngs = [substream(seed, "phi-mc", 0) for seed in self.seeds]
+            self.tracker = ExpectedPhiTracker(spec.tag, spec.p, spec.beta, mc_paths, rngs, shape=spec.point_shape)
         for k in range(self.lanes):
             self._open_phase(k)
 
     def eta_for(self, i: int) -> float:
         return 2.0 ** (-i / (self.p_prime - 1.0)) * self.eta0
 
+    def _close_phase(self, k: int) -> PhaseRecord:
+        rec = self.phase_log[k][-1]
+        rec.end = self.t
+        rec.phi_minus_last, rec.phi_full = self._phi[:, k].tolist()
+        return rec
+
     def _open_phase(self, k: int) -> None:
         """Close lane k's open phase after round t and open its next phase
-        at round t + 1, with the next rate, zero sums and a fresh tracker."""
+        at round t + 1, with the next rate and zero sums; the caller
+        restarts the lane's tracker paths."""
         log = self.phase_log[k]
         if log:
-            log[-1].end = self.t
+            self._close_phase(k)
         index = len(log)
         self.eta[k] = eta = self.eta_for(index)
-        log.append(PhaseRecord(index, self.t + 1, self.t, eta, eta ** (-(self.p_prime - 1.0)), 0.0, 0.0))
+        self._threshold[k] = threshold = eta ** (-(self.p_prime - 1.0))
+        log.append(PhaseRecord(index, self.t + 1, self.t, eta, threshold, 0.0, 0.0))
+        self._phi[:, k] = 0.0
         self.S[k] = self.M[k] = 0.0
-        spec = self.spec
-        if self.mode == "realized":
-            self._trackers[k] = IntervalSupTracker(spec.tag, shape=spec.point_shape)
-        else:
-            rng = substream(self.seeds[k], "phi-mc", index)
-            self._trackers[k] = ExpectedPhiTracker(spec.tag, spec.p, spec.beta, self.mc_paths, rng, shape=spec.point_shape)
 
-    def _fold(self, k: int, increment) -> bool:
-        """Fold an increment into lane k's Phi and say whether eta Phi crosses
-        the open phase's threshold; in expected mode a crossing Phi is not
-        recorded, because its increment opens the next phase."""
-        tracker = self._trackers[k]
-        tracker.append(increment)
-        phi = tracker.value if self.mode == "expected" else self.spec.beta**self.spec.p * tracker.value**self.spec.p
-        rec = self.phase_log[k][-1]
-        crosses = rec.eta * phi > rec.threshold
-        if not (crosses and self.mode == "expected"):
-            rec.phi_minus_last, rec.phi_full = rec.phi_full, phi
+    def _fold(self, phi, lanes=slice(None)) -> np.ndarray:
+        """Take the lanes' new Phi and say where eta Phi crosses the open
+        phase's threshold; in expected mode a crossing Phi is not recorded,
+        because its increment opens the next phase."""
+        crosses = self.eta[lanes] * phi > self._threshold[lanes]
+        keep = ~crosses if self.mode == "expected" else True
+        self._phi[:, lanes] = np.where(keep, (self._phi[1, lanes], phi), self._phi[:, lanes])
         return crosses
 
     def begin_round(self, x) -> None:
-        """Expected mode only: fold the incoming x into each lane's phase
+        """Expected mode only: fold the incoming x into every lane's phase
         complexity and restart the lanes whose threshold is crossed (the
-        bursting x opens their new phase)."""
+        bursting x opens their new phase, on the new phase's signs)."""
         if self.mode != "expected":
             return
-        for k, x_k in enumerate(np.broadcast_to(self._instance(x), self.S.shape)):
-            restarts = 0
-            while self._fold(k, x_k):
-                if restarts >= MAX_RESTARTS_PER_ROUND:
-                    raise RuntimeError("doubling restart loop exceeded the safety cap")
+        xs = np.broadcast_to(self._instance(x), self.S.shape)
+        self.tracker.append(xs)
+        for k in np.flatnonzero(self._fold(self.tracker.values)):
+            for _ in range(MAX_RESTARTS_PER_ROUND):
                 self._open_phase(k)
-                restarts += 1
+                self.tracker.restart_lane(k, substream(self.seeds[k], "phi-mc", len(self.phase_log[k]) - 1), xs[k])
+                if not self._fold(self.tracker.values[[k]], [k])[0]:
+                    break
+            else:
+                raise RuntimeError("doubling restart loop exceeded the safety cap")
 
     def update(self, x, dloss) -> np.ndarray:
         """The ZigZag update; in realized mode each lane then absorbs its
@@ -186,16 +224,21 @@ class DoublingZigZag(ZigZagLearner):
         it) with the reset taking effect from the next round."""
         eps = super().update(x, dloss)
         if self.mode == "realized":
+            spec = self.spec
             xs = np.broadcast_to(self._instance(x), self.S.shape)
-            for k, signed in enumerate(eps * np.asarray(dloss, dtype=float)):
-                if self._fold(k, signed * xs[k]):
-                    self._open_phase(k)
+            signed = eps * np.asarray(dloss, dtype=float)
+            self.tracker.append(signed.reshape((-1,) + (1,) * len(spec.point_shape)) * xs)
+            # float_power calls the C library's pow, as Python's float ** does;
+            # np.power's vector kernel can round the last bit differently
+            crossing = np.flatnonzero(self._fold(spec.beta**spec.p * np.float_power(self.tracker.sups, spec.p)))
+            for k in crossing:
+                self._open_phase(k)
+            self.tracker.restart(crossing)
         return eps
 
     def finish(self) -> list[list[PhaseRecord]]:
         """Close every lane's open phase and return the K complete phase
         logs."""
-        for log in self.phase_log:
-            log[-1].end = self.t
-            log[-1].final = True
+        for k in range(self.lanes):
+            self._close_phase(k).final = True
         return self.phase_log

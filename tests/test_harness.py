@@ -199,6 +199,14 @@ BAD_NUMBERS = {
     "eta0-zero": ({"algorithm": "zigzag-doubling-realized", "eta0": 0.0}, "eta0 must be a finite number > 0"),
     "eta0-negative": ({"algorithm": "zigzag-doubling-expected", "eta0": -1}, "eta0 must be a finite number > 0"),
     "spectral-eta-zero": (dict(SPECTRAL, eta=0.0), "eta must be a finite number > 0"),
+    "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "whole number d >= 1, got d = 0"),
+    "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "whole number d >= 1, got d = 2.5"),
+    "adaptive-gd-d-zero": ({"algorithm": "adaptive-gd", "d": 0}, "whole number d >= 1, got d = 0"),
+    "rank-zero": ({"adversary": {"kind": "low-rank-stream", "rank": 0}}, "whole number rank >= 1, got rank = 0"),
+    "rank-negative": ({"adversary": {"kind": "low-rank-stream", "rank": -1}}, "whole number rank >= 1, got rank = -1"),
+    "n-fraction": ({"n": 2.7}, "whole number of n >= 1 rounds, got n = 2.7"),
+    "n-text": ({"n": "abc"}, "whole number of n >= 1 rounds, got n = 'abc'"),
+    "spectral-n-fraction": (dict(SPECTRAL, n=2.7), "n >= 1 and tau > 0"),
 }
 
 

@@ -16,15 +16,6 @@ from zigzag.linalg import (
 from zigzag.rng import substream
 
 
-def brute_interval_sup(prefixes, tag):
-    arr = np.asarray(prefixes, dtype=float)
-    best = 0.0
-    for a in range(arr.shape[0]):
-        for b in range(a, arr.shape[0]):
-            best = max(best, tag.norm(arr[b] - arr[a]))
-    return best
-
-
 def test_conjugate_values():
     assert conjugate(2.0) == (2.0, 2.0)
     p_prime, p_star = conjugate(3.0)
@@ -192,15 +183,68 @@ def test_interval_tracker_rejects_increment_shape():
     assert tracker.value == pytest.approx(np.sqrt(3.0)) and tracker.n == 1
 
 
-@pytest.mark.parametrize("tag", [LpTag(2.0), LpTag(3.0), SupTag()])
-def test_interval_tracker_matches_brute_force(tag):
-    rng = substream(3, "tracker", tag.name)
-    for trial in range(5):
-        n = int(rng.integers(1, 51))
-        incs = rng.normal(size=(n, 3))
-        prefixes = np.vstack([np.zeros(3), np.cumsum(incs, axis=0)])
-        tracker = IntervalSupTracker(tag, shape=(3,))
-        for inc in incs:
-            tracker.append(inc)
-        expected = brute_interval_sup(prefixes, tag)
-        assert tracker.value == expected  # identical arithmetic, no tolerance
+TRACKER_TAGS = {
+    "l2": (LpTag(2.0), (3,)),
+    "l3": (LpTag(3.0), (3,)),
+    "gram": (GramTag(np.eye(4) + 0.3), (4,)),
+    "sup": (SupTag(), (3,)),
+    "one": (OneTag(), (3,)),
+    "group-p2": (GroupP2Tag(3.0), (3, 2)),
+}
+
+
+def brute_sups(increments, tag):
+    """Every path's interval sup by the O(n^2) scan: the norm of every
+    P_b - P_a with a <= b, prefixes accumulated in order as the tracker does."""
+    n, paths, *shape = increments.shape
+    prefixes = np.concatenate([np.zeros((1, paths, *shape)), np.cumsum(increments, axis=0)])
+    diffs = prefixes[:, np.newaxis] - prefixes[np.newaxis]  # [b, a]
+    norms = tag.norm_batch(diffs.reshape(-1, *shape)).reshape(n + 1, n + 1, paths)
+    return np.where(np.tril(np.ones((n + 1, n + 1), bool))[..., np.newaxis], norms, 0.0).max(axis=(0, 1))
+
+
+def fed(tag, shape, increments):
+    tracker = IntervalSupTracker(tag, shape=shape, paths=increments.shape[1])
+    for inc in increments:
+        tracker.append(inc)
+    return tracker
+
+
+@pytest.mark.parametrize("paths", [1, 7])
+@pytest.mark.parametrize("tag, shape", TRACKER_TAGS.values(), ids=TRACKER_TAGS.keys())
+def test_interval_tracker_matches_brute_force(tag, shape, paths):
+    # the pruned tracker measures only some prefixes, yet every sup is the
+    # scan's maximum bit for bit: no tolerance
+    rng = substream(3, "tracker", tag.name, paths)
+    for n in (1, 2, 17, 60):
+        incs = rng.normal(size=(n, paths, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1) + (1,) * len(shape))
+        assert np.array_equal(fed(tag, shape, incs).sups, brute_sups(incs, tag))
+    assert fed(tag, shape, incs[:, 0][:, np.newaxis]).value == brute_sups(incs[:, :1], tag)[0]
+
+
+@pytest.mark.parametrize("tag, shape", TRACKER_TAGS.values(), ids=TRACKER_TAGS.keys())
+def test_restarted_paths_equal_fresh_trackers(tag, shape):
+    # paths 1 and 4 restart after round 10; every path restarts after round
+    # 20, taking a redrawn round-20 increment, so later appends drop the rows
+    # no path reads; each path must equal a fresh tracker fed its suffix
+    rng = substream(4, "tracker-restart", tag.name)
+    incs = rng.normal(size=(60, 7, *shape))
+    redrawn = -incs[19]
+    tracker = fed(tag, shape, incs[:10])
+    tracker.restart(np.array([1, 4]))
+    for inc in incs[10:20]:
+        tracker.append(inc)
+    tracker.restart(slice(None), redrawn)
+    for inc in incs[20:]:
+        tracker.append(inc)
+    suffix = np.concatenate([redrawn[np.newaxis], incs[20:]])
+    assert np.array_equal(tracker.sups, fed(tag, shape, suffix).sups)
+    assert tracker.n == 60
+    # paths 1 and 4 alone, restarted after round 10 only
+    tracker = fed(tag, shape, incs[:10])
+    tracker.restart(np.array([1, 4]))
+    for inc in incs[10:]:
+        tracker.append(inc)
+    want = brute_sups(incs, tag)
+    want[[1, 4]] = fed(tag, shape, incs[10:, [1, 4]]).sups
+    assert np.array_equal(tracker.sups, want)
