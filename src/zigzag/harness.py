@@ -9,9 +9,9 @@ exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
 In doubling configs each lane keeps its own phase schedule.  A config that
-cannot run (a missing key, a spec that cannot be built, a size or rank that
-is not a whole number >= 1, a bad number, a fixed-file stream too short for
-n rounds) raises ``ConfigError`` before any adversary or learner is built.
+cannot run (a missing or unknown key, a spec that cannot be built, a bad number,
+size, rank or seed list, a fixed-file stream too short for n rounds) raises
+``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pathlib
 import numpy as np
 
 from .burkholder import make_spec
-from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
+from .learner import CERT_GRID, ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import rad_estimate, rad_exact
@@ -54,6 +54,9 @@ __all__ = [
 ALGORITHMS = ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected", "adaptive-gd", "spectral")
 ADVERSARY_KINDS = ("iid-gaussian", "iid-rademacher-coords", "sign-flip", "low-rank-stream", "fixed-file")
 ENTRY_DISTRIBUTIONS = ("uniform", "row-spiky")
+CONFIG_KEYS = ("algorithm", "spec", "loss", "adversary", "n", "seeds", "eta", "eta0", "certify", "fw_iters",
+               "rad_samples", "mc_paths", "d", "r", "tau", "net_size", "entry_distribution", "out_dir")
+ADVERSARY_KEYS = ("kind", "base", "normalize", "rank", "path", "xs", "ys")
 
 SUMMARY_KEYS = (
     "config",
@@ -252,14 +255,14 @@ def rad_exact_scalar(xs) -> float:
     return rad_exact(np.asarray(xs, dtype=float).reshape(-1, 1), LpTag(2.0))
 
 
-def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
+def brute_force_minimax(xs, loss_name: str) -> float:
     """Exact minimax regret of the fixed-sequence game by backward induction.
 
-    The learner picks yhat from a grid on [-1, 1], the adversary answers with
-    y in {-1, +1}, and the terminal comparator inf over |w| <= 1 of the
-    cumulative loss has a closed form because |x_t| <= 1 makes hinge and
-    absolute losses linear in w y over the reachable range.  The induction
-    runs over arrays of all 2^t label paths per level: O(grid_size * 2^n).
+    The learner picks yhat from a 41-point grid on [-1, 1], the adversary
+    answers with y in {-1, +1}, and the terminal comparator inf over |w| <= 1
+    of the cumulative loss has a closed form because |x_t| <= 1 makes hinge
+    and absolute losses linear in w y over the reachable range.  The induction
+    runs over arrays of all 2^t label paths per level: O(41 * 2^n).
     """
     xs = [float(x) for x in xs]
     n = len(xs)
@@ -269,7 +272,7 @@ def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
         raise ValueError("instances must lie in [-1, 1]")
     if loss_name not in ("hinge", "absolute", "linear"):
         raise ValueError(f"unsupported loss {loss_name!r}")
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, 41)
     offset = float(n) if loss_name in ("hinge", "absolute") else 0.0
     labels = np.array([-1.0, 1.0])
     # sum_t x_t y_t of the 2^n label paths; path i has children 2i and 2i+1
@@ -294,6 +297,7 @@ def brute_force_minimax(xs, loss_name: str, grid_size: int = 41) -> float:
 def _check_config(config: dict):
     """Reject what cannot run; return the config's Burkholder spec (None for
     adaptive-gd and spectral configs)."""
+    _check_keys(config, CONFIG_KEYS, "config")
     algorithm = config.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -301,16 +305,22 @@ def _check_config(config: dict):
     if loss_name not in LOSSES:
         raise ConfigError(f"unknown loss {loss_name!r}")
     for key in ("eta", "eta0"):  # absent or null: the default rate
-        if config.get(key) is not None and not 0 < float(config[key]) < math.inf:
+        if config.get(key) is not None and not (_is_number(config[key]) and config[key] > 0):
             raise ConfigError(f"{key} must be a finite number > 0, got {config[key]!r}")
     for key, low in {"fw_iters": 0, "rad_samples": 100, "mc_paths": 100}.items():
-        if key in config and not float(config[key]) >= low:
-            raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}")
+        if key in config and not _is_count(config[key], low):
+            raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}; it takes a whole number")
+    seeds = config.get("seeds", [])
+    integers = isinstance(seeds, (list, tuple)) and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds)
+    if not integers or len(set(seeds)) < len(seeds):  # a seed names its cell's output file
+        raise ConfigError(f"seeds must be a list of distinct integers, got {seeds!r}")
+    if not isinstance(config.get("certify", False), bool):
+        raise ConfigError(f"certify must be true or false, got {config['certify']!r}")
     if algorithm == "spectral":
         _require(config, ("d", "r", "n", "tau"), "a spectral config")
         sizes = {key: config[key] for key in ("d", "r", "n")}
         sizes["net_size"] = config.get("net_size", 500)
-        if not all(map(_is_count, sizes.values())) or not float(config["tau"]) > 0:
+        if not all(map(_is_count, sizes.values())) or not (_is_number(config["tau"]) and config["tau"] > 0):
             raise ConfigError(f"a spectral run needs net_size, d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
         stream = config.get("entry_distribution", "uniform")
         if stream not in ENTRY_DISTRIBUTIONS:
@@ -322,7 +332,10 @@ def _check_config(config: dict):
     if algorithm == "adaptive-gd" and not _is_count(config["d"]):
         raise ConfigError(f"algorithm 'adaptive-gd' needs a whole number d >= 1, got d = {config['d']!r}")
     adversary = config["adversary"]
+    _check_keys(adversary, ADVERSARY_KEYS, "adversary")
     _require(adversary, ("kind",), "an adversary")
+    if not isinstance(adversary.get("normalize", True), bool):
+        raise ConfigError(f"adversary.normalize must be true or false, got {adversary['normalize']!r}")
     kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
     for kind in kinds:
         if kind not in ADVERSARY_KINDS:
@@ -333,6 +346,8 @@ def _check_config(config: dict):
             raise ConfigError(f"a low-rank-stream adversary needs a whole number rank >= 1, got rank = {adversary['rank']!r}")
     if algorithm == "adaptive-gd" and config.get("certify"):
         raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
+    if algorithm != "adaptive-gd" and not isinstance(config["spec"], dict):
+        raise ConfigError(f"spec must be a JSON object, got {config['spec']!r}")
     if algorithm != "adaptive-gd" and "d" in config["spec"] and not _is_count(config["spec"]["d"]):
         raise ConfigError(f"spec {config['spec']!r} needs a whole number d >= 1, got d = {config['spec']['d']!r}")
     try:
@@ -351,10 +366,24 @@ def _check_config(config: dict):
     return spec
 
 
-def _is_count(value) -> bool:
-    """Whether a config value is a whole number >= 1: 3 and 3.0 are, 2.7,
-    "abc" and True are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer() and value >= 1
+def _is_number(value, whole: bool = False) -> bool:
+    """Whether a config value is a finite number, and a whole one (3 or 3.0) if ``whole``; "3" and True are not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (isinstance(value, numbers.Integral) or (math.isfinite(value) and (not whole or float(value).is_integer())))
+
+
+def _is_count(value, low: int = 1) -> bool:
+    """Whether a config value is a whole number >= ``low``."""
+    return _is_number(value, whole=True) and value >= low
+
+
+def _check_keys(cfg, known: tuple, what: str):
+    """Reject a ``what`` that is not a JSON object or has a key the program does not read."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {cfg!r}")
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; {what} keys are {', '.join(known)}")
 
 
 def _require(cfg: dict, keys: tuple, what: str):
@@ -400,7 +429,7 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     loss_name = config.get("loss", "hinge")
     n = int(config["n"])
     tag, shape = (LpTag(2.0), (int(config["d"]),)) if spec is None else (spec.tag, spec.point_shape)
-    cert_grid = np.linspace(-1, 1, 41) if config.get("certify") else None
+    cert_grid = CERT_GRID if config.get("certify") else None
     adversary = make_adversary(config["adversary"], shape, tag, seeds)
     learner = _build_learner(config, spec, seeds)
     trace = run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)

@@ -60,11 +60,14 @@ __all__ = [
     "lane_instances",
     "validate_labels",
     "TRACE_COLUMNS",
+    "CERT_GRID",
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
 _SIGMAS = np.array([[1.0, -1.0]])
 _SIGN_BLOCK = 256  # signs each lane draws at a time
+CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
+CERT_GRID.flags.writeable = False
 
 
 @dataclass
@@ -136,9 +139,7 @@ class ZigZagLearner:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in
         every lane; ``yhat`` broadcasts to the K lanes."""
         xs = self._instance(x)
-        if grid is None:
-            grid = np.linspace(-1.0, 1.0, 41)
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(CERT_GRID if grid is None else grid, dtype=float)
         if yhat is None:
             yhat = self.predict(x)
         scale = np.reshape(self.eta / self.spec.p, (-1, 1))

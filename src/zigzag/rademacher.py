@@ -116,37 +116,16 @@ class DyadicTree:
         return signs, self.path_values(signs)
 
 
-def _se(samples: np.ndarray) -> float:
-    if samples.size < 2:
-        return 0.0
-    return float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+def _mean_se(samples: np.ndarray, exact: bool = False) -> tuple[float, float]:
+    """Mean and standard error of ``samples``; an exact average has SE 0."""
+    if exact or samples.size < 2:
+        return float(samples.mean()), 0.0
+    return float(samples.mean()), float(np.std(samples, ddof=1) / np.sqrt(samples.size))
 
 
-def rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo (mean, SE) of ||sum_t eps_t z_t|| over k sign draws."""
-    zs = np.asarray(zs, dtype=float)
-    if zs.shape[0] == 0:
-        return 0.0, 0.0
-    if k_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {k_samples}")
-    rng = substream(seed, "rad")
-    signs = rademacher(rng, (k_samples, zs.shape[0])).astype(float)
-    sums = np.tensordot(signs, zs, axes=(1, 0))
-    norms = tag.norm_batch(sums)
-    return float(norms.mean()), _se(norms)
-
-
-def rad_exact(zs, tag: NormTag) -> float:
-    """Exact E_eps ||sum eps_t z_t|| by enumerating all 2^n sign patterns."""
-    zs = np.asarray(zs, dtype=float)
-    n = zs.shape[0]
-    if n == 0:
-        return 0.0
-    if n > 20:
-        raise ValueError("enumeration limited to n <= 20")
-    signs = _all_signs(n)
-    sums = np.tensordot(signs, zs, axes=(1, 0))
-    return float(tag.norm_batch(sums).mean())
+def _sum_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:
+    """Per sign row, ||sum_t eps_t z_t||."""
+    return tag.norm_batch(np.tensordot(signs, zs, axes=(1, 0)))
 
 
 def _prefix_max_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -161,29 +140,55 @@ def _prefix_max_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.nda
     return best
 
 
-def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo (mean, SE) of max over prefixes tau of
-    ||sum_{t<=tau} eps_t z_t||."""
+def _estimate(statistic, scope: str, zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo (mean, SE) of ``statistic(signs, zs, tag)`` over k sign
+    rows drawn from the ``scope`` substream of ``seed``."""
     zs = np.asarray(zs, dtype=float)
     if zs.shape[0] == 0:
         return 0.0, 0.0
     if k_samples < 100:
         raise ValueError(f"need at least 100 samples, got {k_samples}")
-    rng = substream(seed, "maximal-rad")
-    signs = rademacher(rng, (k_samples, zs.shape[0])).astype(float)
-    maxima = _prefix_max_norms(signs, zs, tag)
-    return float(maxima.mean()), _se(maxima)
+    signs = rademacher(substream(seed, scope), (k_samples, zs.shape[0])).astype(float)
+    return _mean_se(statistic(signs, zs, tag))
+
+
+def _exact(statistic, zs, tag: NormTag) -> float:
+    """Exact mean of ``statistic(signs, zs, tag)`` over all 2^n sign rows."""
+    zs = np.asarray(zs, dtype=float)
+    if zs.shape[0] == 0:
+        return 0.0
+    if zs.shape[0] > 20:
+        raise ValueError("enumeration limited to n <= 20")
+    return float(statistic(_all_signs(zs.shape[0]), zs, tag).mean())
+
+
+def rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo (mean, SE) of ||sum_t eps_t z_t|| over k sign draws."""
+    return _estimate(_sum_norms, "rad", zs, tag, k_samples, seed)
+
+
+def rad_exact(zs, tag: NormTag) -> float:
+    """Exact E_eps ||sum eps_t z_t|| by enumerating all 2^n sign patterns."""
+    return _exact(_sum_norms, zs, tag)
+
+
+def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo (mean, SE) of max over prefixes tau of
+    ||sum_{t<=tau} eps_t z_t||."""
+    return _estimate(_prefix_max_norms, "maximal-rad", zs, tag, k_samples, seed)
 
 
 def maximal_rad_exact(zs, tag: NormTag) -> float:
-    zs = np.asarray(zs, dtype=float)
-    n = zs.shape[0]
-    if n == 0:
-        return 0.0
-    if n > 20:
-        raise ValueError("enumeration limited to n <= 20")
-    signs = _all_signs(n)
-    return float(_prefix_max_norms(signs, zs, tag).mean())
+    """Exact E_eps max over prefixes tau of ||sum_{t<=tau} eps_t z_t||."""
+    return _exact(_prefix_max_norms, zs, tag)
+
+
+def _path_terms(tree: DyadicTree, rng: np.random.Generator | None, k_samples: int) -> np.ndarray:
+    """The terms eps_t x_t(eps_{1:t-1}) of shape (paths, depth, dim): on all
+    2^depth sign paths when ``rng`` is None, else on ``k_samples`` paths
+    drawn from ``rng``."""
+    signs = _all_signs(tree.depth) if rng is None else rademacher(rng, (k_samples, tree.depth))
+    return signs[:, :, np.newaxis] * tree.path_values(signs)
 
 
 def umd_reference_constant(tag: NormTag, p: float, dim: int) -> dict:
@@ -228,40 +233,29 @@ def umd_check(
     n = tree.depth
     if exact is None:
         exact = n <= 12
-    if exact:
-        signs, values = tree.enumerate_paths()
-    else:
-        rng = substream(seed, "umd-paths")
-        signs = rademacher(rng, (k_samples, n))
-        values = tree.path_values(signs)
+    terms = _path_terms(tree, None if exact else substream(seed, "umd-paths"), k_samples)
 
     rng_pat = substream(seed, "umd-patterns")
     patterns = [np.ones(n), np.array([(-1.0) ** t for t in range(n)])]
     patterns += [rademacher(rng_pat, n).astype(float) for _ in range(n_patterns)]
 
-    terms = signs[:, :, np.newaxis] * values  # (paths, n, dim)
-
     def moment(pattern):
         sums = (terms * pattern[np.newaxis, :, np.newaxis]).sum(axis=1)
-        vals = tag.norm_batch(sums) ** p
-        return float(vals.mean()), 0.0 if exact else _se(vals)
+        return _mean_se(tag.norm_batch(sums) ** p, exact)
 
     rhs_mean, rhs_se = moment(np.ones(n))
     if rhs_mean == 0.0:
         raise ValueError("degenerate tree: the base martingale is identically zero")
     rows = []
-    best = 0.0
     for pat in patterns:
         lhs_mean, lhs_se = moment(pat)
-        ratio = lhs_mean / rhs_mean
-        best = max(best, ratio)
-        rows.append((pat.astype(int).tolist(), lhs_mean, lhs_se, ratio))
+        rows.append((pat.astype(int).tolist(), lhs_mean, lhs_se, lhs_mean / rhs_mean))
     return UMDReport(
         p=p,
         rhs_mean=rhs_mean,
         rhs_se=rhs_se,
         patterns=rows,
-        max_ratio_root=best ** (1.0 / p),
+        max_ratio_root=max(row[3] for row in rows) ** (1.0 / p),
         reference=umd_reference_constant(tag, p, tree.dim),
         exact=exact,
     )
@@ -300,24 +294,12 @@ def hitczenko_check(
     n = tree.depth
     if exact is None:
         exact = n <= 8
-    if exact:
-        signs, values = tree.enumerate_paths()
-        terms = (signs[:, :, np.newaxis] * values).squeeze(-1)  # (2^n, n)
-        lhs_samples = np.abs(terms.sum(axis=1)) ** p
-        fresh = _all_signs(n)
-        decoupled = np.abs(fresh @ terms.T) ** p  # (eps', eps)
-        lhs_mean, lhs_se = float(lhs_samples.mean()), 0.0
-        rhs_mean, rhs_se = float(decoupled.mean()), 0.0
-    else:
-        rng = substream(seed, "decoupling")
-        signs = rademacher(rng, (k_samples, n))
-        values = tree.path_values(signs)
-        terms = (signs[:, :, np.newaxis] * values).squeeze(-1)
-        lhs_samples = np.abs(terms.sum(axis=1)) ** p
-        fresh = rademacher(rng, (k_samples, n)).astype(float)
-        rhs_samples = np.abs((fresh * terms).sum(axis=1)) ** p
-        lhs_mean, lhs_se = float(lhs_samples.mean()), _se(lhs_samples)
-        rhs_mean, rhs_se = float(rhs_samples.mean()), _se(rhs_samples)
+    rng = None if exact else substream(seed, "decoupling")
+    terms = _path_terms(tree, rng, k_samples)[..., 0]  # (paths, n)
+    lhs_mean, lhs_se = _mean_se(np.abs(terms.sum(axis=1)) ** p, exact)
+    # exact: every (eps', eps) pair; Monte Carlo: one fresh eps' per path
+    decoupled = _all_signs(n) @ terms.T if exact else (rademacher(rng, (k_samples, n)).astype(float) * terms).sum(axis=1)
+    rhs_mean, rhs_se = _mean_se(np.abs(decoupled) ** p, exact)
     constant = (lhs_mean / rhs_mean) ** (1.0 / p) if rhs_mean > 0 else float("inf")
     return DecouplingReport(
         p=p,

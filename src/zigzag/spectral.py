@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .learner import CERT_GRID
 from .losses import dloss_batch, loss_batch
 from .rng import rademacher, substream
 
@@ -119,17 +120,9 @@ def mw_step(log_weights: np.ndarray, loss_vec: np.ndarray, gamma: float) -> np.n
 
 
 def entry_stats(entries) -> tuple[int, int]:
-    """Max visit counts over rows and over columns."""
-    rows = {}
-    cols = {}
-    for i, j in entries:
-        rows[i] = rows.get(i, 0) + 1
-        cols[j] = cols.get(j, 0) + 1
-    return (max(rows.values(), default=0), max(cols.values(), default=0))
-
-
-_GRID = np.linspace(-1.0, 1.0, 41)
-_GRID.flags.writeable = False
+    """Max visit counts over rows and over columns of (i, j) entries."""
+    ij = np.asarray(entries, dtype=int).reshape(-1, 2)
+    return int(np.bincount(ij[:, 0], minlength=1).max()), int(np.bincount(ij[:, 1], minlength=1).max())
 
 
 class SpectralZigZag:
@@ -175,7 +168,7 @@ class SpectralZigZag:
         self.cum_mw_loss = np.zeros(self.m)
         self._choice_rng = substream(seed, "mw-choice")
         self._sign_rng = substream(seed, "signs")
-        self._terms = np.empty((3, r, self.m, _GRID.size))  # certificate scratch
+        self._terms = np.empty((3, r, self.m, CERT_GRID.size))  # certificate scratch
         self.t = 0
 
     @property
@@ -201,7 +194,7 @@ class SpectralZigZag:
         # in place in the rank-0 slices
         terms = self._terms
         s_new, m_plus, m_minus = terms
-        np.multiply(_GRID, vj, out=m_minus)
+        np.multiply(CERT_GRID, vj, out=m_minus)
         np.add(s_row, m_minus, out=s_new)
         np.add(m_row, m_minus, out=m_plus)
         np.subtract(m_row, m_minus, out=m_minus)
@@ -216,7 +209,7 @@ class SpectralZigZag:
         m_norm2 += m_tot[:, np.newaxis] - np.sum(m_row**2, axis=0)
         s_norm2 -= m_norm2
         s_norm2 *= self.coef
-        lhs = np.multiply(f[:, np.newaxis], _GRID, out=m_minus2)
+        lhs = np.multiply(f[:, np.newaxis], CERT_GRID, out=m_minus2)
         lhs += s_norm2
         slack = np.subtract(rhs[:, np.newaxis], lhs, out=lhs)
         return float(slack.min()), int(np.sum(slack < -tol))
@@ -255,24 +248,23 @@ def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None
     if kind == "explicit":
         if entries is None:
             raise ValueError("explicit stream needs entries")
-        return [(int(i), int(j), float(y)) for i, j, y in entries]
+        stream = [(int(i), int(j), float(y)) for i, j, y in entries]
+        if not all(0 <= i < d and 0 <= j < d for i, j, _ in stream):
+            raise ValueError(f"explicit entries must index a {d} x {d} matrix")
+        return stream
     rng = substream(seed, "entry-stream", kind)
     u = rng.normal(size=(d, r))
     v = rng.normal(size=(d, r))
     planted = u @ v.T
-    out = []
-    for _ in range(n):
-        if kind == "uniform":
-            i = int(rng.integers(0, d))
-            j = int(rng.integers(0, d))
-        elif kind == "row-spiky":
-            i = 0
-            j = int(rng.integers(0, d))
-        else:
-            raise ValueError(f"unknown stream kind {kind!r}")
-        y = 1.0 if planted[i, j] >= 0.0 else -1.0
-        out.append((i, j, y))
-    return out
+    # a batch draw gives the values of drawing i, j, i, j, ... one at a time
+    if kind == "uniform":
+        ij = rng.integers(0, d, size=(n, 2))
+    elif kind == "row-spiky":
+        ij = np.stack([np.zeros(n, dtype=int), rng.integers(0, d, size=n)], axis=1)
+    else:
+        raise ValueError(f"unknown stream kind {kind!r}")
+    ys = np.where(planted[ij[:, 0], ij[:, 1]] >= 0.0, 1.0, -1.0)
+    return [(i, j, y) for (i, j), y in zip(ij.tolist(), ys.tolist())]
 
 
 def _project_trace_ball(f: np.ndarray, tau: float, r: int) -> np.ndarray:
@@ -306,23 +298,18 @@ def trace_norm_comparator(
     entries = np.array([(i, j) for i, j, _ in stream], dtype=int)
     ys = np.array([y for _, _, y in stream])
     f = np.zeros((d, d))
-    best_loss = float("inf")
-    best_f = f.copy()
-    for k in range(1, iters + 1):
+    best_loss, best_f = float("inf"), f
+    for k in range(iters + 1):
         preds = f[entries[:, 0], entries[:, 1]]
         total = float(loss_batch(loss_name, preds, ys).sum())
         if total < best_loss:
-            best_loss = total
-            best_f = f.copy()
-        grads = dloss_batch(loss_name, preds, ys)
+            best_loss, best_f = total, f
+        if k == iters:
+            break
         g = np.zeros((d, d))
-        np.add.at(g, (entries[:, 0], entries[:, 1]), grads)
-        f = _project_trace_ball(f - (0.5 / math.sqrt(k)) * g, tau, r)
-    preds = f[entries[:, 0], entries[:, 1]]
-    total = float(loss_batch(loss_name, preds, ys).sum())
-    if total < best_loss:
-        best_loss = total
-        best_f = f.copy()
+        np.add.at(g, (entries[:, 0], entries[:, 1]), dloss_batch(loss_name, preds, ys))
+        # every step makes a new f, so best_f is never written through
+        f = _project_trace_ball(f - (0.5 / math.sqrt(k + 1)) * g, tau, r)
     return best_loss, best_f
 
 
@@ -378,14 +365,13 @@ def run_spectral(
     comparator_loss, comparator_f = trace_norm_comparator(stream, d, r, tau, loss_name)
     comparator = min(comparator_loss, best_expert)
     regret = total - comparator
-    n_row, n_col = entry_stats([(i, j) for i, j, _ in stream])
+    ij = np.array([(i, j) for i, j, _ in stream], dtype=int)
+    n_row, n_col = entry_stats(ij)
     denom = math.sqrt(r) * d * math.sqrt(max(n_row, n_col, 1))
 
     # average regret rate against the final comparator matrix at the halfway
     # point and at the end (the sublinearity witness)
-    entries_arr = np.array([(i, j) for i, j, _ in stream], dtype=int)
-    ys_arr = np.array([y for _, _, y in stream])
-    comp_losses = loss_batch(loss_name, comparator_f[entries_arr[:, 0], entries_arr[:, 1]], ys_arr)
+    comp_losses = loss_batch(loss_name, comparator_f[ij[:, 0], ij[:, 1]], np.array([y for *_, y in stream]))
     learner_losses = np.array([row[5] for row in rows])
     cum_regret = np.cumsum(learner_losses - comp_losses)
     half = max(1, len(stream) // 2)

@@ -160,6 +160,9 @@ SPECTRAL = {"algorithm": "spectral", "d": 3, "r": 1, "tau": 3.0, "n": 30, "net_s
         (dict(SPECTRAL, entry_distribution="explicit"), "unknown entry_distribution 'explicit'"),
         (dict(SPECTRAL, net_size=0), "net_size, d, r, n >= 1"),
         ({"n": 0}, "n >= 1 rounds, got n = 0"),
+        ({"etaa": 0.5}, "unknown config key 'etaa'"),
+        ({"adversary": {"kind": "low-rank-stream", "rnak": 2}}, "unknown adversary key 'rnak'"),
+        (dict(SPECTRAL, net_sise=40), "unknown config key 'net_sise'"),
     ],
 )
 def test_unknown_names_are_rejected_before_any_adversary_or_learner(change, message, monkeypatch):
@@ -207,6 +210,22 @@ BAD_NUMBERS = {
     "n-fraction": ({"n": 2.7}, "whole number of n >= 1 rounds, got n = 2.7"),
     "n-text": ({"n": "abc"}, "whole number of n >= 1 rounds, got n = 'abc'"),
     "spectral-n-fraction": (dict(SPECTRAL, n=2.7), "n >= 1 and tau > 0"),
+    "eta-text": ({"eta": "abc"}, "eta must be a finite number > 0, got 'abc'"),
+    "eta-bool": ({"eta": True}, "eta must be a finite number > 0, got True"),
+    "eta0-text": ({"algorithm": "zigzag-doubling-realized", "eta0": "abc"}, "eta0 must be a finite number > 0, got 'abc'"),
+    "fw-iters-text": ({"fw_iters": "abc"}, "fw_iters must be at least 0, got 'abc'"),
+    "fw-iters-inf": ({"fw_iters": math.inf}, "fw_iters must be at least 0, got inf"),
+    "fw-iters-fraction": ({"fw_iters": 2.5}, "fw_iters must be at least 0, got 2.5; it takes a whole number"),
+    "rad-samples-inf": ({"rad_samples": math.inf}, "rad_samples must be at least 100, got inf"),
+    "rad-samples-fraction": ({"rad_samples": 150.7}, "rad_samples must be at least 100, got 150.7; it takes a whole number"),
+    "mc-paths-fraction": ({"algorithm": "zigzag-doubling-expected", "mc_paths": 150.5}, "mc_paths must be at least 100, got 150.5"),
+    "spectral-tau-text": (dict(SPECTRAL, tau="x"), "n >= 1 and tau > 0, got .*tau='x'"),
+    "spectral-eta-text": (dict(SPECTRAL, eta="x"), "eta must be a finite number > 0, got 'x'"),
+    "seeds-fraction": ({"seeds": [0.5]}, r"seeds must be a list of distinct integers, got \[0.5\]"),
+    "seeds-repeated": ({"seeds": [0, 0]}, r"seeds must be a list of distinct integers, got \[0, 0\]"),
+    "seeds-text": ({"seeds": "ab"}, "seeds must be a list of distinct integers, got 'ab'"),
+    "seeds-number": ({"seeds": 3}, "seeds must be a list of distinct integers, got 3"),
+    "spectral-seeds-repeated": (dict(SPECTRAL, seeds=[1, 1]), "seeds must be a list of distinct integers"),
 }
 
 
@@ -227,6 +246,10 @@ MISSING_OR_UNBUILDABLE = {
     "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "a spectral config needs 'tau'"),
     "construction-lp": ({"spec": {"construction": "lp", "p": 3.0, "d": 4}}, "unknown construction 'lp'"),
     "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
+    "spec-text": ({"spec": "lp"}, "spec must be a JSON object, got 'lp'"),
+    "adversary-text": ({"adversary": "sign-flip"}, "adversary must be a JSON object, got 'sign-flip'"),
+    "certify-text": ({"certify": "false"}, "certify must be true or false, got 'false'"),
+    "normalize-text": ({"adversary": {"kind": "iid-gaussian", "normalize": "false"}}, "adversary.normalize must be true or false, got 'false'"),
 }
 
 
@@ -277,37 +300,58 @@ def test_fixed_file_faults_are_rejected_before_the_first_round(data, message, mo
         run_experiment(config)
 
 
-def test_every_construction_runs_or_is_rejected_before_any_round():
-    specs = [
-        {"construction": "scalar-p", "p": 3.0},
-        {"construction": "lp-sum", "p": 3.0, "d": 4},
-        {"construction": "hilbert", "p": 2.5, "d": 4},
-        {"construction": "weighted-l2", "weight": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
-        {"construction": "group-p2", "p": 3.0, "d": 3},
-        {"construction": "even-power", "k": 4},
-        {"construction": "l1-weak", "a": 10.0, "d": 3},
-        {"construction": "l1-composed", "a": 10.0, "d": 3, "B": 2.0, "eps": 0.5},
+CONSTRUCTIONS = [
+    {"construction": "scalar-p", "p": 3.0},
+    {"construction": "lp-sum", "p": 3.0, "d": 4},
+    {"construction": "hilbert", "p": 2.5, "d": 4},
+    {"construction": "hilbert", "p": 2.0, "gram": [[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 1.5]]},
+    {"construction": "weighted-l2", "weight": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
+    {"construction": "group-p2", "p": 3.0, "d": 3},
+    {"construction": "even-power", "k": 4},
+    {"construction": "l1-weak", "a": 10.0, "d": 3},
+    {"construction": "l1-composed", "a": 10.0, "d": 3, "B": 2.0, "eps": 0.5},
+]
+CROSS_ALGORITHMS = [(algorithm, spec) for spec in CONSTRUCTIONS for algorithm in ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected")]
+CROSS_ALGORITHMS.append(("adaptive-gd", None))
+
+
+@pytest.mark.parametrize(
+    "algorithm, spec",
+    CROSS_ALGORITHMS,
+    ids=[f"{algorithm}-{spec['construction'] + '-gram' * ('gram' in spec) if spec else 'gd'}" for algorithm, spec in CROSS_ALGORITHMS],
+)
+def test_documented_cross_product_runs_or_is_rejected_before_any_round(algorithm, spec):
+    """Every documented construction x algorithm x adversary kind x loss x
+    certify either runs to the fixed summary schema or raises ConfigError
+    before any round, and exactly the three constructions that cannot run
+    and adaptive-gd with certify: true are rejected."""
+    shape = (3,) if spec is None else make_spec(spec).point_shape
+    rng = substream(4, "cross-product")
+    fixed = {"xs": (0.3 * rng.uniform(-1.0, 1.0, size=(3, *shape))).tolist(), "ys": [1.0, -1.0, 1.0]}
+    adversaries = [
+        {"kind": "iid-gaussian"},
+        {"kind": "iid-rademacher-coords"},
+        {"kind": "low-rank-stream", "rank": 2},
+        {"kind": "fixed-file", **fixed},
+        {"kind": "sign-flip"},
+        {"kind": "sign-flip", "base": "low-rank-stream", "rank": 2},
+        {"kind": "sign-flip", "base": "fixed-file", **fixed},
     ]
-    rejected = set()
-    for spec in specs:
-        for algorithm in ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected"):
-            config = {
-                "algorithm": algorithm,
-                "spec": spec,
-                "loss": "hinge",
-                "adversary": {"kind": "sign-flip"},
-                "n": 5,
-                "seeds": [0],
-                "mc_paths": 100,
-            }
-            try:
-                summary = run_experiment(config)
-            except ConfigError as exc:
-                assert repr(spec["construction"]) in str(exc)
-                rejected.add(spec["construction"])
-            else:
-                assert {k for k in summary if not k.startswith("_")} == set(SUMMARY_KEYS)
-    assert rejected == {"group-p2", "l1-weak", "l1-composed"}
+    base = {"algorithm": algorithm, "n": 3, "seeds": [0, 1], "fw_iters": 5, "rad_samples": 100, "mc_paths": 100}
+    base.update({"d": 3} if spec is None else {"spec": spec})
+    cannot_run = spec is not None and spec["construction"] in ("group-p2", "l1-weak", "l1-composed")
+    for adversary in adversaries:
+        for loss_name in ("hinge", "absolute", "linear"):
+            for certify in (True, False):
+                config = dict(base, adversary=adversary, loss=loss_name, certify=certify)
+                try:
+                    summary = run_experiment(config)
+                except ConfigError as exc:
+                    assert cannot_run or (spec is None and certify), (config, exc)
+                    assert not cannot_run or repr(spec["construction"]) in str(exc)
+                else:
+                    assert not cannot_run and not (spec is None and certify), config
+                    assert {k for k in summary if not k.startswith("_")} == set(SUMMARY_KEYS)
 
 
 def test_adaptive_gd_sqrt_regret_on_random_stream():

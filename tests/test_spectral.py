@@ -149,8 +149,27 @@ def test_row_spiky_stream_counts():
     n_row, n_col = entry_stats([(i, j) for i, j, _ in stream])
     assert n_row == 40
     assert n_col <= 40
+    assert entry_stats(np.zeros((0, 2), dtype=int)) == (0, 0)
     with pytest.raises(ValueError):
         make_entry_stream("explicit", d=2, n=2, r=1, seed=0)
+    with pytest.raises(ValueError, match="index a 2 x 2 matrix"):
+        make_entry_stream("explicit", d=2, n=2, r=1, seed=0, entries=[(0, 1, 1.0), (-1, 0, -1.0)])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "row-spiky"])
+@pytest.mark.parametrize("d", [3, 6, 7, 100])
+def test_entry_stream_batch_draw_equals_per_entry_draws(kind, d):
+    """The reference loop draws each entry's indices one at a time."""
+    rng = substream(4, "entry-stream", kind)
+    planted = rng.normal(size=(d, 2)) @ rng.normal(size=(d, 2)).T
+    want = []
+    for _ in range(50):
+        i = 0 if kind == "row-spiky" else int(rng.integers(0, d))
+        j = int(rng.integers(0, d))
+        want.append((i, j, 1.0 if planted[i, j] >= 0.0 else -1.0))
+    got = make_entry_stream(kind, d=d, n=50, r=2, seed=4)
+    assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * 50
+    assert got == want
 
 
 def test_trace_norm_comparator_fits_planted_labels():
