@@ -66,6 +66,7 @@ __all__ = [
     "elementary_scalar_params",
     "zeta_l1",
     "make_spec",
+    "SPEC_KEYS",
     "check_majorization",
     "check_zigzag",
     "MajorizationReport",
@@ -623,13 +624,31 @@ def check_zigzag(
 # ---------------------------------------------------------------------------
 
 
+# the keys each construction reads, besides ``construction``
+SPEC_KEYS = {
+    "scalar-p": ("p",),
+    "lp-sum": ("p", "d"),
+    "hilbert": ("p", "d", "gram"),
+    "weighted-l2": ("weight",),
+    "group-p2": ("p", "d", "shape"),
+    "even-power": ("k",),
+    "l1-weak": ("a", "d"),
+    "l1-composed": ("a", "d", "B", "eps"),
+}
+
+
 def make_spec(cfg: dict) -> BurkholderSpec:
     """Build a construction from a config mapping.
 
-    Recognized ``construction`` values: scalar-p, lp-sum, hilbert,
-    weighted-l2, group-p2, even-power, l1-weak, l1-composed.
+    Recognized ``construction`` values are the keys of ``SPEC_KEYS``; any
+    key that the construction does not read raises ``ValueError``.
     """
     kind = cfg["construction"]
+    if kind not in SPEC_KEYS:
+        raise ValueError(f"unknown construction {kind!r}")
+    unknown = [key for key in cfg if key != "construction" and key not in SPEC_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"unknown spec key {unknown[0]!r} for construction {kind!r}, which takes {', '.join(SPEC_KEYS[kind])}")
     if kind == "scalar-p":
         return ScalarPowerU(cfg["p"])
     if kind == "lp-sum":
@@ -648,7 +667,4 @@ def make_spec(cfg: dict) -> BurkholderSpec:
         return EvenPowerU(cfg["k"])
     if kind == "l1-weak":
         return L1WeakTypeU(cfg["a"], cfg["d"])
-    if kind == "l1-composed":
-        weak = L1WeakTypeU(cfg["a"], cfg["d"])
-        return ComposedL1U(weak, cfg["B"], cfg["eps"])
-    raise ValueError(f"unknown construction {kind!r}")
+    return ComposedL1U(L1WeakTypeU(cfg["a"], cfg["d"]), cfg["B"], cfg["eps"])  # l1-composed

@@ -176,7 +176,10 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
     if kind == "low-rank-stream":
         return LowRankStream(shape, int(cfg["rank"]), tag, seeds, normalize)
     if kind == "fixed-file":
-        data = json.loads(pathlib.Path(cfg["path"]).read_text()) if "path" in cfg else cfg
+        try:
+            data = json.loads(pathlib.Path(cfg["path"]).read_text()) if "path" in cfg else cfg
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ConfigError(f"fixed-file path {cfg['path']!r} cannot be read as a JSON stream: {exc}") from None
         _require(data, ("xs", "ys"), "a fixed-file stream")
         return FixedStream(data["xs"], data["ys"])
     raise ConfigError(f"unknown adversary kind {kind!r}")
@@ -317,6 +320,8 @@ def _check_config(config: dict):
     if not isinstance(config.get("certify", False), bool):
         raise ConfigError(f"certify must be true or false, got {config['certify']!r}")
     if algorithm == "spectral":
+        if config.get("certify") is False:
+            raise ConfigError("a spectral run always certifies every round; it cannot run with certify: false")
         _require(config, ("d", "r", "n", "tau"), "a spectral config")
         sizes = {key: config[key] for key in ("d", "r", "n")}
         sizes["net_size"] = config.get("net_size", 500)

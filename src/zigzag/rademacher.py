@@ -8,6 +8,13 @@ a predictable process and eps_t x_t(eps_{1:t-1}) is a martingale difference
 sequence.  Depth is capped at 14 so exact enumeration over all 2^n paths
 stays feasible as an oracle next to every Monte Carlo estimate.
 
+The exact maximal Rademacher oracle and the exact UMD check walk the tree
+level by level: level t holds the 2^t distinct sign prefixes, each extended
+by both signs of the next step, so a running sum and its norm are computed
+once per prefix rather than once per leaf below it.  Leaves come out in the
+row order of the full path table, each sum accumulated in step order as a
+running sum along its path would be.
+
 Statistical checks report 3-standard-error bands; hard assertions are made
 only where an exact identity exists (the scalar second-moment case).
 """
@@ -41,8 +48,23 @@ MAX_DEPTH = 14
 def _all_signs(n: int) -> np.ndarray:
     """All 2^n sign paths as float +-1 rows; row i holds the bits of i in
     little-endian order, bit 0 as -1 and bit 1 as +1."""
-    codes = np.arange(2**n)
-    return (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+    signs = np.empty((2**n, n))
+    for t in range(n):
+        # bit t of the row index: blocks of 2^t zeros and 2^t ones, repeated
+        signs[:, t] = np.tile(np.repeat([-1.0, 1.0], 2**t), 2 ** (n - 1 - t))
+    return signs
+
+
+def _fresh_signs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """``rademacher(rng, shape)`` as floats, from the raw stream of a fresh
+    generator.  ``rng.integers(0, 2)`` takes the top bit of each 32-bit half
+    of the raw 64-bit words, low half first; reading those bits directly
+    skips the int64 draw and its cast.  Valid only on a generator that has
+    not been drawn from, since ``integers`` would first use a half word left
+    buffered by an earlier draw."""
+    count = int(np.prod(shape))
+    halves = rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
+    return ((halves >> 31) * 2.0 - 1.0).reshape(shape)
 
 
 class DyadicTree:
@@ -148,18 +170,45 @@ def _estimate(statistic, scope: str, zs, tag: NormTag, k_samples: int, seed: int
         return 0.0, 0.0
     if k_samples < 100:
         raise ValueError(f"need at least 100 samples, got {k_samples}")
-    signs = rademacher(substream(seed, scope), (k_samples, zs.shape[0])).astype(float)
+    signs = _fresh_signs(substream(seed, scope), (k_samples, zs.shape[0]))
     return _mean_se(statistic(signs, zs, tag))
 
 
-def _exact(statistic, zs, tag: NormTag) -> float:
-    """Exact mean of ``statistic(signs, zs, tag)`` over all 2^n sign rows."""
+def _exact(per_path, zs, tag: NormTag) -> float:
+    """Exact mean of ``per_path(zs, tag)``, one value for each of the 2^n
+    sign paths."""
     zs = np.asarray(zs, dtype=float)
     if zs.shape[0] == 0:
         return 0.0
     if zs.shape[0] > 20:
         raise ValueError("enumeration limited to n <= 20")
-    return float(statistic(_all_signs(zs.shape[0]), zs, tag).mean())
+    return float(per_path(zs, tag).mean())
+
+
+def _path_sum_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
+    """``_sum_norms`` on every sign path, as one product with the path table."""
+    return _sum_norms(_all_signs(zs.shape[0]), zs, tag)
+
+
+def _tree_sums(steps, shape: tuple):
+    """Yield, for each level t, the running sums sum_{s<=t} eps_s v_s on all
+    2^(t+1) sign prefixes, where ``steps[t]`` is v_t: one value shared by
+    every prefix of length t, or one row per prefix.  The children of row j
+    are row j (sign -1) and row j + 2^t (sign +1), so the last level's rows
+    follow ``_all_signs``."""
+    prefix = np.zeros((1, *shape))
+    for v in steps:
+        prefix = np.concatenate([prefix - v, prefix + v])
+        yield prefix
+
+
+def _tree_prefix_max_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
+    """``_prefix_max_norms`` on every sign path, in ``_all_signs`` row order;
+    the norm of each distinct prefix is computed once."""
+    best = np.zeros(1)
+    for prefix in _tree_sums(zs, zs.shape[1:]):
+        best = np.maximum(np.concatenate([best, best]), tag.norm_batch(prefix))
+    return best
 
 
 def rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
@@ -169,7 +218,7 @@ def rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, fl
 
 def rad_exact(zs, tag: NormTag) -> float:
     """Exact E_eps ||sum eps_t z_t|| by enumerating all 2^n sign patterns."""
-    return _exact(_sum_norms, zs, tag)
+    return _exact(_path_sum_norms, zs, tag)
 
 
 def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
@@ -179,8 +228,9 @@ def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[f
 
 
 def maximal_rad_exact(zs, tag: NormTag) -> float:
-    """Exact E_eps max over prefixes tau of ||sum_{t<=tau} eps_t z_t||."""
-    return _exact(_prefix_max_norms, zs, tag)
+    """Exact E_eps max over prefixes tau of ||sum_{t<=tau} eps_t z_t||, by a
+    walk over the 2^t distinct prefixes of each level."""
+    return _exact(_tree_prefix_max_norms, zs, tag)
 
 
 def _path_terms(tree: DyadicTree, rng: np.random.Generator | None, k_samples: int) -> np.ndarray:
@@ -233,23 +283,30 @@ def umd_check(
     n = tree.depth
     if exact is None:
         exact = n <= 12
-    terms = _path_terms(tree, None if exact else substream(seed, "umd-paths"), k_samples)
+    if exact:
+
+        def sums(pattern):
+            *_, leaves = _tree_sums([xi * x for xi, x in zip(pattern, tree.levels)], (tree.dim,))
+            return leaves
+
+    else:
+        terms = _path_terms(tree, substream(seed, "umd-paths"), k_samples)
+
+        def sums(pattern):
+            return (terms * pattern[np.newaxis, :, np.newaxis]).sum(axis=1)
 
     rng_pat = substream(seed, "umd-patterns")
     patterns = [np.ones(n), np.array([(-1.0) ** t for t in range(n)])]
     patterns += [rademacher(rng_pat, n).astype(float) for _ in range(n_patterns)]
 
     def moment(pattern):
-        sums = (terms * pattern[np.newaxis, :, np.newaxis]).sum(axis=1)
-        return _mean_se(tag.norm_batch(sums) ** p, exact)
+        return _mean_se(tag.norm_batch(sums(pattern)) ** p, exact)
 
-    rhs_mean, rhs_se = moment(np.ones(n))
+    moments = [moment(pat) for pat in patterns]
+    rhs_mean, rhs_se = moments[0]  # the all-ones pattern leaves the martingale as it is
     if rhs_mean == 0.0:
         raise ValueError("degenerate tree: the base martingale is identically zero")
-    rows = []
-    for pat in patterns:
-        lhs_mean, lhs_se = moment(pat)
-        rows.append((pat.astype(int).tolist(), lhs_mean, lhs_se, lhs_mean / rhs_mean))
+    rows = [(pat.astype(int).tolist(), mean, se, mean / rhs_mean) for pat, (mean, se) in zip(patterns, moments)]
     return UMDReport(
         p=p,
         rhs_mean=rhs_mean,

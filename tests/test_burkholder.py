@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zigzag.burkholder import (
+    SPEC_KEYS,
     ComposedL1U,
     EvenPowerU,
     GroupP2U,
@@ -350,3 +351,25 @@ def test_make_spec_round_trip():
     )
     with pytest.raises(ValueError):
         make_spec({"construction": "mystery"})
+
+
+# one config per construction that sets every key the construction reads
+FULL_SPECS = {
+    "scalar-p": {"p": 3.0},
+    "lp-sum": {"p": 3.0, "d": 4},
+    "hilbert": {"p": 2.5, "d": 3, "gram": None},
+    "weighted-l2": {"weight": [[2.0, 0.5], [0.5, 1.0]]},
+    "group-p2": {"p": 1.5, "d": 2, "shape": [2, 3]},
+    "even-power": {"k": 4},
+    "l1-weak": {"a": 20.0, "d": 2},
+    "l1-composed": {"a": 20.0, "d": 2, "B": 2.0, "eps": 0.25},
+}
+
+
+@pytest.mark.parametrize("kind", FULL_SPECS)
+def test_make_spec_rejects_keys_its_construction_does_not_read(kind):
+    assert set(FULL_SPECS[kind]) == set(SPEC_KEYS[kind])
+    cfg = {"construction": kind, **FULL_SPECS[kind]}
+    assert make_spec(cfg).construction == kind
+    with pytest.raises(ValueError, match=f"unknown spec key 'dd' for construction '{kind}'"):
+        make_spec(dict(cfg, dd=9))

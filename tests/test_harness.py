@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -250,6 +251,8 @@ MISSING_OR_UNBUILDABLE = {
     "adversary-text": ({"adversary": "sign-flip"}, "adversary must be a JSON object, got 'sign-flip'"),
     "certify-text": ({"certify": "false"}, "certify must be true or false, got 'false'"),
     "normalize-text": ({"adversary": {"kind": "iid-gaussian", "normalize": "false"}}, "adversary.normalize must be true or false, got 'false'"),
+    "spec-unknown-key": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 4, "dd": 9}}, "unknown spec key 'dd' for construction 'lp-sum', which takes p, d"),
+    "spectral-certify-false": (dict(SPECTRAL, certify=False), "a spectral run always certifies every round; it cannot run with certify: false"),
 }
 
 
@@ -278,6 +281,8 @@ FIXED_FILE_FAULTS = {
     "not-point-shape": ({"xs": [[0.5, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 4, "ys": [1.0] * 5}, "instance 0 is not of the point shape"),
     "label-not-a-sign": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 5, "ys": [1.0, -1.0, 0.5, 1.0, 1.0]}, "hinge loss needs labels"),
     "no-xs": ({"ys": [1.0] * 5}, "a fixed-file stream needs 'xs'"),
+    "missing-file": ({"path": str(pathlib.Path(__file__).with_name("no-such-stream.json"))}, "no-such-stream.json' cannot be read as a JSON stream"),
+    "not-json": ({"path": __file__}, "test_harness.py' cannot be read as a JSON stream"),
 }
 
 

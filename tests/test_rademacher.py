@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from zigzag.linalg import LpTag, SupTag
+from zigzag.linalg import GramTag, LpTag, OneTag, SupTag
 from zigzag.rademacher import (
     DyadicTree,
+    _all_signs,
+    _fresh_signs,
+    _prefix_max_norms,
     hitczenko_check,
     maximal_rad_estimate,
     maximal_rad_exact,
@@ -11,7 +14,7 @@ from zigzag.rademacher import (
     rad_exact,
     umd_check,
 )
-from zigzag.rng import substream
+from zigzag.rng import rademacher, substream
 
 ABS = LpTag(2.0)  # absolute value in one dimension
 
@@ -205,3 +208,76 @@ def test_hitczenko_requires_scalar_tree():
     tree = DyadicTree.random_gaussian(3, 2, substream(9, "vec"))
     with pytest.raises(ValueError):
         hitczenko_check(tree, p=2.0)
+
+
+def _shift_and_mask_signs(n):
+    """The path table as first written: the little-endian bits of each row
+    index by shift and mask, cast to float."""
+    codes = np.arange(2**n)
+    return (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 16])
+def test_all_signs_is_the_shift_and_mask_table(n):
+    assert np.array_equal(_all_signs(n), _shift_and_mask_signs(n))
+
+
+DENSE_GRAM = np.array([[2.0, 0.3, -0.2, 0.1], [0.3, 1.5, 0.4, 0.0], [-0.2, 0.4, 1.2, -0.3], [0.1, 0.0, -0.3, 1.8]])
+WALK_TAGS = {"l2": LpTag(2.0), "l3": LpTag(3.0), "sup": SupTag(), "one": OneTag(), "gram": GramTag(DENSE_GRAM)}
+
+
+@pytest.mark.parametrize("tag", WALK_TAGS.values(), ids=WALK_TAGS.keys())
+def test_maximal_tree_walk_equals_path_enumeration(tag):
+    # the walk computes each prefix norm once; the path table recomputes it
+    # on every leaf below, with the same adds in the same order
+    rng = substream(10, "walk")
+    for n in range(1, 11):
+        zs = rng.normal(size=(n, 4))
+        assert maximal_rad_exact(zs, tag) == _prefix_max_norms(_all_signs(n), zs, tag).mean()
+
+
+def _term_tensor_moments(report, tree, tag):
+    """Each pattern's exact moment from the (2^n, n, dim) tensor of terms
+    eps_t x_t(eps) on all sign paths, summed over t."""
+    signs, values = tree.enumerate_paths()
+    terms = signs[:, :, np.newaxis] * values
+    moments = []
+    for pattern, _, _, _ in report.patterns:
+        sums = (terms * np.asarray(pattern, dtype=float)[np.newaxis, :, np.newaxis]).sum(axis=1)
+        moments.append(float(np.mean(tag.norm_batch(sums) ** report.p)))
+    return moments
+
+
+UMD_WALK_CASES = [(name, dim, depth) for name in WALK_TAGS for dim, depth in [(2, 6), (4, 12), (16, 9)] if name != "gram" or dim == 4]
+
+
+@pytest.mark.parametrize("name, dim, depth", UMD_WALK_CASES)
+def test_umd_tree_walk_equals_term_tensor(name, dim, depth):
+    tag = WALK_TAGS[name]
+    tree = DyadicTree.random_gaussian(depth, dim, substream(depth, "umd-walk", dim))
+    for p in (1.5, 3.0):
+        report = umd_check(p, tag, tree, n_patterns=6, seed=dim)
+        assert report.exact
+        assert [row[1] for row in report.patterns] == _term_tensor_moments(report, tree, tag)
+        assert report.rhs_mean == report.patterns[0][1]
+
+
+@pytest.mark.parametrize("depth", [3, 8, 12])
+def test_umd_tree_walk_on_scalar_trees(depth):
+    # numpy sums a (2^n, n, 1) term tensor over t pairwise once n >= 8,
+    # while the walk adds level by level, so scalar moments may differ in
+    # the last bits
+    tree = DyadicTree.random_gaussian(depth, 1, substream(depth, "umd-walk-scalar"))
+    for p in (1.5, 2.0, 3.0):
+        report = umd_check(p, ABS, tree, n_patterns=6, seed=depth)
+        walked = np.array([row[1] for row in report.patterns])
+        assert np.allclose(walked, _term_tensor_moments(report, tree, ABS), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1000, 150), (101, 3), (7,), (1000, 151)])
+def test_fresh_signs_are_the_integer_draw(shape):
+    # pins the Philox layout the raw read relies on: integers(0, 2) is the
+    # top bit of each 32-bit half of the raw words, low half first
+    expected = substream(11, "fresh", shape).integers(0, 2, shape) * 2.0 - 1.0
+    assert np.array_equal(_fresh_signs(substream(11, "fresh", shape), shape), expected)
+    assert np.array_equal(_fresh_signs(substream(11, "fresh", shape), shape), rademacher(substream(11, "fresh", shape), shape).astype(float))
