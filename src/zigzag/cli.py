@@ -8,6 +8,9 @@ Subcommands:
   exact verifiers, JSON report to stdout or a file
 - ``spectral``: the desk-scale matrix prediction run
 - ``report DIR``: digest all summary.json files under a directory
+
+A config, spec or file that cannot be used (``ConfigError``) ends the
+command with one line on stderr and exit code 2, as a usage error does.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import sys
 
 import numpy as np
 
-from .burkholder import check_majorization, check_zigzag, make_spec
-from .harness import brute_force_minimax, merge_reports, rad_exact_scalar, run_experiment, write_outputs
+from .burkholder import check_majorization, check_zigzag
+from .harness import CONFIG_TABLE, ConfigError, brute_force_minimax, build_spec, check_config, load_json, merge_reports
+from .harness import rad_exact_scalar, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
+from .losses import LOSSES
 from .rademacher import (
     DyadicTree,
     hitczenko_check,
@@ -33,7 +38,6 @@ from .rademacher import (
     umd_check,
 )
 from .rng import substream
-from .spectral import run_spectral
 
 _TAGS = {"l2": lambda: LpTag(2.0), "l3": lambda: LpTag(3.0), "sup": SupTag, "one": OneTag}
 
@@ -57,18 +61,16 @@ def _jsonable(obj):
 
 
 def _cmd_run(args) -> int:
-    config = json.loads(pathlib.Path(args.config).read_text())
+    config = load_json(pathlib.Path(args.config).read_text, f"config {args.config!r} cannot be read as JSON")
     summary = run_experiment(config)
-    out_dir = args.out or config.get("out_dir") or "runs"
-    written = write_outputs(summary, out_dir)
-    for path in written:
+    for path in write_outputs(summary, args.out or summary["_settings"]["out_dir"]):
         print(path)
     return 0
 
 
 def _cmd_check(args) -> int:
     if args.target == "burkholder":
-        spec = make_spec(json.loads(args.spec))
+        spec = build_spec(load_json(lambda: args.spec, f"--spec {args.spec!r} is not JSON"))
         maj = check_majorization(spec, n_probes=args.probes, seed=args.seed, tol=args.tol)
         zz = check_zigzag(spec, n_probes=args.probes, seed=args.seed)
         payload = {"construction": spec.construction, "majorization": maj, "zigzag": zz}
@@ -124,26 +126,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    config = {"algorithm": "spectral", "d": args.d, "r": args.r, "tau": args.tau, "n": args.n, "seeds": [args.seed],
+              "net_size": args.net_size, "eta": args.eta, "loss": args.loss}
     entries = None
-    kind = args.entry_distribution
-    if kind == "adversarial-file":
+    if args.entry_distribution == "adversarial-file":
         if args.file is None:
             args.usage_error("--entry-distribution adversarial-file needs --file")
-        entries = json.loads(pathlib.Path(args.file).read_text())
-        kind = "explicit"
-    res = run_spectral(
-        d=args.d,
-        r=args.r,
-        tau=args.tau,
-        n=args.n,
-        stream_kind=kind,
-        loss_name=args.loss,
-        seed=args.seed,
-        max_net=args.net_size,
-        eta=args.eta,
-        entries=entries,
-    )
-    payload = dataclasses.asdict(res)
+        entries = load_json(pathlib.Path(args.file).read_text, f"--file {args.file!r} cannot be read as JSON")
+    else:
+        config["entry_distribution"] = args.entry_distribution
+    settings = check_config({key: value for key, value in config.items() if value is not None})
+    payload = dataclasses.asdict(spectral_result(settings, args.seed, entries))
     payload.pop("rows")
     _emit(payload, args.out)
     return 0
@@ -188,15 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--r", type=int, default=1)
     p_spec.add_argument("--tau", type=float, default=3.0)
     p_spec.add_argument("--n", type=int, default=200)
-    p_spec.add_argument("--net-size", type=int, default=500)
+    p_spec.add_argument("--net-size", type=int)
     p_spec.add_argument("--seed", type=int, default=0)
-    p_spec.add_argument("--eta", type=float, default=None)
-    p_spec.add_argument("--loss", choices=["hinge", "absolute", "linear"], default="hinge")
-    p_spec.add_argument(
-        "--entry-distribution",
-        choices=["uniform", "row-spiky", "adversarial-file"],
-        default="uniform",
-    )
+    p_spec.add_argument("--eta", type=float)
+    p_spec.add_argument("--loss", choices=LOSSES)
+    entry = CONFIG_TABLE["config"]["entry_distribution"]
+    p_spec.add_argument("--entry-distribution", choices=[*entry.names, "adversarial-file"], default=entry.default)
     p_spec.add_argument("--file", default=None, help="entry triples JSON for adversarial-file")
     p_spec.add_argument("--out", default=None)
     p_spec.set_defaults(func=_cmd_spectral, usage_error=p_spec.error)
@@ -209,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"zigzag: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,14 +8,16 @@ protocol's boundedness contract; an optional ``normalize=False`` escape hatch
 exercises scale-free behavior.  The seeds of a config are lanes: one learner
 and one adversary serve every seed, each seed drawing from its own adversary
 stream, and one batched Frank-Wolfe loop solves every seed's comparator.
-In doubling configs each lane keeps its own phase schedule.  A config that
-cannot run (a missing or unknown key, a spec that cannot be built, a bad number,
-size, rank or seed list, a fixed-file stream too short for n rounds) raises
-``ConfigError`` before any adversary or learner is built.
+In doubling configs each lane keeps its own phase schedule.  One table,
+``CONFIG_TABLE``, states each config key's kind, default and the algorithms
+that need it; a config that cannot run (a missing or unknown key, a value not
+of its key's kind, a spec that cannot be built, a fixed-file stream too short
+for n rounds) raises ``ConfigError`` before any adversary or learner is built.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -24,7 +26,7 @@ import pathlib
 
 import numpy as np
 
-from .burkholder import make_spec
+from .burkholder import BurkholderSpec, make_spec
 from .learner import CERT_GRID, ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
@@ -45,7 +47,12 @@ __all__ = [
     "brute_force_minimax",
     "rad_exact_scalar",
     "run_experiment",
+    "check_config",
+    "build_spec",
+    "load_json",
+    "spectral_result",
     "ConfigError",
+    "CONFIG_TABLE",
     "write_outputs",
     "merge_reports",
     "SUMMARY_KEYS",
@@ -53,10 +60,61 @@ __all__ = [
 
 ALGORITHMS = ("zigzag", "zigzag-doubling-realized", "zigzag-doubling-expected", "adaptive-gd", "spectral")
 ADVERSARY_KINDS = ("iid-gaussian", "iid-rademacher-coords", "sign-flip", "low-rank-stream", "fixed-file")
-ENTRY_DISTRIBUTIONS = ("uniform", "row-spiky")
-CONFIG_KEYS = ("algorithm", "spec", "loss", "adversary", "n", "seeds", "eta", "eta0", "certify", "fw_iters",
-               "rad_samples", "mc_paths", "d", "r", "tau", "net_size", "entry_distribution", "out_dir")
-ADVERSARY_KEYS = ("kind", "base", "normalize", "rank", "path", "xs", "ys")
+
+
+# A row of the config table: the kind of value a key takes, its default
+# (None: none), the algorithms (adversary kinds, in the adversary scope) that
+# need it, the least whole number a ``count`` takes and the names a ``name``
+# takes.  The first row of a scope says what the rest serve (the algorithm,
+# the adversary kind) and is always needed; a sign-flip adversary's ``base``
+# is a kind too.  Only the rules that relate two or more keys are code, in
+# ``check_config``.
+Key = collections.namedtuple("Key", "kind default needed_by low names", defaults=(None, (), 1, ()))
+CONFIG_TABLE = {
+    "config": {
+        "algorithm": Key("name", names=ALGORITHMS),
+        "spec": Key("object", needed_by=ALGORITHMS[:3]),  # zigzag and doubling
+        "loss": Key("name", "hinge", names=LOSSES),
+        "adversary": Key("object", needed_by=ALGORITHMS[:4]),  # all but spectral
+        "n": Key("count", needed_by=ALGORITHMS),
+        "seeds": Key("seeds"),  # [] or, for spectral, [0]: check_config fills it in
+        "eta": Key("positive"),  # None: the algorithm's own rate
+        "eta0": Key("positive"),
+        "certify": Key("flag", False),
+        "fw_iters": Key("count", 500, low=0),
+        "rad_samples": Key("count", 1000, low=100),
+        "mc_paths": Key("count", 500, low=100),
+        "d": Key("count", needed_by=("adaptive-gd", "spectral")),
+        "r": Key("count", needed_by=("spectral",)),
+        "tau": Key("positive", needed_by=("spectral",)),
+        "net_size": Key("count", 500),
+        "entry_distribution": Key("name", "uniform", names=("uniform", "row-spiky")),
+        "out_dir": Key("text", "runs"),
+    },
+    "adversary": {
+        "kind": Key("name", names=ADVERSARY_KINDS),
+        "base": Key("name", "iid-gaussian", names=tuple(k for k in ADVERSARY_KINDS if k != "sign-flip")),
+        "normalize": Key("flag", True),
+        "rank": Key("count", needed_by=("low-rank-stream",)),
+        "path": Key("text"),
+        "xs": Key("stream"),
+        "ys": Key("stream"),
+    },
+}
+
+# kind: (whether a value is of the kind, what the settings hold for it, the
+# message for a value that is not); xs and ys are checked as a stream
+KINDS = {
+    "count": (lambda v, row: _is_number(v, whole=True) and v >= row.low, int,
+              "{name} must be at least {low}, got {value!r}; it takes a whole number"),
+    "positive": (lambda v, row: _is_number(v) and v > 0, float, "{name} must be a finite number > 0, got {value!r}"),
+    "flag": (lambda v, row: isinstance(v, bool), None, "{name} must be true or false, got {value!r}"),
+    "name": (lambda v, row: v in row.names, None, "unknown {name} {value!r}; {name} takes one of {names}"),
+    "seeds": (lambda v, row: _distinct_integers(v), list, "{name} must be a list of distinct integers, got {value!r}"),
+    "text": (lambda v, row: isinstance(v, str) and v != "", None, "{name} must be non-empty text, got {value!r}"),
+    "object": (lambda v, row: isinstance(v, dict), None, "{name} must be a JSON object, got {value!r}"),
+    "stream": (lambda v, row: True, None, ""),
+}
 
 SUMMARY_KEYS = (
     "config",
@@ -72,9 +130,8 @@ SUMMARY_KEYS = (
 
 
 class ConfigError(ValueError):
-    """A config that ``run_experiment`` rejects before building any adversary
-    or learner: an unknown algorithm, adversary kind or loss, or a
-    combination that cannot run."""
+    """A config, spec or config file that the program rejects before building
+    any adversary or learner; the CLI prints it as one line and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +188,11 @@ class FixedStream:
     """Replay explicit arrays of instances and labels, the same to every lane."""
 
     def __init__(self, xs, ys):
-        self.xs = [np.asarray(x, dtype=float) for x in xs]
-        self.ys = [float(y) for y in ys]
+        try:
+            self.xs = [np.asarray(x, dtype=float) for x in xs]
+            self.ys = [float(y) for y in ys]
+        except (TypeError, ValueError) as exc:  # not a list, or an entry that is not a number
+            raise ConfigError(f"a fixed-file stream needs lists of numbers for xs and ys: {exc}") from None
         if len(self.xs) != len(self.ys):
             raise ConfigError(f"a fixed-file stream needs as many labels as instances, got {len(self.ys)} and {len(self.xs)}")
 
@@ -161,28 +221,40 @@ class SignFlip:
 
 
 def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
-    """The adversary a config names, drawing instances of ``shape`` for one lane per seed."""
-    kind = cfg["kind"]
-    normalize = bool(cfg.get("normalize", True))
-    if kind == "iid-gaussian":
-        return IIDGaussianX(shape, tag, seeds, normalize)
-    if kind == "iid-rademacher-coords":
-        return IIDRademacherCoordsX(shape, tag, seeds, normalize)
-    if kind == "sign-flip":
-        base_kind = cfg.get("base", "iid-gaussian")
-        base_cfg = {k: v for k, v in cfg.items() if k != "base"}
-        base = make_adversary(dict(base_cfg, kind=base_kind), shape, tag, seeds)
-        return SignFlip(base)
-    if kind == "low-rank-stream":
-        return LowRankStream(shape, int(cfg["rank"]), tag, seeds, normalize)
-    if kind == "fixed-file":
-        try:
-            data = json.loads(pathlib.Path(cfg["path"]).read_text()) if "path" in cfg else cfg
-        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-            raise ConfigError(f"fixed-file path {cfg['path']!r} cannot be read as a JSON stream: {exc}") from None
-        _require(data, ("xs", "ys"), "a fixed-file stream")
-        return FixedStream(data["xs"], data["ys"])
-    raise ConfigError(f"unknown adversary kind {kind!r}")
+    """The adversary an adversary object names, drawing instances of ``shape``
+    for one lane per seed.  The object is walked through the table's
+    adversary rows, so a key it leaves out takes its default."""
+    cfg = _walk(cfg, "adversary")
+    source = cfg["base"] if cfg["kind"] == "sign-flip" else cfg["kind"]
+    if source == "fixed-file":
+        adversary = _fixed_stream(cfg)
+    elif source == "low-rank-stream":
+        adversary = LowRankStream(shape, cfg["rank"], tag, seeds, cfg["normalize"])
+    else:
+        draws = IIDGaussianX if source == "iid-gaussian" else IIDRademacherCoordsX
+        adversary = draws(shape, tag, seeds, cfg["normalize"])
+    return SignFlip(adversary) if cfg["kind"] == "sign-flip" else adversary
+
+
+def _fixed_stream(cfg: dict) -> FixedStream:
+    """The stream of a walked fixed-file adversary (or sign-flip base): the
+    xs and ys of the JSON file at its ``path``, or its own."""
+    path, data = cfg["path"], cfg
+    if path is not None:
+        data = load_json(pathlib.Path(path).read_text, f"fixed-file path {path!r} cannot be read as a JSON stream")
+    missing = [key for key in ("xs", "ys") if not isinstance(data, dict) or data.get(key) is None]
+    if missing:
+        raise ConfigError(f"a fixed-file stream needs {', '.join(map(repr, missing))}")
+    return FixedStream(data["xs"], data["ys"])
+
+
+def load_json(read, what: str):
+    """``json.loads(read())``; a ``ConfigError`` that begins with ``what`` if
+    reading fails (a missing or unreadable file) or the text is not JSON."""
+    try:
+        return json.loads(read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -297,78 +369,104 @@ def brute_force_minimax(xs, loss_name: str) -> float:
 # config-driven experiments
 
 
-def _check_config(config: dict):
-    """Reject what cannot run; return the config's Burkholder spec (None for
-    adaptive-gd and spectral configs)."""
-    _check_keys(config, CONFIG_KEYS, "config")
-    algorithm = config.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    loss_name = config.get("loss", "hinge")
-    if loss_name not in LOSSES:
-        raise ConfigError(f"unknown loss {loss_name!r}")
-    for key in ("eta", "eta0"):  # absent or null: the default rate
-        if config.get(key) is not None and not (_is_number(config[key]) and config[key] > 0):
-            raise ConfigError(f"{key} must be a finite number > 0, got {config[key]!r}")
-    for key, low in {"fw_iters": 0, "rad_samples": 100, "mc_paths": 100}.items():
-        if key in config and not _is_count(config[key], low):
-            raise ConfigError(f"{key} must be at least {low}, got {config[key]!r}; it takes a whole number")
-    seeds = config.get("seeds", [])
-    integers = isinstance(seeds, (list, tuple)) and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds)
-    if not integers or len(set(seeds)) < len(seeds):  # a seed names its cell's output file
-        raise ConfigError(f"seeds must be a list of distinct integers, got {seeds!r}")
-    if not isinstance(config.get("certify", False), bool):
-        raise ConfigError(f"certify must be true or false, got {config['certify']!r}")
-    if algorithm == "spectral":
-        if config.get("certify") is False:
-            raise ConfigError("a spectral run always certifies every round; it cannot run with certify: false")
-        _require(config, ("d", "r", "n", "tau"), "a spectral config")
-        sizes = {key: config[key] for key in ("d", "r", "n")}
-        sizes["net_size"] = config.get("net_size", 500)
-        if not all(map(_is_count, sizes.values())) or not (_is_number(config["tau"]) and config["tau"] > 0):
-            raise ConfigError(f"a spectral run needs net_size, d, r, n >= 1 and tau > 0, got {sizes}, tau={config['tau']!r}")
-        stream = config.get("entry_distribution", "uniform")
-        if stream not in ENTRY_DISTRIBUTIONS:
-            raise ConfigError(f"unknown entry_distribution {stream!r}; a spectral config takes one of {ENTRY_DISTRIBUTIONS}")
-        return None
-    _require(config, ("n", "adversary", "d" if algorithm == "adaptive-gd" else "spec"), f"algorithm {algorithm!r}")
-    if not _is_count(config["n"]):
-        raise ConfigError(f"a run needs a whole number of n >= 1 rounds, got n = {config['n']!r}")
-    if algorithm == "adaptive-gd" and not _is_count(config["d"]):
-        raise ConfigError(f"algorithm 'adaptive-gd' needs a whole number d >= 1, got d = {config['d']!r}")
-    adversary = config["adversary"]
-    _check_keys(adversary, ADVERSARY_KEYS, "adversary")
-    _require(adversary, ("kind",), "an adversary")
-    if not isinstance(adversary.get("normalize", True), bool):
-        raise ConfigError(f"adversary.normalize must be true or false, got {adversary['normalize']!r}")
-    kinds = [adversary["kind"]] + ([adversary.get("base", "iid-gaussian")] if adversary["kind"] == "sign-flip" else [])
-    for kind in kinds:
-        if kind not in ADVERSARY_KINDS:
-            raise ConfigError(f"unknown adversary kind {kind!r}")
-    if "low-rank-stream" in kinds:
-        _require(adversary, ("rank",), "a low-rank-stream adversary")
-        if not _is_count(adversary["rank"]):
-            raise ConfigError(f"a low-rank-stream adversary needs a whole number rank >= 1, got rank = {adversary['rank']!r}")
-    if algorithm == "adaptive-gd" and config.get("certify"):
+def check_config(config: dict) -> dict:
+    """Reject a config that cannot run, before any adversary or learner is
+    built; return its settings: every default filled in, whole numbers as
+    ``int`` and, for a zigzag, doubling or adaptive-gd config, the built spec
+    (None for adaptive-gd) and the walked adversary, a fixed-file stream
+    inline as checked."""
+    settings = _walk(config, "config")
+    algorithm = settings["algorithm"]
+    if algorithm == "spectral" and config.get("certify") is False:
+        raise ConfigError("a spectral run always certifies every round; it cannot run with certify: false")
+    if algorithm == "adaptive-gd" and settings["certify"]:
         raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
-    if algorithm != "adaptive-gd" and not isinstance(config["spec"], dict):
-        raise ConfigError(f"spec must be a JSON object, got {config['spec']!r}")
-    if algorithm != "adaptive-gd" and "d" in config["spec"] and not _is_count(config["spec"]["d"]):
-        raise ConfigError(f"spec {config['spec']!r} needs a whole number d >= 1, got d = {config['spec']['d']!r}")
-    try:
-        spec = None if algorithm == "adaptive-gd" else make_spec(config["spec"])
-    except KeyError as exc:
-        raise ConfigError(f"spec {config['spec']!r} needs the key {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"spec {config['spec']!r} cannot be built: {exc}") from None
+    if settings["seeds"] is None:
+        settings["seeds"] = [0] if algorithm == "spectral" else []
+    if algorithm == "spectral":
+        return settings
+    spec = settings["spec"] = None if algorithm == "adaptive-gd" else build_spec(settings["spec"])
     if spec is not None and (spec.p <= 1 or len(spec.point_shape) > 1):
         raise ConfigError(
             f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
             f"and the Frank-Wolfe comparator needs vector points (shape {spec.point_shape})"
         )
-    if "fixed-file" in kinds:
-        _check_fixed_stream(adversary, (int(config["d"]),) if spec is None else spec.point_shape, int(config["n"]), loss_name)
-    return spec
+    adversary = settings["adversary"] = _walk(settings["adversary"], "adversary")
+    if "fixed-file" in _sources(adversary):
+        stream, n = _fixed_stream(adversary), settings["n"]
+        shape = _point_space(settings)[1]
+        if len(stream.xs) < n:
+            raise ConfigError(f"a fixed-file stream of {len(stream.xs)} rows cannot serve n = {n} rounds")
+        wrong = [i for i, x in enumerate(stream.xs) if x.shape != shape]
+        if wrong:
+            raise ConfigError(f"fixed-file instance {wrong[0]} is not of the point shape {shape}")
+        if adversary["kind"] == "fixed-file":  # a sign-flip base's labels are never read
+            try:
+                validate_labels(settings["loss"], stream.ys)
+            except ValueError as exc:
+                raise ConfigError(f"fixed-file {exc}") from None
+        adversary.update(path=None, xs=stream.xs, ys=stream.ys)  # the stream that runs is the one checked
+    return settings
+
+
+def build_spec(cfg) -> BurkholderSpec:
+    """``make_spec`` for a spec that comes from outside the program: one
+    that is not an object, has a ``d`` that is not a whole number >= 1, or
+    cannot be built raises ``ConfigError``."""
+    cfg = _checked("spec", CONFIG_TABLE["config"]["spec"], cfg)
+    if "d" in cfg:
+        _checked("spec.d", Key("count"), cfg["d"])
+    try:
+        return make_spec(cfg)
+    except KeyError as exc:
+        raise ConfigError(f"spec {cfg!r} needs the key {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"spec {cfg!r} cannot be built: {exc}") from None
+
+
+def _walk(cfg, scope: str) -> dict:
+    """Check an object against one scope of the config table and return its
+    settings, every key present and every default filled in.  A key set to
+    null is read as absent, so walking settings again gives them back."""
+    rows = CONFIG_TABLE[scope]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{scope} must be a JSON object, got {cfg!r}")
+    unknown = [key for key in cfg if key not in rows]
+    if unknown:
+        raise ConfigError(f"unknown {scope} key {unknown[0]!r}; {scope} keys are {', '.join(rows)}")
+    prefix = "" if scope == "config" else f"{scope}."
+    settings = {}
+    for key, row in rows.items():
+        value = cfg.get(key)
+        settings[key] = row.default if value is None else _checked(prefix + key, row, value)
+    head = next(iter(rows))
+    if settings[head] is None:
+        raise ConfigError(f"{scope} needs {head!r}")
+    owners = (settings[head],) if scope == "config" else _sources(settings)
+    for key, row in rows.items():
+        owner = next((o for o in owners if o in row.needed_by), None)
+        if owner is not None and settings[key] is None:
+            raise ConfigError(f"{prefix.replace('.', ' ')}{head} {owner!r} needs {key!r}")
+    return settings
+
+
+def _checked(name: str, row: Key, value):
+    """``value`` as the settings hold it, or a ``ConfigError`` naming the key and the value."""
+    fits, convert, message = KINDS[row.kind]
+    if not fits(value, row):
+        raise ConfigError(message.format(name=name, value=value, low=row.low, names=", ".join(row.names)))
+    return value if convert is None else convert(value)
+
+
+def _sources(adversary: dict) -> tuple:
+    """The kinds a walked adversary draws from: its kind and, for sign-flip, its base."""
+    return (adversary["kind"],) + ((adversary["base"],) if adversary["kind"] == "sign-flip" else ())
+
+
+def _point_space(settings: dict) -> tuple:
+    """The norm tag and the point shape of a checked non-spectral config."""
+    spec = settings["spec"]
+    return (LpTag(2.0), (settings["d"],)) if spec is None else (spec.tag, spec.point_shape)
 
 
 def _is_number(value, whole: bool = False) -> bool:
@@ -377,66 +475,36 @@ def _is_number(value, whole: bool = False) -> bool:
     return real and (isinstance(value, numbers.Integral) or (math.isfinite(value) and (not whole or float(value).is_integer())))
 
 
-def _is_count(value, low: int = 1) -> bool:
-    """Whether a config value is a whole number >= ``low``."""
-    return _is_number(value, whole=True) and value >= low
+def _distinct_integers(value) -> bool:
+    """Whether a config value is a list of distinct integers (a seed names its cell's output file)."""
+    integers = isinstance(value, (list, tuple)) and all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in value)
+    return integers and len(set(value)) == len(value)
 
 
-def _check_keys(cfg, known: tuple, what: str):
-    """Reject a ``what`` that is not a JSON object or has a key the program does not read."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {cfg!r}")
-    unknown = [key for key in cfg if key not in known]
-    if unknown:
-        raise ConfigError(f"unknown {what} key {unknown[0]!r}; {what} keys are {', '.join(known)}")
-
-
-def _require(cfg: dict, keys: tuple, what: str):
-    missing = [key for key in keys if key not in cfg]
-    if missing:
-        raise ConfigError(f"{what} needs {', '.join(map(repr, missing))}")
-
-
-def _check_fixed_stream(cfg: dict, shape: tuple, n: int, loss_name: str):
-    """Reject a fixed-file stream (or sign-flip base) that cannot serve n rounds of ``shape`` under the loss."""
-    stream = make_adversary(dict(cfg, kind="fixed-file"), shape, None, [])
-    if len(stream.xs) < n:
-        raise ConfigError(f"a fixed-file stream of {len(stream.xs)} rows cannot serve n = {n} rounds")
-    wrong = [i for i, x in enumerate(stream.xs) if x.shape != shape]
-    if wrong:
-        raise ConfigError(f"fixed-file instance {wrong[0]} is not of the point shape {shape}")
-    if cfg["kind"] == "fixed-file":  # a sign-flip base's labels are never read
-        try:
-            validate_labels(loss_name, stream.ys)
-        except ValueError as exc:
-            raise ConfigError(f"fixed-file {exc}") from None
-
-
-def _build_learner(config: dict, spec, seeds: list):
-    """The learner of a config with one lane per seed."""
-    algorithm = config["algorithm"]
+def _build_learner(settings: dict):
+    """The learner of checked settings with one lane per seed."""
+    algorithm, seeds = settings["algorithm"], settings["seeds"]
     if algorithm == "zigzag":
-        eta = 1.0 if config.get("eta") is None else config["eta"]
-        return ZigZagLearner(spec, eta, [substream(seed, "learner") for seed in seeds])
+        return ZigZagLearner(settings["spec"], settings["eta"], [substream(seed, "learner") for seed in seeds])
     if algorithm == "adaptive-gd":
-        return AdaptiveGD(int(config["d"]), lanes=len(seeds))
+        return AdaptiveGD(settings["d"], lanes=len(seeds))
     mode = algorithm.removeprefix("zigzag-doubling-")
-    return DoublingZigZag(spec, mode, seeds, eta0=config.get("eta0"), mc_paths=int(config.get("mc_paths", 500)))
+    return DoublingZigZag(settings["spec"], mode, seeds, eta0=settings["eta0"], mc_paths=settings["mc_paths"])
 
 
-def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
+def _run_cells(settings: dict) -> list[dict]:
     """The per-seed cells of a zigzag, doubling or adaptive-gd config.  The
     seeds are the lanes of one learner and one episode (a doubling lane keeps
     its own phases), and one Frank-Wolfe loop solves every seed's
     comparator."""
+    seeds = settings["seeds"]
     if not seeds:
         return []
-    loss_name = config.get("loss", "hinge")
-    n = int(config["n"])
-    tag, shape = (LpTag(2.0), (int(config["d"]),)) if spec is None else (spec.tag, spec.point_shape)
-    cert_grid = CERT_GRID if config.get("certify") else None
-    adversary = make_adversary(config["adversary"], shape, tag, seeds)
-    learner = _build_learner(config, spec, seeds)
+    loss_name, n = settings["loss"], settings["n"]
+    tag, shape = _point_space(settings)
+    cert_grid = CERT_GRID if settings["certify"] else None
+    adversary = make_adversary(settings["adversary"], shape, tag, seeds)
+    learner = _build_learner(settings)
     trace = run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)
 
     # the comparator class and the Rademacher estimate live in R^m, so
@@ -446,17 +514,17 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     lanes = len(seeds)
     xs = np.ascontiguousarray(np.broadcast_to(np.reshape(trace.xs, (n, -1, m)), (n, lanes, m)).swapaxes(0, 1))
     ys = np.ascontiguousarray(trace.y.T)
-    fw = offline_comparator(xs, ys, tag, loss_name, iters=int(config.get("fw_iters", 500)))
+    fw = offline_comparator(xs, ys, tag, loss_name, iters=settings["fw_iters"])
     increments = np.ascontiguousarray(trace.dloss.T)[..., np.newaxis] * xs
     linearized = tag.norm_batch(increments.sum(axis=1))  # ||sum_t l'_t x_t|| per lane
     max_x_norms = tag.norm_batch(xs.reshape(-1, m)).reshape(lanes, n).max(axis=1)
-    residuals = theorem_residual(trace, learner)["residual"] if config["algorithm"] == "zigzag" else [None] * lanes
+    residuals = theorem_residual(trace, learner)["residual"] if settings["algorithm"] == "zigzag" else [None] * lanes
     phases = learner.finish() if isinstance(learner, DoublingZigZag) else [[]] * lanes
 
     cells = []
     for i, seed in enumerate(seeds):
         total_loss = float(trace.cum_loss[-1, i])
-        rad_mean, rad_se = rad_estimate(increments[i], tag, int(config.get("rad_samples", 1000)), seed=seed)
+        rad_mean, rad_se = rad_estimate(increments[i], tag, settings["rad_samples"], seed=seed)
         cells.append({
             "seed": seed,
             "regret": total_loss - float(fw["best_loss"][i]),
@@ -475,18 +543,25 @@ def _run_cells(config: dict, spec, seeds: list) -> list[dict]:
     return cells
 
 
-def _spectral_cell(config: dict, seed: int) -> dict:
-    c = run_spectral(
-        d=int(config["d"]),
-        r=int(config["r"]),
-        tau=float(config["tau"]),
-        n=int(config["n"]),
-        stream_kind=config.get("entry_distribution", "uniform"),
-        loss_name=config.get("loss", "hinge"),
+def spectral_result(settings: dict, seed: int, entries=None):
+    """``run_spectral`` on the checked settings of a spectral config;
+    ``entries`` (i, j, y) triples replace the entry distribution."""
+    return run_spectral(
+        d=settings["d"],
+        r=settings["r"],
+        tau=settings["tau"],
+        n=settings["n"],
+        stream_kind=settings["entry_distribution"] if entries is None else "explicit",
+        loss_name=settings["loss"],
         seed=seed,
-        max_net=int(config.get("net_size", 500)),
-        eta=config.get("eta"),
+        max_net=settings["net_size"],
+        eta=settings["eta"],
+        entries=entries,
     )
+
+
+def _spectral_cell(settings: dict, seed: int) -> dict:
+    c = spectral_result(settings, seed)
     return {
         "seed": seed,
         "regret": c.regret,
@@ -522,11 +597,11 @@ def run_experiment(config: dict) -> dict:
     cells in seed order.  Spectral configs run seed 0 unless they list
     seeds.  Raises ``ConfigError`` before any round for a config that cannot
     run."""
-    spec = _check_config(config)
-    if config["algorithm"] == "spectral":
-        cells = [_spectral_cell(config, seed) for seed in config.get("seeds", [0])]
+    settings = check_config(config)
+    if settings["algorithm"] == "spectral":
+        cells = [_spectral_cell(settings, seed) for seed in settings["seeds"]]
     else:
-        cells = _run_cells(config, spec, list(config.get("seeds", [])))
+        cells = _run_cells(settings)
     residuals = [c["residual"] for c in cells if c["residual"] is not None]
     summary = {
         "config": config,
@@ -539,7 +614,10 @@ def run_experiment(config: dict) -> dict:
         "residual_se": float(np.std(residuals, ddof=1) / math.sqrt(len(residuals))) if len(residuals) > 1 else None,
         "phases": [c["phases"] for c in cells],
     }
-    summary["_cells"] = cells  # traces and sidecar detail for writers; stripped from summary.json
+    # traces and sidecar detail for writers, and the checked settings;
+    # stripped from summary.json
+    summary["_cells"] = cells
+    summary["_settings"] = settings
     return summary
 
 
@@ -591,7 +669,7 @@ def merge_reports(directory) -> dict:
         }
         if any(data.get("phases", [])) and config.get("spec") and config.get("n"):
             beta = make_spec(config["spec"]).beta
-            scale = beta**2 * math.log(max(int(config["n"]), 2)) ** 2
+            scale = beta**2 * math.log(max(config["n"], 2)) ** 2
             digest["doubling_rate_ratio"] = [r / scale for r in ratios]
         digests.append(digest)
     return {"runs": digests}

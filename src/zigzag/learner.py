@@ -87,7 +87,7 @@ class ZigZagLearner:
 
     State: cumulative sums ``S`` and ``M`` of shape ``(K, *point_shape)``,
     the round index, the learning rate (one for all lanes, or a length-K
-    array of per-lane rates), and one sign stream per lane; K is
+    array of per-lane rates; None is 1.0), and one sign stream per lane; K is
     ``len(rngs)``.
     """
 
@@ -96,7 +96,7 @@ class ZigZagLearner:
         if not self.rngs:
             raise ValueError("need one sign generator per lane, got none")
         self.lanes = len(self.rngs)
-        eta = np.asarray(eta, dtype=float)
+        eta = np.asarray(1.0 if eta is None else eta, dtype=float)
         if eta.shape not in ((), (self.lanes,)) or np.any(eta <= 0):
             raise ValueError(f"learning rate must be positive, one for all lanes or one per lane, got {eta}")
         self.spec = spec

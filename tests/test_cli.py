@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from zigzag import harness
 from zigzag.cli import main
+from zigzag.spectral import run_spectral
 
 
 def test_check_burkholder(capsys):
@@ -77,3 +80,78 @@ def test_run_and_report(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["runs"]) == 1
+
+
+def _assert_one_line_error(rc, capsys, message):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("zigzag: error: "), err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_bad_config_or_spec_exits_2_with_one_line(tmp_path, capsys):
+    config = {
+        "algorithm": "zigzag",
+        "spec": {"construction": "lp-sum", "p": 3.0, "d": 4, "dd": 9},
+        "adversary": {"kind": "iid-gaussian"},
+        "n": 5,
+        "seeds": [0],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    cases = [
+        (["run", str(cfg_path)], "unknown spec key 'dd'"),
+        (["check", "burkholder", "--spec", '{"construction": "lp"}'], "unknown construction 'lp'"),
+        (["check", "burkholder", "--spec", "notjson"], "--spec 'notjson' is not JSON"),
+        (["run", str(tmp_path / "missing.json")], "missing.json' cannot be read as JSON"),
+    ]
+    for argv, message in cases:
+        _assert_one_line_error(main(argv), capsys, message)
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--r", "r must be at least 1, got 0"),
+        ("--d", "d must be at least 1, got 0"),
+        ("--n", "n must be at least 1, got 0"),
+        ("--tau", "tau must be a finite number > 0, got 0.0"),
+        ("--eta", "eta must be a finite number > 0, got 0.0"),
+        ("--net-size", "net_size must be at least 1, got 0"),
+    ],
+)
+def test_spectral_flags_follow_the_spectral_config_rules(flag, message, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the flags were checked")
+
+    monkeypatch.setattr(harness, "run_spectral", never)
+    _assert_one_line_error(main(["spectral", flag, "0"]), capsys, message)
+
+
+def test_spectral_adversarial_file_replays_its_entries(tmp_path):
+    entries = [[0, 1, 1.0], [2, 2, -1.0], [1, 0, 1.0], [0, 1, -1.0]]
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(entries))
+    out = tmp_path / "spectral.json"
+    argv = ["spectral", "--entry-distribution", "adversarial-file", "--file", str(path), "--net-size", "20", "--out", str(out)]
+    assert main(argv) == 0
+    want = dataclasses.asdict(run_spectral(3, 1, 3.0, n=200, stream_kind="explicit", max_net=20, entries=entries))
+    want.pop("rows")
+    assert json.loads(out.read_text()) == json.loads(json.dumps(want, default=lambda a: a.tolist()))
+
+
+def test_run_writes_to_the_config_out_dir(tmp_path, monkeypatch, capsys):
+    config = {
+        "algorithm": "zigzag",
+        "spec": {"construction": "scalar-p", "p": 2.0},
+        "adversary": {"kind": "sign-flip"},
+        "n": 5,
+        "seeds": [0],
+        "rad_samples": 100,
+        "fw_iters": 5,
+    }
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps(dict(config, out_dir="mine")))
+    (tmp_path / "b.json").write_text(json.dumps(config))
+    assert main(["run", "a.json"]) == 0 and main(["run", "b.json"]) == 0
+    assert (tmp_path / "mine" / "summary.json").exists() and (tmp_path / "runs" / "summary.json").exists()

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -149,18 +150,18 @@ SPECTRAL = {"algorithm": "spectral", "d": 3, "r": 1, "tau": 3.0, "n": 30, "net_s
     "change, message",
     [
         ({"algorithm": "zigzag-tripling"}, "unknown algorithm 'zigzag-tripling'"),
-        ({"adversary": {"kind": "adaptive"}}, "unknown adversary kind 'adaptive'"),
-        ({"adversary": {"kind": "sign-flip", "base": "adaptive"}}, "unknown adversary kind 'adaptive'"),
+        ({"adversary": {"kind": "adaptive"}}, "unknown adversary.kind 'adaptive'"),
+        ({"adversary": {"kind": "sign-flip", "base": "adaptive"}}, "unknown adversary.base 'adaptive'"),
         ({"loss": "squared"}, "unknown loss 'squared'"),
-        (dict(SPECTRAL, n=0), "n >= 1 and tau > 0"),
-        (dict(SPECTRAL, tau=0.0), "n >= 1 and tau > 0"),
-        (dict(SPECTRAL, tau=-1.0), "n >= 1 and tau > 0"),
-        (dict(SPECTRAL, d=0), "n >= 1 and tau > 0"),
-        (dict(SPECTRAL, r=0), "n >= 1 and tau > 0"),
+        (dict(SPECTRAL, n=0), "n must be at least 1, got 0"),
+        (dict(SPECTRAL, tau=0.0), "tau must be a finite number > 0, got 0.0"),
+        (dict(SPECTRAL, tau=-1.0), "tau must be a finite number > 0, got -1.0"),
+        (dict(SPECTRAL, d=0), "d must be at least 1, got 0"),
+        (dict(SPECTRAL, r=0), "r must be at least 1, got 0"),
         (dict(SPECTRAL, entry_distribution="bogus"), "unknown entry_distribution 'bogus'"),
         (dict(SPECTRAL, entry_distribution="explicit"), "unknown entry_distribution 'explicit'"),
-        (dict(SPECTRAL, net_size=0), "net_size, d, r, n >= 1"),
-        ({"n": 0}, "n >= 1 rounds, got n = 0"),
+        (dict(SPECTRAL, net_size=0), "net_size must be at least 1, got 0"),
+        ({"n": 0}, "n must be at least 1, got 0"),
         ({"etaa": 0.5}, "unknown config key 'etaa'"),
         ({"adversary": {"kind": "low-rank-stream", "rnak": 2}}, "unknown adversary key 'rnak'"),
         (dict(SPECTRAL, net_sise=40), "unknown config key 'net_sise'"),
@@ -203,14 +204,14 @@ BAD_NUMBERS = {
     "eta0-zero": ({"algorithm": "zigzag-doubling-realized", "eta0": 0.0}, "eta0 must be a finite number > 0"),
     "eta0-negative": ({"algorithm": "zigzag-doubling-expected", "eta0": -1}, "eta0 must be a finite number > 0"),
     "spectral-eta-zero": (dict(SPECTRAL, eta=0.0), "eta must be a finite number > 0"),
-    "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "whole number d >= 1, got d = 0"),
-    "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "whole number d >= 1, got d = 2.5"),
-    "adaptive-gd-d-zero": ({"algorithm": "adaptive-gd", "d": 0}, "whole number d >= 1, got d = 0"),
-    "rank-zero": ({"adversary": {"kind": "low-rank-stream", "rank": 0}}, "whole number rank >= 1, got rank = 0"),
-    "rank-negative": ({"adversary": {"kind": "low-rank-stream", "rank": -1}}, "whole number rank >= 1, got rank = -1"),
-    "n-fraction": ({"n": 2.7}, "whole number of n >= 1 rounds, got n = 2.7"),
-    "n-text": ({"n": "abc"}, "whole number of n >= 1 rounds, got n = 'abc'"),
-    "spectral-n-fraction": (dict(SPECTRAL, n=2.7), "n >= 1 and tau > 0"),
+    "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "spec.d must be at least 1, got 0"),
+    "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "spec.d must be at least 1, got 2.5"),
+    "adaptive-gd-d-zero": ({"algorithm": "adaptive-gd", "d": 0}, "d must be at least 1, got 0"),
+    "rank-zero": ({"adversary": {"kind": "low-rank-stream", "rank": 0}}, "adversary.rank must be at least 1, got 0"),
+    "rank-negative": ({"adversary": {"kind": "low-rank-stream", "rank": -1}}, "adversary.rank must be at least 1, got -1"),
+    "n-fraction": ({"n": 2.7}, "n must be at least 1, got 2.7; it takes a whole number"),
+    "n-text": ({"n": "abc"}, "n must be at least 1, got 'abc'"),
+    "spectral-n-fraction": (dict(SPECTRAL, n=2.7), "n must be at least 1, got 2.7"),
     "eta-text": ({"eta": "abc"}, "eta must be a finite number > 0, got 'abc'"),
     "eta-bool": ({"eta": True}, "eta must be a finite number > 0, got True"),
     "eta0-text": ({"algorithm": "zigzag-doubling-realized", "eta0": "abc"}, "eta0 must be a finite number > 0, got 'abc'"),
@@ -220,7 +221,7 @@ BAD_NUMBERS = {
     "rad-samples-inf": ({"rad_samples": math.inf}, "rad_samples must be at least 100, got inf"),
     "rad-samples-fraction": ({"rad_samples": 150.7}, "rad_samples must be at least 100, got 150.7; it takes a whole number"),
     "mc-paths-fraction": ({"algorithm": "zigzag-doubling-expected", "mc_paths": 150.5}, "mc_paths must be at least 100, got 150.5"),
-    "spectral-tau-text": (dict(SPECTRAL, tau="x"), "n >= 1 and tau > 0, got .*tau='x'"),
+    "spectral-tau-text": (dict(SPECTRAL, tau="x"), "tau must be a finite number > 0, got 'x'"),
     "spectral-eta-text": (dict(SPECTRAL, eta="x"), "eta must be a finite number > 0, got 'x'"),
     "seeds-fraction": ({"seeds": [0.5]}, r"seeds must be a list of distinct integers, got \[0.5\]"),
     "seeds-repeated": ({"seeds": [0, 0]}, r"seeds must be a list of distinct integers, got \[0, 0\]"),
@@ -240,11 +241,11 @@ MISSING_OR_UNBUILDABLE = {
     "no-spec": ({"spec": MISSING}, "algorithm 'zigzag' needs 'spec'"),
     "spec-no-d": ({"spec": {"construction": "lp-sum", "p": 3.0}}, "needs the key 'd'"),
     "no-adversary": ({"adversary": MISSING}, "algorithm 'zigzag' needs 'adversary'"),
-    "adversary-no-kind": ({"adversary": {}}, "an adversary needs 'kind'"),
-    "low-rank-no-rank": ({"adversary": {"kind": "low-rank-stream"}}, "low-rank-stream adversary needs 'rank'"),
+    "adversary-no-kind": ({"adversary": {}}, "adversary needs 'kind'"),
+    "low-rank-no-rank": ({"adversary": {"kind": "low-rank-stream"}}, "adversary kind 'low-rank-stream' needs 'rank'"),
     "sign-flip-low-rank-no-rank": ({"adversary": {"kind": "sign-flip", "base": "low-rank-stream"}}, "needs 'rank'"),
     "adaptive-gd-no-d": ({"algorithm": "adaptive-gd"}, "algorithm 'adaptive-gd' needs 'd'"),
-    "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "a spectral config needs 'tau'"),
+    "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "algorithm 'spectral' needs 'tau'"),
     "construction-lp": ({"spec": {"construction": "lp", "p": 3.0, "d": 4}}, "unknown construction 'lp'"),
     "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
     "spec-text": ({"spec": "lp"}, "spec must be a JSON object, got 'lp'"),
@@ -253,6 +254,7 @@ MISSING_OR_UNBUILDABLE = {
     "normalize-text": ({"adversary": {"kind": "iid-gaussian", "normalize": "false"}}, "adversary.normalize must be true or false, got 'false'"),
     "spec-unknown-key": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 4, "dd": 9}}, "unknown spec key 'dd' for construction 'lp-sum', which takes p, d"),
     "spectral-certify-false": (dict(SPECTRAL, certify=False), "a spectral run always certifies every round; it cannot run with certify: false"),
+    "out-dir-number": ({"out_dir": 5}, "out_dir must be non-empty text, got 5"),
 }
 
 
@@ -281,6 +283,8 @@ FIXED_FILE_FAULTS = {
     "not-point-shape": ({"xs": [[0.5, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 4, "ys": [1.0] * 5}, "instance 0 is not of the point shape"),
     "label-not-a-sign": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 5, "ys": [1.0, -1.0, 0.5, 1.0, 1.0]}, "hinge loss needs labels"),
     "no-xs": ({"ys": [1.0] * 5}, "a fixed-file stream needs 'xs'"),
+    "xs-text": ({"xs": "abcde", "ys": [1.0] * 5}, "needs lists of numbers for xs and ys: could not convert string to float: 'a'"),
+    "ys-number": ({"xs": [[0.5, 0.0, 0.0, 0.0]] * 5, "ys": 5}, "needs lists of numbers for xs and ys: 'int' object is not iterable"),
     "missing-file": ({"path": str(pathlib.Path(__file__).with_name("no-such-stream.json"))}, "no-such-stream.json' cannot be read as a JSON stream"),
     "not-json": ({"path": __file__}, "test_harness.py' cannot be read as a JSON stream"),
 }
@@ -303,6 +307,40 @@ def test_fixed_file_faults_are_rejected_before_the_first_round(data, message, mo
     }
     with pytest.raises(ConfigError, match=message):
         run_experiment(config)
+
+
+def test_a_fixed_file_stream_is_read_once_per_run(tmp_path, monkeypatch):
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps({"xs": [[0.5, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]] * 3, "ys": [1.0, -1.0] * 3}))
+    reads = []
+    read_text = pathlib.Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counted)
+    for kind in ({"kind": "fixed-file"}, {"kind": "sign-flip", "base": "fixed-file"}):
+        config = {
+            "algorithm": "zigzag",
+            "spec": {"construction": "lp-sum", "p": 3.0, "d": 4},
+            "adversary": dict(kind, path=str(path)),
+            "n": 5,
+            "seeds": [0, 1],
+            "rad_samples": 100,
+            "fw_iters": 5,
+        }
+        reads.clear()
+        summary = run_experiment(config)
+        assert reads == [path]
+        assert len(summary["regret"]) == 2
+
+
+def test_readme_names_every_key_of_the_config_table():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    keys = re.search(r"a top-level key other than\s(.*?),\sor an `adversary` key other than\s(.*?),\sraises", readme, re.DOTALL)
+    documented = [re.findall(r"`([^`]+)`", keys.group(i)) for i in (1, 2)]
+    assert documented == [list(harness.CONFIG_TABLE["config"]), list(harness.CONFIG_TABLE["adversary"])]
 
 
 CONSTRUCTIONS = [
