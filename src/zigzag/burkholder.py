@@ -384,7 +384,9 @@ class L1WeakTypeU(BurkholderSpec):
 
     It dominates 1{||x||_1 >= 1} - (2/u(0,0)) ||y||_1 rather than a power
     difference; the shifted-majorization composition turns a scaled stack of
-    these into a function for ||.||_1 itself (see ComposedL1U).
+    these into a function for ||.||_1 itself (see ComposedL1U).  The interior
+    kernel max(zeta, ||x+y||_1) is ``_u_interior``, the one body both classes
+    evaluate; zeta is computed only for rows inside the unit ball.
     """
 
     construction = "l1-weak"
@@ -400,21 +402,21 @@ class L1WeakTypeU(BurkholderSpec):
             )
         self.tag = OneTag()
         self.point_shape = (self.dim,)
-        self.u00 = float(self._u_batch(np.zeros(self.dim), np.zeros(self.dim)))
+        self.u00 = float(self._u_interior(np.zeros(self.dim), np.zeros(self.dim)))
         if self.u00 <= 0.0:
             raise ValueError(f"u(0,0) = {self.u00:.6g} <= 0: invalid parameters (a={a}, d={dim})")
         self.p = 1.0
         self.beta = 2.0 / self.u00  # weak-type constant
 
+    def _u_interior(self, xs, ys):
+        """u(x, y) for points inside the unit ball max(||x||_1, ||y||_1) < 1."""
+        return np.maximum(zeta_l1(xs, ys, self.a), np.sum(np.abs(xs + ys), axis=-1))
+
     def _u_batch(self, xs, ys):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        nx = np.sum(np.abs(xs), axis=-1)
-        ny = np.sum(np.abs(ys), axis=-1)
-        nsum = np.sum(np.abs(xs + ys), axis=-1)
-        interior = np.maximum(nx, ny) < 1.0
-        zeta = zeta_l1(xs, ys, self.a)
-        return np.where(interior, np.maximum(zeta, nsum), nsum)
+        u = np.asarray(np.sum(np.abs(xs + ys), axis=-1))
+        inside = np.maximum(np.sum(np.abs(xs), axis=-1), np.sum(np.abs(ys), axis=-1)) < 1.0
+        u[inside] = self._u_interior(xs[inside], ys[inside])
+        return u
 
     def value_batch(self, xs, ys):
         xs = np.asarray(xs, float)
@@ -437,6 +439,11 @@ class L1WeakTypeU(BurkholderSpec):
         return pts * scale
 
 
+# (row, level) pairs per interior chunk of ComposedL1U.value_batch; a chunk
+# holds whole rows, so only a row with more interior levels exceeds it
+_LEVEL_CHUNK = 1 << 12
+
+
 class ComposedL1U(BurkholderSpec):
     """Stack of rescaled weak-type functions approximating a Burkholder
     function for ||.||_1 at power one:
@@ -450,6 +457,16 @@ class ComposedL1U(BurkholderSpec):
     estimates the true supremum from below, the majorant applies a small
     safety margin on top of the fitted value.  Probes are drawn inside the
     validity region (the l1 ball of radius B).
+
+    Evaluation (the weak-type to strong-type layer-cake step of Burkholder
+    1984): level lambda_k is exterior for a row when m = max(||x+y||_1,
+    ||y-x||_1) >= lambda_k, and there the weak function is affine,
+    1 - beta ||y||_1 / lambda_k with beta = 2/u(0,0).  The K exterior levels
+    of a row therefore sum in closed form to K - beta ||y||_1 H_K, where
+    ``harmonic[K]`` = H_K = sum_{k<=K} 1/lambda_k.  Only the interior
+    (row, level) pairs go through the weak function's interior kernel, in
+    chunks of whole rows, so a row's value does not depend on the rest of
+    the batch.
     """
 
     construction = "l1-composed"
@@ -463,6 +480,7 @@ class ComposedL1U(BurkholderSpec):
         self.eps = float(eps)
         self.n_levels = math.ceil(self.bound / self.eps)
         self.lam = self.eps * np.arange(1, self.n_levels + 1)
+        self.harmonic = np.concatenate(([0.0], np.cumsum(1.0 / self.lam)))
         self.tag = OneTag()
         self.dim = weak.dim
         self.point_shape = (self.dim,)
@@ -489,9 +507,31 @@ class ComposedL1U(BurkholderSpec):
         return pts
 
     def value_batch(self, xs, ys):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        return self.eps * sum(self.weak.value_batch(xs / lam, ys / lam) for lam in self.lam)
+        xs, ys = np.broadcast_arrays(np.asarray(xs, float), np.asarray(ys, float))
+        batch = xs.shape[:-1]
+        x = xs.reshape(-1, self.dim)
+        y = ys.reshape(-1, self.dim)
+        # the levels lambda_k <= m are exterior, and sum in closed form
+        m = np.maximum(np.sum(np.abs(x + y), axis=1), np.sum(np.abs(y - x), axis=1))
+        n_ext = np.searchsorted(self.lam, m, side="right")
+        total = n_ext - self.beta * np.sum(np.abs(y), axis=1) * self.harmonic[n_ext]
+        # the interior (row, level) pairs, level by level within a row
+        counts = self.n_levels - n_ext
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < len(counts):
+            start = ends[lo] - counts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, start + _LEVEL_CHUNK, side="right")))
+            c = counts[lo:hi]
+            rows = np.repeat(np.arange(hi - lo), c)
+            level = np.arange(rows.size) - np.repeat(np.cumsum(c) - c - n_ext[lo:hi], c)
+            lam = self.lam[level][:, np.newaxis]
+            xl = x[lo:hi][rows] / lam
+            yl = y[lo:hi][rows] / lam
+            w = 1.0 - self.weak._u_interior(xl + yl, yl - xl) / self.weak.u00
+            total[lo:hi] += np.bincount(rows, weights=w, minlength=hi - lo)
+            lo = hi
+        return self.eps * total.reshape(batch)
 
     dirderiv_batch = _central_difference
 

@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from .burkholder import check_majorization, check_zigzag
-from .harness import CONFIG_TABLE, ConfigError, brute_force_minimax, build_spec, check_config, load_json, merge_reports
-from .harness import rad_exact_scalar, run_experiment, spectral_result, write_outputs
+from .harness import CONFIG_TABLE, ConfigError, brute_force_minimax, build_spec, check_config, entry_triples, load_json
+from .harness import merge_reports, rad_exact_scalar, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
 from .losses import LOSSES
 from .rademacher import (
@@ -136,6 +136,8 @@ def _cmd_spectral(args) -> int:
     else:
         config["entry_distribution"] = args.entry_distribution
     settings = check_config({key: value for key, value in config.items() if value is not None})
+    if entries is not None:
+        entries = entry_triples(entries, settings["d"], settings["loss"])
     payload = dataclasses.asdict(spectral_result(settings, args.seed, entries))
     payload.pop("rows")
     _emit(payload, args.out)

@@ -51,6 +51,7 @@ __all__ = [
     "build_spec",
     "load_json",
     "spectral_result",
+    "entry_triples",
     "ConfigError",
     "CONFIG_TABLE",
     "write_outputs",
@@ -143,7 +144,7 @@ class IIDGaussianX:
     the configured norm; labels are fresh uniform signs.  ``next_x`` gives the
     K lanes' instances (the instance itself when K = 1), ``next_y`` K labels."""
 
-    def __init__(self, shape, tag: NormTag, seeds, normalize: bool = True):
+    def __init__(self, shape, tag: NormTag, seeds, normalize: bool):
         self.shape = shape
         self.tag = tag
         self.normalize = normalize
@@ -175,7 +176,7 @@ class LowRankStream(IIDGaussianX):
     """Instances drawn from a fixed random subspace of the given rank, one
     subspace per seed; the shape is a tuple."""
 
-    def __init__(self, shape: tuple, rank: int, tag: NormTag, seeds, normalize: bool = True):
+    def __init__(self, shape: tuple, rank: int, tag: NormTag, seeds, normalize: bool):
         super().__init__(shape, tag, seeds, normalize)
         self.bases = [substream(seed, "low-rank-basis").normal(size=(*shape, rank)) for seed in seeds]
 
@@ -248,6 +249,24 @@ def _fixed_stream(cfg: dict) -> FixedStream:
     return FixedStream(data["xs"], data["ys"])
 
 
+def entry_triples(entries, d: int, loss_name: str) -> list:
+    """The (i, j, y) triples of an adversarial entry file for a d x d spectral
+    run, as read from JSON; ``ConfigError`` for an empty or malformed list, an
+    index outside the matrix or a label the loss does not take."""
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"an entry file needs a non-empty list of [i, j, y] triples, got {entries!r}")
+    for t, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_number(entry[2])
+                and all(_is_number(v, whole=True) and 0 <= v < d for v in entry[:2])):
+            raise ConfigError(f"entry {t} is {entry!r}; entries are [i, j, y] with whole numbers i, j that index "
+                              f"a {d} x {d} matrix and a number y")
+    try:
+        validate_labels(loss_name, [entry[2] for entry in entries])
+    except ValueError as exc:
+        raise ConfigError(f"entry file: {exc}") from None
+    return entries
+
+
 def load_json(read, what: str):
     """``json.loads(read())``; a ``ConfigError`` that begins with ``what`` if
     reading fails (a missing or unreadable file) or the text is not JSON."""
@@ -293,7 +312,7 @@ def _rowdot(a, b) -> np.ndarray:
     return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
 
 
-def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int = 500) -> dict:
+def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int) -> dict:
     """Frank-Wolfe over the dual-norm unit ball for the best-in-class
     cumulative loss inf_w sum_t loss(<w, x_t>, y_t) of one stream (``xs`` of
     shape ``(n, d)``, ``ys`` of shape ``(n,)``) or of K streams solved

@@ -144,9 +144,10 @@ class SpectralZigZag:
         r: int,
         tau: float,
         horizon: int,
-        loss_name: str = "hinge",
+        *,
+        loss_name: str,
+        max_net: int,
         seed: int = 0,
-        max_net: int = 500,
         eta: float | None = None,
     ):
         if horizon < 1 or not tau > 0:
@@ -336,10 +337,11 @@ def run_spectral(
     r: int,
     tau: float,
     n: int,
-    stream_kind: str = "uniform",
-    loss_name: str = "hinge",
+    *,
+    stream_kind: str,
+    loss_name: str,
+    max_net: int,
     seed: int = 0,
-    max_net: int = 500,
     eta: float | None = None,
     entries=None,
 ) -> SpectralResult:

@@ -149,7 +149,7 @@ class DoublingZigZag(ZigZagLearner):
     before ``predict`` each round (the episode driver does this).
     """
 
-    def __init__(self, spec, mode: str, seeds, eta0: float | None = None, mc_paths: int = 500):
+    def __init__(self, spec, mode: str, seeds, mc_paths: int, eta0: float | None = None):
         if mode not in ("realized", "expected"):
             raise ValueError(f"mode must be 'realized' or 'expected', got {mode!r}")
         self.mode = mode

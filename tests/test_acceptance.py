@@ -145,7 +145,7 @@ def test_criterion_03_per_round_admissibility(capsys):
         worst = 0.0
         for spec, adv_kind in itertools.product(specs, ("iid-gaussian", "sign-flip")):
             # the seeds are the lanes of one episode
-            base = IIDGaussianX(spec.point_shape, spec.tag, seeds)
+            base = IIDGaussianX(spec.point_shape, spec.tag, seeds, normalize=True)
             adversary = SignFlip(base) if adv_kind == "sign-flip" else base
             learner = ZigZagLearner(spec, 0.5, [substream(seed, "learner") for seed in seeds])
             trace = run_episode(learner, "hinge", adversary, n=200, cert_grid=grid, cert_tol=1e-8)
@@ -216,7 +216,7 @@ class _AlternatingLabels:
 def test_criterion_06_doubling_schedule(capsys):
     with criterion(capsys, 6, "doubling schedule exactness and phase invariant") as info:
         for p, beta in ((1.5, 2.0), (2.0, 1.0), (3.0, 2.0)):
-            tuner = DoublingZigZag(ScalarPowerU(p), "realized", [0])
+            tuner = DoublingZigZag(ScalarPowerU(p), "realized", [0], mc_paths=500)
             p_prime, _ = conjugate(p)
             for i in range(41):
                 want = 2.0 ** (-i / (p_prime - 1.0))
@@ -224,7 +224,7 @@ def test_criterion_06_doubling_schedule(capsys):
 
         # crafted stream forcing phase changes: unit instances, alternating
         # linear-loss labels, and a deliberately huge starting rate
-        tuner = DoublingZigZag(ScalarPowerU(2.0), "realized", [3], eta0=8.0)
+        tuner = DoublingZigZag(ScalarPowerU(2.0), "realized", [3], mc_paths=500, eta0=8.0)
         run_episode(tuner, "linear", _AlternatingLabels(), n=120)
         (log,) = tuner.finish()
         completed = [rec for rec in log if not rec.final]
@@ -256,13 +256,13 @@ def test_criterion_07_adagrad_recovery(capsys):
 
         def regrets(learner, n):
             # the 20 seeds are lanes of one episode and one Frank-Wolfe loop
-            trace = run_episode(learner, "hinge", IIDGaussianX((spec_dim,), LpTag(2.0), seeds), n)
+            trace = run_episode(learner, "hinge", IIDGaussianX((spec_dim,), LpTag(2.0), seeds, normalize=True), n)
             xs = np.stack(trace.xs, axis=1)  # (lanes, n, d)
             fw = offline_comparator(xs, trace.y.T, LpTag(2.0), "hinge", iters=400)
             return trace.cum_loss[-1] - fw["best_loss"], trace, xs
 
         for n in (100, 1000):
-            zz_regrets, trace, xs = regrets(DoublingZigZag(HilbertU(2.0, dim=spec_dim), "realized", seeds), n)
+            zz_regrets, trace, xs = regrets(DoublingZigZag(HilbertU(2.0, dim=spec_dim), "realized", seeds, mc_paths=500), n)
             grad_norms = np.sqrt(np.sum(trace.dloss.T**2 * np.sum(xs * xs, axis=-1), axis=1))
             ratios = zz_regrets / grad_norms
             gd_regrets, _, _ = regrets(AdaptiveGD(spec_dim, lanes=len(seeds)), n)
@@ -436,7 +436,7 @@ def test_criterion_13_reproducibility(capsys, tmp_path):
         files = ["summary.json", "episode_seed0.csv", "episode_seed1.csv"]
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        r1 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60)
-        r2 = run_spectral(3, 1, 3.0, n=40, seed=5, max_net=60)
+        r1 = run_spectral(3, 1, 3.0, n=40, stream_kind="uniform", loss_name="hinge", seed=5, max_net=60)
+        r2 = run_spectral(3, 1, 3.0, n=40, stream_kind="uniform", loss_name="hinge", seed=5, max_net=60)
         assert r1.rows == r2.rows and r1.learner_loss == r2.learner_loss
         info["detail"] = f"{len(files)} files byte-identical; spectral rows identical"

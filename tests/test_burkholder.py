@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zigzag import burkholder
 from zigzag.burkholder import (
     SPEC_KEYS,
     ComposedL1U,
@@ -333,6 +334,43 @@ def test_composed_levels_and_origin():
     assert comp.value(np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         ComposedL1U(weak, bound=0.1, eps=0.5)
+
+
+def _level_sum(comp, xs, ys):
+    """The composed function by its definition, one weak function per level."""
+    return comp.eps * sum(comp.weak.value_batch(xs / lam, ys / lam) for lam in comp.lam)
+
+
+# the perfbench verify config and criterion 10's
+@pytest.mark.parametrize("a, d, bound, eps", [(4.0, 3, 4.0, 0.1), (10.0, 2, 2.0, 0.25)])
+def test_composed_value_batch_is_the_level_sum(a, d, bound, eps):
+    comp = ComposedL1U(L1WeakTypeU(a=a, dim=d), bound=bound, eps=eps)
+    rng = substream(17, "composed-levels")
+    xs, ys = comp.sample_points(rng, 20_000), comp.sample_points(rng, 20_000)
+    assert np.max(np.abs(comp.value_batch(xs, ys) - _level_sum(comp, xs, ys))) <= 1e-12
+    # rows whose max(|x+y|_1, |y-x|_1) is exactly a level
+    x, y = xs[:2000], ys[:2000]
+    k = rng.integers(0, comp.n_levels, size=2000)
+    scale = (comp.lam[k] / np.maximum(np.abs(x + y).sum(axis=1), np.abs(y - x).sum(axis=1)))[:, np.newaxis]
+    x, y = x * scale, y * scale
+    on = np.maximum(np.abs(x + y).sum(axis=1), np.abs(y - x).sum(axis=1)) == comp.lam[k]
+    assert on.sum() >= 500
+    assert np.max(np.abs(comp.value_batch(x[on], y[on]) - _level_sum(comp, x[on], y[on]))) <= 1e-12
+    assert comp.value(np.zeros(d), np.zeros(d)) == 0.0
+    grid = comp.value_batch(xs[:16].reshape(2, 8, d), ys[:16].reshape(2, 8, d))
+    assert grid.shape == (2, 8)
+    assert np.array_equal(grid.ravel(), comp.value_batch(xs[:16], ys[:16]))
+
+
+def test_composed_rows_do_not_depend_on_the_batch():
+    comp = ComposedL1U(L1WeakTypeU(a=4.0, dim=3), bound=4.0, eps=0.1)
+    rng = substream(18, "composed-rows")
+    xs, ys = comp.sample_points(rng, 2000), comp.sample_points(rng, 2000)
+    m = np.maximum(np.abs(xs + ys).sum(axis=1), np.abs(ys - xs).sum(axis=1))
+    interior_pairs = np.sum(comp.n_levels - np.searchsorted(comp.lam, m, side="right"))
+    assert interior_pairs > 2 * burkholder._LEVEL_CHUNK  # the batch spans several chunks
+    batch = comp.value_batch(xs, ys)
+    assert all(batch[i] == comp.value(xs[i], ys[i]) for i in range(len(xs)))
 
 
 def test_make_spec_round_trip():

@@ -135,9 +135,29 @@ def test_spectral_adversarial_file_replays_its_entries(tmp_path):
     out = tmp_path / "spectral.json"
     argv = ["spectral", "--entry-distribution", "adversarial-file", "--file", str(path), "--net-size", "20", "--out", str(out)]
     assert main(argv) == 0
-    want = dataclasses.asdict(run_spectral(3, 1, 3.0, n=200, stream_kind="explicit", max_net=20, entries=entries))
+    want = dataclasses.asdict(run_spectral(3, 1, 3.0, n=200, stream_kind="explicit", loss_name="hinge", max_net=20, entries=entries))
     want.pop("rows")
     assert json.loads(out.read_text()) == json.loads(json.dumps(want, default=lambda a: a.tolist()))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0, 5, 1.0]], "entry 0 is [0, 5, 1.0]; entries are [i, j, y] with whole numbers i, j that index a 3 x 3 matrix"),
+        ([[0, 1, 1.0], [0, 1]], "entry 1 is [0, 1]"),
+        ([], "an entry file needs a non-empty list of [i, j, y] triples"),
+        ([[0, 1, 0.5]], "hinge loss needs labels in {-1, +1}"),
+    ],
+)
+def test_spectral_entry_file_errors_exit_2_before_any_round(entries, message, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the entries were checked")
+
+    monkeypatch.setattr(harness, "run_spectral", never)
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(entries))
+    rc = main(["spectral", "--entry-distribution", "adversarial-file", "--file", str(path)])
+    _assert_one_line_error(rc, capsys, message)
 
 
 def test_run_writes_to_the_config_out_dir(tmp_path, monkeypatch, capsys):

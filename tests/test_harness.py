@@ -450,7 +450,7 @@ def test_offline_comparator_hinge_matches_grid_search():
 
 
 def test_offline_comparator_empty():
-    fw = offline_comparator([], [], LpTag(2.0), "hinge")
+    fw = offline_comparator([], [], LpTag(2.0), "hinge", iters=500)
     assert fw["best_loss"] == 0.0
 
 

@@ -29,7 +29,7 @@ def flip_sign(dim=None, seed=0):
     """Sign-flip labels over the constant instance 1.0, or over Gaussian
     instances on the Euclidean unit sphere of R^dim drawn from ``seed``'s
     adversary stream."""
-    return SignFlip(ConstantX(1.0, [1.0]) if dim is None else IIDGaussianX((dim,), LpTag(2.0), [seed]))
+    return SignFlip(ConstantX(1.0, [1.0]) if dim is None else IIDGaussianX((dim,), LpTag(2.0), [seed], normalize=True))
 
 
 def make_learner(spec, eta=1.0, seed=0):
@@ -177,7 +177,7 @@ LANE_SPECS = [
 @pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.construction)
 def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
     def adversary():
-        base = IIDGaussianX(spec.point_shape, spec.tag, [9])
+        base = IIDGaussianX(spec.point_shape, spec.tag, [9], normalize=True)
         return SignFlip(base) if kind == "sign-flip" else base
 
     grid = np.linspace(-1, 1, 41)
@@ -235,7 +235,7 @@ def test_certificate_matrix_and_weighted_specs():
     b = sub(31, "psd").normal(size=(4, 4))
     specs = [GroupP2U(3.0, (4, 4)), GroupP2U(1.5, (4, 4)), WeightedL2U(b @ b.T + 0.5 * np.eye(4))]
     for spec in specs:
-        adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag, [13]))
+        adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag, [13], normalize=True))
         learner = make_learner(spec, eta=0.4, seed=13)
         trace = run_episode(learner, "hinge", adversary, n=40, cert_grid=np.linspace(-1, 1, 41))
         assert trace.cert_worst_slack.min() >= -1e-8

@@ -72,7 +72,7 @@ def test_entry_stats():
 
 
 def test_fresh_experts_predict_zero_and_clip():
-    alg = SpectralZigZag(3, 1, 3.0, horizon=50, seed=2, max_net=40)
+    alg = SpectralZigZag(3, 1, 3.0, horizon=50, loss_name="hinge", seed=2, max_net=40)
     f = alg.predict_all(0, 1)
     assert np.allclose(f, 0.0)
     rec = alg.round(0, 1, 1.0, f)
@@ -86,7 +86,7 @@ def test_fresh_experts_predict_zero_and_clip():
 
 
 def test_prediction_closed_form():
-    alg = SpectralZigZag(3, 2, 2.0, horizon=30, seed=3, max_net=30)
+    alg = SpectralZigZag(3, 2, 2.0, horizon=30, loss_name="hinge", seed=3, max_net=30)
     rng = np.random.default_rng(0)
     alg.sv = rng.normal(size=alg.sv.shape)
     i, j = 1, 2
@@ -96,13 +96,13 @@ def test_prediction_closed_form():
         want = -scale * float(np.dot(alg.sv[v, i, :], alg.experts[v, j, :]))
         assert f[v] == pytest.approx(want, rel=1e-12)
     # entry never seen, disjoint row support: prediction stays zero
-    alg2 = SpectralZigZag(4, 1, 1.0, horizon=10, seed=4, max_net=16)
+    alg2 = SpectralZigZag(4, 1, 1.0, horizon=10, loss_name="hinge", seed=4, max_net=16)
     alg2.round(0, 0, 1.0, alg2.predict_all(0, 0))
     assert np.allclose(alg2.predict_all(1, 0), 0.0)
 
 
 def test_rank_two_certificate_catches_a_wrong_prediction():
-    alg = SpectralZigZag(4, 2, 2.0, horizon=30, seed=12, max_net=50)
+    alg = SpectralZigZag(4, 2, 2.0, horizon=30, loss_name="hinge", seed=12, max_net=50)
     rng = np.random.default_rng(12)
     alg.sv = rng.normal(size=alg.sv.shape)
     alg.mv = rng.normal(size=alg.mv.shape)
@@ -127,7 +127,7 @@ def test_rank_two_certificate_catches_a_wrong_prediction():
 
 
 def test_certificate_passes_along_run():
-    res = run_spectral(3, 1, 3.0, n=60, stream_kind="uniform", seed=5, max_net=60)
+    res = run_spectral(3, 1, 3.0, n=60, stream_kind="uniform", loss_name="hinge", seed=5, max_net=60)
     assert res.cert_violations == 0
     assert res.cert_worst_slack >= -1e-8
     assert res.weight_drift <= 1e-12
@@ -137,11 +137,11 @@ def test_certificate_passes_along_run():
 
 def test_empty_horizon_and_nonpositive_tau_are_rejected():
     with pytest.raises(ValueError, match="horizon"):
-        SpectralZigZag(3, 1, 3.0, horizon=0)
+        SpectralZigZag(3, 1, 3.0, horizon=0, loss_name="hinge", max_net=500)
     with pytest.raises(ValueError, match="tau"):
-        SpectralZigZag(3, 1, 0.0, horizon=10)
+        SpectralZigZag(3, 1, 0.0, horizon=10, loss_name="hinge", max_net=500)
     with pytest.raises(ValueError, match="horizon"):
-        run_spectral(3, 1, 3.0, n=0)
+        run_spectral(3, 1, 3.0, n=0, stream_kind="uniform", loss_name="hinge", max_net=500)
 
 
 def test_row_spiky_stream_counts():
@@ -185,7 +185,7 @@ def test_trace_norm_comparator_fits_planted_labels():
 
 
 def test_run_is_deterministic():
-    r1 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40)
-    r2 = run_spectral(3, 1, 3.0, n=40, seed=8, max_net=40)
+    r1 = run_spectral(3, 1, 3.0, n=40, stream_kind="uniform", loss_name="hinge", seed=8, max_net=40)
+    r2 = run_spectral(3, 1, 3.0, n=40, stream_kind="uniform", loss_name="hinge", seed=8, max_net=40)
     assert r1.rows == r2.rows
     assert r1.learner_loss == r2.learner_loss

@@ -107,7 +107,7 @@ def test_phi_expected_requires_enough_paths():
 def test_schedule_exactness():
     for p, beta in [(2.0, 1.0), (3.0, 2.0), (1.5, 2.0)]:
         spec = ScalarPowerU(p)
-        tuner = DoublingZigZag(spec, "realized", [0])
+        tuner = DoublingZigZag(spec, "realized", [0], mc_paths=500)
         p_prime, _ = conjugate(p)
         for i in range(41):
             want = 2.0 ** (-i / (p_prime - 1.0))
@@ -166,7 +166,7 @@ def test_restart_predicate_causality(mode, eta0):
 def test_doubling_with_lp_spec_runs(mode):
     spec = LpSumU(3.0, 3)
     tuner = DoublingZigZag(spec, mode, [2], mc_paths=150)
-    trace = run_episode(tuner, "hinge", IIDGaussianX((3,), LpTag(3.0), [2]), n=80)
+    trace = run_episode(tuner, "hinge", IIDGaussianX((3,), LpTag(3.0), [2], normalize=True), n=80)
     (log,) = tuner.finish()
     assert trace.n == 80
     assert log[-1].end == 80
