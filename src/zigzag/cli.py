@@ -5,12 +5,14 @@ Subcommands:
 - ``run CONFIG.json``: execute a configured experiment, writing per-seed
   trace CSVs and a summary.json into the configured (or flagged) out dir
 - ``check burkholder|umd|decoupling|rad-oracle|minimax``: statistical and
-  exact verifiers, JSON report to stdout or a file
+  exact verifiers, JSON report to stdout or a file; each target takes only
+  the flags it reads (``CHECK_FLAGS``), besides --seed and --out
 - ``spectral``: the desk-scale matrix prediction run
 - ``report DIR``: digest all summary.json files under a directory
 
-A config, spec or file that cannot be used (``ConfigError``) ends the
-command with one line on stderr and exit code 2, as a usage error does.
+A config, spec or file that cannot be used or a flag outside its bound
+(``ConfigError``) ends the command with one line on stderr and exit code 2,
+as a usage error does.
 """
 
 from __future__ import annotations
@@ -24,22 +26,28 @@ import sys
 import numpy as np
 
 from .burkholder import check_majorization, check_zigzag
-from .harness import CONFIG_TABLE, ConfigError, brute_force_minimax, build_spec, check_config, entry_triples, load_json
+from .harness import CONFIG_TABLE, ConfigError, Key, brute_force_minimax, build_spec, check_config, checked, entry_triples, load_json
 from .harness import merge_reports, rad_exact_scalar, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
 from .losses import LOSSES
-from .rademacher import (
-    DyadicTree,
-    hitczenko_check,
-    maximal_rad_estimate,
-    maximal_rad_exact,
-    rad_estimate,
-    rad_exact,
-    umd_check,
-)
+from .rademacher import MAX_DEPTH, MAX_EXACT_DEPTH, MIN_SAMPLES, DyadicTree, hitczenko_check, umd_check
+from .rademacher import maximal_rad_estimate, maximal_rad_exact, rad_estimate, rad_exact
 from .rng import substream
 
 _TAGS = {"l2": lambda: LpTag(2.0), "l3": lambda: LpTag(3.0), "sup": SupTag, "one": OneTag}
+
+# The flags of each ``check`` target besides --seed and --out, as config-table
+# rows: a flag's kind and bounds, and its default, whose type is the flag's
+# argparse type.  A target takes only the flags it reads.
+_P, _DIM, _TRIALS = Key("positive", 2.0), Key("count", 4), Key("count", 10)
+_DEPTH, _SAMPLES = Key("count", 8, high=MAX_DEPTH), Key("count", 4000, low=MIN_SAMPLES)
+CHECK_FLAGS = {
+    "burkholder": {"spec": Key("text", '{"construction": "scalar-p", "p": 3.0}'), "probes": Key("count", 10_000)},
+    "umd": {"p": _P, "norm": Key("name", "l2", names=tuple(sorted(_TAGS))), "depth": _DEPTH, "dim": _DIM, "samples": _SAMPLES},
+    "decoupling": {"p": _P, "depth": _DEPTH, "tree": Key("name", "random", names=("random", "prefix-sign")), "samples": _SAMPLES},
+    "rad-oracle": {"depth": _DEPTH._replace(high=MAX_EXACT_DEPTH), "dim": _DIM, "samples": _SAMPLES, "trials": _TRIALS},
+    "minimax": {"trials": _TRIALS, "loss": Key("name", "absolute", names=LOSSES)},
+}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -69,9 +77,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    for flag, row in CHECK_FLAGS[args.target].items():
+        checked(f"--{flag}", row, getattr(args, flag))
     if args.target == "burkholder":
         spec = build_spec(load_json(lambda: args.spec, f"--spec {args.spec!r} is not JSON"))
-        maj = check_majorization(spec, n_probes=args.probes, seed=args.seed, tol=args.tol)
+        maj = check_majorization(spec, n_probes=args.probes, seed=args.seed)
         zz = check_zigzag(spec, n_probes=args.probes, seed=args.seed)
         payload = {"construction": spec.construction, "majorization": maj, "zigzag": zz}
         _emit(payload, args.out)
@@ -122,7 +132,6 @@ def _cmd_check(args) -> int:
             rows.append({"xs": xs.tolist(), "minimax": value, "rad_exact": rad})
         _emit({"ok": ok, "trials": rows}, args.out)
         return 0 if ok else 1
-    raise ValueError(f"unknown check target {args.target!r}")
 
 
 def _cmd_spectral(args) -> int:
@@ -162,21 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="statistical / exact verifiers")
-    p_check.add_argument("target", choices=["burkholder", "umd", "decoupling", "rad-oracle", "minimax"])
-    p_check.add_argument("--spec", default='{"construction": "scalar-p", "p": 3.0}', help="construction JSON for burkholder checks")
-    p_check.add_argument("--probes", type=int, default=10_000)
-    p_check.add_argument("--tol", type=float, default=1e-9)
-    p_check.add_argument("--p", type=float, default=2.0)
-    p_check.add_argument("--norm", choices=sorted(_TAGS), default="l2")
-    p_check.add_argument("--depth", type=int, default=8)
-    p_check.add_argument("--dim", type=int, default=4)
-    p_check.add_argument("--tree", choices=["random", "prefix-sign"], default="random")
-    p_check.add_argument("--samples", type=int, default=4000)
-    p_check.add_argument("--trials", type=int, default=10)
-    p_check.add_argument("--loss", choices=["hinge", "absolute", "linear"], default="absolute")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=_cmd_check)
+    targets = p_check.add_subparsers(dest="target", required=True)
+    for target, flags in CHECK_FLAGS.items():
+        p_target = targets.add_parser(target, allow_abbrev=False)  # --p must not stand for --probes
+        for flag, row in flags.items():
+            p_target.add_argument(f"--{flag}", type=type(row.default), default=row.default, choices=row.names or None)
+        p_target.add_argument("--seed", type=int, default=0)
+        p_target.add_argument("--out", default=None)
 
     p_spec = sub.add_parser("spectral", help="matrix prediction run")
     p_spec.add_argument("--d", type=int, default=3)

@@ -30,7 +30,7 @@ from .burkholder import BurkholderSpec, make_spec
 from .learner import CERT_GRID, ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
-from .rademacher import rad_estimate, rad_exact
+from .rademacher import MIN_SAMPLES, rad_estimate, rad_exact
 from .rng import substream
 from .spectral import run_spectral
 from .tuning import DoublingZigZag
@@ -65,12 +65,12 @@ ADVERSARY_KINDS = ("iid-gaussian", "iid-rademacher-coords", "sign-flip", "low-ra
 
 # A row of the config table: the kind of value a key takes, its default
 # (None: none), the algorithms (adversary kinds, in the adversary scope) that
-# need it, the least whole number a ``count`` takes and the names a ``name``
-# takes.  The first row of a scope says what the rest serve (the algorithm,
-# the adversary kind) and is always needed; a sign-flip adversary's ``base``
-# is a kind too.  Only the rules that relate two or more keys are code, in
-# ``check_config``.
-Key = collections.namedtuple("Key", "kind default needed_by low names", defaults=(None, (), 1, ()))
+# need it, the least whole number a ``count`` takes, the names a ``name``
+# takes and the greatest ``count`` (None: none).  The first row of a scope
+# says what the rest serve (the algorithm, the adversary kind) and is always
+# needed; a sign-flip adversary's ``base`` is a kind too.  Only the rules
+# that relate two or more keys are code, in ``check_config``.
+Key = collections.namedtuple("Key", "kind default needed_by low names high", defaults=(None, (), 1, (), None))
 CONFIG_TABLE = {
     "config": {
         "algorithm": Key("name", names=ALGORITHMS),
@@ -83,8 +83,8 @@ CONFIG_TABLE = {
         "eta0": Key("positive"),
         "certify": Key("flag", False),
         "fw_iters": Key("count", 500, low=0),
-        "rad_samples": Key("count", 1000, low=100),
-        "mc_paths": Key("count", 500, low=100),
+        "rad_samples": Key("count", 1000, low=MIN_SAMPLES),
+        "mc_paths": Key("count", 500, low=MIN_SAMPLES),
         "d": Key("count", needed_by=("adaptive-gd", "spectral")),
         "r": Key("count", needed_by=("spectral",)),
         "tau": Key("positive", needed_by=("spectral",)),
@@ -106,8 +106,8 @@ CONFIG_TABLE = {
 # kind: (whether a value is of the kind, what the settings hold for it, the
 # message for a value that is not); xs and ys are checked as a stream
 KINDS = {
-    "count": (lambda v, row: _is_number(v, whole=True) and v >= row.low, int,
-              "{name} must be at least {low}, got {value!r}; it takes a whole number"),
+    "count": (lambda v, row: _is_number(v, whole=True) and row.low <= v and (row.high is None or v <= row.high), int,
+              "{name} must be at least {low}{high}, got {value!r}; it takes a whole number"),
     "positive": (lambda v, row: _is_number(v) and v > 0, float, "{name} must be a finite number > 0, got {value!r}"),
     "flag": (lambda v, row: isinstance(v, bool), None, "{name} must be true or false, got {value!r}"),
     "name": (lambda v, row: v in row.names, None, "unknown {name} {value!r}; {name} takes one of {names}"),
@@ -432,9 +432,9 @@ def build_spec(cfg) -> BurkholderSpec:
     """``make_spec`` for a spec that comes from outside the program: one
     that is not an object, has a ``d`` that is not a whole number >= 1, or
     cannot be built raises ``ConfigError``."""
-    cfg = _checked("spec", CONFIG_TABLE["config"]["spec"], cfg)
+    cfg = checked("spec", CONFIG_TABLE["config"]["spec"], cfg)
     if "d" in cfg:
-        _checked("spec.d", Key("count"), cfg["d"])
+        checked("spec.d", Key("count"), cfg["d"])
     try:
         return make_spec(cfg)
     except KeyError as exc:
@@ -457,7 +457,7 @@ def _walk(cfg, scope: str) -> dict:
     settings = {}
     for key, row in rows.items():
         value = cfg.get(key)
-        settings[key] = row.default if value is None else _checked(prefix + key, row, value)
+        settings[key] = row.default if value is None else checked(prefix + key, row, value)
     head = next(iter(rows))
     if settings[head] is None:
         raise ConfigError(f"{scope} needs {head!r}")
@@ -469,11 +469,12 @@ def _walk(cfg, scope: str) -> dict:
     return settings
 
 
-def _checked(name: str, row: Key, value):
+def checked(name: str, row: Key, value):
     """``value`` as the settings hold it, or a ``ConfigError`` naming the key and the value."""
     fits, convert, message = KINDS[row.kind]
     if not fits(value, row):
-        raise ConfigError(message.format(name=name, value=value, low=row.low, names=", ".join(row.names)))
+        high = "" if row.high is None else f" and at most {row.high}"
+        raise ConfigError(message.format(name=name, value=value, low=row.low, high=high, names=", ".join(row.names)))
     return value if convert is None else convert(value)
 
 

@@ -30,6 +30,8 @@ from .rng import rademacher, substream
 
 __all__ = [
     "MAX_DEPTH",
+    "MAX_EXACT_DEPTH",
+    "MIN_SAMPLES",
     "DyadicTree",
     "rad_estimate",
     "rad_exact",
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 MAX_DEPTH = 14
+MAX_EXACT_DEPTH = 20  # the exact Rademacher oracles enumerate at most 2^20 sign paths
+MIN_SAMPLES = 100  # the fewest sign draws a Monte Carlo estimate takes
 
 
 def _all_signs(n: int) -> np.ndarray:
@@ -168,8 +172,8 @@ def _estimate(statistic, scope: str, zs, tag: NormTag, k_samples: int, seed: int
     zs = np.asarray(zs, dtype=float)
     if zs.shape[0] == 0:
         return 0.0, 0.0
-    if k_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {k_samples}")
+    if k_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {k_samples}")
     signs = _fresh_signs(substream(seed, scope), (k_samples, zs.shape[0]))
     return _mean_se(statistic(signs, zs, tag))
 
@@ -180,8 +184,8 @@ def _exact(per_path, zs, tag: NormTag) -> float:
     zs = np.asarray(zs, dtype=float)
     if zs.shape[0] == 0:
         return 0.0
-    if zs.shape[0] > 20:
-        raise ValueError("enumeration limited to n <= 20")
+    if zs.shape[0] > MAX_EXACT_DEPTH:
+        raise ValueError(f"enumeration limited to n <= {MAX_EXACT_DEPTH}")
     return float(per_path(zs, tag).mean())
 
 

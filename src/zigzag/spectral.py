@@ -249,6 +249,9 @@ def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None
     if kind == "explicit":
         if entries is None:
             raise ValueError("explicit stream needs entries")
+        bad = next((e for e in entries if any(isinstance(v, (bool, np.bool_)) or not float(v).is_integer() for v in e[:2])), None)
+        if bad is not None:
+            raise ValueError(f"explicit entry {bad!r} has an index that is not a whole number")
         stream = [(int(i), int(j), float(y)) for i, j, y in entries]
         if not all(0 <= i < d and 0 <= j < d for i, j, _ in stream):
             raise ValueError(f"explicit entries must index a {d} x {d} matrix")

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from zigzag import harness
+from zigzag import cli, harness
 from zigzag.cli import main
 from zigzag.spectral import run_spectral
 
@@ -175,3 +177,90 @@ def test_run_writes_to_the_config_out_dir(tmp_path, monkeypatch, capsys):
     (tmp_path / "b.json").write_text(json.dumps(config))
     assert main(["run", "a.json"]) == 0 and main(["run", "b.json"]) == 0
     assert (tmp_path / "mine" / "summary.json").exists() and (tmp_path / "runs" / "summary.json").exists()
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# each check target's flags besides --seed and --out
+CHECK_TARGET_FLAGS = {
+    "burkholder": {"spec", "probes"},
+    "umd": {"p", "norm", "depth", "dim", "samples"},
+    "decoupling": {"p", "depth", "tree", "samples"},
+    "rad-oracle": {"depth", "dim", "samples", "trials"},
+    "minimax": {"trials", "loss"},
+}
+
+
+@pytest.fixture
+def no_verifier(monkeypatch):
+    """Make the first call of every check target raise, so a test sees a
+    flag rejected before any verifier ran."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the flags were checked")
+
+    for name in ("build_spec", "check_majorization", "substream", "umd_check", "hitczenko_check", "rad_exact", "brute_force_minimax"):
+        monkeypatch.setattr(cli, name, never)
+
+
+def test_check_targets_take_27_target_flag_pairs():
+    assert {target: set(flags) for target, flags in cli.CHECK_FLAGS.items()} == CHECK_TARGET_FLAGS
+    assert sum(len(flags) + 2 for flags in CHECK_TARGET_FLAGS.values()) == 27
+
+
+@pytest.mark.parametrize("target", CHECK_TARGET_FLAGS)
+def test_a_check_flag_the_target_does_not_read_is_a_usage_error(target, capsys, no_verifier):
+    others = set().union(*CHECK_TARGET_FLAGS.values(), {"tol"}) - CHECK_TARGET_FLAGS[target]
+    for flag in sorted(others):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", target, f"--{flag}", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("umd --depth 0", "--depth must be at least 1 and at most 14, got 0"),
+        ("umd --depth 15", "--depth must be at least 1 and at most 14, got 15"),
+        ("decoupling --depth 0", "--depth must be at least 1 and at most 14, got 0"),
+        ("decoupling --depth 15", "--depth must be at least 1 and at most 14, got 15"),
+        ("rad-oracle --depth 0", "--depth must be at least 1 and at most 20, got 0"),
+        ("rad-oracle --depth 21", "--depth must be at least 1 and at most 20, got 21"),
+        ("umd --dim 0", "--dim must be at least 1, got 0"),
+        ("rad-oracle --dim 0", "--dim must be at least 1, got 0"),
+        ("burkholder --probes 0", "--probes must be at least 1, got 0"),
+        ("umd --samples 99", "--samples must be at least 100, got 99"),
+        ("decoupling --samples 99", "--samples must be at least 100, got 99"),
+        ("rad-oracle --samples 99", "--samples must be at least 100, got 99"),
+        ("rad-oracle --trials 0", "--trials must be at least 1, got 0"),
+        ("minimax --trials 0", "--trials must be at least 1, got 0"),
+        ("umd --p 0", "--p must be a finite number > 0, got 0.0"),
+        ("decoupling --p 0", "--p must be a finite number > 0, got 0.0"),
+        ("decoupling --p nan", "--p must be a finite number > 0, got nan"),
+    ],
+)
+def test_a_check_flag_outside_its_bound_exits_2_with_one_line(argv, message, capsys, no_verifier):
+    _assert_one_line_error(main(["check", *argv.split()]), capsys, message)
+
+
+def test_readme_and_perfbench_check_commands_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import plan
+
+    readme = [shlex.split(line)[1:] for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("zigzag check ")]
+    assert len(readme) == 5
+    parser = cli.build_parser()
+    for argv in readme + list(plan.VERIFY_COMMANDS.values()):
+        assert parser.parse_args(argv).target == argv[1]
+
+
+def _flag_doc(flag, row):
+    bound = {"count": f"{row.low}..{row.high}" if row.high else f">= {row.low}", "positive": "> 0",
+             "name": " | ".join(row.names), "text": "JSON"}[row.kind]
+    return f"`--{flag}` {bound} (default `{row.default}`)"
+
+
+def test_readme_lists_every_check_flag_with_its_bound_and_default():
+    readme = (ROOT / "README.md").read_text()
+    for target, flags in cli.CHECK_FLAGS.items():
+        assert f"- `{target}`: " + ", ".join(_flag_doc(flag, row) for flag, row in flags.items()) + "\n" in readme

@@ -156,6 +156,14 @@ def test_row_spiky_stream_counts():
         make_entry_stream("explicit", d=2, n=2, r=1, seed=0, entries=[(0, 1, 1.0), (-1, 0, -1.0)])
 
 
+@pytest.mark.parametrize("entries", [[[0.5, 1, 1.0]], [[0, 1, 1.0], [True, 2.9, -1.0]], [[0, np.True_, 1.0]], [[math.inf, 0, 1.0]]])
+def test_explicit_entries_with_an_index_that_is_not_whole_are_rejected(entries):
+    with pytest.raises(ValueError, match="has an index that is not a whole number"):
+        make_entry_stream("explicit", 3, 0, 1, 0, entries=entries)
+    # a whole index written as a float or a numpy integer indexes its cell
+    assert make_entry_stream("explicit", 3, 0, 1, 0, entries=[[0.0, np.int64(2), 1]]) == [(0, 2, 1.0)]
+
+
 @pytest.mark.parametrize("kind", ["uniform", "row-spiky"])
 @pytest.mark.parametrize("d", [3, 6, 7, 100])
 def test_entry_stream_batch_draw_equals_per_entry_draws(kind, d):
