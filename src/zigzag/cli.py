@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, usage_error=p_run.error)
 
     p_check = sub.add_parser("check", help="statistical / exact verifiers")
     p_check.set_defaults(func=_cmd_check)
@@ -179,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_target.add_argument(f"--{flag}", type=type(row.default), default=row.default, choices=row.names or None)
         p_target.add_argument("--seed", type=int, default=0)
         p_target.add_argument("--out", default=None)
+        p_target.set_defaults(usage_error=p_target.error)
 
     p_spec = sub.add_parser("spectral", help="matrix prediction run")
     p_spec.add_argument("--d", type=int, default=3)
@@ -197,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="digest summary.json files under a directory")
     p_rep.add_argument("directory")
-    p_rep.set_defaults(func=_cmd_report)
+    p_rep.set_defaults(func=_cmd_report, usage_error=p_rep.error)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the sub-command's parser, with its usage line
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ConfigError as exc:

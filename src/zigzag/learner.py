@@ -61,6 +61,7 @@ __all__ = [
     "validate_labels",
     "TRACE_COLUMNS",
     "CERT_GRID",
+    "CERT_TOL",
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
@@ -68,6 +69,7 @@ _SIGMAS = np.array([[1.0, -1.0]])
 _SIGN_BLOCK = 256  # signs each lane draws at a time
 CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
 CERT_GRID.flags.writeable = False
+CERT_TOL = 1e-8  # a slack below -CERT_TOL is a violation
 
 
 @dataclass
@@ -135,7 +137,7 @@ class ZigZagLearner:
     def relaxation_value(self) -> np.ndarray:
         return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
 
-    def certificate(self, x, grid=None, tol: float = 1e-8, yhat=None) -> CertificateReport:
+    def certificate(self, x, grid=None, tol: float = CERT_TOL, yhat=None) -> CertificateReport:
         """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in
         every lane; ``yhat`` broadcasts to the K lanes."""
         xs = self._instance(x)
@@ -206,7 +208,7 @@ def run_episode(
     adversary,
     n: int,
     cert_grid=None,
-    cert_tol: float = 1e-8,
+    cert_tol: float = CERT_TOL,
 ) -> EpisodeTrace:
     """Drive one episode of the online protocol over the learner's lanes.
 

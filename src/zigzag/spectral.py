@@ -13,9 +13,11 @@ expert.  Multiplicative-weights losses use the clipped predictions (the
 aggregation needs bounded losses); sub-learner gradients are taken at the
 unclipped predictions.
 
-The certificate and the net build run on arrays whose long axis (experts x
-grid, or pool and probe points) is innermost and contiguous; the public
-arrays ``sv``, ``mv`` and ``experts`` keep their ``(m, d, r)`` layout.
+The certificate needs five inner products per expert v (a = <S_i, v_j>,
+c = <M_i, v_j>, b = |v_j|^2, |S V|^2, |M V|^2): along its rows each norm is
+a quadratic in l', and one ``(m, 3) @ (3, 41)`` product evaluates every
+expert's slack over the grid.  ``sv``, ``mv`` and ``experts`` keep their
+``(m, d, r)`` layout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learner import CERT_GRID
+from .learner import CERT_GRID, CERT_TOL
 from .losses import dloss_batch, loss_batch
 from .rng import rademacher, substream
 
@@ -40,6 +42,10 @@ __all__ = [
     "trace_norm_comparator",
     "run_spectral",
 ]
+
+# [1, l', l'^2] at every grid point: slack coefficients @ _POWERS = slacks
+_POWERS = np.stack([np.ones_like(CERT_GRID), CERT_GRID, CERT_GRID**2])
+_POWERS.flags.writeable = False
 
 
 @dataclass
@@ -81,21 +87,25 @@ def build_net(
     rng = substream(seed, "net")
     pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau)
     pool_cols = _columns(pool)
+    sq, tmp = np.empty(pool.shape[0]), np.empty(pool.shape[0])
     net = [0]
-    dists = _distances(pool_cols, pool_cols[:, 0])
+    # argmax over square-rooted distances: sqrt can map two squares to one value
+    dists = np.sqrt(_sq_distances(pool_cols, pool_cols[:, 0], sq, tmp))
     while len(net) < max_size and dists.max() > net_alpha:
         pick = int(np.argmax(dists))
         net.append(pick)
-        np.minimum(dists, _distances(pool_cols, pool_cols[:, pick]), out=dists)
+        np.minimum(dists, np.sqrt(_sq_distances(pool_cols, pool_cols[:, pick], sq, tmp), out=sq), out=dists)
 
+    # the probes keep squares: sqrt is monotone, so one sqrt gives the radius
     probe_cols = _columns(_sphere_sample(rng, probe_count, d, r, tau))
-    min_dist = np.full(probe_count, np.inf)
+    sq, tmp = np.empty(probe_count), np.empty(probe_count)
+    min_sq = np.full(probe_count, np.inf)
     for pick in net:
-        np.minimum(min_dist, _distances(probe_cols, pool_cols[:, pick]), out=min_dist)
+        np.minimum(min_sq, _sq_distances(probe_cols, pool_cols[:, pick], sq, tmp), out=min_sq)
     coverage = NetCoverage(
         size=len(net),
         radius_requested=net_alpha,
-        radius_achieved=float(min_dist.max()),
+        radius_achieved=float(np.sqrt(min_sq.max())),
     )
     return pool[net], coverage
 
@@ -105,10 +115,13 @@ def _columns(points: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(points.reshape(points.shape[0], -1).T)
 
 
-def _distances(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Frobenius distance from every column of ``cols`` to the flattened
-    point ``v``; the d*r squared differences add in sequence."""
-    return np.sqrt(np.sum((cols - v.reshape(-1, 1)) ** 2, axis=0))
+def _sq_distances(cols: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distances from the columns of ``cols`` to the flat
+    point ``v``, into ``out``; the d*r squared differences add in sequence."""
+    np.square(np.subtract(cols[0], v[0], out=out), out=out)
+    for k in range(1, v.size):
+        out += np.square(np.subtract(cols[k], v[k], out=tmp), out=tmp)
+    return out
 
 
 def mw_step(log_weights: np.ndarray, loss_vec: np.ndarray, gamma: float) -> np.ndarray:
@@ -169,7 +182,8 @@ class SpectralZigZag:
         self.cum_mw_loss = np.zeros(self.m)
         self._choice_rng = substream(seed, "mw-choice")
         self._sign_rng = substream(seed, "signs")
-        self._terms = np.empty((3, r, self.m, CERT_GRID.size))  # certificate scratch
+        self._poly = np.empty((self.m, 3))  # certificate scratch: slack coefficients
+        self._slack = np.empty((self.m, CERT_GRID.size))  # and the slacks over the grid
         self.t = 0
 
     @property
@@ -180,40 +194,28 @@ class SpectralZigZag:
         inner = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])
         return -2.0 * self.coef * inner
 
-    def certificate(self, i: int, j: int, f: np.ndarray, tol: float = 1e-8) -> tuple[float, int]:
+    def certificate(self, i: int, j: int, f: np.ndarray) -> tuple[float, int]:
         """Worst admissibility slack of the experts' predictions ``f`` over
         experts and the 41-point grid of l' values in [-1, 1], evaluated at
         the current state.  Returns (worst_slack, violations)."""
-        vj = self.experts[:, j, :].T[:, :, np.newaxis]  # (r, m, 1)
-        s_row = self.sv[:, i, :].T[:, :, np.newaxis]
-        m_row = self.mv[:, i, :].T[:, :, np.newaxis]
-        s_tot = np.sum(self.sv**2, axis=(1, 2))
-        m_tot = np.sum(self.mv**2, axis=(1, 2))
-        rhs = self.coef * (s_tot - m_tot)
-        # (3, r, m, G): the rows S_i + l' v_j and M_i +- l' v_j, squared and
-        # summed over the rank axis in sequence; all later (m, G) steps work
-        # in place in the rank-0 slices
-        terms = self._terms
-        s_new, m_plus, m_minus = terms
-        np.multiply(CERT_GRID, vj, out=m_minus)
-        np.add(s_row, m_minus, out=s_new)
-        np.add(m_row, m_minus, out=m_plus)
-        np.subtract(m_row, m_minus, out=m_minus)
-        np.square(terms, out=terms)
-        sums = terms[:, 0]
-        for k in range(1, self.r):
-            sums += terms[:, k]
-        s_norm2, m_norm2, m_minus2 = sums
-        s_norm2 += s_tot[:, np.newaxis] - np.sum(s_row**2, axis=0)
-        m_norm2 += m_minus2
-        m_norm2 *= 0.5
-        m_norm2 += m_tot[:, np.newaxis] - np.sum(m_row**2, axis=0)
-        s_norm2 -= m_norm2
-        s_norm2 *= self.coef
-        lhs = np.multiply(f[:, np.newaxis], CERT_GRID, out=m_minus2)
-        lhs += s_norm2
-        slack = np.subtract(rhs[:, np.newaxis], lhs, out=lhs)
-        return float(slack.min()), int(np.sum(slack < -tol))
+        coef = self.coef
+        vj = self.experts[:, j, :]
+        a = np.einsum("vk,vk->v", self.sv[:, i, :], vj)  # <S_i, v_j>
+        c = np.einsum("vk,vk->v", self.mv[:, i, :], vj)  # <M_i, v_j>
+        b = np.einsum("vk,vk->v", vj, vj)  # |v_j|^2
+        s2 = np.einsum("vdk,vdk->v", self.sv, self.sv)  # |S V|^2
+        m2 = np.einsum("vdk,vdk->v", self.mv, self.mv)  # |M V|^2
+        # slack(l') = coef (|S|^2 - |M|^2) - f l' - coef (|S + x|^2 - (|M + x|^2 + |M - x|^2) / 2)
+        # for x = l' e_i v_j', where |S + x|^2 = |S|^2 + 2 l' a + l'^2 b and
+        # |M +- x|^2 = |M|^2 +- 2 l' c + l'^2 b: a quadratic in l' per expert.
+        # Its constant, the c terms and its l'^2 term cancel (zig-zag concavity
+        # of this potential is an equality); they are computed, not assumed.
+        poly = self._poly
+        poly[:, 0] = coef * (s2 - m2) - coef * (s2 - 0.5 * (m2 + m2))
+        poly[:, 1] = -f - coef * (2.0 * a - 0.5 * (2.0 * c - 2.0 * c))
+        poly[:, 2] = -coef * (b - 0.5 * (b + b))
+        slack = np.matmul(poly, _POWERS, out=self._slack)
+        return float(slack.min()), int(np.count_nonzero(slack < -CERT_TOL))
 
     def round(self, i: int, j: int, y: float, f: np.ndarray) -> dict:
         clipped = np.clip(f, -1.0, 1.0)

@@ -218,6 +218,25 @@ def test_a_check_flag_the_target_does_not_read_is_a_usage_error(target, capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ("check umd --dim 5 --tree random", "usage: zigzag check umd "),
+        ("check minimax --probes 3", "usage: zigzag check minimax "),
+        ("spectral --tree random", "usage: zigzag spectral "),
+        ("run config.json --tree random", "usage: zigzag run "),
+        ("report out --tree random", "usage: zigzag report "),
+    ],
+)
+def test_an_unread_flag_is_reported_with_the_sub_command_usage_line(argv, usage, capsys, no_verifier):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert "unrecognized arguments: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("umd --depth 0", "--depth must be at least 1 and at most 14, got 0"),

@@ -49,6 +49,22 @@ def test_build_net_twelve_coordinates_against_brute_force():
     assert cov.radius_achieved == pytest.approx(radius, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, r", [(1, 1), (3, 1), (4, 2), (6, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_build_net_radius_equals_the_per_net_point_loop(d, r, seed):
+    """The reference takes the square-rooted distance of every probe to
+    each net point in turn, keeps the minimum and reports the largest."""
+    tau, max_size, probe_count = float(d), 60, 2000
+    net, cov = build_net(d, r, tau, net_alpha=1e-3, seed=seed, max_size=max_size, probe_count=probe_count)
+    rng = substream(seed, "net")
+    _sphere_sample(rng, 1000, d, r, tau)  # the pool
+    probe_cols = _sphere_sample(rng, probe_count, d, r, tau).reshape(probe_count, -1).T.copy()
+    min_dist = np.full(probe_count, np.inf)
+    for point in net:
+        np.minimum(min_dist, np.sqrt(np.sum((probe_cols - point.reshape(-1, 1)) ** 2, axis=0)), out=min_dist)
+    assert cov.radius_achieved == float(min_dist.max())
+
+
 def test_mw_step_examples():
     lw = np.log(np.array([0.5, 0.5]))
     # uniform losses leave weights unchanged
@@ -124,6 +140,41 @@ def test_rank_two_certificate_catches_a_wrong_prediction():
             m_minus = np.sum((alg.mv[v] - step) ** 2)
             want = min(want, rel - (f[v] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus)))
     assert worst == pytest.approx(want, rel=1e-10)
+
+
+def _direct_slacks(alg, i, j, f):
+    """Slack of every expert at every grid point from the three Frobenius
+    norms of the potential, one (expert, l') pair at a time."""
+    d, r = alg.d, alg.r
+    slacks = np.empty((alg.m, 41))
+    for v in range(alg.m):
+        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(alg.mv[v] ** 2))
+        for k, g in enumerate(np.linspace(-1.0, 1.0, 41)):
+            step = np.zeros((d, r))
+            step[i] = g * alg.experts[v, j]
+            s_new = np.sum((alg.sv[v] + step) ** 2)
+            m_plus = np.sum((alg.mv[v] + step) ** 2)
+            m_minus = np.sum((alg.mv[v] - step) ** 2)
+            slacks[v, k] = rel - (f[v] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus))
+    return slacks
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [3, 6])
+def test_certificate_equals_the_direct_potential_difference(d, r):
+    alg = SpectralZigZag(d, r, float(d), horizon=40, loss_name="hinge", seed=d + r, max_net=24)
+    rng = np.random.default_rng(10 * d + r)
+    alg.sv = rng.normal(size=alg.sv.shape)
+    alg.mv = rng.normal(size=alg.mv.shape)
+    for i, j in [(0, 0), (1, d - 1), (d - 1, 2)]:
+        f = alg.predict_all(i, j)
+        off = f.copy()
+        off[rng.integers(alg.m)] *= 1.0 + 1e-6
+        for pred in (f, 1.5 * f, off):
+            worst, violations = alg.certificate(i, j, pred)
+            want = _direct_slacks(alg, i, j, pred)
+            assert worst == pytest.approx(want.min(), rel=1e-10, abs=1e-12)
+            assert violations == np.count_nonzero(want < -1e-8)
 
 
 def test_certificate_passes_along_run():
