@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import pathlib
 import sys
@@ -202,8 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    args, extra = _parser().parse_known_args(argv)
     if extra:  # reported by the sub-command's parser, with its usage line
         args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -8,7 +8,14 @@ rank-one row updates of the projected sums S V and M V in R^(d x r).
 
 Exact nets on the Frobenius sphere are exponential, so ``build_net`` grows a
 greedy farthest-point net capped at ``max_size`` and reports the coverage
-radius actually achieved.  One shared sign draw per round updates every
+radius actually achieved.  Its distances are found in two steps.  Every
+sphere point has squared norm tau up to rounding, so the point farthest from
+the net is the one whose largest inner product with the net is least: one
+matrix product per pick, and one per block of probes, ranks the points.
+Only the near-ties, the points within a proven rounding band of the least,
+are then measured exactly as sequential sums of squared coordinate
+differences, so the net and its radius are those of the sequential squared
+distances, bit for bit.  One shared sign draw per round updates every
 expert.  Multiplicative-weights losses use the clipped predictions (the
 aggregation needs bounded losses); sub-learner gradients are taken at the
 unclipped predictions.
@@ -80,47 +87,86 @@ def build_net(
     Stops when either a pool of min(8000, max(1000, 10 max_size)) sphere
     points is covered to ``net_alpha`` or ``max_size`` points have been
     placed; the probe-estimated coverage radius is reported either way (an
-    under-sized net is reported, not fatal).
+    under-sized net is reported, not fatal).  The module docstring says how
+    the distances are found.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if max_size < 1 or probe_count < 1:
+        raise ValueError(f"max_size and probe_count must be at least 1, got {max_size} and {probe_count}")
     rng = substream(seed, "net")
-    pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau)
-    pool_cols = _columns(pool)
-    sq, tmp = np.empty(pool.shape[0]), np.empty(pool.shape[0])
+    pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau).reshape(-1, d * r)
+    cols = pool.T.copy()  # one contiguous row per coordinate: the faster product per pick
+    band, norm_lo = _tie_band(pool)
     net = [0]
-    # argmax over square-rooted distances: sqrt can map two squares to one value
-    dists = np.sqrt(_sq_distances(pool_cols, pool_cols[:, 0], sq, tmp))
-    while len(net) < max_size and dists.max() > net_alpha:
-        pick = int(np.argmax(dists))
+    maxdot = pool[0] @ cols  # each pool point's largest inner product with the net
+    dots, near = np.empty_like(maxdot), np.empty(maxdot.shape, dtype=bool)
+    while len(net) < max_size:
+        pick = int(np.argmin(maxdot))
+        np.less_equal(maxdot, maxdot[pick] + band, out=near)
+        # a lone candidate is the farthest point, and its squared distance of
+        # at least 2 (norm_lo - maxdot - band) may clear net_alpha^2 with room
+        lone = np.count_nonzero(near) == 1 and 2.0 * (norm_lo - maxdot[pick] - 2.0 * band) > net_alpha**2
+        if not lone:
+            near_idx = np.flatnonzero(near)
+            # argmax over square-rooted distances: sqrt can map two squares to one value
+            dists = np.sqrt(_min_sq_distances(pool[near_idx], pool[net]))
+            if not dists.max() > net_alpha:
+                break
+            pick = int(near_idx[np.argmax(dists)])
         net.append(pick)
-        np.minimum(dists, np.sqrt(_sq_distances(pool_cols, pool_cols[:, pick], sq, tmp), out=sq), out=dists)
+        np.maximum(maxdot, np.matmul(pool[pick], cols, out=dots), out=maxdot)
+    points = pool[net]
+    del pool, cols, maxdot, dots, near  # the probes are drawn without the pool alive
 
-    # the probes keep squares: sqrt is monotone, so one sqrt gives the radius
-    probe_cols = _columns(_sphere_sample(rng, probe_count, d, r, tau))
-    sq, tmp = np.empty(probe_count), np.empty(probe_count)
-    min_sq = np.full(probe_count, np.inf)
-    for pick in net:
-        np.minimum(min_sq, _sq_distances(probe_cols, pool_cols[:, pick], sq, tmp), out=min_sq)
+    probes = _sphere_sample(rng, probe_count, d, r, tau).reshape(probe_count, -1)
+    band, _ = _tie_band(points, probes)
+    rows = max(1, 2**17 // len(net))  # a probe block's products stay within 1 MB
+    block, maxdot = np.empty((rows, len(net))), np.empty(probe_count)
+    for start in range(0, probe_count, rows):
+        blk = probes[start : start + rows]
+        np.max(np.matmul(blk, points.T, out=block[: len(blk)]), axis=1, out=maxdot[start : start + rows])
+    far = np.flatnonzero(maxdot <= maxdot.min() + band)
+    # sqrt is monotone, so one sqrt of the largest square gives the radius
     coverage = NetCoverage(
         size=len(net),
         radius_requested=net_alpha,
-        radius_achieved=float(np.sqrt(min_sq.max())),
+        radius_achieved=float(np.sqrt(_min_sq_distances(probes[far], points).max())),
     )
-    return pool[net], coverage
+    return points.reshape(-1, d, r), coverage
 
 
-def _columns(points: np.ndarray) -> np.ndarray:
-    """``(count, d, r)`` points as contiguous ``(d*r, count)`` columns."""
-    return np.ascontiguousarray(points.reshape(points.shape[0], -1).T)
+def _tie_band(*point_sets: np.ndarray) -> tuple[float, float]:
+    """The half-width of the near-tie band, in inner-product units, and the
+    least squared norm of the flat points.
+
+    Let the computed squared norms lie in [lo, hi] and u = eps / 2; the
+    exact ones lie within dim u hi of that range.  For any c in it,
+    |p - q|^2 is within 2 (hi - lo) + 4 dim u hi of 2 c - 2 <p, q>.  The
+    sequential sum of squared differences is within 4 (dim + 2) u hi of
+    |p - q|^2, and a float inner product within dim u hi of <p, q>.  So a
+    point whose squared distance to the net is the largest, or whose square
+    root equals the largest one (squares 5 u apart, at most 4 hi), has a
+    largest inner product with the net within 2 (hi - lo) + (10 dim + 18) u hi
+    of the least one.  The band widens the second term to 16 (dim + 2) u hi,
+    which also covers the rounding of the band and of the comparisons.
+    """
+    norms = np.concatenate([np.einsum("ij,ij->i", pts, pts) for pts in point_sets])
+    lo, hi = float(norms.min()), float(norms.max())
+    dim = point_sets[0].shape[1]
+    return 2.0 * (hi - lo) + 8.0 * (dim + 2) * np.finfo(float).eps * hi, lo
 
 
-def _sq_distances(cols: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Squared Frobenius distances from the columns of ``cols`` to the flat
-    point ``v``, into ``out``; the d*r squared differences add in sequence."""
-    np.square(np.subtract(cols[0], v[0], out=out), out=out)
-    for k in range(1, v.size):
-        out += np.square(np.subtract(cols[k], v[k], out=tmp), out=tmp)
+def _min_sq_distances(points: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """Each flat point's least squared Frobenius distance to the flat net
+    points; the d*r squared differences add in sequence (``np.add.accumulate``
+    along the coordinates), in chunks of at most 2**17 differences."""
+    out = np.empty(points.shape[0])
+    rows = max(1, 2**17 // net.size)
+    for start in range(0, points.shape[0], rows):
+        sq = np.square(np.subtract(points[start : start + rows, np.newaxis, :], net))
+        np.add.accumulate(sq, axis=2, out=sq)
+        np.min(sq[:, :, -1], axis=1, out=out[start : start + rows])
     return out
 
 

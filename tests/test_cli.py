@@ -43,6 +43,31 @@ def test_check_minimax(capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_main_builds_its_parser_once_and_a_usage_error_leaves_it_unchanged(tmp_path, monkeypatch, capsys):
+    argvs = {"umd": ["check", "umd", "--depth", "6", "--dim", "2", "--samples", "400"], "minimax": ["check", "minimax", "--trials", "3"]}
+
+    def call(name, label):
+        out = tmp_path / f"{label}-{name}.json"
+        return main([*argvs[name], "--out", str(out)]), out.read_text()
+
+    fresh = {}
+    for name in argvs:
+        cli._parser.cache_clear()
+        fresh[name] = call(name, "fresh")
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert call("umd", "first") == fresh["umd"]
+    assert call("minimax", "second") == fresh["minimax"]
+    for bad in (["check", "umd", "--norm", "l9"], ["check", "minimax", "--probes", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert call("umd", "third") == fresh["umd"]
+    assert builds == [1]
+    cli._parser.cache_clear()
+
+
 def test_spectral_command(tmp_path, capsys):
     out = tmp_path / "spectral.json"
     rc = main(

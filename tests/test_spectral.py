@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zigzag import spectral
 from zigzag.rng import substream
 from zigzag.spectral import (
     SpectralZigZag,
@@ -63,6 +65,82 @@ def test_build_net_radius_equals_the_per_net_point_loop(d, r, seed):
     for point in net:
         np.minimum(min_dist, np.sqrt(np.sum((probe_cols - point.reshape(-1, 1)) ** 2, axis=0)), out=min_dist)
     assert cov.radius_achieved == float(min_dist.max())
+
+
+def _reference_build_net(d, r, tau, net_alpha, seed, max_size, probe_count):
+    """The greedy loop and probe loop that build_net replaced: every squared
+    distance is the sequential sum of the d*r squared differences."""
+
+    def sq_distances(cols, v):
+        out = np.square(cols[0] - v[0])
+        for k in range(1, v.size):
+            out += np.square(cols[k] - v[k])
+        return out
+
+    rng = substream(seed, "net")
+    pool = _sphere_sample(rng, min(8000, max(1000, 10 * max_size)), d, r, tau)
+    pool_cols = pool.reshape(pool.shape[0], -1).T.copy()
+    net = [0]
+    dists = np.sqrt(sq_distances(pool_cols, pool_cols[:, 0]))
+    while len(net) < max_size and dists.max() > net_alpha:
+        pick = int(np.argmax(dists))
+        net.append(pick)
+        np.minimum(dists, np.sqrt(sq_distances(pool_cols, pool_cols[:, pick])), out=dists)
+    probe_cols = _sphere_sample(rng, probe_count, d, r, tau).reshape(probe_count, -1).T.copy()
+    min_sq = np.full(probe_count, np.inf)
+    for pick in net:
+        np.minimum(min_sq, sq_distances(probe_cols, pool_cols[:, pick]), out=min_sq)
+    return pool[net], float(np.sqrt(min_sq.max()))
+
+
+@pytest.mark.parametrize("d, r", [(1, 1), (3, 1), (4, 2), (6, 2)])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stop", ["cap", "alpha"])
+def test_build_net_equals_the_sequential_distance_loops(d, r, seed, stop):
+    """The inner-product filter and its exact recheck of near-ties give the
+    net, its order and the radius of the sequential squared distances."""
+    tau, max_size, probe_count = float(d), 60, 2000
+    net_alpha = 1e-9 if stop == "cap" else 1.2 * math.sqrt(tau)
+    net, cov = build_net(d, r, tau, net_alpha, seed, max_size, probe_count)
+    ref_net, ref_radius = _reference_build_net(d, r, tau, net_alpha, seed, max_size, probe_count)
+    assert np.array_equal(net, ref_net)
+    assert cov.size == len(ref_net) and cov.radius_achieved == ref_radius
+    if stop == "alpha" or d * r == 1:  # a 1-point sphere is covered after two picks
+        assert cov.size < max_size
+    else:
+        assert cov.size == max_size
+
+
+@pytest.mark.parametrize("max_size", [500, 4000])
+def test_build_net_peak_memory_stays_within_4_mb(max_size):
+    build_net(6, 2, 6.0, 1 / 1800, 0, 2)  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        _, cov = build_net(6, 2, 6.0, 1 / 1800, 0, max_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.size == max_size
+    assert peak <= 4_000_000
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_size": 0}, "max_size and probe_count must be at least 1, got 0 and 10000"),
+        ({"probe_count": 0}, "max_size and probe_count must be at least 1, got 5 and 0"),
+        ({"tau": math.inf}, "tau must be positive and finite, got inf"),
+        ({"tau": 0.0}, "tau must be positive and finite, got 0.0"),
+    ],
+)
+def test_build_net_rejects_a_bad_size_before_any_draw(kwargs, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before the arguments were checked")
+
+    monkeypatch.setattr(spectral, "substream", no_draw)
+    args = {"d": 3, "r": 1, "tau": 3.0, "net_alpha": 0.01, "seed": 0, "max_size": 5} | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_net(**args)
 
 
 def test_mw_step_examples():
