@@ -22,13 +22,15 @@ and weak-type functions for l1 built from a biconvex zeta function.
 Every construction is immutable after creation and all operations are pure,
 except that ``ComposedL1U.majorant_batch`` fits and keeps ``fitted_coeff`` on first use.
 Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
-and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The query
-interface is batched: ``value_batch(xs, ys)`` and ``dirderiv_batch(xs, ys,
-zs, sigmas)`` take points with any number of leading batch axes (and
-``sigmas`` of the batch shape alone) and reduce over the trailing point axes
-only.  Length-one batch axes broadcast against each other, so one row of
-(x, y, z) against ``sigmas = [+1, -1]`` gives both zig-zag derivatives in one
-call.  ``value`` and ``dirderiv`` are the row-of-one forms.
+and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The queries
+``value_batch(xs, ys)``, ``dirderiv_batch(xs, ys, zs, sigmas)``,
+``norm_batch(xs)`` and ``majorant_batch(xs, ys)`` live once, on
+``BurkholderSpec``, and a construction supplies only its kernels.  A point
+argument is any number of leading batch axes followed by ``point_shape``, so
+a single point is a batch with no leading axes; ``sigmas`` has the batch
+shape alone; any other point shape raises ``ValueError``.  Batch axes
+broadcast, so one row of (x, y, z) against ``sigmas = [+1, -1]`` gives both
+zig-zag derivatives in one call.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -81,10 +83,6 @@ def optimal_constants(p: float) -> tuple[float, float]:
     return p * (1.0 - 1.0 / p_star) ** (p - 1.0), p_star - 1.0
 
 
-def _row(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)[np.newaxis, ...]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -100,31 +98,31 @@ class BurkholderSpec:
     # radii used by the probe sampler
     probe_radii = (1.0, 5.0)
 
-    def zero_point(self):
-        return np.zeros(self.point_shape)
-
-    def norm(self, x) -> float:
-        return self.tag.norm(np.asarray(x, dtype=float))
-
-    def value(self, x, y) -> float:
-        return float(self.value_batch(_row(x), _row(y))[0])
+    def _points(self, *args) -> list[np.ndarray]:
+        """The point arguments as float arrays, each checked to end in
+        ``point_shape``, with one more leading axis: the kernels then never
+        reduce to numpy scalars, which round differently from arrays, so a
+        single point gives the bits of a one-row batch."""
+        k = len(self.point_shape)
+        points = [np.asarray(a, dtype=float) for a in args]
+        for a in points:
+            if a.shape[a.ndim - k :] != self.point_shape:
+                raise ValueError(f"{self.construction} points have shape {self.point_shape}, got an array of shape {a.shape}")
+        return [a[np.newaxis] for a in points]
 
     def value_batch(self, xs, ys) -> np.ndarray:
-        raise NotImplementedError
-
-    def dirderiv(self, x, y, z, sigma: int) -> float:
-        """Supergradient of a -> U(x + a z, y + sigma a z) at a = 0."""
-        return float(self.dirderiv_batch(_row(x), _row(y), _row(z), _row(sigma))[0])
+        """U at every point of the broadcast batch."""
+        return self._value(*self._points(xs, ys))[0]
 
     def dirderiv_batch(self, xs, ys, zs, sigmas) -> np.ndarray:
-        """``dirderiv`` for every row of the broadcast batch."""
-        raise NotImplementedError
+        """Supergradient of a -> U(x + a z, y + sigma a z) at a = 0, at every
+        point of the broadcast batch."""
+        return self._dirderiv(*self._points(xs, ys, zs), np.asarray(sigmas, dtype=float)[np.newaxis])[0]
 
     def norm_batch(self, xs) -> np.ndarray:
-        """The norm of every point of a batch with any number of leading
-        axes, reduced over the trailing point axes only."""
-        xs = np.asarray(xs, dtype=float)
-        batch = xs.shape[: xs.ndim - len(self.point_shape)]
+        """The norm of every point of a batch."""
+        (xs,) = self._points(xs)
+        batch = xs.shape[1 : xs.ndim - len(self.point_shape)]
         return self.tag.norm_batch(xs.reshape((-1, *self.point_shape))).reshape(batch)
 
     def majorant_batch(self, xs, ys) -> np.ndarray:
@@ -132,6 +130,18 @@ class BurkholderSpec:
         nx = self.norm_batch(xs)
         ny = self.norm_batch(ys)
         return nx**self.p - self.beta**self.p * ny**self.p
+
+    def _value(self, xs, ys) -> np.ndarray:
+        raise NotImplementedError
+
+    def _dirderiv(self, xs, ys, zs, sigmas, h: float = 1e-6) -> np.ndarray:
+        """Symmetric difference quotient of U along (z, sigma z): the
+        supergradient selection of the l1 constructions, which have no closed
+        algebraic form."""
+        sigmas = sigmas.reshape(sigmas.shape + (1,) * len(self.point_shape))
+        up = self._value(xs + h * zs, ys + sigmas * h * zs)
+        dn = self._value(xs - h * zs, ys - sigmas * h * zs)
+        return (up - dn) / (2.0 * h)
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Probe sampler: componentwise uniform at two radii, with 10% of
@@ -181,19 +191,13 @@ class _PowerU(BurkholderSpec):
     def _sum_blocks(self, u):
         return u.sum(axis=tuple(range(-self.block_axes, 0))) if self.block_axes else u
 
-    def value_batch(self, xs, ys):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
+    def _value(self, xs, ys):
         r = self._norms(xs, self.tag.dual(xs))
         s = self._norms(ys, self.tag.dual(ys))
         return self._sum_blocks(self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0))
 
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
+    def _dirderiv(self, xs, ys, zs, sigmas):
         # du/dr dr + du/ds ds with dr, ds the block slopes along z and sigma z
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        zs = np.asarray(zs, float)
-        sigmas = np.asarray(sigmas, float)
         sigmas = sigmas.reshape(sigmas.shape + (1,) * self.block_axes)
         xd = self.tag.dual(xs)
         yd = self.tag.dual(ys)
@@ -254,7 +258,7 @@ class HilbertU(_PowerU):
         if (dim is None) == (gram is None):
             raise ValueError("provide exactly one of dim or gram")
         if gram is not None:
-            self.tag = GramTag(np.asarray(gram, dtype=float))
+            self.tag = GramTag(gram)
             self.dim = self.tag.a.shape[0]
         else:
             self.dim = int(dim)
@@ -318,18 +322,13 @@ class EvenPowerU(BurkholderSpec):
         self.beta = coeff ** (1.0 / self.k)
         self.tag = LpTag(2.0)
 
-    def value_batch(self, xs, ys):
-        x = np.asarray(xs, float)
-        y = np.asarray(ys, float)
+    def _value(self, x, y):
         k = self.k
         return (k / 2.0) * (x**k - self.c * x ** (k - 2) * y**2 - self.b * y**k)
 
-    def dirderiv_batch(self, xs, ys, zs, sigmas):
+    def _dirderiv(self, x, y, z, sigmas):
         k = self.k
-        x = np.asarray(xs, float)
-        y = np.asarray(ys, float)
-        z = np.asarray(zs, float)
-        sz = np.asarray(sigmas, float) * z
+        sz = sigmas * z
         d = (
             k * x ** (k - 1) * z
             - self.c * ((k - 2) * x ** (k - 3) * y**2 * z + 2.0 * x ** (k - 2) * y * sz)
@@ -360,19 +359,6 @@ def zeta_l1(xs, ys, a: float) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     return (2.0 / math.log(3.0 * a)) * (1.0 + _z_coordinate(xs, ys, a).sum(axis=-1))
-
-
-def _central_difference(spec, xs, ys, zs, sigmas, h: float = 1e-6):
-    """Symmetric difference quotient of U along (z, sigma z): the directional
-    derivative of the l1 constructions, which have no closed algebraic form
-    and use it as their supergradient selection."""
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    zs = np.asarray(zs, float)
-    sigmas = np.asarray(sigmas, float)[..., np.newaxis]
-    up = spec.value_batch(xs + h * zs, ys + sigmas * h * zs)
-    dn = spec.value_batch(xs - h * zs, ys - sigmas * h * zs)
-    return (up - dn) / (2.0 * h)
 
 
 class L1WeakTypeU(BurkholderSpec):
@@ -413,26 +399,20 @@ class L1WeakTypeU(BurkholderSpec):
         return np.maximum(zeta_l1(xs, ys, self.a), np.sum(np.abs(xs + ys), axis=-1))
 
     def _u_batch(self, xs, ys):
-        u = np.asarray(np.sum(np.abs(xs + ys), axis=-1))
+        u = np.sum(np.abs(xs + ys), axis=-1)
         inside = np.maximum(np.sum(np.abs(xs), axis=-1), np.sum(np.abs(ys), axis=-1)) < 1.0
         u[inside] = self._u_interior(xs[inside], ys[inside])
         return u
 
-    def value_batch(self, xs, ys):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
+    def _value(self, xs, ys):
         return 1.0 - self._u_batch(xs + ys, ys - xs) / self.u00
 
     def majorant_batch(self, xs, ys):
-        nx = np.sum(np.abs(np.asarray(xs, float)), axis=-1)
-        ny = np.sum(np.abs(np.asarray(ys, float)), axis=-1)
-        return np.where(nx >= 1.0, 1.0, 0.0) - self.beta * ny
-
-    dirderiv_batch = _central_difference
+        return np.where(self.norm_batch(xs) >= 1.0, 1.0, 0.0) - self.beta * self.norm_batch(ys)
 
     def _kink_bias(self, pts, rng):
         # the interesting kink is the unit l1 sphere
-        norms = np.sum(np.abs(pts.reshape(pts.shape[0], -1)), axis=1)
+        norms = self.tag.norm_batch(pts)
         norms = np.where(norms == 0.0, 1.0, norms)
         target = 1.0 + rng.uniform(-1e-4, 1e-4, size=pts.shape[0])
         scale = (target / norms).reshape((pts.shape[0],) + (1,) * (pts.ndim - 1))
@@ -493,7 +473,7 @@ class ComposedL1U(BurkholderSpec):
         # (0, B]; 10% of draws land within 1e-4 of a level boundary lambda_k,
         # where the stacked weak functions have their kinks
         pts = rng.uniform(-1.0, 1.0, size=(n, self.dim))
-        norms = np.sum(np.abs(pts), axis=1)
+        norms = self.tag.norm_batch(pts)
         norms = np.where(norms == 0.0, 1.0, norms)
         radii = self.bound * rng.uniform(0.0, 1.0, size=n)
         pts = pts * (radii / norms)[:, np.newaxis]
@@ -501,13 +481,13 @@ class ComposedL1U(BurkholderSpec):
         idx = rng.choice(n, size=k, replace=False)
         lam = self.lam[rng.integers(0, self.n_levels, size=k)]
         target = lam + rng.uniform(-1e-4, 1e-4, size=k)
-        cur = np.sum(np.abs(pts[idx]), axis=1)
+        cur = self.tag.norm_batch(pts[idx])
         cur = np.where(cur == 0.0, 1.0, cur)
         pts[idx] = pts[idx] * (target / cur)[:, np.newaxis]
         return pts
 
-    def value_batch(self, xs, ys):
-        xs, ys = np.broadcast_arrays(np.asarray(xs, float), np.asarray(ys, float))
+    def _value(self, xs, ys):
+        xs, ys = np.broadcast_arrays(xs, ys)
         batch = xs.shape[:-1]
         x = xs.reshape(-1, self.dim)
         y = ys.reshape(-1, self.dim)
@@ -533,8 +513,6 @@ class ComposedL1U(BurkholderSpec):
             lo = hi
         return self.eps * total.reshape(batch)
 
-    dirderiv_batch = _central_difference
-
     def fit_majorant_coeff(self, n_probes: int = 20_000, seed: int = 0) -> float:
         """Smallest C such that ||x||_1 - C*beta*log(B/eps)*||y||_1 - eps
         stays below U1 on the probe set (all probes lie in the valid
@@ -542,8 +520,8 @@ class ComposedL1U(BurkholderSpec):
         rng = substream(seed, "composed-fit")
         xs = self.sample_points(rng, n_probes)
         ys = self.sample_points(rng, n_probes)
-        nx = np.sum(np.abs(xs), axis=-1)
-        ny = np.sum(np.abs(ys), axis=-1)
+        nx = self.norm_batch(xs)
+        ny = self.norm_batch(ys)
         vals = self.value_batch(xs, ys)
         scale = self.beta * math.log(self.bound / self.eps)
         pos = ny > 1e-9
@@ -555,10 +533,8 @@ class ComposedL1U(BurkholderSpec):
     def majorant_batch(self, xs, ys):
         if self.fitted_coeff is None:
             self.fit_majorant_coeff()
-        nx = np.sum(np.abs(np.asarray(xs, float)), axis=-1)
-        ny = np.sum(np.abs(np.asarray(ys, float)), axis=-1)
         scale = self.fit_margin * self.fitted_coeff * self.beta * math.log(self.bound / self.eps)
-        return nx - scale * ny - self.eps
+        return self.norm_batch(xs) - scale * self.norm_batch(ys) - self.eps
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +671,12 @@ def make_spec(cfg: dict) -> BurkholderSpec:
         return LpSumU(cfg["p"], cfg["d"])
     if kind == "hilbert":
         if "gram" in cfg and cfg["gram"] is not None:
-            return HilbertU(cfg.get("p", 2.0), gram=np.asarray(cfg["gram"], dtype=float))
+            return HilbertU(cfg.get("p", 2.0), gram=cfg["gram"])
         return HilbertU(cfg.get("p", 2.0), dim=cfg["d"])
     if kind == "weighted-l2":
-        return WeightedL2U(np.asarray(cfg["weight"], dtype=float))
+        return WeightedL2U(cfg["weight"])
     if kind == "group-p2":
-        d = cfg["d"]
-        shape = cfg.get("shape", (d, d))
-        return GroupP2U(cfg["p"], shape)
+        return GroupP2U(cfg["p"], cfg.get("shape", (cfg["d"], cfg["d"])))
     if kind == "even-power":
         return EvenPowerU(cfg["k"])
     if kind == "l1-weak":

@@ -428,13 +428,22 @@ def check_config(config: dict) -> dict:
     return settings
 
 
+# the kind of each number a spec may hold; a group-p2 ``shape`` is a pair of counts
+SPEC_NUMBERS = {key: Key("positive") for key in ("p", "a", "B", "eps")} | {key: Key("count") for key in ("k", "d")}
+
+
 def build_spec(cfg) -> BurkholderSpec:
     """``make_spec`` for a spec that comes from outside the program: one
-    that is not an object, has a ``d`` that is not a whole number >= 1, or
-    cannot be built raises ``ConfigError``."""
-    cfg = checked("spec", CONFIG_TABLE["config"]["spec"], cfg)
-    if "d" in cfg:
-        checked("spec.d", Key("count"), cfg["d"])
+    that is not an object, holds a number not of its kind in
+    ``SPEC_NUMBERS``, or cannot be built raises ``ConfigError``."""
+    cfg = dict(checked("spec", CONFIG_TABLE["config"]["spec"], cfg))
+    for key, row in SPEC_NUMBERS.items():
+        if key in cfg:
+            cfg[key] = checked(f"spec.{key}", row, cfg[key])
+    if "shape" in cfg:
+        if not (isinstance(cfg["shape"], (list, tuple)) and len(cfg["shape"]) == 2):
+            raise ConfigError(f"spec.shape must be a pair of whole numbers, got {cfg['shape']!r}")
+        cfg["shape"] = [checked("spec.shape", Key("count"), n) for n in cfg["shape"]]
     try:
         return make_spec(cfg)
     except KeyError as exc:

@@ -42,11 +42,13 @@ def conjugate(p: float) -> tuple[float, float]:
 
 
 def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a symmetric PSD matrix, tolerating eigenvalue noise down to
-    ``-1e-10``."""
+    """Validate a finite symmetric PSD matrix, tolerating eigenvalue noise
+    down to ``-1e-10``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must have finite entries")
     if not np.allclose(a, a.T, atol=1e-8):
         raise ValueError(f"{name} must be symmetric")
     w = np.linalg.eigvalsh(a)

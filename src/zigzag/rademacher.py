@@ -95,8 +95,8 @@ class DyadicTree:
         self.dim = dim
 
     @classmethod
-    def random_gaussian(cls, depth: int, dim: int, rng: np.random.Generator, scale: float = 1.0):
-        return cls([scale * rng.normal(size=(2**t, dim)) for t in range(depth)])
+    def random_gaussian(cls, depth: int, dim: int, rng: np.random.Generator):
+        return cls([rng.normal(size=(2**t, dim)) for t in range(depth)])
 
     @classmethod
     def constant(cls, depth: int, vectors: np.ndarray):
@@ -135,11 +135,6 @@ class DyadicTree:
             bit = ((signs[:, t] + 1) // 2).astype(int)
             idx = idx | (bit << t)
         return out
-
-    def enumerate_paths(self) -> tuple[np.ndarray, np.ndarray]:
-        """All 2^depth sign paths and their gathered values."""
-        signs = _all_signs(self.depth)
-        return signs, self.path_values(signs)
 
 
 def _mean_se(samples: np.ndarray, exact: bool = False) -> tuple[float, float]:

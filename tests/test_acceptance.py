@@ -92,8 +92,8 @@ def test_criterion_01_burkholder_catalogue(capsys):
             assert maj.violations == 0, f"{spec.construction} p={spec.p}: {maj}"
             zz = check_zigzag(spec, n_probes=10_000, seed=12, tol=1e-7)
             assert zz.midpoint_violations == 0, f"{spec.construction} p={spec.p}: {zz}"
-            zero = spec.zero_point()
-            assert spec.value(zero, zero) == 0.0
+            zero = np.zeros(spec.point_shape)
+            assert spec.value_batch(zero, zero) == 0.0
             worst_maj = min(worst_maj, maj.worst_slack)
             worst_zz = min(worst_zz, zz.worst_midpoint_slack)
         elapsed = time.monotonic() - start
@@ -102,8 +102,8 @@ def test_criterion_01_burkholder_catalogue(capsys):
 
 
 def _central_fd(spec, x, y, z, sigma, h=1e-6):
-    up = spec.value(np.asarray(x) + h * np.asarray(z), np.asarray(y) + sigma * h * np.asarray(z))
-    dn = spec.value(np.asarray(x) - h * np.asarray(z), np.asarray(y) - sigma * h * np.asarray(z))
+    up = spec.value_batch(x + h * z, y + sigma * h * z)
+    dn = spec.value_batch(x - h * z, y - sigma * h * z)
     return (up - dn) / (2.0 * h)
 
 
@@ -130,7 +130,7 @@ def test_criterion_02_directional_derivatives(capsys):
                     if done >= 1000:
                         break
                     sigma = int(rademacher(rng))
-                    err = abs(spec.dirderiv(x, y, z, sigma) - _central_fd(spec, x, y, z, sigma))
+                    err = abs(spec.dirderiv_batch(x, y, z, sigma) - _central_fd(spec, x, y, z, sigma))
                     assert err <= 1e-5, f"{spec.construction} p={spec.p}: err {err:.2e}"
                     worst = max(worst, err)
                     done += 1
@@ -372,7 +372,7 @@ def test_criterion_10_weak_type_family(capsys):
 
         weak = L1WeakTypeU(10.0, 2)
         comp = ComposedL1U(weak, bound=2.0, eps=0.25)
-        assert comp.value(np.zeros(2), np.zeros(2)) == 0.0
+        assert comp.value_batch(np.zeros(2), np.zeros(2)) == 0.0
         fitted = comp.fit_majorant_coeff(n_probes=20_000, seed=107)
         refit = ComposedL1U(weak, bound=2.0, eps=0.25).fit_majorant_coeff(n_probes=20_000, seed=108)
         assert abs(fitted - refit) <= 0.05 * fitted  # stable empirical constant

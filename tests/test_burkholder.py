@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,8 +52,8 @@ EIGHT_CONSTRUCTIONS = [
 
 
 def central_fd(spec, x, y, z, sigma, h=1e-6):
-    up = spec.value(np.asarray(x) + h * np.asarray(z), np.asarray(y) + sigma * h * np.asarray(z))
-    dn = spec.value(np.asarray(x) - h * np.asarray(z), np.asarray(y) - sigma * h * np.asarray(z))
+    up = spec.value_batch(x + h * z, y + sigma * h * z)
+    dn = spec.value_batch(x - h * z, y - sigma * h * z)
     return (up - dn) / (2.0 * h)
 
 
@@ -70,29 +71,29 @@ def test_optimal_constants():
 
 def test_scalar_values():
     u2 = ScalarPowerU(2.0)
-    assert u2.value(3.0, 2.0) == pytest.approx(5.0)  # |x|^2 - |y|^2
+    assert u2.value_batch(3.0, 2.0) == pytest.approx(5.0)  # |x|^2 - |y|^2
     u3 = ScalarPowerU(3.0)
-    assert u3.value(1.0, 0.0) == pytest.approx(4.0 / 3.0)  # alpha_3
+    assert u3.value_batch(1.0, 0.0) == pytest.approx(4.0 / 3.0)  # alpha_3
     for spec in ALL_SPECS:
-        z = spec.zero_point()
-        assert spec.value(z, z) <= 0.0
-        assert spec.value(z, z) == pytest.approx(0.0, abs=1e-15)
+        z = np.zeros(spec.point_shape)
+        assert spec.value_batch(z, z) <= 0.0
+        assert spec.value_batch(z, z) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_scalar_dirderiv_examples():
     u2 = ScalarPowerU(2.0)
     # d/da [(3+a)^2 - (2+a)^2] = 2*3 - 2*2
-    assert u2.dirderiv(3.0, 2.0, 1.0, +1) == pytest.approx(2.0)
+    assert u2.dirderiv_batch(3.0, 2.0, 1.0, +1) == pytest.approx(2.0)
     # d/da [(3+a)^2 - (2-a)^2] = 2*3 + 2*2
-    assert u2.dirderiv(3.0, 2.0, 1.0, -1) == pytest.approx(10.0)
+    assert u2.dirderiv_batch(3.0, 2.0, 1.0, -1) == pytest.approx(10.0)
 
 
 def test_dirderiv_symmetry_at_origin():
     rng = substream(5, "origin")
     for spec in ALL_SPECS:
         z = spec.sample_points(rng, 1)[0]
-        zero = spec.zero_point()
-        avg = 0.5 * (spec.dirderiv(zero, zero, z, +1) + spec.dirderiv(zero, zero, z, -1))
+        zero = np.zeros(spec.point_shape)
+        avg = 0.5 * (spec.dirderiv_batch(zero, zero, z, +1) + spec.dirderiv_batch(zero, zero, z, -1))
         assert avg == pytest.approx(0.0, abs=1e-12)
 
 
@@ -102,11 +103,11 @@ def test_dirderiv_batch_matches_rows(spec):
     xs, ys, zs = (spec.sample_points(rng, 16) for _ in range(3))
     sigmas = rademacher(rng, 16).astype(float)
     assert np.any(sigmas > 0) and np.any(sigmas < 0)
-    rows = [spec.dirderiv(x, y, z, s) for x, y, z, s in zip(xs, ys, zs, sigmas)]
+    rows = [spec.dirderiv_batch(x, y, z, s) for x, y, z, s in zip(xs, ys, zs, sigmas)]
     assert spec.dirderiv_batch(xs, ys, zs, sigmas) == pytest.approx(rows, rel=1e-12, abs=0.0)
     # one row broadcast against both signs
     both = spec.dirderiv_batch(xs[:1], ys[:1], zs[:1], np.array([1.0, -1.0]))
-    want = [spec.dirderiv(xs[0], ys[0], zs[0], s) for s in (+1, -1)]
+    want = [spec.dirderiv_batch(xs[0], ys[0], zs[0], s) for s in (+1, -1)]
     assert both.shape == (2,)
     assert both == pytest.approx(want, rel=1e-12, abs=0.0)
     assert_leading_axes(spec, xs, ys, zs, sigmas)
@@ -135,6 +136,42 @@ def assert_leading_axes(spec, xs, ys, zs, sigmas):
     assert np.array_equal(derivs, spec.dirderiv_batch(xs, ys, zs, sigmas).reshape(2, 8))
 
 
+# each query: its number of point arguments and the call on points and signs
+QUERIES = {
+    "value_batch": (2, lambda spec, pts, sigmas: spec.value_batch(*pts[:2])),
+    "dirderiv_batch": (3, lambda spec, pts, sigmas: spec.dirderiv_batch(*pts, sigmas)),
+    "majorant_batch": (2, lambda spec, pts, sigmas: spec.majorant_batch(*pts[:2])),
+    "norm_batch": (1, lambda spec, pts, sigmas: spec.norm_batch(pts[0])),
+}
+GRAM_HILBERT = HilbertU(2.5, gram=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]))
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("spec", EIGHT_CONSTRUCTIONS + [GRAM_HILBERT], ids=lambda s: s.construction)
+def test_queries_check_the_point_shape_and_take_one_point(spec, query):
+    n_points, call = QUERIES[query]
+    rng = substream(19, "contract", spec.construction)
+    pts = [spec.sample_points(rng, 5) for _ in range(3)]
+    sigmas = rademacher(rng, 5).astype(float)
+    # a point one size too large in any point axis, as any point argument
+    for axis in range(len(spec.point_shape)):
+        big = list(spec.point_shape)
+        big[axis] += 1
+        for arg in range(n_points):
+            bad = list(pts)
+            bad[arg] = np.ones((5, *big))
+            with pytest.raises(ValueError, match=rf"{re.escape(str(spec.point_shape))}.*{re.escape(str((5, *big)))}"):
+                call(spec, bad, sigmas)
+    # one point with no batch axis gives the bits of a one-row batch
+    single = call(spec, [p[0] for p in pts], sigmas[0])
+    assert single.shape == () and single.tobytes() == call(spec, [p[:1] for p in pts], sigmas[:1]).tobytes()
+    if query == "dirderiv_batch":
+        # the learner's call: K lanes of (S, M) against one shared x and both signs
+        got = spec.dirderiv_batch(pts[0][:, None], pts[1][:, None], pts[2][:1, None], np.array([[1.0, -1.0]]))
+        want = [spec.dirderiv_batch(pts[0], pts[1], pts[2][:1], np.full(5, s)) for s in (1.0, -1.0)]
+        assert np.array_equal(got, np.stack(want, axis=1))
+
+
 def test_gram_blocks_multiply_once_per_point(monkeypatch):
     products = []
     dual = GramTag.dual
@@ -149,10 +186,10 @@ def test_gram_blocks_multiply_once_per_point(monkeypatch):
         xs, ys, zs = (spec.sample_points(substream(16, "gram", spec.construction), 5) for _ in range(3))
         products.clear()
         spec.value_batch(xs, ys)
-        assert products == [(5, 3), (5, 3)]
+        assert products == [(1, 5, 3), (1, 5, 3)]  # the kernels get one more leading axis
         products.clear()
         spec.dirderiv_batch(xs[:, None], ys[:, None], zs[:, None], np.array([[1.0, -1.0]]))
-        assert products == [(5, 1, 3), (5, 1, 3)]
+        assert products == [(1, 5, 1, 3), (1, 5, 1, 3)]
 
 
 def kink_free_probes(spec, rng, count, margin=1e-2):
@@ -175,7 +212,7 @@ def test_dirderiv_matches_finite_differences(spec):
     rng = substream(6, "fd", spec.construction, spec.p)
     for x, y, z in kink_free_probes(spec, rng, 200):
         sigma = int(rademacher(rng))
-        got = spec.dirderiv(x, y, z, sigma)
+        got = spec.dirderiv_batch(x, y, z, sigma)
         want = central_fd(spec, x, y, z, sigma)
         assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want)))
 
@@ -185,12 +222,12 @@ def test_sum_closure_identities():
     lp = LpSumU(3.0, 5)
     scalar = ScalarPowerU(3.0)
     x, y = rng.normal(size=5), rng.normal(size=5)
-    assert lp.value(x, y) == pytest.approx(sum(scalar.value(a, b) for a, b in zip(x, y)), rel=1e-14)
+    assert lp.value_batch(x, y) == pytest.approx(sum(scalar.value_batch(a, b) for a, b in zip(x, y)), rel=1e-14)
 
     gp = GroupP2U(3.0, (4, 4))
     hil = HilbertU(3.0, dim=4)
     xm, ym = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-    assert gp.value(xm, ym) == pytest.approx(sum(hil.value(a, b) for a, b in zip(xm, ym)), rel=1e-14)
+    assert gp.value_batch(xm, ym) == pytest.approx(sum(hil.value_batch(a, b) for a, b in zip(xm, ym)), rel=1e-14)
 
 
 def test_weighted_l2_identity_and_hilbert_closed_form():
@@ -203,8 +240,8 @@ def test_weighted_l2_identity_and_hilbert_closed_form():
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     for _ in range(50):
         x, y = rng.normal(size=4), rng.normal(size=4)
-        assert wspec.value(x, y) == pytest.approx(h2.value(root @ x, root @ y), abs=1e-10)
-        assert h2.value(x, y) == pytest.approx(np.dot(x, x) - np.dot(y, y), rel=1e-12)
+        assert wspec.value_batch(x, y) == pytest.approx(h2.value_batch(root @ x, root @ y), abs=1e-10)
+        assert h2.value_batch(x, y) == pytest.approx(np.dot(x, x) - np.dot(y, y), rel=1e-12)
 
 
 def test_gram_hilbert_matches_explicit_embedding():
@@ -215,8 +252,8 @@ def test_gram_hilbert_matches_explicit_embedding():
     espec = HilbertU(2.0, dim=7)
     for _ in range(20):
         cx, cy = rng.normal(size=5), rng.normal(size=5)
-        want = espec.value(cx @ basis, cy @ basis)
-        assert gspec.value(cx, cy) == pytest.approx(want, rel=1e-10, abs=1e-10)
+        want = espec.value_batch(cx @ basis, cy @ basis)
+        assert gspec.value_batch(cx, cy) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_majorization_probes_clean():
@@ -249,7 +286,7 @@ def test_zigzag_probes_clean_and_p2_linear():
     spec = ScalarPowerU(2.0)
     for x, y, z in [(3.0, 2.0, 1.0), (0.5, -1.5, 2.0)]:
         h = 1e-3
-        sd = spec.value(x + h * z, y + h * z) + spec.value(x - h * z, y - h * z) - 2 * spec.value(x, y)
+        sd = spec.value_batch(x + h * z, y + h * z) + spec.value_batch(x - h * z, y - h * z) - 2 * spec.value_batch(x, y)
         assert abs(sd) < 1e-9
 
 
@@ -307,13 +344,13 @@ def test_weak_type_construction():
     spec = L1WeakTypeU(a=10.0, dim=2)
     assert spec.u00 > 0.0
     assert spec.u00 >= zeta_l1(np.zeros(2), np.zeros(2), 10.0) - 1e-15
-    assert spec.value(np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
+    assert spec.value_batch(np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
     # weak-type property at y = 0: U(x, 0) >= 1 whenever ||x||_1 >= 1
     rng = substream(14, "weak")
     for _ in range(200):
         x = rng.normal(size=2)
         x = x / np.sum(np.abs(x)) * rng.uniform(1.0, 4.0)
-        assert spec.value(x, np.zeros(2)) >= 1.0 - 1e-12
+        assert spec.value_batch(x, np.zeros(2)) >= 1.0 - 1e-12
 
 
 def test_weak_type_warns_below_threshold():
@@ -331,7 +368,7 @@ def test_composed_levels_and_origin():
     comp = ComposedL1U(weak, bound=4.0, eps=0.5)
     assert comp.n_levels == 8
     assert np.allclose(comp.lam, np.arange(1, 9) * 0.5)
-    assert comp.value(np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
+    assert comp.value_batch(np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         ComposedL1U(weak, bound=0.1, eps=0.5)
 
@@ -356,7 +393,7 @@ def test_composed_value_batch_is_the_level_sum(a, d, bound, eps):
     on = np.maximum(np.abs(x + y).sum(axis=1), np.abs(y - x).sum(axis=1)) == comp.lam[k]
     assert on.sum() >= 500
     assert np.max(np.abs(comp.value_batch(x[on], y[on]) - _level_sum(comp, x[on], y[on]))) <= 1e-12
-    assert comp.value(np.zeros(d), np.zeros(d)) == 0.0
+    assert comp.value_batch(np.zeros(d), np.zeros(d)) == 0.0
     grid = comp.value_batch(xs[:16].reshape(2, 8, d), ys[:16].reshape(2, 8, d))
     assert grid.shape == (2, 8)
     assert np.array_equal(grid.ravel(), comp.value_batch(xs[:16], ys[:16]))
@@ -370,7 +407,7 @@ def test_composed_rows_do_not_depend_on_the_batch():
     interior_pairs = np.sum(comp.n_levels - np.searchsorted(comp.lam, m, side="right"))
     assert interior_pairs > 2 * burkholder._LEVEL_CHUNK  # the batch spans several chunks
     batch = comp.value_batch(xs, ys)
-    assert all(batch[i] == comp.value(xs[i], ys[i]) for i in range(len(xs)))
+    assert all(batch[i] == comp.value_batch(xs[i], ys[i]) for i in range(len(xs)))
 
 
 def test_make_spec_round_trip():

@@ -34,7 +34,7 @@ def test_adversaries_emit_unit_ball_instances():
         {"construction": "even-power", "k": 4},
     ]
     for spec in map(make_spec, specs):
-        fixed = [(x / spec.norm(x)).tolist() for x in spec.sample_points(substream(3, "fixed"), 79)]
+        fixed = [(x / spec.norm_batch(x)).tolist() for x in spec.sample_points(substream(3, "fixed"), 79)]
         for cfg in (
             {"kind": "iid-gaussian"},
             {"kind": "iid-rademacher-coords"},
@@ -206,6 +206,13 @@ BAD_NUMBERS = {
     "spectral-eta-zero": (dict(SPECTRAL, eta=0.0), "eta must be a finite number > 0"),
     "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "spec.d must be at least 1, got 0"),
     "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "spec.d must be at least 1, got 2.5"),
+    "spec-k-fraction": ({"spec": {"construction": "even-power", "k": 4.5}}, "spec.k must be at least 1, got 4.5; it takes a whole number"),
+    "spec-p-nan": ({"spec": {"construction": "scalar-p", "p": math.nan}}, "spec.p must be a finite number > 0, got nan"),
+    "spec-p-inf": ({"spec": {"construction": "lp-sum", "p": math.inf, "d": 4}}, "spec.p must be a finite number > 0, got inf"),
+    "spec-p-text": ({"spec": {"construction": "hilbert", "p": "2.5", "d": 4}}, "spec.p must be a finite number > 0, got '2.5'"),
+    "spec-shape-fraction": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [2, 2.5]}}, "spec.shape must be at least 1, got 2.5"),
+    "spec-gram-inf": ({"spec": {"construction": "hilbert", "gram": [[1.0, 0.0], [0.0, math.inf]]}}, "gram must have finite entries"),
+    "spec-B-inf": ({"spec": {"construction": "l1-composed", "a": 4.0, "d": 3, "B": math.inf, "eps": 0.1}}, "spec.B must be a finite number > 0, got inf"),
     "adaptive-gd-d-zero": ({"algorithm": "adaptive-gd", "d": 0}, "d must be at least 1, got 0"),
     "rank-zero": ({"adversary": {"kind": "low-rank-stream", "rank": 0}}, "adversary.rank must be at least 1, got 0"),
     "rank-negative": ({"adversary": {"kind": "low-rank-stream", "rank": -1}}, "adversary.rank must be at least 1, got -1"),
@@ -630,7 +637,7 @@ def _seed_lane_config(algorithm, spec, adversary, extra):
     shape, norm = (4,), np.linalg.norm
     if spec is not None:
         built = make_spec(spec)
-        shape, norm = built.point_shape, built.norm
+        shape, norm = built.point_shape, built.norm_batch
     if adversary["kind"] == "fixed-file":
         rng = substream(21, "seed-lanes")
         xs = [rng.normal(size=shape) for _ in range(n)]

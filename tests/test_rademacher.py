@@ -30,8 +30,9 @@ def test_tree_shapes_and_cap():
 def test_path_gather_consistency():
     rng = substream(1, "tree")
     tree = DyadicTree.random_gaussian(5, 3, rng)
-    signs, values = tree.enumerate_paths()
-    assert signs.shape == (32, 5)
+    signs = _all_signs(5)
+    values = tree.path_values(signs)
+    assert values.shape == (32, 5, 3)
     # manual walk for a handful of paths
     for row in (0, 7, 31):
         idx = 0
@@ -44,13 +45,14 @@ def test_path_gather_consistency():
 def test_constant_tree_is_non_anticipating():
     vecs = np.arange(6.0).reshape(3, 2)
     tree = DyadicTree.constant(3, vecs)
-    _, values = tree.enumerate_paths()
+    values = tree.path_values(_all_signs(3))
     assert np.allclose(values, np.broadcast_to(vecs, (8, 3, 2)))
 
 
 def test_prefix_sign_tree_pushes_away_from_zero():
     for depth in (1, 6, 10):
-        signs, values = DyadicTree.prefix_sign(depth).enumerate_paths()
+        signs = _all_signs(depth)
+        values = DyadicTree.prefix_sign(depth).path_values(signs)
         vals = values.squeeze(-1)
         prefix = np.zeros(len(signs))
         for t in range(depth):
@@ -239,8 +241,8 @@ def test_maximal_tree_walk_equals_path_enumeration(tag):
 def _term_tensor_moments(report, tree, tag):
     """Each pattern's exact moment from the (2^n, n, dim) tensor of terms
     eps_t x_t(eps) on all sign paths, summed over t."""
-    signs, values = tree.enumerate_paths()
-    terms = signs[:, :, np.newaxis] * values
+    signs = _all_signs(tree.depth)
+    terms = signs[:, :, np.newaxis] * tree.path_values(signs)
     moments = []
     for pattern, _, _, _ in report.patterns:
         sums = (terms * np.asarray(pattern, dtype=float)[np.newaxis, :, np.newaxis]).sum(axis=1)

@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` wraps public functions and methods by name, so a
 rename or a deletion in the program breaks ``perfbench/run.py --trace 1``.
 This test only reads ``perfbench/``: it installs the tracer, runs one tiny
-config of each doubling mode and checks that both interval-sup trackers were
-seen, then checks that ``uninstall`` puts every original back.
+config of each doubling mode and one certified ``zigzag`` config, checks
+that both interval-sup trackers and the Burkholder queries (defined once, on
+``BurkholderSpec``) were seen, then checks that ``uninstall`` puts every
+original back.
 """
 
 import pathlib
@@ -40,9 +42,20 @@ def test_tracer_installs_sees_the_trackers_and_uninstalls(monkeypatch):
                 "fw_iters": 20,
                 "rad_samples": 100,
             })
+        run_experiment({
+            "algorithm": "zigzag",
+            "spec": {"construction": "lp-sum", "p": 3.0, "d": 3},
+            "adversary": {"kind": "sign-flip"},
+            "n": 10,
+            "seeds": [0],
+            "certify": True,
+            "fw_iters": 20,
+            "rad_samples": 100,
+        })
         values = t.layer_values()
     finally:
         t.uninstall()
     assert values["tuning.expected_append.calls"] > 0
     assert values["linalg.interval_sup_append.calls"] > 0
+    assert values["burkholder.value_batch.calls"] > 0
     assert bound() == before
