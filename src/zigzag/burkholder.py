@@ -670,9 +670,7 @@ def make_spec(cfg: dict) -> BurkholderSpec:
     if kind == "lp-sum":
         return LpSumU(cfg["p"], cfg["d"])
     if kind == "hilbert":
-        if "gram" in cfg and cfg["gram"] is not None:
-            return HilbertU(cfg.get("p", 2.0), gram=cfg["gram"])
-        return HilbertU(cfg.get("p", 2.0), dim=cfg["d"])
+        return HilbertU(cfg.get("p", 2.0), dim=cfg.get("d"), gram=cfg.get("gram"))
     if kind == "weighted-l2":
         return WeightedL2U(cfg["weight"])
     if kind == "group-p2":

@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 
 from .burkholder import BurkholderSpec, make_spec
-from .learner import CERT_GRID, ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
+from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import MIN_SAMPLES, rad_estimate, rad_exact
@@ -428,6 +428,8 @@ def check_config(config: dict) -> dict:
     return settings
 
 
+MAX_POINT_SIZE = 1024  # entries in one spec point; a 10,000-probe batch of them is 82 MB
+
 # the kind of each number a spec may hold; a group-p2 ``shape`` is a pair of counts
 SPEC_NUMBERS = {key: Key("positive") for key in ("p", "a", "B", "eps")} | {key: Key("count") for key in ("k", "d")}
 
@@ -435,7 +437,8 @@ SPEC_NUMBERS = {key: Key("positive") for key in ("p", "a", "B", "eps")} | {key: 
 def build_spec(cfg) -> BurkholderSpec:
     """``make_spec`` for a spec that comes from outside the program: one
     that is not an object, holds a number not of its kind in
-    ``SPEC_NUMBERS``, or cannot be built raises ``ConfigError``."""
+    ``SPEC_NUMBERS``, cannot be built or has points of more than
+    ``MAX_POINT_SIZE`` entries raises ``ConfigError``."""
     cfg = dict(checked("spec", CONFIG_TABLE["config"]["spec"], cfg))
     for key, row in SPEC_NUMBERS.items():
         if key in cfg:
@@ -445,11 +448,15 @@ def build_spec(cfg) -> BurkholderSpec:
             raise ConfigError(f"spec.shape must be a pair of whole numbers, got {cfg['shape']!r}")
         cfg["shape"] = [checked("spec.shape", Key("count"), n) for n in cfg["shape"]]
     try:
-        return make_spec(cfg)
+        spec = make_spec(cfg)
     except KeyError as exc:
         raise ConfigError(f"spec {cfg!r} needs the key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"spec {cfg!r} cannot be built: {exc}") from None
+    size = math.prod(spec.point_shape)
+    if size > MAX_POINT_SIZE:
+        raise ConfigError(f"spec {cfg!r} has points of {size} entries; a point has at most {MAX_POINT_SIZE}")
+    return spec
 
 
 def _walk(cfg, scope: str) -> dict:
@@ -531,10 +538,9 @@ def _run_cells(settings: dict) -> list[dict]:
         return []
     loss_name, n = settings["loss"], settings["n"]
     tag, shape = _point_space(settings)
-    cert_grid = CERT_GRID if settings["certify"] else None
     adversary = make_adversary(settings["adversary"], shape, tag, seeds)
     learner = _build_learner(settings)
-    trace = run_episode(learner, loss_name, adversary, n, cert_grid=cert_grid)
+    trace = run_episode(learner, loss_name, adversary, n, certify=settings["certify"])
 
     # the comparator class and the Rademacher estimate live in R^m, so
     # scalar instances enter them as 1-vectors; row k is seed k's stream,
@@ -563,7 +569,7 @@ def _run_cells(settings: dict) -> list[dict]:
             "phases": [dataclasses.asdict(rec) for rec in phases[i]],
             "benchmark_linearized": float(linearized[i]),
             "residual": None if residuals[i] is None else float(residuals[i]),
-            "cert_worst_slack": float(trace.cert_worst_slack[:, i].min()) if cert_grid is not None else None,
+            "cert_worst_slack": float(trace.cert_worst_slack[:, i].min()) if settings["certify"] else None,
             # companion to the no-normalize escape hatch: scale-free runs
             # report how large the instances actually got
             "max_x_norm": float(max_x_norms[i]),

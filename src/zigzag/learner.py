@@ -27,11 +27,13 @@ every l' in [-1, 1]
 
     yhat * l' + G_t(l') <= G_t(0),
 
-deterministically per round and lane.  ``certificate`` checks this on a grid
-of l' values with one ``value_batch`` query over the lanes, both sign branches
-and (S, M); it is the per-round witness behind the regret guarantee.  A
-certified round thus queries U three times: predict, certificate and
-``relaxation_value``.
+deterministically per round and lane.  ``certificate(x, yhat)`` returns each
+lane's worst slack G_t(0) - yhat * l' - G_t(l') over a grid of l' values,
+from one ``value_batch`` query over the lanes, both sign branches and (S, M);
+it is the per-round witness behind the regret guarantee, and a slack below
+``-CERT_TOL`` is a violation.  ``run_episode(..., certify=True)`` records it
+every round on ``CERT_GRID``, so a certified round queries U three times:
+predict, certificate and ``relaxation_value``.
 
 M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -52,7 +54,6 @@ from .rng import rademacher
 
 __all__ = [
     "ZigZagLearner",
-    "CertificateReport",
     "EpisodeTrace",
     "run_episode",
     "theorem_residual",
@@ -70,18 +71,6 @@ _SIGN_BLOCK = 256  # signs each lane draws at a time
 CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
 CERT_GRID.flags.writeable = False
 CERT_TOL = 1e-8  # a slack below -CERT_TOL is a violation
-
-
-@dataclass
-class CertificateReport:
-    """Per-lane worst slack and violation count of one certificate check."""
-
-    worst_slack: np.ndarray
-    violations: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        return not np.any(self.violations)
 
 
 class ZigZagLearner:
@@ -137,13 +126,12 @@ class ZigZagLearner:
     def relaxation_value(self) -> np.ndarray:
         return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
 
-    def certificate(self, x, grid=None, tol: float = CERT_TOL, yhat=None) -> CertificateReport:
-        """Check yhat*l' + G_t(l') <= G_t(0) over a grid of l' in [-1, 1] in
-        every lane; ``yhat`` broadcasts to the K lanes."""
+    def certificate(self, x, yhat, grid=CERT_GRID) -> np.ndarray:
+        """Each lane's worst slack of yhat*l' + G_t(l') <= G_t(0) over a grid
+        of l' in [-1, 1], as a ``(K,)`` array; ``yhat`` broadcasts to the K
+        lanes."""
         xs = self._instance(x)
-        grid = np.asarray(CERT_GRID if grid is None else grid, dtype=float)
-        if yhat is None:
-            yhat = self.predict(x)
+        grid = np.asarray(grid, dtype=float)
         scale = np.reshape(self.eta / self.spec.p, (-1, 1))
         g = grid.size
         # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
@@ -158,7 +146,7 @@ class ZigZagLearner:
         g_vals = scale * 0.5 * (vals[:, :g] + vals[:, g : 2 * g])
         rhs = scale * vals[:, -1:]
         slack = rhs - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + g_vals)
-        return CertificateReport(worst_slack=slack.min(axis=1), violations=(slack < -tol).sum(axis=1))
+        return slack.min(axis=1)
 
 
 def lane_instances(x, point_shape: tuple, lanes: int) -> np.ndarray:
@@ -202,27 +190,21 @@ class EpisodeTrace:
         return ",".join(TRACE_COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def run_episode(
-    learner,
-    loss_name: str,
-    adversary,
-    n: int,
-    cert_grid=None,
-    cert_tol: float = CERT_TOL,
-) -> EpisodeTrace:
+def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = False) -> EpisodeTrace:
     """Drive one episode of the online protocol over the learner's lanes.
 
     ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
     and ``update(x, dloss) -> eps`` taking and returning K values; a
-    ``begin_round(x)`` hook (doubling tuners), ``relaxation_value()`` and
-    ``certificate`` are used when present.  ``adversary.next_x(t)`` gives one
-    x_t for all lanes or one per lane, and ``adversary.next_y(t, x, yhat)``
-    answers the K predictions at once (a label that ignores them may be
-    shared by all lanes).  The adversary owns its randomness, so learner and
-    adversary draws never interact.
+    ``begin_round(x)`` hook (doubling tuners) and ``relaxation_value()`` are
+    used when present.  ``certify`` records each round's per-lane
+    ``certificate(x, yhat)`` as ``cert_worst_slack``.
+    ``adversary.next_x(t)`` gives one x_t for all lanes or one per lane, and
+    ``adversary.next_y(t, x, yhat)`` answers the K predictions at once (a
+    label that ignores them may be shared by all lanes).  The adversary owns
+    its randomness, so learner and adversary draws never interact.
     """
     columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:]}
-    cert_slacks = np.empty((n, learner.lanes)) if cert_grid is not None else None
+    cert_slacks = np.empty((n, learner.lanes)) if certify else None
     xs = []
     cum = np.zeros(learner.lanes)
     for i in range(n):
@@ -234,8 +216,8 @@ def run_episode(
         validate_labels(loss_name, y)
         lv = loss_batch(loss_name, yhat, y)
         dl = dloss_batch(loss_name, yhat, y)
-        if cert_slacks is not None:
-            cert_slacks[i] = learner.certificate(x, grid=cert_grid, tol=cert_tol, yhat=yhat).worst_slack
+        if certify:
+            cert_slacks[i] = learner.certificate(x, yhat)
         eps = learner.update(x, dl)
         cum = cum + lv
         rel = learner.relaxation_value() if hasattr(learner, "relaxation_value") else np.nan
@@ -255,13 +237,15 @@ def validate_labels(loss_name: str, y) -> None:
         raise ValueError(f"absolute loss needs labels in [-1, 1], got {y}")
 
 
-def psi(eta: float, p: float, x: float) -> float:
+def psi(eta, p: float, x):
     """Psi_{eta,p}(x) = (1/p) (eta x + eta^(1-p') / (p' - 1)); minimizing
-    over eta > 0 recovers x^(1/p)."""
-    if eta <= 0:
+    over eta > 0 recovers x^(1/p).  ``eta`` and ``x`` broadcast, so a
+    learner's per-lane rates give per-lane values."""
+    if np.any(np.asarray(eta) <= 0):
         raise ValueError(f"psi requires eta > 0, got {eta}")
     p_prime, _ = conjugate(p)
-    return (eta * x + eta ** (1.0 - p_prime) / (p_prime - 1.0)) / p
+    # float_power calls the C library's pow, as Python's float ** does
+    return (eta * x + np.float_power(eta, 1.0 - p_prime) / (p_prime - 1.0)) / p
 
 
 def theorem_residual(trace: EpisodeTrace, learner: ZigZagLearner) -> dict:

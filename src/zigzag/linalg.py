@@ -59,13 +59,9 @@ def check_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 class NormTag:
     """Base class for norm tags. Subclasses implement ``norm_batch`` over the
-    leading batch axis; ``norm`` is the pointwise convenience wrapper."""
+    leading batch axis."""
 
     name = "abstract"
-
-    def norm(self, x) -> float:
-        arr = np.asarray(x, dtype=float)
-        return float(self.norm_batch(arr[np.newaxis, ...])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -149,7 +145,7 @@ def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     a vector ``g`` or for every row of a ``(K, d)`` batch.
 
     The comparator class lives in the dual ball, so by duality the optimum
-    value is -tag.norm(g).  Closed forms are used for lp / gram / sup / one
+    value is minus the norm of g.  Closed forms are used for lp / gram / sup / one
     tags.  A zero gradient (row) returns zero.
 
     The pairing is the tag's ``dual``: for gram tags both ``g`` and the
@@ -187,8 +183,7 @@ class IntervalSupTracker:
     """Running sup over interval sums of appended increments on K paths:
     ``sups[k]`` is max over 0 <= a <= b <= t of norm(P_b - P_a) for the
     prefix sums of path k.  ``append`` takes a ``(paths, *shape)`` increment
-    (or one of ``shape`` for every path) and rejects any other shape;
-    ``value`` is path 0's sup.
+    (or one of ``shape`` for every path) and rejects any other shape.
 
     Exact pruning: each live prefix row a keeps, per path, an upper bound on
     norm(P_t - P_a).  By the triangle inequality an append adds the path's
@@ -212,10 +207,6 @@ class IntervalSupTracker:
         self._prefixes = np.zeros((1, paths, *self.shape))  # live prefix rows, oldest first
         self._bounds = np.zeros((1, paths))  # bound on norm(newest - row), -inf where a path no longer reads the row
         self._live = 1
-
-    @property
-    def value(self) -> float:
-        return float(self.sups[0])
 
     def append(self, increment) -> None:
         increment = np.asarray(increment, dtype=float)

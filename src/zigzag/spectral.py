@@ -61,10 +61,6 @@ class NetCoverage:
     radius_requested: float
     radius_achieved: float
 
-    @property
-    def covered(self) -> bool:
-        return self.radius_achieved <= self.radius_requested
-
 
 def _sphere_sample(rng, count, d, r, tau):
     pts = rng.normal(size=(count, d, r))

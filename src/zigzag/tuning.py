@@ -92,10 +92,6 @@ class ExpectedPhiTracker(IntervalSupTracker):
         return self.beta**self.p * np.mean(self.sups.reshape(len(self.rngs), self.k_paths) ** self.p, axis=1)
 
     @property
-    def value(self) -> float:
-        return float(self.values[0])
-
-    @property
     def standard_error(self) -> float:
         vals = self.beta**self.p * self.sups[: self.k_paths] ** self.p
         return float(np.std(vals, ddof=1) / np.sqrt(self.k_paths))
@@ -108,7 +104,7 @@ def phi_expected(increments, tag: NormTag, p: float, beta: float, k_paths: int =
     tracker = ExpectedPhiTracker(tag, p, beta, k_paths, [substream(seed, "phi-expected")], shape=arr.shape[1:])
     for z in arr:
         tracker.append(z)
-    return tracker.value, tracker.standard_error
+    return float(tracker.values[0]), tracker.standard_error
 
 
 def default_eta0(p: float, beta: float, mode: str) -> float:

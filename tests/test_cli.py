@@ -129,6 +129,7 @@ def test_a_bad_config_or_spec_exits_2_with_one_line(tmp_path, capsys):
     cases = [
         (["run", str(cfg_path)], "unknown spec key 'dd'"),
         (["check", "burkholder", "--spec", '{"construction": "lp"}'], "unknown construction 'lp'"),
+        (["check", "burkholder", "--spec", '{"construction": "hilbert", "p": 2.5, "d": 7, "gram": [[1.0, 0.0], [0.0, 1.0]]}'], "exactly one of dim or gram"),
         (["check", "burkholder", "--spec", "notjson"], "--spec 'notjson' is not JSON"),
         (["run", str(tmp_path / "missing.json")], "missing.json' cannot be read as JSON"),
     ]

@@ -46,7 +46,7 @@ def test_adversaries_emit_unit_ball_instances():
             for t in range(1, 80):
                 x = adv.next_x(t)
                 assert np.shape(x) == spec.point_shape, (spec.construction, cfg["kind"])
-                assert spec.tag.norm(x) <= 1.0 + 1e-12
+                assert spec.tag.norm_batch([x])[0] <= 1.0 + 1e-12
 
 
 def test_no_normalize_escape_hatch_reports_scale(tmp_path):
@@ -210,6 +210,9 @@ BAD_NUMBERS = {
     "spec-p-nan": ({"spec": {"construction": "scalar-p", "p": math.nan}}, "spec.p must be a finite number > 0, got nan"),
     "spec-p-inf": ({"spec": {"construction": "lp-sum", "p": math.inf, "d": 4}}, "spec.p must be a finite number > 0, got inf"),
     "spec-p-text": ({"spec": {"construction": "hilbert", "p": "2.5", "d": 4}}, "spec.p must be a finite number > 0, got '2.5'"),
+    "spec-d-over-point-size": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 1025}}, "has points of 1025 entries; a point has at most 1024"),
+    "spec-shape-over-point-size": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [5, 205]}}, "has points of 1025 entries; a point has at most 1024"),
+    "spec-group-d-over-point-size": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 33}}, "has points of 1089 entries; a point has at most 1024"),
     "spec-shape-fraction": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [2, 2.5]}}, "spec.shape must be at least 1, got 2.5"),
     "spec-gram-inf": ({"spec": {"construction": "hilbert", "gram": [[1.0, 0.0], [0.0, math.inf]]}}, "gram must have finite entries"),
     "spec-B-inf": ({"spec": {"construction": "l1-composed", "a": 4.0, "d": 3, "B": math.inf, "eps": 0.1}}, "spec.B must be a finite number > 0, got inf"),
@@ -254,6 +257,7 @@ MISSING_OR_UNBUILDABLE = {
     "adaptive-gd-no-d": ({"algorithm": "adaptive-gd"}, "algorithm 'adaptive-gd' needs 'd'"),
     "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "algorithm 'spectral' needs 'tau'"),
     "construction-lp": ({"spec": {"construction": "lp", "p": 3.0, "d": 4}}, "unknown construction 'lp'"),
+    "hilbert-d-and-gram": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 7, "gram": [[1.0, 0.0], [0.0, 1.0]]}}, "exactly one of dim or gram"),
     "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
     "spec-text": ({"spec": "lp"}, "spec must be a JSON object, got 'lp'"),
     "adversary-text": ({"adversary": "sign-flip"}, "adversary must be a JSON object, got 'sign-flip'"),

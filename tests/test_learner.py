@@ -5,7 +5,7 @@ import pytest
 
 from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import IIDGaussianX, SignFlip
-from zigzag.learner import ZigZagLearner, psi, run_episode, theorem_residual
+from zigzag.learner import CERT_TOL, ZigZagLearner, psi, run_episode, theorem_residual
 from zigzag.linalg import LpTag, conjugate
 from zigzag.losses import dloss_batch
 from zigzag.rng import substream
@@ -85,7 +85,7 @@ def test_update_rejects_shape_mismatch():
         with pytest.raises(ValueError):
             learner.predict(bad)
         with pytest.raises(ValueError):
-            learner.certificate(bad)
+            learner.certificate(bad, 0.0)
 
 
 def test_relaxation_value():
@@ -98,10 +98,10 @@ def test_relaxation_value():
 def test_certificate_scalar_p2_exact():
     learner = make_learner(ScalarPowerU(2.0), eta=1.3)
     learner.S, learner.M = np.array([1.7]), np.array([-0.4])
-    rep = learner.certificate(0.8, tol=1e-8)
-    assert rep.ok
+    worst = learner.certificate(0.8, learner.predict(0.8))
+    assert worst >= -CERT_TOL
     # for p = 2 the averaged G is linear, so the slack vanishes on the grid
-    assert abs(rep.worst_slack) < 1e-12
+    assert abs(worst) < 1e-12
 
 
 def test_certificate_negative_control():
@@ -110,8 +110,7 @@ def test_certificate_negative_control():
     learner.S, learner.M = np.array([1.0]), np.array([0.5])
     x = 1.0
     corrupted = learner.predict(x) + 0.5
-    rep = learner.certificate(x, tol=1e-8, yhat=corrupted)
-    assert rep.violations > 0
+    assert learner.certificate(x, corrupted) < -CERT_TOL
 
 
 @pytest.mark.parametrize(
@@ -123,7 +122,7 @@ def test_certificate_along_episodes(spec):
     dim = spec.point_shape[0] if spec.point_shape else None
     adversary = flip_sign(dim, seed=11)
     learner = make_learner(spec, eta=0.7, seed=11)
-    trace = run_episode(learner, "hinge", adversary, n=60, cert_grid=np.linspace(-1, 1, 41))
+    trace = run_episode(learner, "hinge", adversary, n=60, certify=True)
     assert trace.cert_worst_slack.min() >= -1e-8
 
 
@@ -159,7 +158,7 @@ def test_one_query_per_predict_and_certificate(spec, monkeypatch):
     yhat = learner.predict(x)
     assert yhat.shape == (1,)
     assert calls == {"dirderiv_batch": 1}
-    assert learner.certificate(x, yhat=yhat).ok
+    assert learner.certificate(x, yhat) >= -CERT_TOL
     assert calls == {"dirderiv_batch": 1, "value_batch": 1}
 
 
@@ -180,14 +179,13 @@ def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
         base = IIDGaussianX(spec.point_shape, spec.tag, [9], normalize=True)
         return SignFlip(base) if kind == "sign-flip" else base
 
-    grid = np.linspace(-1, 1, 41)
     lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(16)])
-    trace = run_episode(lanes, "hinge", adversary(), n=30, cert_grid=grid)
+    trace = run_episode(lanes, "hinge", adversary(), n=30, certify=True)
     assert trace.yhat.shape == (30, 16)
     residual = theorem_residual(trace, lanes)
     for seed in range(16):
         learner = make_learner(spec, eta=0.7, seed=seed)
-        one = run_episode(learner, "hinge", adversary(), n=30, cert_grid=grid)
+        one = run_episode(learner, "hinge", adversary(), n=30, certify=True)
         for column in ("yhat", "y", "eps", "loss", "dloss", "rel_value", "cum_loss", "cert_worst_slack"):
             got = np.ascontiguousarray(getattr(trace, column)[:, seed])
             assert got.tobytes() == getattr(one, column)[:, 0].tobytes(), (seed, column)
@@ -199,6 +197,17 @@ def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
         assert np.any(tied) and np.all(trace.y[1][tied] == 1.0)
 
 
+def test_per_lane_rates_match_one_lane_residuals():
+    spec = LpSumU(3.0, 4)
+    rates = [0.5, 0.7]
+    lanes = ZigZagLearner(spec, rates, [substream(seed, "learner") for seed in range(2)])
+    residual = theorem_residual(run_episode(lanes, "hinge", flip_sign(4, seed=3), n=30), lanes)
+    for k, eta in enumerate(rates):
+        one = make_learner(spec, eta=eta, seed=k)
+        for key, value in theorem_residual(run_episode(one, "hinge", flip_sign(4, seed=3), n=30), one).items():
+            assert residual[key][k].tobytes() == value[0].tobytes(), (k, key)
+
+
 def test_per_lane_instances_match_one_lane_learners():
     spec = LpSumU(3.0, 4)
     rng = substream(5, "per-lane")
@@ -207,13 +216,13 @@ def test_per_lane_instances_match_one_lane_learners():
     for _ in range(20):
         xs = rng.normal(size=(3, 4))
         yhat = lanes.predict(xs)
-        cert = lanes.certificate(xs, yhat=yhat)
+        cert = lanes.certificate(xs, yhat)
         dl = np.clip(-yhat, -1.0, 1.0)
         eps = lanes.update(xs, dl)
         for k, one in enumerate(ones):
             (want,) = one.predict(xs[k])
             assert yhat[k].tobytes() == want.tobytes()
-            assert cert.worst_slack[k] == one.certificate(xs[k], yhat=want).worst_slack[0]
+            assert cert[k] == one.certificate(xs[k], want)[0]
             assert eps[k] == one.update(xs[k], dl[k])[0]
     assert lanes.S.tobytes() == np.concatenate([one.S for one in ones]).tobytes()
     # neither a wrong lane count nor, on one lane, a length-1 lane axis
@@ -237,7 +246,7 @@ def test_certificate_matrix_and_weighted_specs():
     for spec in specs:
         adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag, [13], normalize=True))
         learner = make_learner(spec, eta=0.4, seed=13)
-        trace = run_episode(learner, "hinge", adversary, n=40, cert_grid=np.linspace(-1, 1, 41))
+        trace = run_episode(learner, "hinge", adversary, n=40, certify=True)
         assert trace.cert_worst_slack.min() >= -1e-8
 
 
@@ -286,7 +295,7 @@ def test_per_round_payoff_never_beats_relaxation():
         yhat = learner.predict(x)
         y = adversary.next_y(t, x, yhat)
         dl = dloss_batch("hinge", yhat, y)
-        total += -learner.certificate(x, grid=dl, yhat=yhat).worst_slack
+        total += -learner.certificate(x, yhat, grid=dl)
         learner.update(x, dl)
     assert total <= 1e-10
 

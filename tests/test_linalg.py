@@ -29,11 +29,11 @@ def test_conjugate_values():
 
 
 def test_norm_values():
-    assert LpTag(2.0).norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
+    assert LpTag(2.0).norm_batch([[3.0, 4.0]])[0] == pytest.approx(5.0)
     # direct arithmetic: (1 + 1 + 1)^(1/3)
-    assert LpTag(3.0).norm(np.ones(3)) == pytest.approx(3.0 ** (1.0 / 3.0))
-    assert SupTag().norm(np.array([1.0, -2.0])) == pytest.approx(2.0)
-    assert OneTag().norm(np.array([1.0, -2.0])) == pytest.approx(3.0)
+    assert LpTag(3.0).norm_batch([np.ones(3)])[0] == pytest.approx(3.0 ** (1.0 / 3.0))
+    assert SupTag().norm_batch([[1.0, -2.0]])[0] == pytest.approx(2.0)
+    assert OneTag().norm_batch([[1.0, -2.0]])[0] == pytest.approx(3.0)
 
 
 def test_lp_requires_p_above_one():
@@ -45,7 +45,7 @@ def test_lp_requires_p_above_one():
 
 def test_weighted_and_gram_norms():
     a = np.array([[2.0, 0.0], [0.0, 1.0]])
-    assert GramTag(a).norm(np.array([1.0, 1.0])) == pytest.approx(np.sqrt(3.0))
+    assert GramTag(a).norm_batch([[1.0, 1.0]])[0] == pytest.approx(np.sqrt(3.0))
     # any number of leading batch axes
     assert np.array_equal(GramTag(a).norm_batch(np.ones((2, 3, 2))), np.full((2, 3), np.sqrt(3.0)))
 
@@ -57,7 +57,7 @@ def test_gram_products_are_row_stable():
     b = rng.normal(size=(4, 4))
     tag = GramTag(b @ b.T + 0.5 * np.eye(4))
     xs = rng.normal(size=(300, 4))
-    norms = np.array([tag.norm(x) for x in xs])
+    norms = np.array([tag.norm_batch([x])[0] for x in xs])
     forms = np.stack([tag.dual(x) for x in xs])
     for rows in range(1, 301):
         assert np.array_equal(tag.norm_batch(xs[:rows]), norms[:rows]), rows
@@ -75,10 +75,10 @@ def test_psd_validation_rejects_indefinite():
 
 def test_group_p2_norm():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert GroupP2Tag(2.0).norm(x) == pytest.approx(5.0)
+    assert GroupP2Tag(2.0).norm_batch([x])[0] == pytest.approx(5.0)
     # rows have l2 norms 5 and 1; (5^3 + 1)^(1/3)
     y = np.array([[3.0, 4.0], [1.0, 0.0]])
-    assert GroupP2Tag(3.0).norm(y) == pytest.approx((125.0 + 1.0) ** (1.0 / 3.0))
+    assert GroupP2Tag(3.0).norm_batch([y])[0] == pytest.approx((125.0 + 1.0) ** (1.0 / 3.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,9 +91,10 @@ def test_norm_axioms(coords, lam, p):
     x = np.array(coords)
     y = np.roll(x, 1) * 0.5
     tag = LpTag(p)
-    assert tag.norm(x) >= 0.0
-    assert tag.norm(lam * x) == pytest.approx(abs(lam) * tag.norm(x), rel=1e-10, abs=1e-12)
-    assert tag.norm(x + y) <= tag.norm(x) + tag.norm(y) + 1e-10
+    nx, nlx, nxy, ny = tag.norm_batch([x, lam * x, x + y, y])
+    assert nx >= 0.0
+    assert nlx == pytest.approx(abs(lam) * nx, rel=1e-10, abs=1e-12)
+    assert nxy <= nx + ny + 1e-10
 
 
 def test_lmo_l2_examples():
@@ -110,7 +111,7 @@ def test_lmo_sup_primal_matches_vertex_scan():
     got = dual_ball_lmo(g, SupTag())
     assert np.allclose(got, best)
     assert np.allclose(got, [0.0, 1.0])
-    assert got @ g == pytest.approx(-SupTag().norm(g))
+    assert got @ g == pytest.approx(-SupTag().norm_batch([g])[0])
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -122,7 +123,7 @@ def test_lmo_duality_consistency(p):
         g = rng.normal(size=4)
         w = dual_ball_lmo(g, tag)
         assert np.sum(np.abs(w) ** p_prime) <= 1.0 + 1e-10
-        assert w @ g == pytest.approx(-tag.norm(g), rel=1e-8)
+        assert w @ g == pytest.approx(-tag.norm_batch([g])[0], rel=1e-8)
 
 
 def test_lmo_weighted_and_gram_duality():
@@ -135,7 +136,7 @@ def test_lmo_weighted_and_gram_duality():
         # gram points (weighted-l2 ones too) pair with the Hilbert inner
         # product on coefficients
         w = dual_ball_lmo(g, gram)
-        assert w @ a @ g == pytest.approx(-gram.norm(g), rel=1e-8)
+        assert w @ a @ g == pytest.approx(-gram.norm_batch([g])[0], rel=1e-8)
 
 
 def test_lmo_answers_a_lane_axis_row_by_row():
@@ -161,7 +162,7 @@ def interval_sup(increments, tag):
     tracker = IntervalSupTracker(tag, shape=np.shape(increments)[1:])
     for inc in increments:
         tracker.append(inc)
-    return tracker.value
+    return tracker.sups[0]
 
 
 def test_prefix_interval_sup_examples():
@@ -180,7 +181,7 @@ def test_interval_tracker_rejects_increment_shape():
     with pytest.raises(ValueError):
         IntervalSupTracker(LpTag(2.0), shape=(3,), paths=4).append(np.ones((2, 3)))
     tracker.append(np.ones(3))
-    assert tracker.value == pytest.approx(np.sqrt(3.0)) and tracker.n == 1
+    assert tracker.sups[0] == pytest.approx(np.sqrt(3.0)) and tracker.n == 1
 
 
 TRACKER_TAGS = {
@@ -219,7 +220,7 @@ def test_interval_tracker_matches_brute_force(tag, shape, paths):
     for n in (1, 2, 17, 60):
         incs = rng.normal(size=(n, paths, *shape)) * rng.uniform(0.1, 3.0, size=(n, 1) + (1,) * len(shape))
         assert np.array_equal(fed(tag, shape, incs).sups, brute_sups(incs, tag))
-    assert fed(tag, shape, incs[:, 0][:, np.newaxis]).value == brute_sups(incs[:, :1], tag)[0]
+    assert fed(tag, shape, incs[:, 0][:, np.newaxis]).sups[0] == brute_sups(incs[:, :1], tag)[0]
 
 
 @pytest.mark.parametrize("tag, shape", TRACKER_TAGS.values(), ids=TRACKER_TAGS.keys())

@@ -23,7 +23,7 @@ def test_build_net_one_dimensional_sphere():
     vals = sorted(float(v) for v in net.reshape(-1))
     assert vals == pytest.approx([-1.0, 1.0])
     assert cov.radius_achieved <= 1e-9
-    assert cov.covered
+    assert cov.radius_achieved <= cov.radius_requested
 
 
 def test_build_net_frobenius_sphere_and_coverage():
@@ -34,7 +34,7 @@ def test_build_net_frobenius_sphere_and_coverage():
     assert cov.radius_achieved < 1.2  # reported, generous sanity range
     # a tiny net cannot cover: reported, not fatal
     _, tight = build_net(3, 1, 3.0, net_alpha=1e-4, seed=1, max_size=8)
-    assert not tight.covered
+    assert tight.radius_achieved > tight.radius_requested
 
 
 def test_build_net_twelve_coordinates_against_brute_force():

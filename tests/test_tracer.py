@@ -4,9 +4,9 @@
 rename or a deletion in the program breaks ``perfbench/run.py --trace 1``.
 This test only reads ``perfbench/``: it installs the tracer, runs one tiny
 config of each doubling mode and one certified ``zigzag`` config, checks
-that both interval-sup trackers and the Burkholder queries (defined once, on
-``BurkholderSpec``) were seen, then checks that ``uninstall`` puts every
-original back.
+that both interval-sup trackers, the Burkholder queries (defined once, on
+``BurkholderSpec``) and the learner's certificate were seen, then checks
+that ``uninstall`` puts every original back.
 """
 
 import pathlib
@@ -58,4 +58,5 @@ def test_tracer_installs_sees_the_trackers_and_uninstalls(monkeypatch):
     assert values["tuning.expected_append.calls"] > 0
     assert values["linalg.interval_sup_append.calls"] > 0
     assert values["burkholder.value_batch.calls"] > 0
+    assert values["learner.certificate.calls"] > 0
     assert bound() == before

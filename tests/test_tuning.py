@@ -18,7 +18,7 @@ def phi_realized(increments, tag, p, beta):
     tracker = IntervalSupTracker(tag, shape=np.shape(increments)[1:])
     for inc in increments:
         tracker.append(inc)
-    return beta**p * tracker.value**p
+    return beta**p * tracker.sups[0]**p
 
 
 def enumerate_expected_phi(increments, tag, p, beta):
@@ -69,7 +69,7 @@ def test_phi_realized_matches_brute_force():
         brute = 0.0
         for a in range(n + 1):
             for b in range(a, n + 1):
-                brute = max(brute, tag.norm(prefixes[b] - prefixes[a]))
+                brute = max(brute, tag.norm_batch([prefixes[b] - prefixes[a]])[0])
         assert phi_realized(incs, tag, 3.0, 2.0) == 2.0**3 * brute**3
 
 
