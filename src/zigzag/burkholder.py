@@ -674,7 +674,10 @@ def make_spec(cfg: dict) -> BurkholderSpec:
     if kind == "weighted-l2":
         return WeightedL2U(cfg["weight"])
     if kind == "group-p2":
-        return GroupP2U(cfg["p"], cfg.get("shape", (cfg["d"], cfg["d"])))
+        d, shape = cfg.get("d"), cfg.get("shape")
+        if (d is None) == (shape is None):
+            raise ValueError("provide exactly one of d (a d x d point) or shape")
+        return GroupP2U(cfg["p"], (d, d) if shape is None else shape)
     if kind == "even-power":
         return EvenPowerU(cfg["k"])
     if kind == "l1-weak":

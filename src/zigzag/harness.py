@@ -402,6 +402,10 @@ def check_config(config: dict) -> dict:
         raise ConfigError(f"algorithm {algorithm!r} has no certificate; it cannot run with certify: true")
     if settings["seeds"] is None:
         settings["seeds"] = [0] if algorithm == "spectral" else []
+    if algorithm in ("adaptive-gd", "spectral"):  # a point of d entries, or a d x r factor matrix
+        size = settings["d"] * (settings["r"] if algorithm == "spectral" else 1)
+        if size > MAX_POINT_SIZE:
+            raise ConfigError(f"algorithm {algorithm!r} has points of {size} entries; a point has at most {MAX_POINT_SIZE}")
     if algorithm == "spectral":
         return settings
     spec = settings["spec"] = None if algorithm == "adaptive-gd" else build_spec(settings["spec"])
@@ -684,11 +688,16 @@ def merge_reports(directory) -> dict:
     """Scan a directory tree for summary.json files and digest them,
     including the headline regret / Rademacher-estimate ratio and, for
     doubling runs, the empirical regret / (beta^2 log^2 n * estimate) rate
-    ratio."""
+    ratio.  A missing directory, a file that is not a JSON object or a spec
+    that cannot be built raises ``ConfigError``."""
     root = pathlib.Path(directory)
+    if not root.is_dir():
+        raise ConfigError(f"report directory {str(directory)!r} is not a directory")
     digests = []
     for path in sorted(root.rglob("summary.json")):
-        data = json.loads(path.read_text())
+        data = load_json(path.read_text, f"{str(path)!r} cannot be read as JSON")
+        if not isinstance(data, dict):
+            raise ConfigError(f"{str(path)!r} must hold a JSON object, got {data!r}")
         config = data.get("config", {})
         ratios = []
         for reg, rad in zip(data.get("regret", []), data.get("rad_mean", [])):
@@ -703,7 +712,7 @@ def merge_reports(directory) -> dict:
             "residual_mean": data.get("residual_mean"),
         }
         if any(data.get("phases", [])) and config.get("spec") and config.get("n"):
-            beta = make_spec(config["spec"]).beta
+            beta = build_spec(config["spec"]).beta
             scale = beta**2 * math.log(max(config["n"], 2)) ** 2
             digest["doubling_rate_ratio"] = [r / scale for r in ratios]
         digests.append(digest)

@@ -4,7 +4,7 @@ weights aggregation with clipped predictions.
 
 The hypothesis class is rank-r matrices with trace norm at most tau; inputs
 are entry incidences X_t = e_i e_j', so every per-expert quantity reduces to
-rank-one row updates of the projected sums S V and M V in R^(d x r).
+rank-one row updates of the projected sums S V in R^(d x r).
 
 Exact nets on the Frobenius sphere are exponential, so ``build_net`` grows a
 greedy farthest-point net capped at ``max_size`` and reports the coverage
@@ -15,16 +15,17 @@ matrix product per pick, and one per block of probes, ranks the points.
 Only the near-ties, the points within a proven rounding band of the least,
 are then measured exactly as sequential sums of squared coordinate
 differences, so the net and its radius are those of the sequential squared
-distances, bit for bit.  One shared sign draw per round updates every
-expert.  Multiplicative-weights losses use the clipped predictions (the
-aggregation needs bounded losses); sub-learner gradients are taken at the
-unclipped predictions.
+distances, bit for bit.  Multiplicative-weights losses use the clipped
+predictions (the aggregation needs bounded losses); sub-learner gradients
+are taken at the unclipped predictions.
 
-The certificate needs five inner products per expert v (a = <S_i, v_j>,
-c = <M_i, v_j>, b = |v_j|^2, |S V|^2, |M V|^2): along its rows each norm is
-a quadratic in l', and one ``(m, 3) @ (3, 41)`` product evaluates every
-expert's slack over the grid.  ``sv``, ``mv`` and ``experts`` keep their
-``(m, d, r)`` layout.
+Each expert v runs ZigZag with the Hilbert potential
+U(x, y) = |x|^2 - |y|^2 on its projected sum S V in R^(d x r).  Its zig-zag
+concavity is an equality, so neither the prediction nor the certificate
+reads the sign-path sum M V: along a row of the certificate the |M +- x|^2
+terms cancel exactly, and the slack is linear in l' with the one inner
+product a = <S_i, v_j>.  ``sv`` and ``experts`` keep their ``(m, d, r)``
+layout.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learner import CERT_GRID, CERT_TOL
+from .learner import CERT_GRID, CERT_TOL, validate_labels
 from .losses import dloss_batch, loss_batch
-from .rng import rademacher, substream
+from .rng import substream
 
 __all__ = [
     "build_net",
@@ -49,11 +50,6 @@ __all__ = [
     "trace_norm_comparator",
     "run_spectral",
 ]
-
-# [1, l', l'^2] at every grid point: slack coefficients @ _POWERS = slacks
-_POWERS = np.stack([np.ones_like(CERT_GRID), CERT_GRID, CERT_GRID**2])
-_POWERS.flags.writeable = False
-
 
 @dataclass
 class NetCoverage:
@@ -189,8 +185,9 @@ class SpectralZigZag:
        (the sigma-averaged derivative of its quadratic potential),
     2. an expert is sampled from the multiplicative weights and its clipped
        prediction is played,
-    3. all experts incur the clipped loss for the weight update and absorb
-       their own subgradient step with one shared fresh sign.
+    3. all experts incur the clipped loss for the weight update and add
+       their own subgradient step to S V (the potential never reads the
+       sign path, so none is drawn).
     """
 
     def __init__(
@@ -210,7 +207,6 @@ class SpectralZigZag:
         self.d = d
         self.r = r
         self.tau = float(tau)
-        self.horizon = horizon
         self.loss_name = loss_name
         self.net_alpha = 1.0 / (horizon * tau)
         self.experts, self.coverage = build_net(d, r, tau, self.net_alpha, seed, max_net)
@@ -219,14 +215,10 @@ class SpectralZigZag:
         self.eta = 1.0 / (tau * math.sqrt(horizon)) if eta is None else float(eta)
         self.coef = self.eta * tau**2 / 2.0 / (1.0 - self.net_alpha)
         self.sv = np.zeros((self.m, d, r))
-        self.mv = np.zeros((self.m, d, r))
         self.log_weights = np.full(self.m, -math.log(self.m))
         self.cum_mw_loss = np.zeros(self.m)
         self._choice_rng = substream(seed, "mw-choice")
-        self._sign_rng = substream(seed, "signs")
-        self._poly = np.empty((self.m, 3))  # certificate scratch: slack coefficients
-        self._slack = np.empty((self.m, CERT_GRID.size))  # and the slacks over the grid
-        self.t = 0
+        self._slack = np.empty((self.m, CERT_GRID.size))  # certificate scratch: the slacks over the grid
 
     @property
     def weights(self) -> np.ndarray:
@@ -240,24 +232,15 @@ class SpectralZigZag:
         """Worst admissibility slack of the experts' predictions ``f`` over
         experts and the 41-point grid of l' values in [-1, 1], evaluated at
         the current state.  Returns (worst_slack, violations)."""
-        coef = self.coef
-        vj = self.experts[:, j, :]
-        a = np.einsum("vk,vk->v", self.sv[:, i, :], vj)  # <S_i, v_j>
-        c = np.einsum("vk,vk->v", self.mv[:, i, :], vj)  # <M_i, v_j>
-        b = np.einsum("vk,vk->v", vj, vj)  # |v_j|^2
-        s2 = np.einsum("vdk,vdk->v", self.sv, self.sv)  # |S V|^2
-        m2 = np.einsum("vdk,vdk->v", self.mv, self.mv)  # |M V|^2
+        a = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])  # <S_i, v_j>
         # slack(l') = coef (|S|^2 - |M|^2) - f l' - coef (|S + x|^2 - (|M + x|^2 + |M - x|^2) / 2)
-        # for x = l' e_i v_j', where |S + x|^2 = |S|^2 + 2 l' a + l'^2 b and
-        # |M +- x|^2 = |M|^2 +- 2 l' c + l'^2 b: a quadratic in l' per expert.
-        # Its constant, the c terms and its l'^2 term cancel (zig-zag concavity
-        # of this potential is an equality); they are computed, not assumed.
-        poly = self._poly
-        poly[:, 0] = coef * (s2 - m2) - coef * (s2 - 0.5 * (m2 + m2))
-        poly[:, 1] = -f - coef * (2.0 * a - 0.5 * (2.0 * c - 2.0 * c))
-        poly[:, 2] = -coef * (b - 0.5 * (b + b))
-        slack = np.matmul(poly, _POWERS, out=self._slack)
-        return float(slack.min()), int(np.count_nonzero(slack < -CERT_TOL))
+        # for x = l' e_i v_j', where |S + x|^2 = |S|^2 + 2 l' a + l'^2 |v_j|^2 and
+        # |M +- x|^2 = |M|^2 +- 2 l' <M_i, v_j> + l'^2 |v_j|^2.  Every term but
+        # -f l' - 2 coef a l' cancels, and in floating point it cancels to +0.0
+        # for any finite M, so M is never formed.  The + 0.0 keeps a zero
+        # slack +0.0, as the cancelled terms left it.
+        slack = np.multiply((-f - self.coef * (2.0 * a))[:, np.newaxis], CERT_GRID, out=self._slack)
+        return float(slack.min()) + 0.0, int(np.count_nonzero(slack < -CERT_TOL))
 
     def round(self, i: int, j: int, y: float, f: np.ndarray) -> dict:
         clipped = np.clip(f, -1.0, 1.0)
@@ -266,17 +249,12 @@ class SpectralZigZag:
         yhat = float(clipped[v])
         mw_losses = loss_batch(self.loss_name, clipped, y)
         grads = dloss_batch(self.loss_name, f, y)
-        eps = int(rademacher(self._sign_rng))
         self.log_weights = mw_step(self.log_weights, mw_losses, self.gamma)
         self.cum_mw_loss += mw_losses
-        step = grads[:, np.newaxis] * self.experts[:, j, :]
-        self.sv[:, i, :] += step
-        self.mv[:, i, :] += eps * step
-        self.t += 1
+        self.sv[:, i, :] += grads[:, np.newaxis] * self.experts[:, j, :]
         return {
             "yhat": yhat,
             "expert": v,
-            "eps": eps,
             "loss": float(mw_losses[v]),
             "weight_sum": float(q.sum()),
         }
@@ -393,8 +371,10 @@ def run_spectral(
     entries=None,
 ) -> SpectralResult:
     """Full desk-scale run: stream, aggregation, certificates, comparators,
-    and the rate ratio regret / (sqrt(r) d sqrt(max(N_row, N_col)))."""
+    and the rate ratio regret / (sqrt(r) d sqrt(max(N_row, N_col)));
+    ``ValueError`` if a label of the stream does not suit the loss."""
     stream = make_entry_stream(stream_kind, d, n, r, seed, entries=entries)
+    validate_labels(loss_name, [y for *_, y in stream])
     alg = SpectralZigZag(d, r, tau, horizon=len(stream), loss_name=loss_name, seed=seed, max_net=max_net, eta=eta)
     total = 0.0
     worst_slack = float("inf")

@@ -434,7 +434,7 @@ FULL_SPECS = {
     "lp-sum": {"p": 3.0, "d": 4},
     "hilbert": {"p": 2.5, "d": 3, "gram": None},
     "weighted-l2": {"weight": [[2.0, 0.5], [0.5, 1.0]]},
-    "group-p2": {"p": 1.5, "d": 2, "shape": [2, 3]},
+    "group-p2": {"p": 1.5, "d": None, "shape": [2, 3]},
     "even-power": {"k": 4},
     "l1-weak": {"a": 20.0, "d": 2},
     "l1-composed": {"a": 20.0, "d": 2, "B": 2.0, "eps": 0.25},

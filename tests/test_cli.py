@@ -137,6 +137,28 @@ def test_a_bad_config_or_spec_exits_2_with_one_line(tmp_path, capsys):
         _assert_one_line_error(main(argv), capsys, message)
 
 
+DOUBLING_SUMMARY = {
+    "config": {"algorithm": "zigzag-doubling-expected", "spec": {"construction": "lp-sum", "p": 3.0}, "n": 20},
+    "regret": [1.0],
+    "rad_mean": [2.0],
+    "phases": [[{"start": 1, "end": 20}]],
+}
+
+
+@pytest.mark.parametrize("summary, message", [
+    (None, "missing' is not a directory"),
+    ("{not json", "summary.json' cannot be read as JSON"),
+    (json.dumps(DOUBLING_SUMMARY), "needs the key 'd'"),
+], ids=["missing-directory", "malformed-summary", "spec-without-d"])
+def test_report_errors_exit_2_with_one_line(summary, message, tmp_path, capsys):
+    directory = tmp_path / "missing"
+    if summary is not None:
+        (directory / "run").mkdir(parents=True)
+        (directory / "run" / "summary.json").write_text(summary)
+    _assert_one_line_error(main(["report", str(directory)]), capsys, message)
+    assert not (directory / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [

@@ -211,12 +211,15 @@ BAD_NUMBERS = {
     "spec-p-inf": ({"spec": {"construction": "lp-sum", "p": math.inf, "d": 4}}, "spec.p must be a finite number > 0, got inf"),
     "spec-p-text": ({"spec": {"construction": "hilbert", "p": "2.5", "d": 4}}, "spec.p must be a finite number > 0, got '2.5'"),
     "spec-d-over-point-size": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 1025}}, "has points of 1025 entries; a point has at most 1024"),
-    "spec-shape-over-point-size": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [5, 205]}}, "has points of 1025 entries; a point has at most 1024"),
+    "spec-shape-over-point-size": ({"spec": {"construction": "group-p2", "p": 3.0, "shape": [5, 205]}}, "has points of 1025 entries; a point has at most 1024"),
     "spec-group-d-over-point-size": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 33}}, "has points of 1089 entries; a point has at most 1024"),
-    "spec-shape-fraction": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [2, 2.5]}}, "spec.shape must be at least 1, got 2.5"),
+    "spec-shape-fraction": ({"spec": {"construction": "group-p2", "p": 3.0, "shape": [2, 2.5]}}, "spec.shape must be at least 1, got 2.5"),
     "spec-gram-inf": ({"spec": {"construction": "hilbert", "gram": [[1.0, 0.0], [0.0, math.inf]]}}, "gram must have finite entries"),
     "spec-B-inf": ({"spec": {"construction": "l1-composed", "a": 4.0, "d": 3, "B": math.inf, "eps": 0.1}}, "spec.B must be a finite number > 0, got inf"),
     "adaptive-gd-d-zero": ({"algorithm": "adaptive-gd", "d": 0}, "d must be at least 1, got 0"),
+    "adaptive-gd-d-over-point-size": ({"algorithm": "adaptive-gd", "d": 100_000_000}, "has points of 100000000 entries; a point has at most 1024"),
+    "spectral-factor-over-point-size": (dict(SPECTRAL, d=100_000, r=1000), "has points of 100000000 entries; a point has at most 1024"),
+    "spectral-factor-just-over-point-size": (dict(SPECTRAL, d=513, r=2), "has points of 1026 entries; a point has at most 1024"),
     "rank-zero": ({"adversary": {"kind": "low-rank-stream", "rank": 0}}, "adversary.rank must be at least 1, got 0"),
     "rank-negative": ({"adversary": {"kind": "low-rank-stream", "rank": -1}}, "adversary.rank must be at least 1, got -1"),
     "n-fraction": ({"n": 2.7}, "n must be at least 1, got 2.7; it takes a whole number"),
@@ -257,6 +260,8 @@ MISSING_OR_UNBUILDABLE = {
     "adaptive-gd-no-d": ({"algorithm": "adaptive-gd"}, "algorithm 'adaptive-gd' needs 'd'"),
     "spectral-no-tau": (dict(SPECTRAL, tau=MISSING), "algorithm 'spectral' needs 'tau'"),
     "construction-lp": ({"spec": {"construction": "lp", "p": 3.0, "d": 4}}, "unknown construction 'lp'"),
+    "group-d-and-shape": ({"spec": {"construction": "group-p2", "p": 3.0, "d": 2, "shape": [2, 3]}}, "exactly one of d .* or shape"),
+    "group-no-d-or-shape": ({"spec": {"construction": "group-p2", "p": 3.0}}, "exactly one of d .* or shape"),
     "hilbert-d-and-gram": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 7, "gram": [[1.0, 0.0], [0.0, 1.0]]}}, "exactly one of dim or gram"),
     "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
     "spec-text": ({"spec": "lp"}, "spec must be a JSON object, got 'lp'"),

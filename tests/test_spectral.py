@@ -199,7 +199,7 @@ def test_rank_two_certificate_catches_a_wrong_prediction():
     alg = SpectralZigZag(4, 2, 2.0, horizon=30, loss_name="hinge", seed=12, max_net=50)
     rng = np.random.default_rng(12)
     alg.sv = rng.normal(size=alg.sv.shape)
-    alg.mv = rng.normal(size=alg.mv.shape)
+    mv = rng.normal(size=alg.sv.shape)  # any sign path: the certificate never reads it
     i, j = 1, 3
     assert alg.certificate(i, j, alg.predict_all(i, j))[1] == 0
 
@@ -209,30 +209,31 @@ def test_rank_two_certificate_catches_a_wrong_prediction():
 
     want = math.inf
     for v in range(alg.m):
-        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(alg.mv[v] ** 2))
+        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(mv[v] ** 2))
         for g in np.linspace(-1.0, 1.0, 41):
             step = np.zeros((4, 2))
             step[i] = g * alg.experts[v, j]
             s_new = np.sum((alg.sv[v] + step) ** 2)
-            m_plus = np.sum((alg.mv[v] + step) ** 2)
-            m_minus = np.sum((alg.mv[v] - step) ** 2)
+            m_plus = np.sum((mv[v] + step) ** 2)
+            m_minus = np.sum((mv[v] - step) ** 2)
             want = min(want, rel - (f[v] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus)))
     assert worst == pytest.approx(want, rel=1e-10)
 
 
-def _direct_slacks(alg, i, j, f):
+def _direct_slacks(alg, mv, i, j, f):
     """Slack of every expert at every grid point from the three Frobenius
-    norms of the potential, one (expert, l') pair at a time."""
+    norms of the potential at the sums ``alg.sv`` and the sign-path sums
+    ``mv``, one (expert, l') pair at a time."""
     d, r = alg.d, alg.r
     slacks = np.empty((alg.m, 41))
     for v in range(alg.m):
-        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(alg.mv[v] ** 2))
+        rel = alg.coef * (np.sum(alg.sv[v] ** 2) - np.sum(mv[v] ** 2))
         for k, g in enumerate(np.linspace(-1.0, 1.0, 41)):
             step = np.zeros((d, r))
             step[i] = g * alg.experts[v, j]
             s_new = np.sum((alg.sv[v] + step) ** 2)
-            m_plus = np.sum((alg.mv[v] + step) ** 2)
-            m_minus = np.sum((alg.mv[v] - step) ** 2)
+            m_plus = np.sum((mv[v] + step) ** 2)
+            m_minus = np.sum((mv[v] - step) ** 2)
             slacks[v, k] = rel - (f[v] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus))
     return slacks
 
@@ -243,14 +244,14 @@ def test_certificate_equals_the_direct_potential_difference(d, r):
     alg = SpectralZigZag(d, r, float(d), horizon=40, loss_name="hinge", seed=d + r, max_net=24)
     rng = np.random.default_rng(10 * d + r)
     alg.sv = rng.normal(size=alg.sv.shape)
-    alg.mv = rng.normal(size=alg.mv.shape)
+    mv = rng.normal(size=alg.sv.shape)
     for i, j in [(0, 0), (1, d - 1), (d - 1, 2)]:
         f = alg.predict_all(i, j)
         off = f.copy()
         off[rng.integers(alg.m)] *= 1.0 + 1e-6
         for pred in (f, 1.5 * f, off):
             worst, violations = alg.certificate(i, j, pred)
-            want = _direct_slacks(alg, i, j, pred)
+            want = _direct_slacks(alg, mv, i, j, pred)
             assert worst == pytest.approx(want.min(), rel=1e-10, abs=1e-12)
             assert violations == np.count_nonzero(want < -1e-8)
 
@@ -291,6 +292,17 @@ def test_explicit_entries_with_an_index_that_is_not_whole_are_rejected(entries):
         make_entry_stream("explicit", 3, 0, 1, 0, entries=entries)
     # a whole index written as a float or a numpy integer indexes its cell
     assert make_entry_stream("explicit", 3, 0, 1, 0, entries=[[0.0, np.int64(2), 1]]) == [(0, 2, 1.0)]
+
+
+@pytest.mark.parametrize("loss_name, y, message", [
+    ("hinge", 5.0, r"hinge loss needs labels in \{-1, \+1\}"),
+    ("linear", 0.3, r"linear loss needs labels in \{-1, \+1\}"),
+    ("absolute", 1.5, r"absolute loss needs labels in \[-1, 1\]"),
+])
+def test_run_rejects_explicit_labels_the_loss_does_not_take(loss_name, y, message, monkeypatch):
+    monkeypatch.setattr(spectral, "build_net", None)  # rejected before the net is built
+    with pytest.raises(ValueError, match=message):
+        run_spectral(3, 1, 3.0, 2, stream_kind="explicit", loss_name=loss_name, max_net=10, entries=[(0, 0, y), (1, 1, 1.0)])
 
 
 @pytest.mark.parametrize("kind", ["uniform", "row-spiky"])

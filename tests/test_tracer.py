@@ -3,15 +3,17 @@
 ``perfbench/tracer.py`` wraps public functions and methods by name, so a
 rename or a deletion in the program breaks ``perfbench/run.py --trace 1``.
 This test only reads ``perfbench/``: it installs the tracer, runs one tiny
-config of each doubling mode and one certified ``zigzag`` config, checks
-that both interval-sup trackers, the Burkholder queries (defined once, on
-``BurkholderSpec``) and the learner's certificate were seen, then checks
-that ``uninstall`` puts every original back.
+config of each doubling mode, one certified ``zigzag`` config and one
+spectral run, checks that both interval-sup trackers, the Burkholder
+queries (defined once, on ``BurkholderSpec``), the learner's certificate
+and the spectral net, round and certificate were seen, then checks that
+``uninstall`` puts every original back.
 """
 
 import pathlib
 
 from zigzag.harness import run_experiment
+from zigzag.spectral import run_spectral
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +54,7 @@ def test_tracer_installs_sees_the_trackers_and_uninstalls(monkeypatch):
             "fw_iters": 20,
             "rad_samples": 100,
         })
+        run_spectral(3, 1, 3.0, 5, stream_kind="uniform", loss_name="hinge", max_net=5)
         values = t.layer_values()
     finally:
         t.uninstall()
@@ -59,4 +62,6 @@ def test_tracer_installs_sees_the_trackers_and_uninstalls(monkeypatch):
     assert values["linalg.interval_sup_append.calls"] > 0
     assert values["burkholder.value_batch.calls"] > 0
     assert values["learner.certificate.calls"] > 0
+    for layer in ("spectral.certificate", "spectral.round", "spectral.build_net"):
+        assert values[f"{layer}.calls"] > 0
     assert bound() == before
