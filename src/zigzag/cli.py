@@ -52,7 +52,7 @@ CHECK_FLAGS = {
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable, allow_nan=False)
     if out:
         pathlib.Path(out).write_text(text)
     else:
@@ -157,7 +157,7 @@ def _cmd_spectral(args) -> int:
 def _cmd_report(args) -> int:
     digest = merge_reports(args.directory)
     out = pathlib.Path(args.directory) / "report.json"
-    out.write_text(json.dumps(digest, indent=2, sort_keys=True))
+    out.write_text(json.dumps(digest, indent=2, sort_keys=True, allow_nan=False))
     print(out)
     return 0
 

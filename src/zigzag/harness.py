@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 
 from .burkholder import BurkholderSpec, make_spec
-from .learner import ZigZagLearner, lane_instances, run_episode, theorem_residual, validate_labels
+from .learner import ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import MIN_SAMPLES, rad_estimate, rad_exact
@@ -318,17 +318,25 @@ def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int) -> dict
     shape ``(n, d)``, ``ys`` of shape ``(n,)``) or of K streams solved
     together (``(K, n, d)`` and ``(K, n)``).
 
-    Returns per stream the best loss seen and the duality gap of the last
-    step, with the streams' leading axis (none for one stream).  An empty
-    stream yields zero.  Iterates pair with instances through ``tag.dual``.
+    Returns per stream the best loss seen and ``lower``, a proven bound on
+    the optimum f*, with the streams' leading axis (none for one stream).
+    For a subgradient g_k at w_k and the LMO answer s_k, convexity and the
+    LMO give f* >= f(w_k) + <g_k, w* - w_k> >= f(w_k) - <g_k, w_k - s_k>.
+    ``lower`` is the largest such bound so far.  The loop stops after
+    ``iters`` steps, or sooner once every stream's best loss meets its
+    ``lower``; the best loss is then optimal to within the rounding of one
+    loss sum and one gap product.  An empty stream yields zero, and
+    ``iters = 0`` a bound of -inf.
+    Iterates pair with instances through ``tag.dual``.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     lead = y.shape[:-1]
     if y.shape[-1] == 0:
-        return {"best_loss": np.zeros(lead)[()], "gap": np.zeros(lead)[()]}
+        return {"best_loss": np.zeros(lead)[()], "lower": np.zeros(lead)[()]}
     w = np.zeros((*lead, x.shape[-1]))
-    best_loss = gap = np.full(lead, np.inf)
+    best_loss = np.full(lead, np.inf)
+    lower = np.full(lead, -np.inf)
     for k in range(iters + 1):
         m = (x @ tag.dual(w)[..., np.newaxis])[..., 0]
         total = loss_batch(loss_name, m, y).sum(axis=-1)
@@ -337,11 +345,12 @@ def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int) -> dict
             break
         g = (dloss_batch(loss_name, m, y)[..., np.newaxis, :] @ x)[..., 0, :]
         s = dual_ball_lmo(g, tag)
-        if k == iters - 1:
-            gap = _rowdot(tag.dual(g), w - s)
+        lower = np.maximum(lower, total - _rowdot(tag.dual(g), w - s))
+        if np.all(best_loss <= lower):
+            break
         step = 2.0 / (k + 2.0)
         w = (1.0 - step) * w + step * s
-    return {"best_loss": best_loss[()], "gap": gap[()]}
+    return {"best_loss": best_loss[()], "lower": lower[()]}
 
 
 def rad_exact_scalar(xs) -> float:
@@ -414,6 +423,11 @@ def check_config(config: dict) -> dict:
             f"construction {spec.construction!r} cannot run: psi and the doubling schedule need p > 1 (p = {spec.p}) "
             f"and the Frank-Wolfe comparator needs vector points (shape {spec.point_shape})"
         )
+    if algorithm == "zigzag" and settings["eta"] is not None:
+        with np.errstate(over="ignore"):
+            bound = psi(settings["eta"], spec.p, 0.0)  # the eta^(1-p') / (p' - 1) term, over p
+        if not np.isfinite(bound):
+            raise ConfigError(f"eta = {settings['eta']} with p = {spec.p} overflows the bound's term eta^(1-p') / (p' - 1)")
     adversary = settings["adversary"] = _walk(settings["adversary"], "adversary")
     if "fixed-file" in _sources(adversary):
         stream, n = _fixed_stream(adversary), settings["n"]
@@ -675,11 +689,11 @@ def write_outputs(summary: dict, out_dir) -> list[str]:
     spectral = [cell["spectral"] for cell in cells if "spectral" in cell]
     if spectral:
         path = out / "spectral.json"
-        path.write_text(json.dumps(spectral, indent=2, sort_keys=True))
+        path.write_text(json.dumps(spectral, indent=2, sort_keys=True, allow_nan=False))
         written.append(str(path))
     clean = {k: summary[k] for k in summary if not k.startswith("_")}
     path = out / "summary.json"
-    path.write_text(json.dumps(clean, indent=2, sort_keys=True))
+    path.write_text(json.dumps(clean, indent=2, sort_keys=True, allow_nan=False))
     written.append(str(path))
     return written
 
@@ -688,8 +702,12 @@ def merge_reports(directory) -> dict:
     """Scan a directory tree for summary.json files and digest them,
     including the headline regret / Rademacher-estimate ratio and, for
     doubling runs, the empirical regret / (beta^2 log^2 n * estimate) rate
-    ratio.  A missing directory, a file that is not a JSON object or a spec
-    that cannot be built raises ``ConfigError``."""
+    ratio.  A missing directory, a file that is not a JSON object, a
+    ``config`` that is not an object, a ``regret`` or ``rad_mean`` that is not
+    a list of finite numbers or nulls, a ``residual_mean`` that is not a
+    finite number or null, ``phases`` that are not a list, or a doubling
+    run's spec that cannot be built or ``n`` that is not a count raises
+    ``ConfigError``."""
     root = pathlib.Path(directory)
     if not root.is_dir():
         raise ConfigError(f"report directory {str(directory)!r} is not a directory")
@@ -699,9 +717,18 @@ def merge_reports(directory) -> dict:
         if not isinstance(data, dict):
             raise ConfigError(f"{str(path)!r} must hold a JSON object, got {data!r}")
         config = data.get("config", {})
+        if not isinstance(config, dict):
+            raise ConfigError(f"{str(path)!r}: config must be a JSON object, got {config!r}")
+        for key in ("regret", "rad_mean"):
+            value = data.get(key, [])
+            if not (isinstance(value, list) and all(v is None or _is_number(v) for v in value)):
+                raise ConfigError(f"{str(path)!r}: {key} must be a list of finite numbers or nulls, got {value!r}")
+        residual = data.get("residual_mean")
+        if not (residual is None or _is_number(residual)):
+            raise ConfigError(f"{str(path)!r}: residual_mean must be a finite number or null, got {residual!r}")
         ratios = []
         for reg, rad in zip(data.get("regret", []), data.get("rad_mean", [])):
-            if rad:
+            if reg is not None and rad:
                 ratios.append(reg / rad)
         digest = {
             "path": str(path),
@@ -709,11 +736,15 @@ def merge_reports(directory) -> dict:
             "regret": data.get("regret"),
             "rad_mean": data.get("rad_mean"),
             "regret_to_rad_ratio": ratios,
-            "residual_mean": data.get("residual_mean"),
+            "residual_mean": residual,
         }
-        if any(data.get("phases", [])) and config.get("spec") and config.get("n"):
+        phases = data.get("phases", [])
+        if not isinstance(phases, list):
+            raise ConfigError(f"{str(path)!r}: phases must be a list, got {phases!r}")
+        if any(phases) and config.get("spec") and config.get("n"):
             beta = build_spec(config["spec"]).beta
-            scale = beta**2 * math.log(max(config["n"], 2)) ** 2
+            n = checked(f"{str(path)!r}: config.n", CONFIG_TABLE["config"]["n"], config["n"])
+            scale = beta**2 * math.log(max(n, 2)) ** 2
             digest["doubling_rate_ratio"] = [r / scale for r in ratios]
         digests.append(digest)
     return {"runs": digests}

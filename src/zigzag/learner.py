@@ -228,13 +228,18 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
 
 
 def validate_labels(loss_name: str, y) -> None:
-    """Raise ``ValueError`` unless the labels suit the loss: {-1, +1} for hinge and linear, [-1, 1] for absolute."""
-    size = np.abs(np.asarray(y, dtype=float))
-    if loss_name in ("hinge", "linear"):
-        if np.count_nonzero(size != 1.0):
-            raise ValueError(f"{loss_name} loss needs labels in {{-1, +1}}, got {y}")
-    elif np.count_nonzero(~(size <= 1.0)):
-        raise ValueError(f"absolute loss needs labels in [-1, 1], got {y}")
+    """Raise ``ValueError`` unless the labels suit the loss: {-1, +1} for hinge
+    and linear, [-1, 1] for absolute.  The message names the first bad label,
+    its index and how many labels are bad."""
+    labels = np.asarray(y, dtype=float).reshape(-1)
+    size = np.abs(labels)
+    signs = loss_name in ("hinge", "linear")
+    bad = size != 1.0 if signs else ~(size <= 1.0)
+    count = np.count_nonzero(bad)
+    if count:
+        i = int(np.argmax(bad))
+        allowed = "{-1, +1}" if signs else "[-1, 1]"
+        raise ValueError(f"{loss_name} loss needs labels in {allowed}, got {float(labels[i])} at index {i} ({count} of {labels.size} labels are bad)")
 
 
 def psi(eta, p: float, x):

@@ -149,7 +149,15 @@ DOUBLING_SUMMARY = {
     (None, "missing' is not a directory"),
     ("{not json", "summary.json' cannot be read as JSON"),
     (json.dumps(DOUBLING_SUMMARY), "needs the key 'd'"),
-], ids=["missing-directory", "malformed-summary", "spec-without-d"])
+    ('{"config": [], "regret": [1.0]}', "config must be a JSON object, got []"),
+    ('{"config": {}, "regret": [1.0, "x"]}', "regret must be a list of finite numbers or nulls, got [1.0, 'x']"),
+    ('{"config": {}, "rad_mean": 2.0}', "rad_mean must be a list of finite numbers or nulls, got 2.0"),
+    ('{"config": {}, "regret": [1.0], "residual_mean": -Infinity}', "residual_mean must be a finite number or null, got -inf"),
+    ('{"config": {}, "regret": [1.0], "phases": 5}', "phases must be a list, got 5"),
+    (json.dumps(dict(DOUBLING_SUMMARY, config=dict(DOUBLING_SUMMARY["config"], spec={"construction": "scalar-p", "p": 3.0}, n="x"))),
+     "config.n must be at least 1, got 'x'"),
+], ids=["missing-directory", "malformed-summary", "spec-without-d", "config-list", "regret-text", "rad-mean-number",
+        "residual-infinite", "phases-number", "doubling-n-text"])
 def test_report_errors_exit_2_with_one_line(summary, message, tmp_path, capsys):
     directory = tmp_path / "missing"
     if summary is not None:

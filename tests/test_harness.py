@@ -21,7 +21,7 @@ from zigzag.harness import (
     SUMMARY_KEYS,
 )
 from zigzag.burkholder import make_spec
-from zigzag.linalg import LpTag
+from zigzag.linalg import GramTag, LpTag
 from zigzag.rng import substream
 
 
@@ -197,6 +197,7 @@ BAD_NUMBERS = {
     "eta-zero": ({"eta": 0}, "eta must be a finite number > 0, got 0"),
     "eta-nan": ({"eta": float("nan")}, "eta must be a finite number > 0, got nan"),
     "eta-negative": ({"eta": -0.5}, "eta must be a finite number > 0"),
+    "eta-overflows-psi": ({"spec": {"construction": "scalar-p", "p": 1.01}, "eta": 1e-9}, "eta = 1e-09 with p = 1.01 overflows"),
     "fw-iters-negative": ({"fw_iters": -1}, "fw_iters must be at least 0, got -1"),
     "fw-iters-nan": ({"fw_iters": float("nan")}, "fw_iters must be at least 0, got nan"),
     "rad-samples-few": ({"rad_samples": 10}, "rad_samples must be at least 100, got 10"),
@@ -446,7 +447,35 @@ def test_offline_comparator_linear_loss_closed_form():
     fw = offline_comparator(xs, ys, LpTag(2.0), "linear", iters=2000)
     target = -float(np.linalg.norm(sum(y * x for x, y in zip(xs, ys))))
     assert fw["best_loss"] == pytest.approx(target, rel=1e-3)
-    assert fw["gap"] >= -1e-9
+    assert fw["lower"] <= fw["best_loss"] + 1e-12 * abs(fw["best_loss"])
+
+
+@pytest.mark.parametrize("loss_name, c", [("hinge", 1.0), ("absolute", 1.0), ("linear", 0.0)])
+@pytest.mark.parametrize("tag", [LpTag(2.0), LpTag(3.0), GramTag(np.diag([2.0, 1.0, 0.5, 3.0]))], ids=["l2", "l3", "gram"])
+def test_offline_comparator_known_answer_on_unit_streams(tag, loss_name, c):
+    """On unit-norm instances with sign labels every |<w, x_t>| <= 1 on the
+    ball, so each loss is c - y_t <w, x_t> there and the optimum is
+    c n - ||sum_t y_t x_t||; Frank-Wolfe's first step lands on it."""
+    rng = substream(10, "fw-known", tag.name, loss_name)
+    x = rng.normal(size=(3, 60, 4))
+    x = x / tag.norm_batch(x.reshape(-1, 4)).reshape(3, 60, 1)
+    y = rng.choice([-1.0, 1.0], size=(3, 60))
+    target = c * 60 - tag.norm_batch(np.sum(y[..., np.newaxis] * x, axis=1))
+    fw = offline_comparator(x, y, tag, loss_name, iters=500)
+    np.testing.assert_allclose(fw["best_loss"], target, rtol=1e-12)
+    assert np.all(fw["lower"] <= fw["best_loss"] + 1e-12 * np.abs(fw["best_loss"]))
+    np.testing.assert_array_equal(offline_comparator(x, y, tag, loss_name, iters=1)["best_loss"], fw["best_loss"])
+
+
+def _grid_search_hinge(xs, ys):
+    """The least hinge loss over a dense polar grid of the unit disc."""
+    best = float("inf")
+    for rad in np.linspace(0, 1, 60):
+        for ang in np.linspace(0, 2 * np.pi, 240, endpoint=False):
+            w = rad * np.array([np.cos(ang), np.sin(ang)])
+            val = sum(max(0.0, 1.0 - float(w @ x) * y) for x, y in zip(xs, ys))
+            best = min(best, val)
+    return best
 
 
 def test_offline_comparator_hinge_matches_grid_search():
@@ -455,19 +484,27 @@ def test_offline_comparator_hinge_matches_grid_search():
     xs = [x / np.linalg.norm(x) for x in xs]
     ys = [1.0] * 40
     fw = offline_comparator(xs, ys, LpTag(2.0), "hinge", iters=3000)
-    # dense polar grid over the unit disc
-    best = float("inf")
-    for rad in np.linspace(0, 1, 60):
-        for ang in np.linspace(0, 2 * np.pi, 240, endpoint=False):
-            w = rad * np.array([np.cos(ang), np.sin(ang)])
-            val = sum(max(0.0, 1.0 - float(w @ x) * y) for x, y in zip(xs, ys))
-            best = min(best, val)
-    assert fw["best_loss"] <= best + 1e-3
+    assert fw["best_loss"] <= _grid_search_hinge(xs, ys) + 1e-3
+
+
+def test_offline_comparator_lower_bounds_a_non_normalized_hinge_stream():
+    """Instances of norm up to 3 clip the hinge, so the bound does not close
+    at once; it still lies below every feasible loss."""
+    rng = substream(9, "fw-grid-raw")
+    xs = [rng.uniform(0.2, 3.0) * rng.normal(size=2) for _ in range(40)]
+    ys = [float(rng.choice([-1.0, 1.0])) for _ in range(40)]
+    fw = offline_comparator(xs, ys, LpTag(2.0), "hinge", iters=500)
+    assert fw["lower"] <= _grid_search_hinge(xs, ys)
+
+
+def test_offline_comparator_bound_before_any_step():
+    fw = offline_comparator([[0.5, 0.5]], [1.0], LpTag(2.0), "hinge", iters=0)
+    assert fw["best_loss"] == 1.0 and fw["lower"] == -np.inf
 
 
 def test_offline_comparator_empty():
     fw = offline_comparator([], [], LpTag(2.0), "hinge", iters=500)
-    assert fw["best_loss"] == 0.0
+    assert fw["best_loss"] == 0.0 and fw["lower"] == 0.0
 
 
 def test_minimax_oracle_values():

@@ -5,7 +5,7 @@ import pytest
 
 from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import IIDGaussianX, SignFlip
-from zigzag.learner import CERT_TOL, ZigZagLearner, psi, run_episode, theorem_residual
+from zigzag.learner import CERT_TOL, ZigZagLearner, psi, run_episode, theorem_residual, validate_labels
 from zigzag.linalg import LpTag, conjugate
 from zigzag.losses import dloss_batch
 from zigzag.rng import substream
@@ -310,3 +310,13 @@ def test_expected_telescoping_over_sign_paths():
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert mean <= 3.0 * se
+
+
+@pytest.mark.parametrize("loss_name", ["hinge", "absolute"])
+def test_a_bad_label_is_named_without_the_rest(loss_name):
+    y = np.ones(3000)
+    y[1234] = 5.0
+    with pytest.raises(ValueError) as exc:
+        validate_labels(loss_name, y)
+    message = str(exc.value)
+    assert len(message) < 200 and "got 5.0 at index 1234 (1 of 3000 labels are bad)" in message

@@ -5,8 +5,9 @@ rename or a deletion in the program breaks ``perfbench/run.py --trace 1``.
 This test only reads ``perfbench/``: it installs the tracer, runs one tiny
 config of each doubling mode, one certified ``zigzag`` config and one
 spectral run, checks that both interval-sup trackers, the Burkholder
-queries (defined once, on ``BurkholderSpec``), the learner's certificate
-and the spectral net, round and certificate were seen, then checks that
+queries (defined once, on ``BurkholderSpec``), the learner's certificate,
+the Frank-Wolfe comparator and the spectral net, round and certificate were
+seen, then checks that
 ``uninstall`` puts every original back.
 """
 
@@ -62,6 +63,7 @@ def test_tracer_installs_sees_the_trackers_and_uninstalls(monkeypatch):
     assert values["linalg.interval_sup_append.calls"] > 0
     assert values["burkholder.value_batch.calls"] > 0
     assert values["learner.certificate.calls"] > 0
+    assert values["harness.offline_comparator.calls"] > 0
     for layer in ("spectral.certificate", "spectral.round", "spectral.build_net"):
         assert values[f"{layer}.calls"] > 0
     assert bound() == before
