@@ -560,10 +560,6 @@ class ZigzagReport:
     worst_second_diff: float
     n_probes: int
 
-    @property
-    def ok(self) -> bool:
-        return self.midpoint_violations == 0 and self.second_diff_breaches == 0
-
 
 def check_majorization(
     spec: BurkholderSpec,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .burkholder import check_majorization, check_zigzag
 from .harness import CONFIG_TABLE, ConfigError, Key, brute_force_minimax, build_spec, check_config, checked, entry_triples, load_json
-from .harness import merge_reports, rad_exact_scalar, run_experiment, spectral_result, write_outputs
+from .harness import merge_reports, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
 from .losses import LOSSES
 from .rademacher import MAX_DEPTH, MAX_EXACT_DEPTH, MIN_SAMPLES, DyadicTree, hitczenko_check, umd_check
@@ -128,7 +128,7 @@ def _cmd_check(args) -> int:
             n = int(rng.integers(1, 4))
             xs = rng.uniform(-1, 1, size=n)
             value = brute_force_minimax(xs, args.loss)
-            rad = rad_exact_scalar(xs)
+            rad = rad_exact(xs[:, np.newaxis], LpTag(2.0))
             ok &= rad <= value + 0.05
             rows.append({"xs": xs.tolist(), "minimax": value, "rad_exact": rad})
         _emit({"ok": ok, "trials": rows}, args.out)
@@ -143,6 +143,8 @@ def _cmd_spectral(args) -> int:
         if args.file is None:
             args.usage_error("--entry-distribution adversarial-file needs --file")
         entries = load_json(pathlib.Path(args.file).read_text, f"--file {args.file!r} cannot be read as JSON")
+        if isinstance(entries, list) and entries:
+            config["n"] = len(entries)  # the file's rounds, not --n, set the net radius
     else:
         config["entry_distribution"] = args.entry_distribution
     settings = check_config({key: value for key, value in config.items() if value is not None})

@@ -30,10 +30,10 @@ from .burkholder import BurkholderSpec, make_spec
 from .learner import ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
-from .rademacher import MIN_SAMPLES, rad_estimate, rad_exact
+from .rademacher import MIN_SAMPLES, rad_estimate
 from .rng import substream
 from .spectral import run_spectral
-from .tuning import DoublingZigZag
+from .tuning import DoublingZigZag, default_eta0
 
 __all__ = [
     "IIDGaussianX",
@@ -45,7 +45,6 @@ __all__ = [
     "AdaptiveGD",
     "offline_comparator",
     "brute_force_minimax",
-    "rad_exact_scalar",
     "run_experiment",
     "check_config",
     "build_spec",
@@ -353,11 +352,6 @@ def offline_comparator(xs, ys, tag: NormTag, loss_name: str, iters: int) -> dict
     return {"best_loss": best_loss[()], "lower": lower[()]}
 
 
-def rad_exact_scalar(xs) -> float:
-    """Exact E|sum eps_t x_t| for a scalar sequence."""
-    return rad_exact(np.asarray(xs, dtype=float).reshape(-1, 1), LpTag(2.0))
-
-
 def brute_force_minimax(xs, loss_name: str) -> float:
     """Exact minimax regret of the fixed-sequence game by backward induction.
 
@@ -416,6 +410,10 @@ def check_config(config: dict) -> dict:
         if size > MAX_POINT_SIZE:
             raise ConfigError(f"algorithm {algorithm!r} has points of {size} entries; a point has at most {MAX_POINT_SIZE}")
     if algorithm == "spectral":
+        tau, n = settings["tau"], settings["n"]
+        alpha = 1.0 / (n * tau)  # the net radius; the run squares both
+        if not (math.isfinite(tau * tau) and math.isfinite(alpha * alpha)):
+            raise ConfigError(f"tau = {tau} with n = {n} rounds overflows tau^2 or the squared net radius (1/(n tau))^2")
         return settings
     spec = settings["spec"] = None if algorithm == "adaptive-gd" else build_spec(settings["spec"])
     if spec is not None and (spec.p <= 1 or len(spec.point_shape) > 1):
@@ -428,6 +426,10 @@ def check_config(config: dict) -> dict:
             bound = psi(settings["eta"], spec.p, 0.0)  # the eta^(1-p') / (p' - 1) term, over p
         if not np.isfinite(bound):
             raise ConfigError(f"eta = {settings['eta']} with p = {spec.p} overflows the bound's term eta^(1-p') / (p' - 1)")
+    if algorithm.startswith("zigzag-doubling") and settings["eta0"] is None:
+        eta0 = default_eta0(spec.p, spec.beta, algorithm.removeprefix("zigzag-doubling-"))
+        if not eta0 > 0:
+            raise ConfigError(f"the default eta0 = (beta p)^-p = {eta0} with p = {spec.p} is not > 0; give eta0")
     adversary = settings["adversary"] = _walk(settings["adversary"], "adversary")
     if "fixed-file" in _sources(adversary):
         stream, n = _fixed_stream(adversary), settings["n"]
@@ -467,10 +469,15 @@ def build_spec(cfg) -> BurkholderSpec:
         cfg["shape"] = [checked("spec.shape", Key("count"), n) for n in cfg["shape"]]
     try:
         spec = make_spec(cfg)
+        scale = float(spec.beta) ** spec.p  # beta^p scales the majorant and every bound
     except KeyError as exc:
         raise ConfigError(f"spec {cfg!r} needs the key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"spec {cfg!r} cannot be built: {exc}") from None
+    except OverflowError:  # a constant, or beta^p, past the largest float
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ConfigError(f"spec {cfg!r} cannot be built: its constants overflow a float (beta^p must be finite)")
     size = math.prod(spec.point_shape)
     if size > MAX_POINT_SIZE:
         raise ConfigError(f"spec {cfg!r} has points of {size} entries; a point has at most {MAX_POINT_SIZE}")
@@ -570,7 +577,6 @@ def _run_cells(settings: dict) -> list[dict]:
     fw = offline_comparator(xs, ys, tag, loss_name, iters=settings["fw_iters"])
     increments = np.ascontiguousarray(trace.dloss.T)[..., np.newaxis] * xs
     linearized = tag.norm_batch(increments.sum(axis=1))  # ||sum_t l'_t x_t|| per lane
-    max_x_norms = tag.norm_batch(xs.reshape(-1, m)).reshape(lanes, n).max(axis=1)
     residuals = theorem_residual(trace, learner)["residual"] if settings["algorithm"] == "zigzag" else [None] * lanes
     phases = learner.finish() if isinstance(learner, DoublingZigZag) else [[]] * lanes
 
@@ -588,9 +594,6 @@ def _run_cells(settings: dict) -> list[dict]:
             "benchmark_linearized": float(linearized[i]),
             "residual": None if residuals[i] is None else float(residuals[i]),
             "cert_worst_slack": float(trace.cert_worst_slack[:, i].min()) if settings["certify"] else None,
-            # companion to the no-normalize escape hatch: scale-free runs
-            # report how large the instances actually got
-            "max_x_norm": float(max_x_norms[i]),
             "trace_csv": trace.to_csv(i),
         })
     return cells
@@ -625,7 +628,6 @@ def _spectral_cell(settings: dict, seed: int) -> dict:
         "benchmark_linearized": None,
         "residual": None,
         "cert_worst_slack": c.cert_worst_slack,
-        "max_x_norm": None,
         # spectral-specific detail goes to a sidecar file so summary.json
         # keeps the fixed key set
         "spectral": {
@@ -704,10 +706,10 @@ def merge_reports(directory) -> dict:
     doubling runs, the empirical regret / (beta^2 log^2 n * estimate) rate
     ratio.  A missing directory, a file that is not a JSON object, a
     ``config`` that is not an object, a ``regret`` or ``rad_mean`` that is not
-    a list of finite numbers or nulls, a ``residual_mean`` that is not a
-    finite number or null, ``phases`` that are not a list, or a doubling
-    run's spec that cannot be built or ``n`` that is not a count raises
-    ``ConfigError``."""
+    a list of finite numbers or nulls, a regret / rad_mean ratio that
+    overflows, a ``residual_mean`` that is not a finite number or null,
+    ``phases`` that are not a list, or a doubling run's spec that cannot be
+    built or ``n`` that is not a count raises ``ConfigError``."""
     root = pathlib.Path(directory)
     if not root.is_dir():
         raise ConfigError(f"report directory {str(directory)!r} is not a directory")
@@ -730,6 +732,8 @@ def merge_reports(directory) -> dict:
         for reg, rad in zip(data.get("regret", []), data.get("rad_mean", [])):
             if reg is not None and rad:
                 ratios.append(reg / rad)
+        if not all(map(math.isfinite, ratios)):
+            raise ConfigError(f"{str(path)!r}: a regret / rad_mean ratio overflows a float")
         digest = {
             "path": str(path),
             "algorithm": config.get("algorithm"),

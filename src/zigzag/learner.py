@@ -203,10 +203,9 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
     label that ignores them may be shared by all lanes).  The adversary owns
     its randomness, so learner and adversary draws never interact.
     """
-    columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:]}
+    columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:-1]}
     cert_slacks = np.empty((n, learner.lanes)) if certify else None
     xs = []
-    cum = np.zeros(learner.lanes)
     for i in range(n):
         x = adversary.next_x(i + 1)
         if hasattr(learner, "begin_round"):
@@ -219,12 +218,13 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
         if certify:
             cert_slacks[i] = learner.certificate(x, yhat)
         eps = learner.update(x, dl)
-        cum = cum + lv
         rel = learner.relaxation_value() if hasattr(learner, "relaxation_value") else np.nan
         xs.append(np.asarray(x, dtype=float))
-        for column, value in zip(columns.values(), (yhat, y, lv, dl, eps, rel, cum)):
+        for column, value in zip(columns.values(), (yhat, y, lv, dl, eps, rel)):
             column[i] = value
-    return EpisodeTrace(xs=xs, cert_worst_slack=cert_slacks, **columns)
+    # a running total starts at +0.0, so a -0.0 first loss sums to +0.0; cumsum keeps it -0.0
+    cum_loss = np.cumsum(columns["loss"], axis=0) + 0.0
+    return EpisodeTrace(xs=xs, cert_worst_slack=cert_slacks, cum_loss=cum_loss, **columns)
 
 
 def validate_labels(loss_name: str, y) -> None:

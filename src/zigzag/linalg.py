@@ -154,8 +154,6 @@ def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     if isinstance(tag, LpTag):
-        if tag.p == 2.0:
-            return -g / _nonzero(np.linalg.norm(g, axis=-1))
         # Hoelder equality: |w_i| ~ |g_i|^(p-1), scaled onto the dual sphere
         w = -np.sign(g) * np.abs(g) ** (tag.p - 1.0)
         p_prime, _ = conjugate(tag.p)

@@ -243,10 +243,10 @@ def _path_terms(tree: DyadicTree, rng: np.random.Generator | None, k_samples: in
 def umd_reference_constant(tag: NormTag, p: float, dim: int) -> dict:
     """Reference sign-invariance constants per space, for reporting next to
     the empirically found ratios.  Entries marked order-only suppress an
-    unknown absolute constant."""
-    p_star = max(p, p / (p - 1.0)) if p > 1 else float("inf")
+    unknown absolute constant; the lp constant p* - 1 is stated only for
+    p > 1 and is None otherwise."""
     if isinstance(tag, LpTag):
-        return {"value": p_star - 1.0, "order_only": False}
+        return {"value": max(p, p / (p - 1.0)) - 1.0 if p > 1 else None, "order_only": False}
     if isinstance(tag, (SupTag, OneTag)):
         return {"value": float(np.log(max(dim, 2))), "order_only": True}
     return {"value": float("nan"), "order_only": True}

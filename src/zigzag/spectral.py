@@ -260,8 +260,9 @@ class SpectralZigZag:
         }
 
 
-def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None):
-    """Entry/label stream generators.
+def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None) -> tuple[np.ndarray, np.ndarray]:
+    """The entries and labels of a stream: an ``(n, 2)`` int array of (i, j)
+    and an ``(n,)`` float array of y.
 
     - uniform: entries uniform over the grid, labels from the sign of a
       planted random rank-r matrix
@@ -274,10 +275,10 @@ def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None
         bad = next((e for e in entries if any(isinstance(v, (bool, np.bool_)) or not float(v).is_integer() for v in e[:2])), None)
         if bad is not None:
             raise ValueError(f"explicit entry {bad!r} has an index that is not a whole number")
-        stream = [(int(i), int(j), float(y)) for i, j, y in entries]
-        if not all(0 <= i < d and 0 <= j < d for i, j, _ in stream):
+        pairs = [(int(i), int(j)) for i, j, _ in entries]
+        if not all(0 <= i < d and 0 <= j < d for i, j in pairs):
             raise ValueError(f"explicit entries must index a {d} x {d} matrix")
-        return stream
+        return np.array(pairs, dtype=int).reshape(-1, 2), np.array([float(y) for *_, y in entries], dtype=float)
     rng = substream(seed, "entry-stream", kind)
     u = rng.normal(size=(d, r))
     v = rng.normal(size=(d, r))
@@ -289,8 +290,7 @@ def make_entry_stream(kind: str, d: int, n: int, r: int, seed: int, entries=None
         ij = np.stack([np.zeros(n, dtype=int), rng.integers(0, d, size=n)], axis=1)
     else:
         raise ValueError(f"unknown stream kind {kind!r}")
-    ys = np.where(planted[ij[:, 0], ij[:, 1]] >= 0.0, 1.0, -1.0)
-    return [(i, j, y) for (i, j), y in zip(ij.tolist(), ys.tolist())]
+    return ij, np.where(planted[ij[:, 0], ij[:, 1]] >= 0.0, 1.0, -1.0)
 
 
 def _project_trace_ball(f: np.ndarray, tau: float, r: int) -> np.ndarray:
@@ -304,36 +304,36 @@ def _project_trace_ball(f: np.ndarray, tau: float, r: int) -> np.ndarray:
         css = np.cumsum(srt) - tau
         idx = np.arange(1, len(srt) + 1)
         cond = srt - css / idx > 0
-        rho = idx[cond][-1]
+        rho = idx[cond][-1] if cond.any() else 1  # cond[0] holds, unless tau is lost in rounding
         theta = css[rho - 1] / rho
         s[:r] = np.maximum(top - theta, 0.0)
     return (u * s) @ vt
 
 
 def trace_norm_comparator(
-    stream,
+    ij: np.ndarray,
+    ys: np.ndarray,
     d: int,
     r: int,
     tau: float,
     loss_name: str,
     iters: int = 400,
 ) -> tuple[float, np.ndarray]:
-    """Best rank-r trace-norm-bounded matrix for the realized stream, found
-    by projected subgradient descent with step 0.5/sqrt(k); returns (best
-    cumulative loss, F)."""
-    entries = np.array([(i, j) for i, j, _ in stream], dtype=int)
-    ys = np.array([y for _, _, y in stream])
+    """Best rank-r trace-norm-bounded matrix for the realized stream of
+    entries ``ij`` and labels ``ys`` (as ``make_entry_stream`` returns them),
+    found by projected subgradient descent with step 0.5/sqrt(k); returns
+    (best cumulative loss, F)."""
     f = np.zeros((d, d))
     best_loss, best_f = float("inf"), f
     for k in range(iters + 1):
-        preds = f[entries[:, 0], entries[:, 1]]
+        preds = f[ij[:, 0], ij[:, 1]]
         total = float(loss_batch(loss_name, preds, ys).sum())
         if total < best_loss:
             best_loss, best_f = total, f
         if k == iters:
             break
         g = np.zeros((d, d))
-        np.add.at(g, (entries[:, 0], entries[:, 1]), dloss_batch(loss_name, preds, ys))
+        np.add.at(g, (ij[:, 0], ij[:, 1]), dloss_batch(loss_name, preds, ys))
         # every step makes a new f, so best_f is never written through
         f = _project_trace_ball(f - (0.5 / math.sqrt(k + 1)) * g, tau, r)
     return best_loss, best_f
@@ -373,15 +373,15 @@ def run_spectral(
     """Full desk-scale run: stream, aggregation, certificates, comparators,
     and the rate ratio regret / (sqrt(r) d sqrt(max(N_row, N_col)));
     ``ValueError`` if a label of the stream does not suit the loss."""
-    stream = make_entry_stream(stream_kind, d, n, r, seed, entries=entries)
-    validate_labels(loss_name, [y for *_, y in stream])
-    alg = SpectralZigZag(d, r, tau, horizon=len(stream), loss_name=loss_name, seed=seed, max_net=max_net, eta=eta)
+    ij, ys = make_entry_stream(stream_kind, d, n, r, seed, entries=entries)
+    validate_labels(loss_name, ys)
+    alg = SpectralZigZag(d, r, tau, horizon=len(ys), loss_name=loss_name, seed=seed, max_net=max_net, eta=eta)
     total = 0.0
     worst_slack = float("inf")
     violations = 0
     weight_drift = 0.0
     rows = []
-    for t, (i, j, y) in enumerate(stream, start=1):
+    for t, ((i, j), y) in enumerate(zip(ij.tolist(), ys.tolist()), start=1):
         f = alg.predict_all(i, j)
         slack, viol = alg.certificate(i, j, f)
         worst_slack = min(worst_slack, slack)
@@ -391,21 +391,20 @@ def run_spectral(
         total += rec["loss"]
         rows.append((t, i, j, rec["yhat"], y, rec["loss"], rec["expert"]))
     best_expert = float(alg.cum_mw_loss.min())
-    comparator_loss, comparator_f = trace_norm_comparator(stream, d, r, tau, loss_name)
+    comparator_loss, comparator_f = trace_norm_comparator(ij, ys, d, r, tau, loss_name)
     comparator = min(comparator_loss, best_expert)
     regret = total - comparator
-    ij = np.array([(i, j) for i, j, _ in stream], dtype=int)
     n_row, n_col = entry_stats(ij)
     denom = math.sqrt(r) * d * math.sqrt(max(n_row, n_col, 1))
 
     # average regret rate against the final comparator matrix at the halfway
     # point and at the end (the sublinearity witness)
-    comp_losses = loss_batch(loss_name, comparator_f[ij[:, 0], ij[:, 1]], np.array([y for *_, y in stream]))
+    comp_losses = loss_batch(loss_name, comparator_f[ij[:, 0], ij[:, 1]], ys)
     learner_losses = np.array([row[5] for row in rows])
     cum_regret = np.cumsum(learner_losses - comp_losses)
-    half = max(1, len(stream) // 2)
+    half = max(1, len(ys) // 2)
     rate_mid = float(cum_regret[half - 1] / half)
-    rate_end = float(cum_regret[-1] / len(stream))
+    rate_end = float(cum_regret[-1] / len(ys))
 
     return SpectralResult(
         learner_loss=total,

@@ -91,11 +91,6 @@ class ExpectedPhiTracker(IntervalSupTracker):
         """Each lane's estimate."""
         return self.beta**self.p * np.mean(self.sups.reshape(len(self.rngs), self.k_paths) ** self.p, axis=1)
 
-    @property
-    def standard_error(self) -> float:
-        vals = self.beta**self.p * self.sups[: self.k_paths] ** self.p
-        return float(np.std(vals, ddof=1) / np.sqrt(self.k_paths))
-
 
 def phi_expected(increments, tag: NormTag, p: float, beta: float, k_paths: int = 500, seed: int = 0):
     """One-shot Monte Carlo (mean, standard error) of the expected-sign
@@ -104,7 +99,8 @@ def phi_expected(increments, tag: NormTag, p: float, beta: float, k_paths: int =
     tracker = ExpectedPhiTracker(tag, p, beta, k_paths, [substream(seed, "phi-expected")], shape=arr.shape[1:])
     for z in arr:
         tracker.append(z)
-    return float(tracker.values[0]), tracker.standard_error
+    vals = beta**p * tracker.sups**p
+    return float(tracker.values[0]), float(np.std(vals, ddof=1) / np.sqrt(k_paths))
 
 
 def default_eta0(p: float, beta: float, mode: str) -> float:

@@ -31,7 +31,6 @@ from zigzag.harness import (
     SignFlip,
     brute_force_minimax,
     offline_comparator,
-    rad_exact_scalar,
     run_experiment,
     write_outputs,
 )
@@ -412,7 +411,7 @@ def test_criterion_12_sequence_optimality(capsys):
             n = int(rng.integers(1, 4))
             xs = rng.uniform(-1, 1, size=n)
             value = brute_force_minimax(xs, "absolute")
-            gap = rad_exact_scalar(xs) - value
+            gap = rad_exact(xs[:, np.newaxis], LpTag(2.0)) - value
             assert gap <= 0.05
             worst_gap = max(worst_gap, gap)
         info["detail"] = f"50 sequences, worst (complexity - minimax) = {worst_gap:.3f}"

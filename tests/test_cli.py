@@ -24,6 +24,15 @@ def test_check_umd(capsys):
     assert payload["max_ratio_root"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", ["0.5", "1"])
+def test_check_umd_reports_no_lp_reference_at_p_up_to_1(p, capsys):
+    rc = main(["check", "umd", "--depth", "4", "--dim", "2", "--p", p, "--norm", "l3"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reference"] == {"value": None, "order_only": False}
+    assert payload["max_ratio_root"] >= 1.0
+
+
 def test_check_decoupling(capsys):
     rc = main(["check", "decoupling", "--depth", "7", "--tree", "prefix-sign", "--p", "1.0"])
     assert rc == 0
@@ -156,8 +165,9 @@ DOUBLING_SUMMARY = {
     ('{"config": {}, "regret": [1.0], "phases": 5}', "phases must be a list, got 5"),
     (json.dumps(dict(DOUBLING_SUMMARY, config=dict(DOUBLING_SUMMARY["config"], spec={"construction": "scalar-p", "p": 3.0}, n="x"))),
      "config.n must be at least 1, got 'x'"),
+    ('{"config": {}, "regret": [1e308], "rad_mean": [1e-10]}', "summary.json': a regret / rad_mean ratio overflows a float"),
 ], ids=["missing-directory", "malformed-summary", "spec-without-d", "config-list", "regret-text", "rad-mean-number",
-        "residual-infinite", "phases-number", "doubling-n-text"])
+        "residual-infinite", "phases-number", "doubling-n-text", "ratio-overflows"])
 def test_report_errors_exit_2_with_one_line(summary, message, tmp_path, capsys):
     directory = tmp_path / "missing"
     if summary is not None:
@@ -216,6 +226,18 @@ def test_spectral_entry_file_errors_exit_2_before_any_round(entries, message, tm
     path.write_text(json.dumps(entries))
     rc = main(["spectral", "--entry-distribution", "adversarial-file", "--file", str(path)])
     _assert_one_line_error(rc, capsys, message)
+
+
+def test_an_entry_file_sets_the_rounds_of_the_net_radius(tmp_path, capsys, monkeypatch):
+    # with --n 200 the squared net radius (1/(n tau))^2 is finite; the file has one round
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the entries were checked")
+
+    monkeypatch.setattr(harness, "run_spectral", never)
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps([[0, 1, 1.0]]))
+    rc = main(["spectral", "--tau", "1e-155", "--entry-distribution", "adversarial-file", "--file", str(path)])
+    _assert_one_line_error(rc, capsys, "tau = 1e-155 with n = 1 rounds overflows")
 
 
 def test_run_writes_to_the_config_out_dir(tmp_path, monkeypatch, capsys):
@@ -339,3 +361,55 @@ def test_readme_lists_every_check_flag_with_its_bound_and_default():
     readme = (ROOT / "README.md").read_text()
     for target, flags in cli.CHECK_FLAGS.items():
         assert f"- `{target}`: " + ", ".join(_flag_doc(flag, row) for flag, row in flags.items()) + "\n" in readme
+
+
+def _front_door_sweep(tmp_path):
+    """argv lists at the edges of every check target's flags, of spectral's
+    tau and net size, and of specs whose constants overflow a float."""
+    depth = str(cli.CHECK_FLAGS["umd"]["depth"].high)  # the Monte Carlo side: above the exact depth 12
+    for p in ("1e-6", "0.5", "1", "1.5", "50"):
+        for norm in cli.CHECK_FLAGS["umd"]["norm"].names:
+            yield ["check", "umd", "--p", p, "--norm", norm, "--depth", "1", "--dim", "1"]
+            yield ["check", "umd", "--p", p, "--norm", norm, "--depth", depth, "--dim", "1", "--samples", "100"]
+        for tree in ("random", "prefix-sign"):
+            yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", "1"]
+            yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", depth, "--samples", "100"]
+    yield ["check", "rad-oracle", "--depth", "1", "--dim", "1", "--trials", "1", "--samples", "100"]
+    for loss in ("hinge", "absolute", "linear"):
+        yield ["check", "minimax", "--trials", "1", "--loss", loss]
+    specs = [
+        {"construction": "scalar-p", "p": 3.0},
+        {"construction": "scalar-p", "p": 200},
+        {"construction": "lp-sum", "p": 150, "d": 2},
+        {"construction": "even-power", "k": 50},
+    ]
+    for spec in specs:
+        yield ["check", "burkholder", "--spec", json.dumps(spec), "--probes", "1"]
+    for flags in (["--tau", "1e300"], ["--tau", "1e-300", "--d", "2", "--r", "2"], ["--tau", "1e150"], ["--tau", "1e-150"], ["--net-size", "1"]):
+        yield ["spectral", "--n", "30", *flags]
+    runs = [
+        ("zigzag", {"construction": "scalar-p", "p": 200}),
+        ("zigzag", {"construction": "even-power", "k": 50}),
+        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 150}),
+        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 100}),
+    ]
+    for i, (algorithm, spec) in enumerate(runs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps({"algorithm": algorithm, "spec": spec, "adversary": {"kind": "sign-flip"}, "n": 5, "seeds": [0]}))
+        yield ["run", str(path), "--out", str(tmp_path / f"out{i}")]
+
+
+def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys):
+    """Every call exits 0 or 1 with JSON on stdout (a run's summary.json is
+    the last path it prints), or 2 with one ``zigzag: error:`` line; no
+    exception escapes."""
+    argvs = list(_front_door_sweep(tmp_path))
+    assert len(argvs) == 77
+    for argv in argvs:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc == 2:
+            assert err.count("\n") == 1 and err.startswith("zigzag: error: "), (argv, err)
+            continue
+        assert rc in (0, 1) and err == "", (argv, rc, err)
+        json.loads(pathlib.Path(out.splitlines()[-1]).read_text() if argv[0] == "run" else out)

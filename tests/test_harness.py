@@ -14,7 +14,6 @@ from zigzag.harness import (
     brute_force_minimax,
     make_adversary,
     offline_comparator,
-    rad_exact_scalar,
     run_experiment,
     write_outputs,
     merge_reports,
@@ -22,6 +21,7 @@ from zigzag.harness import (
 )
 from zigzag.burkholder import make_spec
 from zigzag.linalg import GramTag, LpTag
+from zigzag.rademacher import rad_exact
 from zigzag.rng import substream
 
 
@@ -49,24 +49,14 @@ def test_adversaries_emit_unit_ball_instances():
                 assert spec.tag.norm_batch([x])[0] <= 1.0 + 1e-12
 
 
-def test_no_normalize_escape_hatch_reports_scale(tmp_path):
-    config = {
-        "algorithm": "zigzag",
-        "spec": {"construction": "hilbert", "d": 6, "p": 2.0},
-        "loss": "hinge",
-        "adversary": {"kind": "iid-gaussian", "normalize": False},
-        "n": 40,
-        "eta": 0.2,
-        "seeds": [0],
-        "rad_samples": 200,
-        "fw_iters": 50,
-    }
-    summary = run_experiment(config)
-    cell = summary["_cells"][0]
-    assert cell["max_x_norm"] > 1.0  # raw gaussian draws exceed the unit ball
-    normalized = dict(config, adversary={"kind": "iid-gaussian"})
-    cell = run_experiment(normalized)["_cells"][0]
-    assert cell["max_x_norm"] <= 1.0 + 1e-12
+def test_no_normalize_escape_hatch_keeps_the_raw_scale():
+    tag = LpTag(2.0)
+    largest = {}
+    for normalize in (False, True):
+        adv = make_adversary({"kind": "iid-gaussian", "normalize": normalize}, shape=(6,), tag=tag, seeds=[0])
+        largest[normalize] = max(tag.norm_batch([adv.next_x(t)])[0] for t in range(1, 41))
+    assert largest[False] > 1.0  # raw gaussian draws exceed the unit ball
+    assert largest[True] <= 1.0 + 1e-12
 
 
 def test_sign_flip_labels():
@@ -204,6 +194,10 @@ BAD_NUMBERS = {
     "mc-paths-few": ({"algorithm": "zigzag-doubling-expected", "mc_paths": 10}, "mc_paths must be at least 100, got 10"),
     "eta0-zero": ({"algorithm": "zigzag-doubling-realized", "eta0": 0.0}, "eta0 must be a finite number > 0"),
     "eta0-negative": ({"algorithm": "zigzag-doubling-expected", "eta0": -1}, "eta0 must be a finite number > 0"),
+    "default-eta0-underflows": ({"algorithm": "zigzag-doubling-realized", "spec": {"construction": "scalar-p", "p": 100}},
+                                r"the default eta0 = \(beta p\)\^-p = 0.0 with p = 100.0 is not > 0; give eta0"),
+    "spectral-tau-squared-overflows": (dict(SPECTRAL, tau=1e300), "tau = 1e.300 with n = 30 rounds overflows tau"),
+    "spectral-net-radius-overflows": (dict(SPECTRAL, tau=1e-300, d=2, r=2), "tau = 1e-300 with n = 30 rounds overflows"),
     "spectral-eta-zero": (dict(SPECTRAL, eta=0.0), "eta must be a finite number > 0"),
     "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "spec.d must be at least 1, got 0"),
     "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "spec.d must be at least 1, got 2.5"),
@@ -265,6 +259,9 @@ MISSING_OR_UNBUILDABLE = {
     "group-no-d-or-shape": ({"spec": {"construction": "group-p2", "p": 3.0}}, "exactly one of d .* or shape"),
     "hilbert-d-and-gram": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 7, "gram": [[1.0, 0.0], [0.0, 1.0]]}}, "exactly one of dim or gram"),
     "lp-sum-p1": ({"spec": {"construction": "lp-sum", "p": 1.0, "d": 4}}, "cannot be built: .*p > 1"),
+    "scalar-p-beta-p-overflows": ({"spec": {"construction": "scalar-p", "p": 200}}, "cannot be built: its constants overflow a float"),
+    "lp-sum-beta-p-overflows": ({"spec": {"construction": "lp-sum", "p": 150, "d": 2}}, "cannot be built: its constants overflow a float"),
+    "even-power-constants-overflow": ({"spec": {"construction": "even-power", "k": 50}}, "cannot be built: its constants overflow a float"),
     "spec-text": ({"spec": "lp"}, "spec must be a JSON object, got 'lp'"),
     "adversary-text": ({"adversary": "sign-flip"}, "adversary must be a JSON object, got 'sign-flip'"),
     "certify-text": ({"certify": "false"}, "certify must be true or false, got 'false'"),
@@ -523,8 +520,8 @@ def test_minimax_oracle_values():
         brute_force_minimax([2.0], "absolute")
 
 
-def test_rad_exact_scalar_pair():
-    assert rad_exact_scalar([1.0, 1.0]) == pytest.approx(1.0)
+def test_rad_exact_of_a_scalar_pair():
+    assert rad_exact(np.array([[1.0], [1.0]]), LpTag(2.0)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("loss_name", ["absolute", "hinge", "linear"])
@@ -534,7 +531,7 @@ def test_sequence_optimality_on_random_sequences(loss_name):
         n = int(rng.integers(1, 4))
         xs = rng.uniform(-1, 1, size=n)
         value = brute_force_minimax(xs, loss_name)
-        assert rad_exact_scalar(xs) <= value + 0.05
+        assert rad_exact(xs[:, np.newaxis], LpTag(2.0)) <= value + 0.05
 
 
 def test_run_experiment_summary_schema(tmp_path):
@@ -729,5 +726,5 @@ def test_seed_lanes_match_one_seed_runs(algorithm, spec, adversary, extra, tmp_p
         name = f"episode_seed{seed}.csv"
         assert (tmp_path / "together" / name).read_bytes() == (tmp_path / f"alone{seed}" / name).read_bytes()
         cell, want = together["_cells"][i], alone["_cells"][0]
-        for key in ("regret", "comparator_fw", "rad_mean", "benchmark_linearized", "residual", "cert_worst_slack", "max_x_norm", "phases"):
+        for key in ("regret", "comparator_fw", "rad_mean", "benchmark_linearized", "residual", "cert_worst_slack", "phases"):
             assert cell[key] == want[key], key

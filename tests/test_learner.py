@@ -267,6 +267,20 @@ def test_episode_empty_and_constant():
     assert res["linearized_regret"] == pytest.approx(0.0)
 
 
+def test_cum_loss_is_the_running_total_from_plus_zero():
+    """A linear loss at the fresh state's -0.0 prediction with label -1 is
+    -0.0; the running total starts at +0.0, so its first entry is +0.0."""
+    learner = make_learner(LpSumU(3.0, 2))
+    trace = run_episode(learner, "linear", ConstantX(np.array([0.6, -0.8]), [-1.0, 1.0, 1.0, -1.0]), n=9)
+    assert np.signbit(trace.yhat[0, 0]) and np.signbit(trace.loss[0, 0])
+    want, total = [], 0.0
+    for value in trace.loss[:, 0]:
+        total = total + value
+        want.append(total)
+    assert trace.cum_loss.tobytes() == np.array(want).reshape(-1, 1).tobytes()
+    assert trace.to_csv().splitlines()[1].endswith(",0.0")
+
+
 def test_label_validation():
     spec = ScalarPowerU(2.0)
     with pytest.raises(ValueError):

@@ -102,6 +102,21 @@ def test_lmo_l2_examples():
     assert np.allclose(dual_ball_lmo(np.zeros(2), LpTag(2.0)), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_lmo_l2_equals_the_normalized_negative_gradient(k):
+    """The Hoelder branch at p = 2 gives the values of -g / ||g||_2, zero
+    rows and -0.0 entries included."""
+    rng = substream(14, "lmo-l2", k)
+    for d in (1, 3, 10):
+        for _ in range(25):
+            g = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+            g[rng.random(size=(k, d)) < 0.2] = -0.0
+            g[rng.integers(0, k)] = 0.0
+            norms = np.linalg.norm(g, axis=-1)
+            want = -g / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis]
+            assert np.array_equal(dual_ball_lmo(g, LpTag(2.0)), want)
+
+
 def test_lmo_sup_primal_matches_vertex_scan():
     g = np.array([1.0, -3.0])
     # oracle: brute force over the +-e_i vertices of the l1 ball

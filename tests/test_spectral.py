@@ -275,8 +275,8 @@ def test_empty_horizon_and_nonpositive_tau_are_rejected():
 
 
 def test_row_spiky_stream_counts():
-    stream = make_entry_stream("row-spiky", d=5, n=40, r=1, seed=6)
-    n_row, n_col = entry_stats([(i, j) for i, j, _ in stream])
+    ij, _ = make_entry_stream("row-spiky", d=5, n=40, r=1, seed=6)
+    n_row, n_col = entry_stats(ij)
     assert n_row == 40
     assert n_col <= 40
     assert entry_stats(np.zeros((0, 2), dtype=int)) == (0, 0)
@@ -291,7 +291,9 @@ def test_explicit_entries_with_an_index_that_is_not_whole_are_rejected(entries):
     with pytest.raises(ValueError, match="has an index that is not a whole number"):
         make_entry_stream("explicit", 3, 0, 1, 0, entries=entries)
     # a whole index written as a float or a numpy integer indexes its cell
-    assert make_entry_stream("explicit", 3, 0, 1, 0, entries=[[0.0, np.int64(2), 1]]) == [(0, 2, 1.0)]
+    ij, ys = make_entry_stream("explicit", 3, 0, 1, 0, entries=[[0.0, np.int64(2), 1]])
+    assert ij.dtype == int and ij.tolist() == [[0, 2]]
+    assert ys.dtype == float and ys.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("loss_name, y, message", [
@@ -316,17 +318,17 @@ def test_entry_stream_batch_draw_equals_per_entry_draws(kind, d):
         i = 0 if kind == "row-spiky" else int(rng.integers(0, d))
         j = int(rng.integers(0, d))
         want.append((i, j, 1.0 if planted[i, j] >= 0.0 else -1.0))
-    got = make_entry_stream(kind, d=d, n=50, r=2, seed=4)
-    assert [tuple(map(type, e)) for e in got] == [(int, int, float)] * 50
-    assert got == want
+    ij, ys = make_entry_stream(kind, d=d, n=50, r=2, seed=4)
+    assert ij.shape == (50, 2) and ij.dtype == int and ys.dtype == float
+    assert [(i, j, y) for (i, j), y in zip(ij.tolist(), ys.tolist())] == want
 
 
 def test_trace_norm_comparator_fits_planted_labels():
     # labels from a planted rank-1 matrix: some trace-norm matrix fits them
     # well, so the comparator loss is far below the all-zero predictor's
-    stream = make_entry_stream("uniform", d=3, n=120, r=1, seed=7)
-    best, f = trace_norm_comparator(stream, d=3, r=1, tau=3.0, loss_name="hinge", iters=300)
-    zero_loss = float(len(stream))  # hinge(0, y) = 1 per round
+    ij, ys = make_entry_stream("uniform", d=3, n=120, r=1, seed=7)
+    best, f = trace_norm_comparator(ij, ys, d=3, r=1, tau=3.0, loss_name="hinge", iters=300)
+    zero_loss = float(len(ys))  # hinge(0, y) = 1 per round
     assert best < 0.7 * zero_loss
     s = np.linalg.svd(f, compute_uv=False)
     assert s.sum() <= 3.0 + 1e-8
