@@ -414,6 +414,8 @@ def check_config(config: dict) -> dict:
         alpha = 1.0 / (n * tau)  # the net radius; the run squares both
         if not (math.isfinite(tau * tau) and math.isfinite(alpha * alpha)):
             raise ConfigError(f"tau = {tau} with n = {n} rounds overflows tau^2 or the squared net radius (1/(n tau))^2")
+        if alpha >= 1.0:  # the experts' coefficient divides by 1 - alpha
+            raise ConfigError(f"tau = {tau} with n = {n} rounds gives the net radius 1/(n tau) = {alpha:.6g}; a spectral run needs n tau > 1")
         return settings
     spec = settings["spec"] = None if algorithm == "adaptive-gd" else build_spec(settings["spec"])
     if spec is not None and (spec.p <= 1 or len(spec.point_shape) > 1):
@@ -651,12 +653,18 @@ def run_experiment(config: dict) -> dict:
     """Run every seed cell of a config and assemble the fixed-schema summary,
     cells in seed order.  Spectral configs run seed 0 unless they list
     seeds.  Raises ``ConfigError`` before any round for a config that cannot
-    run."""
+    run, and after the rounds for a run whose summary, phases or spectral
+    detail would hold a number that is not finite."""
     settings = check_config(config)
     if settings["algorithm"] == "spectral":
         cells = [_spectral_cell(settings, seed) for seed in settings["seeds"]]
     else:
         cells = _run_cells(settings)
+    for cell in cells:  # a JSON output holds finite numbers only
+        for key in ("regret", "benchmark_linearized", "comparator_fw", "rad_mean", "rad_se", "residual", "phases", "spectral"):
+            bad = _first_non_finite(cell.get(key))
+            if bad is not None:
+                raise ConfigError(f"seed {cell['seed']}: {key} holds {bad}, not a finite number; the run overflowed a float")
     residuals = [c["residual"] for c in cells if c["residual"] is not None]
     summary = {
         "config": config,
@@ -669,11 +677,25 @@ def run_experiment(config: dict) -> dict:
         "residual_se": float(np.std(residuals, ddof=1) / math.sqrt(len(residuals))) if len(residuals) > 1 else None,
         "phases": [c["phases"] for c in cells],
     }
+    for key in ("residual_mean", "residual_se"):
+        bad = _first_non_finite(summary[key])
+        if bad is not None:
+            raise ConfigError(f"seeds {settings['seeds']}: {key} is {bad}, not a finite number; the run overflowed a float")
     # traces and sidecar detail for writers, and the checked settings;
     # stripped from summary.json
     summary["_cells"] = cells
     summary["_settings"] = settings
     return summary
+
+
+def _first_non_finite(value):
+    """The first float in a value bound for JSON (nested lists and dicts)
+    that is NaN or infinite, or None."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return next((bad for bad in map(_first_non_finite, value) if bad is not None), None)
+    return value if isinstance(value, float) and not math.isfinite(value) else None
 
 
 def write_outputs(summary: dict, out_dir) -> list[str]:

@@ -209,6 +209,8 @@ class SpectralZigZag:
         self.tau = float(tau)
         self.loss_name = loss_name
         self.net_alpha = 1.0 / (horizon * tau)
+        if not self.net_alpha < 1.0:  # coef divides by 1 - alpha
+            raise ValueError(f"the net radius 1/(horizon tau) = {self.net_alpha:.6g} must be below 1; horizon={horizon}, tau={tau}")
         self.experts, self.coverage = build_net(d, r, tau, self.net_alpha, seed, max_net)
         self.m = self.experts.shape[0]
         self.gamma = math.sqrt(math.log(self.m) / horizon)

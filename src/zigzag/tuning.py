@@ -17,9 +17,12 @@ eta^-(p'-1):
 Both schedules use eta_i = 2^(-i/(p'-1)) eta_0 computed in closed form.
 The tuner is a ZigZag learner with one lane per seed; each lane keeps its
 own phase log, whose last ``PhaseRecord`` is the lane's open phase.  One
-interval-sup tracker measures Phi for all lanes at once (``linalg``'s exact
-triangle-inequality pruning keeps its cost well below O(t) norms per path
-and round), and a lane's phase reset restarts only that lane's paths.
+interval-sup tracker measures Phi for all lanes at once, and a lane's phase
+reset restarts only that lane's paths.  Its exact pruning
+(``linalg.IntervalSupTracker``) computes far fewer than O(t) norms per path
+and round.  In expected mode it takes each lane's z once with one sign per
+path; for an inner-product norm its pruning then costs O(t) scalar steps per
+path and round, whatever the dimension.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class ExpectedPhiTracker(IntervalSupTracker):
     per lane (common random numbers): appending z extends every path of a
     lane by eps z with a fresh sign from that lane's generator, so earlier
     rounds' contributions never change and the restart predicate is stable.
+    The tracker takes z per lane and eps per path, in that factored form.
     Each lane draws its signs in blocks of rounds; a block of Philox draws
     equals the same number of single draws.
     """
@@ -60,21 +64,19 @@ class ExpectedPhiTracker(IntervalSupTracker):
         if k_paths < 100:
             raise ValueError(f"need at least 100 Monte Carlo paths, got {k_paths}")
         self.rngs = list(rngs)
-        super().__init__(tag, shape, paths=len(self.rngs) * k_paths)
+        super().__init__(tag, shape, paths=len(self.rngs) * k_paths, lanes=len(self.rngs))
         self.p = p
         self.beta = beta
         self.k_paths = k_paths
-        self._signs = None  # (block, lanes, k_paths)
+        self._block = None  # (block, lanes, k_paths) signs
 
     def append(self, increment) -> None:
         """Extend the paths of lane l by eps z_l; ``increment`` is one z of
         ``shape`` for every lane or one per lane."""
-        z = np.asarray(increment, dtype=float).reshape(-1, 1, *self.shape)
         j = self.n % _SIGN_BLOCK
         if j == 0:
-            self._signs = np.stack([rademacher(rng, (_SIGN_BLOCK, self.k_paths)) for rng in self.rngs], axis=1)
-        signs = self._signs[j].reshape(len(self.rngs), self.k_paths, *(1,) * len(self.shape))
-        super().append((signs * z).reshape(self.k, *self.shape))
+            self._block = np.stack([rademacher(rng, (_SIGN_BLOCK, self.k_paths)) for rng in self.rngs], axis=1)
+        super().append(increment, self._block[j])
 
     def restart_lane(self, lane: int, rng: np.random.Generator, z) -> None:
         """Restart one lane as a fresh tracker on ``rng`` that is fed z: the
@@ -82,9 +84,8 @@ class ExpectedPhiTracker(IntervalSupTracker):
         later rounds."""
         self.rngs[lane] = rng
         j = (self.n - 1) % _SIGN_BLOCK
-        self._signs[j:, lane] = rademacher(rng, (_SIGN_BLOCK - j, self.k_paths))
-        signs = self._signs[j, lane].reshape(self.k_paths, *(1,) * len(self.shape))
-        self.restart(slice(lane * self.k_paths, (lane + 1) * self.k_paths), signs * np.asarray(z, dtype=float))
+        self._block[j:, lane] = rademacher(rng, (_SIGN_BLOCK - j, self.k_paths))
+        self.restart([lane], np.asarray(z, dtype=float)[np.newaxis], self._block[j, [lane]])
 
     @property
     def values(self) -> np.ndarray:

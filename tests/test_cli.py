@@ -240,6 +240,18 @@ def test_an_entry_file_sets_the_rounds_of_the_net_radius(tmp_path, capsys, monke
     _assert_one_line_error(rc, capsys, "tau = 1e-155 with n = 1 rounds overflows")
 
 
+def test_an_entry_file_of_n_tau_1_rounds_is_rejected(tmp_path, capsys, monkeypatch):
+    # with --n 200 tau = 0.25 runs; the file's 4 rounds put the net radius at 1
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the entries were checked")
+
+    monkeypatch.setattr(harness, "run_spectral", never)
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps([[0, 1, 1.0]] * 4))
+    rc = main(["spectral", "--tau", "0.25", "--entry-distribution", "adversarial-file", "--file", str(path)])
+    _assert_one_line_error(rc, capsys, "tau = 0.25 with n = 4 rounds gives the net radius 1/(n tau) = 1; a spectral run needs n tau > 1")
+
+
 def test_run_writes_to_the_config_out_dir(tmp_path, monkeypatch, capsys):
     config = {
         "algorithm": "zigzag",
@@ -365,7 +377,8 @@ def test_readme_lists_every_check_flag_with_its_bound_and_default():
 
 def _front_door_sweep(tmp_path):
     """argv lists at the edges of every check target's flags, of spectral's
-    tau and net size, and of specs whose constants overflow a float."""
+    tau, rounds and net size, of specs whose constants overflow a float and
+    of a run whose numbers do."""
     depth = str(cli.CHECK_FLAGS["umd"]["depth"].high)  # the Monte Carlo side: above the exact depth 12
     for p in ("1e-6", "0.5", "1", "1.5", "50"):
         for norm in cli.CHECK_FLAGS["umd"]["norm"].names:
@@ -387,15 +400,18 @@ def _front_door_sweep(tmp_path):
         yield ["check", "burkholder", "--spec", json.dumps(spec), "--probes", "1"]
     for flags in (["--tau", "1e300"], ["--tau", "1e-300", "--d", "2", "--r", "2"], ["--tau", "1e150"], ["--tau", "1e-150"], ["--net-size", "1"]):
         yield ["spectral", "--n", "30", *flags]
+    for tau in ("0.005", "0.001"):  # n tau <= 1: a net radius of 1 or more
+        yield ["spectral", "--n", "200", "--tau", tau]
     runs = [
-        ("zigzag", {"construction": "scalar-p", "p": 200}),
-        ("zigzag", {"construction": "even-power", "k": 50}),
-        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 150}),
-        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 100}),
+        ("zigzag", {"construction": "scalar-p", "p": 200}, 5),
+        ("zigzag", {"construction": "even-power", "k": 50}, 5),
+        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 150}, 5),
+        ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 100}, 5),
+        ("zigzag", {"construction": "scalar-p", "p": 120}, 20),  # plays every round, then its residual overflows
     ]
-    for i, (algorithm, spec) in enumerate(runs):
+    for i, (algorithm, spec, n) in enumerate(runs):
         path = tmp_path / f"config{i}.json"
-        path.write_text(json.dumps({"algorithm": algorithm, "spec": spec, "adversary": {"kind": "sign-flip"}, "n": 5, "seeds": [0]}))
+        path.write_text(json.dumps({"algorithm": algorithm, "spec": spec, "adversary": {"kind": "sign-flip"}, "n": n, "seeds": [0]}))
         yield ["run", str(path), "--out", str(tmp_path / f"out{i}")]
 
 
@@ -404,7 +420,7 @@ def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys):
     the last path it prints), or 2 with one ``zigzag: error:`` line; no
     exception escapes."""
     argvs = list(_front_door_sweep(tmp_path))
-    assert len(argvs) == 77
+    assert len(argvs) == 80
     for argv in argvs:
         rc = main(argv)
         out, err = capsys.readouterr()

@@ -198,6 +198,8 @@ BAD_NUMBERS = {
                                 r"the default eta0 = \(beta p\)\^-p = 0.0 with p = 100.0 is not > 0; give eta0"),
     "spectral-tau-squared-overflows": (dict(SPECTRAL, tau=1e300), "tau = 1e.300 with n = 30 rounds overflows tau"),
     "spectral-net-radius-overflows": (dict(SPECTRAL, tau=1e-300, d=2, r=2), "tau = 1e-300 with n = 30 rounds overflows"),
+    "spectral-net-radius-one": (dict(SPECTRAL, tau=0.005, n=200), r"tau = 0.005 with n = 200 rounds gives the net radius 1/\(n tau\) = 1; .* needs n tau > 1"),
+    "spectral-net-radius-above-one": (dict(SPECTRAL, tau=0.001, n=200), r"gives the net radius 1/\(n tau\) = 5; .* needs n tau > 1"),
     "spectral-eta-zero": (dict(SPECTRAL, eta=0.0), "eta must be a finite number > 0"),
     "spec-d-zero": ({"spec": {"construction": "lp-sum", "p": 3.0, "d": 0}}, "spec.d must be at least 1, got 0"),
     "spec-d-fraction": ({"spec": {"construction": "hilbert", "p": 2.5, "d": 2.5}}, "spec.d must be at least 1, got 2.5"),
@@ -290,6 +292,15 @@ def test_null_eta_keeps_the_default_rate():
     }
     regrets = [run_experiment(dict(config, **eta))["regret"] for eta in ({}, {"eta": None}, {"eta": 1.0})]
     assert regrets[0] == regrets[1] == regrets[2]
+
+
+def test_a_run_whose_numbers_overflow_is_rejected_before_any_output():
+    """scalar-p p = 120 plays every round, but its residual's bound
+    beta^p ||M||^p overflows a float: one ConfigError naming the seed and
+    the key, not a summary that JSON cannot hold."""
+    config = {"algorithm": "zigzag", "spec": {"construction": "scalar-p", "p": 120}, "adversary": {"kind": "sign-flip"}, "n": 20, "seeds": [0, 1]}
+    with pytest.raises(ConfigError, match=r"^seed 0: residual holds -inf, not a finite number; the run overflowed a float$"):
+        run_experiment(config)
 
 
 FIXED_FILE_FAULTS = {

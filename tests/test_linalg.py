@@ -14,6 +14,7 @@ from zigzag.linalg import (
     dual_ball_lmo,
 )
 from zigzag.rng import substream
+from zigzag.tuning import ExpectedPhiTracker
 
 
 def test_conjugate_values():
@@ -264,3 +265,71 @@ def test_restarted_paths_equal_fresh_trackers(tag, shape):
     want = brute_sups(incs, tag)
     want[[1, 4]] = fed(tag, shape, incs[10:, [1, 4]]).sups
     assert np.array_equal(tracker.sups, want)
+
+
+def test_rounding_near_ties_are_measured():
+    """Decimal rows make interval norms that differ from the squared-distance
+    estimate only by rounding; the band keeps such rows measured, so every
+    sup is the scan's after every append."""
+    rng = substream(8, "near-ties")
+    values = np.array([0.1, 0.2, 0.3, 0.7, 1.1, -0.1, -0.2, -0.3, -0.7, -1.1, 0.0])
+    for d in (1, 1, 2, 3):
+        incs = rng.choice(values, size=(14, 50, d))
+        tracker = IntervalSupTracker(LpTag(2.0), shape=(d,), paths=50)
+        for t, inc in enumerate(incs):
+            tracker.append(inc)
+            assert np.array_equal(tracker.sups, brute_sups(incs[: t + 1], LpTag(2.0))), (d, t)
+
+
+EXPECTED_TAGS = {
+    "l2-d1": (LpTag(2.0), ()),
+    "l2-d3": (LpTag(2.0), (3,)),
+    "gram": (GramTag(np.eye(4) + 0.3), (4,)),
+    "l3": (LpTag(3.0), (3,)),  # the triangle side
+}
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+@pytest.mark.parametrize("tag, shape", EXPECTED_TAGS.values(), ids=EXPECTED_TAGS.keys())
+def test_expected_tracker_with_restarts_matches_the_full_scan(tag, shape, scale, monkeypatch):
+    """Monte Carlo paths on two lanes, fed random, zero and integer rows
+    (exact ties) and restarted with redrawn signs, keep every sup of the
+    full scan over each path's increments since its restart, bit for bit:
+    squares that underflow, overflow or tie included, and rows far shorter
+    than those the restart dropped.  The base tracker's calls are recorded
+    to replay the signed paths."""
+    calls = []
+    append, restart = IntervalSupTracker.append, IntervalSupTracker.restart
+
+    def record_append(self, increment, signs=None):
+        calls.append((slice(None), np.array(increment, dtype=float), np.array(signs), False))
+        append(self, increment, signs)
+
+    def record_restart(self, lanes, increment=None, signs=None):
+        calls.append((lanes, None if increment is None else np.array(increment), np.array(signs), True))
+        restart(self, lanes, increment, signs)
+
+    monkeypatch.setattr(IntervalSupTracker, "append", record_append)
+    monkeypatch.setattr(IntervalSupTracker, "restart", record_restart)
+    rng = substream(5, "expected-full-scan", tag.name, len(shape), scale)
+    tracker = ExpectedPhiTracker(tag, 2.0, 1.0, 100, [substream(6, "lane", lane) for lane in range(2)], shape=shape)
+    paths = [[], []]  # each lane's (100, *shape) signed increments since its restart
+    with np.errstate(over="ignore", invalid="ignore"):  # the full scan squares 1e160
+        for t in range(30):
+            z = rng.normal(size=(2, *shape)) if t % 3 else rng.integers(-2, 3, size=(2, *shape)).astype(float)
+            z[rng.random(2) < 0.15] = 0.0
+            if t < 20:  # lane 0's rows before its restart are 1e17 times longer than after it
+                z[0] *= 1e17
+            tracker.append(z * scale)
+            if t in (9, 20):
+                tracker.restart_lane(t % 2, substream(7, "redrawn", t), z[t % 2] * scale)
+            for lanes, increment, signs, is_restart in calls:
+                for i, lane in enumerate(np.arange(2)[lanes]):
+                    if is_restart:
+                        paths[lane] = []
+                    if increment is not None:
+                        paths[lane].append(signs[i].reshape(100, *(1,) * len(shape)) * increment[i])
+            calls.clear()
+            for lane in range(2):
+                want = brute_sups(np.stack(paths[lane]), tag)
+                assert np.array_equal(tracker.sups[lane * 100 : (lane + 1) * 100], want, equal_nan=True), (t, lane)

@@ -272,6 +272,10 @@ def test_empty_horizon_and_nonpositive_tau_are_rejected():
         SpectralZigZag(3, 1, 0.0, horizon=10, loss_name="hinge", max_net=500)
     with pytest.raises(ValueError, match="horizon"):
         run_spectral(3, 1, 3.0, n=0, stream_kind="uniform", loss_name="hinge", max_net=500)
+    # horizon tau <= 1 puts the net radius at 1 or above, where coef divides by zero or flips sign
+    for tau in (0.005, 0.001):
+        with pytest.raises(ValueError, match="net radius"):
+            SpectralZigZag(3, 1, tau, horizon=200, loss_name="hinge", max_net=500)
 
 
 def test_row_spiky_stream_counts():

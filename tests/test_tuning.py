@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zigzag import tuning
-from zigzag.burkholder import HilbertU, LpSumU, ScalarPowerU
+from zigzag.burkholder import HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import FixedStream, IIDGaussianX
 from zigzag.learner import psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
@@ -204,3 +204,28 @@ def test_expected_restart_loop_safety_cap(monkeypatch):
     monkeypatch.setattr(tuning, "MAX_RESTARTS_PER_ROUND", 2)
     with pytest.raises(RuntimeError, match="safety cap"):
         run_burst_stream()
+
+
+class FullScanTracker(tuning.ExpectedPhiTracker):
+    """The expected tracker measuring every live prefix row on every append:
+    the full O(t) scan that pruning must match bit for bit."""
+
+    def _extend_bounds(self, z, signs):
+        super()._extend_bounds(z, signs)
+        return np.full(signs.shape, -np.finfo(float).max)  # below every live bound, above a dead row's -inf
+
+
+@pytest.mark.parametrize("spec", [WeightedL2U(np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])), ScalarPowerU(3.0)], ids=["weighted-l2", "scalar-p"])
+def test_expected_doubling_matches_a_full_scan_tracker(spec, monkeypatch):
+    def run():
+        seeds = [0, 1, 2]
+        tuner = DoublingZigZag(spec, "expected", seeds, mc_paths=100, eta0=0.5)
+        run_episode(tuner, "hinge", IIDGaussianX(spec.point_shape, spec.tag, seeds, normalize=False), n=120)
+        return tuner.finish(), tuner.tracker.sups
+
+    logs, sups = run()
+    assert all(len(log) >= 3 for log in logs)  # the lanes restart
+    monkeypatch.setattr(tuning, "ExpectedPhiTracker", FullScanTracker)
+    full_logs, full_sups = run()
+    assert logs == full_logs
+    assert np.array_equal(sups, full_sups)
