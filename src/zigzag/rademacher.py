@@ -8,12 +8,12 @@ a predictable process and eps_t x_t(eps_{1:t-1}) is a martingale difference
 sequence.  Depth is capped at 14 so exact enumeration over all 2^n paths
 stays feasible as an oracle next to every Monte Carlo estimate.
 
-The exact maximal Rademacher oracle and the exact UMD check walk the tree
-level by level: level t holds the 2^t distinct sign prefixes, each extended
-by both signs of the next step, so a running sum and its norm are computed
-once per prefix rather than once per leaf below it.  Leaves come out in the
-row order of the full path table, each sum accumulated in step order as a
-running sum along its path would be.
+Every exact oracle walks the tree level by level: level t holds the 2^t
+distinct sign prefixes, each extended by both signs of the next step, so a
+running sum and its norm are computed once per prefix rather than once per
+leaf below it, and no table of all 2^n sign paths is built.  Leaf i is the
+path whose sign t is +1 exactly when bit t of i is set, and each sum is
+accumulated in step order as a running sum along its path would be.
 
 Statistical checks report 3-standard-error bands; hard assertions are made
 only where an exact identity exists (the scalar second-moment case).
@@ -47,16 +47,6 @@ __all__ = [
 MAX_DEPTH = 14
 MAX_EXACT_DEPTH = 20  # the exact Rademacher oracles enumerate at most 2^20 sign paths
 MIN_SAMPLES = 100  # the fewest sign draws a Monte Carlo estimate takes
-
-
-def _all_signs(n: int) -> np.ndarray:
-    """All 2^n sign paths as float +-1 rows; row i holds the bits of i in
-    little-endian order, bit 0 as -1 and bit 1 as +1."""
-    signs = np.empty((2**n, n))
-    for t in range(n):
-        # bit t of the row index: blocks of 2^t zeros and 2^t ones, repeated
-        signs[:, t] = np.tile(np.repeat([-1.0, 1.0], 2**t), 2 ** (n - 1 - t))
-    return signs
 
 
 def _fresh_signs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -97,14 +87,6 @@ class DyadicTree:
     @classmethod
     def random_gaussian(cls, depth: int, dim: int, rng: np.random.Generator):
         return cls([rng.normal(size=(2**t, dim)) for t in range(depth)])
-
-    @classmethod
-    def constant(cls, depth: int, vectors: np.ndarray):
-        """Non-anticipating tree: level t is the constant vector vectors[t]."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if vectors.shape[0] != depth:
-            raise ValueError("need one vector per level")
-        return cls([np.tile(vectors[t], (2**t, 1)) for t in range(depth)])
 
     @classmethod
     def prefix_sign(cls, depth: int):
@@ -184,26 +166,28 @@ def _exact(per_path, zs, tag: NormTag) -> float:
     return float(per_path(zs, tag).mean())
 
 
-def _path_sum_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
-    """``_sum_norms`` on every sign path, as one product with the path table."""
-    return _sum_norms(_all_signs(zs.shape[0]), zs, tag)
-
-
 def _tree_sums(steps, shape: tuple):
     """Yield, for each level t, the running sums sum_{s<=t} eps_s v_s on all
     2^(t+1) sign prefixes, where ``steps[t]`` is v_t: one value shared by
     every prefix of length t, or one row per prefix.  The children of row j
-    are row j (sign -1) and row j + 2^t (sign +1), so the last level's rows
-    follow ``_all_signs``."""
+    are row j (sign -1) and row j + 2^t (sign +1), so row i of the last
+    level is leaf i."""
     prefix = np.zeros((1, *shape))
     for v in steps:
         prefix = np.concatenate([prefix - v, prefix + v])
         yield prefix
 
 
+def _tree_sum_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
+    """``_sum_norms`` on every sign path, leaf by leaf: the norms of the
+    walk's last level."""
+    *_, leaves = _tree_sums(zs, zs.shape[1:])
+    return tag.norm_batch(leaves)
+
+
 def _tree_prefix_max_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
-    """``_prefix_max_norms`` on every sign path, in ``_all_signs`` row order;
-    the norm of each distinct prefix is computed once."""
+    """``_prefix_max_norms`` on every sign path, leaf by leaf; the norm of
+    each distinct prefix is computed once."""
     best = np.zeros(1)
     for prefix in _tree_sums(zs, zs.shape[1:]):
         best = np.maximum(np.concatenate([best, best]), tag.norm_batch(prefix))
@@ -216,8 +200,9 @@ def rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, fl
 
 
 def rad_exact(zs, tag: NormTag) -> float:
-    """Exact E_eps ||sum eps_t z_t|| by enumerating all 2^n sign patterns."""
-    return _exact(_path_sum_norms, zs, tag)
+    """Exact E_eps ||sum eps_t z_t|| over all 2^n sign patterns, by a walk
+    over the 2^t distinct prefixes of each level."""
+    return _exact(_tree_sum_norms, zs, tag)
 
 
 def maximal_rad_estimate(zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
@@ -232,11 +217,10 @@ def maximal_rad_exact(zs, tag: NormTag) -> float:
     return _exact(_tree_prefix_max_norms, zs, tag)
 
 
-def _path_terms(tree: DyadicTree, rng: np.random.Generator | None, k_samples: int) -> np.ndarray:
-    """The terms eps_t x_t(eps_{1:t-1}) of shape (paths, depth, dim): on all
-    2^depth sign paths when ``rng`` is None, else on ``k_samples`` paths
-    drawn from ``rng``."""
-    signs = _all_signs(tree.depth) if rng is None else rademacher(rng, (k_samples, tree.depth))
+def _path_terms(tree: DyadicTree, rng: np.random.Generator, k_samples: int) -> np.ndarray:
+    """The terms eps_t x_t(eps_{1:t-1}) of shape (k_samples, depth, dim) on
+    ``k_samples`` sign paths drawn from ``rng``."""
+    signs = rademacher(rng, (k_samples, tree.depth))
     return signs[:, :, np.newaxis] * tree.path_values(signs)
 
 
@@ -270,18 +254,17 @@ def umd_check(
     k_samples: int = 2000,
     n_patterns: int = 64,
     seed: int = 0,
-    exact: bool | None = None,
 ) -> UMDReport:
     """Estimate E||sum xi_t eps_t x_t||^p / E||sum eps_t x_t||^p over a
     search set of fixed sign patterns xi (the all-ones and alternating
     patterns plus random ones) and report the largest ratio^(1/p).
 
-    The search lower-bounds the sign-invariance constant; with ``exact`` (or
-    depth <= 12 by default) both sides are full enumerations over paths.
+    The search lower-bounds the sign-invariance constant.  Up to depth 12
+    both sides are exact means over all 2^n paths, walked once per pattern;
+    deeper trees draw ``k_samples`` paths.
     """
     n = tree.depth
-    if exact is None:
-        exact = n <= 12
+    exact = n <= 12
     if exact:
 
         def sums(pattern):
@@ -342,19 +325,29 @@ def hitczenko_check(
         RHS = E_eps,eps'|sum_t eps'_t eps_t x_t(eps)|^p   (fresh signs eps')
 
     and report the empirical constant (LHS/RHS)^(1/p).  A loose hard bound
-    LHS <= 10^p RHS is asserted via ``bound_ok``; with ``exact`` the pair
-    expectation enumerates all 2^n x 2^n sign combinations.
+    LHS <= 10^p RHS is asserted via ``bound_ok``.
+
+    With ``exact`` (depth <= 8 by default) both sides are exact means over
+    all sign paths.  For a fixed eps, eps' -> delta = eps' eps is a bijection
+    of the sign paths, so RHS is the mean over all (delta, eps) pairs of
+    |sum_t delta_t x_t(eps)|^p: a walk over delta whose step t is x_t at
+    every leaf eps at once.
     """
     if tree.dim != 1:
         raise ValueError("decoupling check expects scalar trees")
     n = tree.depth
     if exact is None:
         exact = n <= 8
-    rng = None if exact else substream(seed, "decoupling")
-    terms = _path_terms(tree, rng, k_samples)[..., 0]  # (paths, n)
-    lhs_mean, lhs_se = _mean_se(np.abs(terms.sum(axis=1)) ** p, exact)
-    # exact: every (eps', eps) pair; Monte Carlo: one fresh eps' per path
-    decoupled = _all_signs(n) @ terms.T if exact else (rademacher(rng, (k_samples, n)).astype(float) * terms).sum(axis=1)
+    if exact:
+        *_, sums = _tree_sums(tree.levels, (1,))
+        # leaf i of eps reads node i mod 2^t of level t
+        *_, decoupled = _tree_sums([np.tile(lvl[:, 0], 2 ** (n - t)) for t, lvl in enumerate(tree.levels)], (2**n,))
+    else:
+        rng = substream(seed, "decoupling")
+        terms = _path_terms(tree, rng, k_samples)[..., 0]  # (paths, n)
+        sums = terms.sum(axis=1)
+        decoupled = (rademacher(rng, (k_samples, n)).astype(float) * terms).sum(axis=1)  # one fresh eps' per path
+    lhs_mean, lhs_se = _mean_se(np.abs(sums) ** p, exact)
     rhs_mean, rhs_se = _mean_se(np.abs(decoupled) ** p, exact)
     constant = (lhs_mean / rhs_mean) ** (1.0 / p) if rhs_mean > 0 else float("inf")
     return DecouplingReport(

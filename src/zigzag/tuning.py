@@ -36,7 +36,6 @@ from .linalg import IntervalSupTracker, NormTag, conjugate
 from .rng import rademacher, substream
 
 __all__ = [
-    "phi_expected",
     "ExpectedPhiTracker",
     "DoublingZigZag",
     "PhaseRecord",
@@ -91,17 +90,6 @@ class ExpectedPhiTracker(IntervalSupTracker):
     def values(self) -> np.ndarray:
         """Each lane's estimate."""
         return self.beta**self.p * np.mean(self.sups.reshape(len(self.rngs), self.k_paths) ** self.p, axis=1)
-
-
-def phi_expected(increments, tag: NormTag, p: float, beta: float, k_paths: int = 500, seed: int = 0):
-    """One-shot Monte Carlo (mean, standard error) of the expected-sign
-    interval-sup functional over the given raw increments."""
-    arr = np.asarray(increments, dtype=float)
-    tracker = ExpectedPhiTracker(tag, p, beta, k_paths, [substream(seed, "phi-expected")], shape=arr.shape[1:])
-    for z in arr:
-        tracker.append(z)
-    vals = beta**p * tracker.sups**p
-    return float(tracker.values[0]), float(np.std(vals, ddof=1) / np.sqrt(k_paths))
 
 
 def default_eta0(p: float, beta: float, mode: str) -> float:

@@ -388,6 +388,7 @@ def _front_door_sweep(tmp_path):
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", "1"]
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", depth, "--samples", "100"]
     yield ["check", "rad-oracle", "--depth", "1", "--dim", "1", "--trials", "1", "--samples", "100"]
+    yield ["check", "rad-oracle", "--depth", "20", "--dim", "4", "--trials", "1", "--samples", "100"]  # the deepest exact oracle
     for loss in ("hinge", "absolute", "linear"):
         yield ["check", "minimax", "--trials", "1", "--loss", loss]
     specs = [
@@ -420,7 +421,7 @@ def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys):
     the last path it prints), or 2 with one ``zigzag: error:`` line; no
     exception escapes."""
     argvs = list(_front_door_sweep(tmp_path))
-    assert len(argvs) == 80
+    assert len(argvs) == 81
     for argv in argvs:
         rc = main(argv)
         out, err = capsys.readouterr()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from zigzag.linalg import GramTag, LpTag, OneTag, SupTag
+from zigzag.linalg import GramTag, GroupP2Tag, LpTag, OneTag, SupTag
 from zigzag.rademacher import (
     DyadicTree,
-    _all_signs,
     _fresh_signs,
     _prefix_max_norms,
+    _sum_norms,
     hitczenko_check,
     maximal_rad_estimate,
     maximal_rad_exact,
@@ -17,6 +17,20 @@ from zigzag.rademacher import (
 from zigzag.rng import rademacher, substream
 
 ABS = LpTag(2.0)  # absolute value in one dimension
+
+
+def _shift_and_mask_signs(n):
+    """All 2^n sign paths as float +-1 rows: row i holds the little-endian
+    bits of i by shift and mask, bit 0 as -1 and bit 1 as +1."""
+    codes = np.arange(2**n)
+    return (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+
+
+def constant_tree(depth, vectors):
+    """Non-anticipating tree: level t is the constant vector vectors[t]."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    assert vectors.shape[0] == depth
+    return DyadicTree([np.tile(vectors[t], (2**t, 1)) for t in range(depth)])
 
 
 def test_tree_shapes_and_cap():
@@ -30,7 +44,7 @@ def test_tree_shapes_and_cap():
 def test_path_gather_consistency():
     rng = substream(1, "tree")
     tree = DyadicTree.random_gaussian(5, 3, rng)
-    signs = _all_signs(5)
+    signs = _shift_and_mask_signs(5)
     values = tree.path_values(signs)
     assert values.shape == (32, 5, 3)
     # manual walk for a handful of paths
@@ -44,14 +58,14 @@ def test_path_gather_consistency():
 
 def test_constant_tree_is_non_anticipating():
     vecs = np.arange(6.0).reshape(3, 2)
-    tree = DyadicTree.constant(3, vecs)
-    values = tree.path_values(_all_signs(3))
+    tree = constant_tree(3, vecs)
+    values = tree.path_values(_shift_and_mask_signs(3))
     assert np.allclose(values, np.broadcast_to(vecs, (8, 3, 2)))
 
 
 def test_prefix_sign_tree_pushes_away_from_zero():
     for depth in (1, 6, 10):
-        signs = _all_signs(depth)
+        signs = _shift_and_mask_signs(depth)
         values = DyadicTree.prefix_sign(depth).path_values(signs)
         vals = values.squeeze(-1)
         prefix = np.zeros(len(signs))
@@ -145,19 +159,19 @@ def test_umd_sup_norm_report():
 
 
 def test_umd_degenerate_tree_rejected():
-    tree = DyadicTree.constant(3, np.zeros((3, 2)))
+    tree = constant_tree(3, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         umd_check(2.0, LpTag(2.0), tree, seed=0)
 
 
 def test_hitczenko_depth_one_and_constant():
-    tree = DyadicTree.constant(1, np.array([[0.7]]))
+    tree = constant_tree(1, np.array([[0.7]]))
     rep = hitczenko_check(tree, p=2.0)
     assert rep.exact
     assert rep.lhs_mean == pytest.approx(rep.rhs_mean)
     assert rep.empirical_constant == pytest.approx(1.0)
 
-    tree = DyadicTree.constant(6, np.linspace(0.2, 1.0, 6)[:, None])
+    tree = constant_tree(6, np.linspace(0.2, 1.0, 6)[:, None])
     for p in (1.0, 2.0, 4.0):
         rep = hitczenko_check(tree, p=p)
         assert rep.lhs_mean == pytest.approx(rep.rhs_mean, rel=1e-12)
@@ -206,22 +220,37 @@ def test_hitczenko_magnitude_adaptive_tree_separates():
     assert rep1.bound_ok
 
 
+def _double_enumeration(tree, p):
+    """Both sides of the decoupling check from the path table: the mean over
+    every path eps, and over every pair (eps', eps) of paths."""
+    signs = _shift_and_mask_signs(tree.depth)
+    terms = signs * tree.path_values(signs)[..., 0]
+    return np.mean(np.abs(terms.sum(axis=1)) ** p), np.mean(np.abs(signs @ terms.T) ** p)
+
+
+DECOUPLING_TREES = {
+    "random": lambda depth: [DyadicTree.random_gaussian(depth, 1, substream(depth, "dec-walk", i)) for i in range(3)],
+    "prefix-sign": lambda depth: [DyadicTree.prefix_sign(depth)],
+    "magnitude": lambda depth: [magnitude_tree(depth)],
+}
+
+
+@pytest.mark.parametrize("kind", DECOUPLING_TREES)
+def test_exact_decoupling_walk_equals_double_enumeration(kind):
+    for depth in range(1, 9):
+        for tree in DECOUPLING_TREES[kind](depth):
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+                rep = hitczenko_check(tree, p=p)
+                assert rep.exact
+                lhs, rhs = _double_enumeration(tree, p)
+                assert rep.lhs_mean == pytest.approx(lhs, rel=1e-15, abs=0.0)
+                assert rep.rhs_mean == pytest.approx(rhs, rel=1e-15, abs=0.0)
+
+
 def test_hitczenko_requires_scalar_tree():
     tree = DyadicTree.random_gaussian(3, 2, substream(9, "vec"))
     with pytest.raises(ValueError):
         hitczenko_check(tree, p=2.0)
-
-
-def _shift_and_mask_signs(n):
-    """The path table as first written: the little-endian bits of each row
-    index by shift and mask, cast to float."""
-    codes = np.arange(2**n)
-    return (((codes[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1).astype(float)
-
-
-@pytest.mark.parametrize("n", [1, 5, 12, 16])
-def test_all_signs_is_the_shift_and_mask_table(n):
-    assert np.array_equal(_all_signs(n), _shift_and_mask_signs(n))
 
 
 DENSE_GRAM = np.array([[2.0, 0.3, -0.2, 0.1], [0.3, 1.5, 0.4, 0.0], [-0.2, 0.4, 1.2, -0.3], [0.1, 0.0, -0.3, 1.8]])
@@ -235,13 +264,37 @@ def test_maximal_tree_walk_equals_path_enumeration(tag):
     rng = substream(10, "walk")
     for n in range(1, 11):
         zs = rng.normal(size=(n, 4))
-        assert maximal_rad_exact(zs, tag) == _prefix_max_norms(_all_signs(n), zs, tag).mean()
+        assert maximal_rad_exact(zs, tag) == _prefix_max_norms(_shift_and_mask_signs(n), zs, tag).mean()
+
+
+@pytest.mark.parametrize("tag", WALK_TAGS.values(), ids=WALK_TAGS.keys())
+def test_rad_tree_walk_equals_path_enumeration(tag):
+    # the walk adds in step order and the path table's product may not, so
+    # the two may differ in the last bits
+    rng = substream(12, "rad-walk")
+    for n in range(1, 15):
+        for dim in (4,) if isinstance(tag, GramTag) else (1, 2, 4, 10):
+            zs = rng.normal(size=(n, dim))
+            table = _sum_norms(_shift_and_mask_signs(n), zs, tag).mean()
+            assert rad_exact(zs, tag) == pytest.approx(table, rel=1e-15, abs=0.0)
+
+
+MATRIX_TAGS = {"l2": LpTag(2.0), "sup": SupTag(), "one": OneTag(), "group-p2": GroupP2Tag(3.0)}
+
+
+@pytest.mark.parametrize("tag", MATRIX_TAGS.values(), ids=MATRIX_TAGS.keys())
+def test_rad_tree_walk_on_matrix_points(tag):
+    rng = substream(13, "rad-walk-matrix")
+    for n in (1, 2, 5, 9, 12):
+        zs = rng.normal(size=(n, 3, 2))
+        table = _sum_norms(_shift_and_mask_signs(n), zs, tag).mean()
+        assert rad_exact(zs, tag) == pytest.approx(table, rel=1e-15, abs=0.0)
 
 
 def _term_tensor_moments(report, tree, tag):
     """Each pattern's exact moment from the (2^n, n, dim) tensor of terms
     eps_t x_t(eps) on all sign paths, summed over t."""
-    signs = _all_signs(tree.depth)
+    signs = _shift_and_mask_signs(tree.depth)
     terms = signs[:, :, np.newaxis] * tree.path_values(signs)
     moments = []
     for pattern, _, _, _ in report.patterns:

@@ -9,7 +9,7 @@ from zigzag.harness import FixedStream, IIDGaussianX
 from zigzag.learner import psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
-from zigzag.tuning import DoublingZigZag, default_eta0, phi_expected
+from zigzag.tuning import DoublingZigZag, ExpectedPhiTracker, default_eta0
 
 
 def phi_realized(increments, tag, p, beta):
@@ -19,6 +19,17 @@ def phi_realized(increments, tag, p, beta):
     for inc in increments:
         tracker.append(inc)
     return beta**p * tracker.sups[0]**p
+
+
+def phi_expected(increments, tag, p, beta, k_paths=500, seed=0):
+    """Monte Carlo (mean, standard error) of the expected-sign interval-sup
+    functional, read from one lane of the expected-mode tracker."""
+    arr = np.asarray(increments, dtype=float)
+    tracker = ExpectedPhiTracker(tag, p, beta, k_paths, [substream(seed, "phi-expected")], shape=arr.shape[1:])
+    for z in arr:
+        tracker.append(z)
+    vals = beta**p * tracker.sups**p
+    return float(tracker.values[0]), float(np.std(vals, ddof=1) / np.sqrt(k_paths))
 
 
 def enumerate_expected_phi(increments, tag, p, beta):
