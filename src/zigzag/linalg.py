@@ -79,6 +79,14 @@ class NormTag:
         None for every other norm."""
         return None
 
+    def underflow(self, shape) -> float:
+        """The largest norm of a point of ``shape`` whose computed norm can
+        be 0.  Past relative rounding, every computed norm is within it of
+        the exact norm, since the terms a norm loses to underflow form such
+        a point.  The tracker's triangle bound reads it; a norm from an
+        inner product (``gram_bound``) has its own band instead."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class LpTag(NormTag):
@@ -99,6 +107,9 @@ class LpTag(NormTag):
     def gram_bound(self):
         return 1.0 if self.p == 2.0 else None
 
+    def underflow(self, shape):
+        return (math.prod(shape) * _TINY) ** (1.0 / self.p)  # every |x_i|^p within one ulp of 0
+
 
 class SupTag(NormTag):
     name = "sup"
@@ -107,6 +118,9 @@ class SupTag(NormTag):
         xs = np.asarray(xs, dtype=float)
         return np.max(np.abs(xs.reshape(xs.shape[0], -1)), axis=1)
 
+    def underflow(self, shape):
+        return 0.0  # no powers: nothing underflows
+
 
 class OneTag(NormTag):
     name = "one"
@@ -114,6 +128,9 @@ class OneTag(NormTag):
     def norm_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.sum(np.abs(xs.reshape(xs.shape[0], -1)), axis=1)
+
+    def underflow(self, shape):
+        return 0.0  # no powers: nothing underflows
 
 
 class GramTag(NormTag):
@@ -153,6 +170,11 @@ class GroupP2Tag(NormTag):
         xs = np.asarray(xs, dtype=float)
         rows = np.sqrt(np.sum(xs**2, axis=-1))
         return np.sum(rows**self.p, axis=-1) ** (1.0 / self.p)
+
+    def underflow(self, shape):
+        # every x_ij^2, or every row norm^p, within one ulp of 0
+        rows, cols = shape
+        return rows ** (1.0 / self.p) * math.sqrt(cols * _TINY) + (rows * _TINY) ** (1.0 / self.p)
 
 
 def dual_ball_lmo(g, tag: NormTag) -> np.ndarray:
@@ -218,7 +240,11 @@ class IntervalSupTracker:
       is skipped only when ``D2[a] + band < sup^2`` (``_band``);
     - for every other norm it is the triangle inequality: the increment's
       norm is added to every bound, and a row is skipped only when its
-      bound is below ``sup (1 - 1e-9)``, a margin for rounding.
+      bound is below ``sup (1 - 1e-9)``, a margin for relative rounding.
+      Underflow is absolute: a computed norm can fall short of the exact
+      one by the tag's ``underflow`` term, so each increment also adds
+      three of those, one for its own norm, one for the row's measured
+      norm and one for the norm the scan would compute.
 
     ``restart`` starts some lanes over as if fresh: their rows before the
     new origin get bound -inf, so the pruning mask also does the reset, and
@@ -235,6 +261,7 @@ class IntervalSupTracker:
         self.n = 0
         self.sups = np.zeros(paths)
         self._alpha = tag.gram_bound()  # None: the triangle bound
+        self._reach = 0.0 if self._alpha is not None else 3.0 * tag.underflow(self.shape)  # the triangle bound's absolute term per increment
         self._length = np.zeros(self.lanes)  # sum of the lanes' Euclidean increment norms since their origins
         lane_paths = (self.lanes, paths // self.lanes)
         self._prefixes = np.zeros((1, *lane_paths, *self.shape))  # live prefix rows, oldest first
@@ -280,7 +307,7 @@ class IntervalSupTracker:
         bounds = self._bounds[: self._live]
         sups = self.sups.reshape(signs.shape)
         if self._alpha is None:
-            bounds += self.tag.norm_batch(z.reshape(-1, *self.shape))[:, np.newaxis]
+            bounds += (self.tag.norm_batch(z.reshape(-1, *self.shape)) + self._reach)[:, np.newaxis]
             return sups * (1.0 - 1e-9)
         with np.errstate(over="ignore", invalid="ignore"):  # a lane whose squares overflow measures every row
             self._length += np.sqrt(np.einsum("ld,ld->l", z, z))

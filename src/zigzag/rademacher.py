@@ -5,8 +5,10 @@ on dyadic martingale trees.
 A dyadic tree of depth n stores, for each level t, the 2^(t-1) values
 x_t(eps_{1:t-1}) indexed by the sign path so far, so a path of signs selects
 a predictable process and eps_t x_t(eps_{1:t-1}) is a martingale difference
-sequence.  Depth is capped at 14 so exact enumeration over all 2^n paths
-stays feasible as an oracle next to every Monte Carlo estimate.
+sequence.  A tree has at most 14 levels (``MAX_DEPTH``), so the exact
+means of the UMD and decoupling checks over all its 2^n paths stay
+feasible; the exact Rademacher oracles take sequences of up to 20 steps
+(``MAX_EXACT_DEPTH``).
 
 Every exact oracle walks the tree level by level: level t holds the 2^t
 distinct sign prefixes, each extended by both signs of the next step, so a
@@ -47,18 +49,30 @@ __all__ = [
 MAX_DEPTH = 14
 MAX_EXACT_DEPTH = 20  # the exact Rademacher oracles enumerate at most 2^20 sign paths
 MIN_SAMPLES = 100  # the fewest sign draws a Monte Carlo estimate takes
+SIGN_BLOCK = 2**13  # floats in an estimate's sign buffer: 64 KiB, below the allocator's 128 KiB mmap threshold
 
 
-def _fresh_signs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """``rademacher(rng, shape)`` as floats, from the raw stream of a fresh
-    generator.  ``rng.integers(0, 2)`` takes the top bit of each 32-bit half
-    of the raw 64-bit words, low half first; reading those bits directly
-    skips the int64 draw and its cast.  Valid only on a generator that has
-    not been drawn from, since ``integers`` would first use a half word left
-    buffered by an earlier draw."""
-    count = int(np.prod(shape))
-    halves = rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
-    return ((halves >> 31) * 2.0 - 1.0).reshape(shape)
+def _sign_blocks(rng: np.random.Generator, k: int, n: int):
+    """Yield ``(start, signs)``, rows ``start`` onward of ``rademacher(rng,
+    (k, n))`` as floats, one block of rows at a time from the raw stream of
+    a fresh generator.  ``rng.integers(0, 2)`` takes the top bit of each
+    32-bit half of the raw 64-bit words, low half first; a block holds an
+    even number of rows, so it reads whole words and the blocks continue one
+    another's draw.  Each block's words are shifted in place and written as
+    +-1.0 into one buffer of at most ``SIGN_BLOCK`` floats (two rows for
+    rows longer than half of it), which the next block overwrites.  Valid
+    only on a generator that has not been drawn from, since ``integers``
+    would first use a half word left buffered by an earlier draw."""
+    rows = max(2, SIGN_BLOCK // n // 2 * 2)
+    buffer = np.empty(rows * n)
+    for start in range(0, k, rows):
+        count = min(rows, k - start) * n
+        halves = rng.bit_generator.random_raw((count + 1) // 2).view(np.uint32)[:count]
+        halves >>= 31
+        signs = buffer[:count]
+        np.multiply(halves, 2.0, out=signs)
+        signs -= 1.0
+        yield start, signs.reshape(-1, n)
 
 
 class DyadicTree:
@@ -145,14 +159,17 @@ def _prefix_max_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.nda
 
 def _estimate(statistic, scope: str, zs, tag: NormTag, k_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo (mean, SE) of ``statistic(signs, zs, tag)`` over k sign
-    rows drawn from the ``scope`` substream of ``seed``."""
+    rows drawn from the ``scope`` substream of ``seed``, reduced one block
+    of rows at a time (``_sign_blocks``), so memory does not grow with k."""
     zs = np.asarray(zs, dtype=float)
     if zs.shape[0] == 0:
         return 0.0, 0.0
     if k_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {k_samples}")
-    signs = _fresh_signs(substream(seed, scope), (k_samples, zs.shape[0]))
-    return _mean_se(statistic(signs, zs, tag))
+    samples = np.empty(k_samples)
+    for start, signs in _sign_blocks(substream(seed, scope), k_samples, zs.shape[0]):
+        samples[start : start + len(signs)] = statistic(signs, zs, tag)
+    return _mean_se(samples)
 
 
 def _exact(per_path, zs, tag: NormTag) -> float:

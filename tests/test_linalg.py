@@ -267,6 +267,22 @@ def test_restarted_paths_equal_fresh_trackers(tag, shape):
     assert np.array_equal(tracker.sups, want)
 
 
+UNDERFLOW_CASES = {
+    "l3": (LpTag(3.0), (2,), -110.0, -107.5),  # |x_i|^3 near the smallest subnormal
+    "group-p1.5": (GroupP2Tag(1.5), (2, 2), -166.0, -160.0),  # squares near it
+}
+
+
+@pytest.mark.parametrize("tag, shape, low, high", UNDERFLOW_CASES.values(), ids=UNDERFLOW_CASES.keys())
+def test_triangle_bound_covers_norms_lost_to_underflow(tag, shape, low, high):
+    # an increment whose powers underflow computes to a norm near 0 while
+    # the prefix moves; the bound's absolute term keeps such rows measured
+    for i in range(400):
+        rng = substream(9, "underflow", tag.name, i)
+        incs = rng.normal(size=(40, 5, *shape)) * 10.0 ** rng.uniform(low, high, size=(40, 1) + (1,) * len(shape))
+        assert np.array_equal(fed(tag, shape, incs).sups, brute_sups(incs, tag)), i
+
+
 def test_rounding_near_ties_are_measured():
     """Decimal rows make interval norms that differ from the squared-distance
     estimate only by rounding; the band keeps such rows measured, so every

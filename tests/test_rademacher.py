@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zigzag.linalg import GramTag, GroupP2Tag, LpTag, OneTag, SupTag
 from zigzag.rademacher import (
     DyadicTree,
-    _fresh_signs,
     _prefix_max_norms,
+    _sign_blocks,
     _sum_norms,
     hitczenko_check,
     maximal_rad_estimate,
@@ -329,10 +331,48 @@ def test_umd_tree_walk_on_scalar_trees(depth):
         assert np.allclose(walked, _term_tensor_moments(report, tree, ABS), rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("shape", [(1000, 150), (101, 3), (7,), (1000, 151)])
-def test_fresh_signs_are_the_integer_draw(shape):
+# (1, 7) is the old (7,) draw; (301, 151) spans six 54-row blocks, the last
+# 31 rows long with an odd number of signs; (5, 4097) takes two rows a block,
+# each longer than half the buffer; (101, 3) and (100, 7) fit in one block
+SIGN_SHAPES = [(1000, 150), (101, 3), (1, 7), (1000, 151), (301, 151), (5, 4097), (100, 7)]
+
+
+@pytest.mark.parametrize("k, n", SIGN_SHAPES)
+def test_blocked_signs_are_the_integer_draw(k, n):
     # pins the Philox layout the raw read relies on: integers(0, 2) is the
-    # top bit of each 32-bit half of the raw words, low half first
-    expected = substream(11, "fresh", shape).integers(0, 2, shape) * 2.0 - 1.0
-    assert np.array_equal(_fresh_signs(substream(11, "fresh", shape), shape), expected)
-    assert np.array_equal(_fresh_signs(substream(11, "fresh", shape), shape), rademacher(substream(11, "fresh", shape), shape).astype(float))
+    # top bit of each 32-bit half of the raw words, low half first, and the
+    # blocks continue one another's draw
+    blocks = [(start, signs.copy()) for start, signs in _sign_blocks(substream(11, "fresh", k, n), k, n)]
+    assert [start for start, _ in blocks] == list(range(0, k, len(blocks[0][1])))
+    drawn = np.concatenate([signs for _, signs in blocks])
+    assert np.array_equal(drawn, substream(11, "fresh", k, n).integers(0, 2, (k, n)) * 2.0 - 1.0)
+    assert np.array_equal(drawn, rademacher(substream(11, "fresh", k, n), (k, n)).astype(float))
+
+
+@pytest.mark.parametrize("k, n", [(1000, 150), (301, 151), (100, 7)])
+def test_maximal_estimate_equals_the_unblocked_reduction(k, n):
+    # a row's running prefix and norms do not depend on the rows next to it,
+    # so the blocked estimate is the one-array reduction bit for bit
+    zs = substream(12, "unblocked", k, n).normal(size=(n, 3))
+    tag = LpTag(3.0)
+    samples = _prefix_max_norms(rademacher(substream(13, "maximal-rad"), (k, n)).astype(float), zs, tag)
+    want = (samples.mean(), np.std(samples, ddof=1) / np.sqrt(k))
+    assert maximal_rad_estimate(zs, tag, k, seed=13) == want
+    # the plain estimate's product sums a block of rows in BLAS's order,
+    # which may differ from the full product's in the last bits
+    samples = _sum_norms(rademacher(substream(13, "rad"), (k, n)).astype(float), zs, tag)
+    assert np.allclose(rad_estimate(zs, tag, k, seed=13), (samples.mean(), np.std(samples, ddof=1) / np.sqrt(k)), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("estimate", [rad_estimate, maximal_rad_estimate])
+def test_estimate_memory_does_not_grow_with_samples(estimate):
+    # one (20000, 150) sign array alone is 24 MB; the blocked draw holds a
+    # 64 KiB buffer and the (k,) statistics
+    zs = substream(14, "memory").normal(size=(150, 10))
+    tracemalloc.start()
+    try:
+        estimate(zs, LpTag(2.0), 20_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
