@@ -24,13 +24,20 @@ except that ``ComposedL1U.majorant_batch`` fits and keeps ``fitted_coeff`` on fi
 Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
 and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The queries
 ``value_batch(xs, ys)``, ``dirderiv_batch(xs, ys, zs, sigmas)``,
-``norm_batch(xs)`` and ``majorant_batch(xs, ys)`` live once, on
-``BurkholderSpec``, and a construction supplies only its kernels.  A point
-argument is any number of leading batch axes followed by ``point_shape``, so
-a single point is a batch with no leading axes; ``sigmas`` has the batch
-shape alone; any other point shape raises ``ValueError``.  Batch axes
-broadcast, so one row of (x, y, z) against ``sigmas = [+1, -1]`` gives both
-zig-zag derivatives in one call.
+``zigzag_line(xs, ys, zs, ls)``, ``norm_batch(xs)`` and
+``majorant_batch(xs, ys)`` live once, on ``BurkholderSpec``, and a
+construction supplies only its kernels.  A point argument is any number of
+leading batch axes followed by ``point_shape``, so a single point is a batch
+with no leading axes; ``sigmas`` has the batch shape alone; any other point
+shape raises ``ValueError``.  Batch axes broadcast, so one row of (x, y, z)
+against ``sigmas = [+1, -1]`` gives both zig-zag derivatives in one call.
+
+``zigzag_line`` is the certificate's query: the sign-averaged U along the
+zig-zag line (x + l z, y +- l z) at every l of a 1-d array.  By default it
+evaluates those rows; a one-block Hilbert function depends on a line only
+through a few inner products of x, y and z (Burkholder 1984), and the
+even-power function is a polynomial in l, so those two answer it without
+building the rows.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -83,6 +90,9 @@ def optimal_constants(p: float) -> tuple[float, float]:
     return p * (1.0 - 1.0 / p_star) ** (p - 1.0), p_star - 1.0
 
 
+_SIGNS = np.array([1.0, -1.0])  # the two branches y + l z and y - l z of a zig-zag line
+_ROW_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # the steps of x + l z, y + l z and y - l z along a line
+
 # ---------------------------------------------------------------------------
 
 
@@ -131,6 +141,15 @@ class BurkholderSpec:
         ny = self.norm_batch(ys)
         return nx**self.p - self.beta**self.p * ny**self.p
 
+    def zigzag_line(self, xs, ys, zs, ls) -> np.ndarray:
+        """The sign average (U(x + l z, y + l z) + U(x + l z, y - l z)) / 2
+        for every l of the 1-d array ``ls``, at every point of the broadcast
+        batch: shape ``batch + (len(ls),)``."""
+        ls = np.asarray(ls, dtype=float)
+        if ls.ndim != 1:
+            raise ValueError(f"ls must be a 1-d array of line offsets, got shape {ls.shape}")
+        return self._zigzag_line(*self._points(xs, ys, zs), ls)[0]
+
     def _value(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
@@ -142,6 +161,19 @@ class BurkholderSpec:
         up = self._value(xs + h * zs, ys + sigmas * h * zs)
         dn = self._value(xs - h * zs, ys - sigmas * h * zs)
         return (up - dn) / (2.0 * h)
+
+    def _zigzag_line(self, xs, ys, zs, ls):
+        """The rows (x + l z, y + l z) and (x + l z, y - l z) for every l,
+        on a sign axis and a line axis before the point axes, through one
+        ``_value``; the x rows broadcast over the sign axis."""
+        k = len(self.point_shape)
+
+        def lift(a):
+            return a.reshape(a.shape[: a.ndim - k] + (1, 1) + self.point_shape)
+
+        steps = ls.reshape(ls.shape + (1,) * k) * lift(zs)
+        vals = self._value(lift(xs) + steps, lift(ys) + _SIGNS.reshape((2, 1) + (1,) * k) * steps)
+        return 0.5 * (vals[..., 0, :] + vals[..., 1, :])
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Probe sampler: componentwise uniform at two radii, with 10% of
@@ -191,10 +223,13 @@ class _PowerU(BurkholderSpec):
     def _sum_blocks(self, u):
         return u.sum(axis=tuple(range(-self.block_axes, 0))) if self.block_axes else u
 
+    def _kernel(self, r, s):
+        return self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0)
+
     def _value(self, xs, ys):
         r = self._norms(xs, self.tag.dual(xs))
         s = self._norms(ys, self.tag.dual(ys))
-        return self._sum_blocks(self.alpha * (r - self.beta * s) * (r + s) ** (self.p - 1.0))
+        return self._sum_blocks(self._kernel(r, s))
 
     def _dirderiv(self, xs, ys, zs, sigmas):
         # du/dr dr + du/ds ds with dr, ds the block slopes along z and sigma z
@@ -265,6 +300,29 @@ class HilbertU(_PowerU):
             self.tag = LpTag(2.0)
         self.point_shape = (self.dim,)
 
+    def _zigzag_line(self, xs, ys, zs, ls):
+        # z = 2^e u with the entries of u at most 1 in size, so c = <u, u>
+        # neither under- nor overflows.  With t_x = <x, u> / c,
+        #   |x + l z|^2 = |x - t_x u|^2 + c (t_x + l 2^e)^2,
+        # two terms >= 0 (both clamped, as ``_norms`` clamps), so nothing
+        # cancels where x = -l z; the same holds for y +- l z.  The whole
+        # line reads c and, for the rows x, y, y, t and the norm of the part
+        # perpendicular to u.
+        e = np.frexp(np.max(np.abs(zs), axis=-1, keepdims=True))[1]
+        u = np.ldexp(zs, -e)[..., np.newaxis, :]
+        ud = self.tag.dual(u)
+        c = np.maximum(np.sum(ud * u, axis=-1, keepdims=True), 0.0)
+        rows = np.stack(np.broadcast_arrays(xs, ys, ys), axis=-2)
+        dots = np.sum(ud * rows, axis=-1, keepdims=True)
+        # c = 0 for z = 0 or a null direction of the Gram matrix: U is constant on the line
+        t = np.divide(dots, c, out=np.zeros_like(dots), where=c > 0.0)
+        perp = rows - t * u
+        q = np.maximum(np.sum(self.tag.dual(perp) * perp, axis=-1, keepdims=True), 0.0)
+        # the norms of x + l z, y + l z and y - l z, one row each
+        norms = np.sqrt(q + c * (t + _ROW_SIGNS * np.ldexp(ls, e)[..., np.newaxis, :]) ** 2)
+        vals = self._kernel(norms[..., :1, :], norms[..., 1:, :])
+        return 0.5 * (vals[..., 0, :] + vals[..., 1, :])
+
 
 class WeightedL2U(HilbertU):
     """x'Ax - y'Ay for a PSD weight matrix A: the Hilbert p = 2 function
@@ -307,6 +365,14 @@ def elementary_scalar_params(k: int) -> tuple[float, float, float]:
     return c, b, coeff
 
 
+def _powers(a, h: int) -> list:
+    """[a^0, a^1, ..., a^h] by repeated products."""
+    out = [np.ones_like(a), a]
+    for _ in range(h - 1):
+        out.append(out[-1] * a)
+    return out
+
+
 class EvenPowerU(BurkholderSpec):
     """(k/2)(x^k - C x^(k-2) y^2 - B y^k) for even k >= 4: an elementary
     scalar construction with non-sharp constants."""
@@ -325,6 +391,18 @@ class EvenPowerU(BurkholderSpec):
     def _value(self, x, y):
         k = self.k
         return (k / 2.0) * (x**k - self.c * x ** (k - 2) * y**2 - self.b * y**k)
+
+    def _zigzag_line(self, x, y, z, ls):
+        # X = x + l z and w = l z: the sign averages of (y +- w)^2 and
+        # (y +- w)^k are the even terms of their binomial sums, all >= 0, and
+        # every power is a product of squares
+        h = self.k // 2
+        w = ls * z[..., np.newaxis]
+        xp = _powers((x[..., np.newaxis] + w) ** 2, h)
+        yp = _powers(y[..., np.newaxis] ** 2, h)
+        wp = _powers(w**2, h)
+        even = sum(math.comb(self.k, 2 * i) * yp[h - i] * wp[i] for i in range(h + 1))
+        return (self.k / 2.0) * (xp[h] - self.c * xp[h - 1] * (yp[1] + wp[1]) - self.b * even)
 
     def _dirderiv(self, x, y, z, sigmas):
         k = self.k

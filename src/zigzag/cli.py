@@ -31,7 +31,8 @@ from .harness import CONFIG_TABLE, ConfigError, Key, brute_force_minimax, build_
 from .harness import merge_reports, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
 from .losses import LOSSES
-from .rademacher import MAX_DEPTH, MAX_EXACT_DEPTH, MIN_SAMPLES, DyadicTree, hitczenko_check, umd_check
+from .rademacher import DECOUPLING_EXACT_DEPTH, MAX_DEPTH, MAX_EXACT_DEPTH, MAX_PATH_TERMS, MIN_SAMPLES, UMD_EXACT_DEPTH
+from .rademacher import DyadicTree, hitczenko_check, umd_check
 from .rademacher import maximal_rad_estimate, maximal_rad_exact, rad_estimate, rad_exact
 from .rng import substream
 
@@ -49,6 +50,8 @@ CHECK_FLAGS = {
     "rad-oracle": {"depth": _DEPTH._replace(high=MAX_EXACT_DEPTH), "dim": _DIM, "samples": _SAMPLES, "trials": _TRIALS},
     "minimax": {"trials": _TRIALS, "loss": Key("name", "absolute", names=LOSSES)},
 }
+# the checks that draw --samples paths on trees deeper than their exact depth
+_EXACT_DEPTH = {"umd": UMD_EXACT_DEPTH, "decoupling": DECOUPLING_EXACT_DEPTH}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -80,6 +83,11 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     for flag, row in CHECK_FLAGS[args.target].items():
         checked(f"--{flag}", row, getattr(args, flag))
+    if args.target in _EXACT_DEPTH and args.depth > _EXACT_DEPTH[args.target]:
+        dim = getattr(args, "dim", 1)  # a decoupling tree is scalar
+        terms = args.samples * args.depth * dim
+        if terms > MAX_PATH_TERMS:
+            raise ConfigError(f"--samples {args.samples} x depth {args.depth} x dim {dim} = {terms} path terms; a Monte Carlo check draws at most {MAX_PATH_TERMS}")
     if args.target == "burkholder":
         spec = build_spec(load_json(lambda: args.spec, f"--spec {args.spec!r} is not JSON"))
         maj = check_majorization(spec, n_probes=args.probes, seed=args.seed)

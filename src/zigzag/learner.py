@@ -29,11 +29,13 @@ every l' in [-1, 1]
 
 deterministically per round and lane.  ``certificate(x, yhat)`` returns each
 lane's worst slack G_t(0) - yhat * l' - G_t(l') over a grid of l' values,
-from one ``value_batch`` query over the lanes, both sign branches and (S, M);
-it is the per-round witness behind the regret guarantee, and a slack below
-``-CERT_TOL`` is a violation.  ``run_episode(..., certify=True)`` records it
-every round on ``CERT_GRID``, so a certified round queries U three times:
-predict, certificate and ``relaxation_value``.
+from one ``zigzag_line`` query over the lanes, which averages both sign
+branches at every l' of the grid and at l' = 0; it is the per-round witness
+behind the regret guarantee, and a slack below ``-CERT_TOL`` is a violation.
+``run_episode(..., certify=True)`` records it every round on ``CERT_GRID``,
+so a certified round queries U three times: ``dirderiv_batch`` for predict,
+``zigzag_line`` for the certificate and ``value_batch`` for
+``relaxation_value``.
 
 M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -66,6 +68,7 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
+_CSV_ROW = ",".join(["%r"] * len(TRACE_COLUMNS)) + "\n"  # one trace row, each value as its repr
 _SIGMAS = np.array([[1.0, -1.0]])
 _SIGN_BLOCK = 256  # signs each lane draws at a time
 CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
@@ -128,24 +131,14 @@ class ZigZagLearner:
 
     def certificate(self, x, yhat, grid=CERT_GRID) -> np.ndarray:
         """Each lane's worst slack of yhat*l' + G_t(l') <= G_t(0) over a grid
-        of l' in [-1, 1], as a ``(K,)`` array; ``yhat`` broadcasts to the K
+        of l' in [-1, 1], as a ``(K,)`` array, from one ``zigzag_line``
+        query along (S + l'x, M +- l'x); ``yhat`` broadcasts to the K
         lanes."""
-        xs = self._instance(x)
         grid = np.asarray(grid, dtype=float)
         scale = np.reshape(self.eta / self.spec.p, (-1, 1))
-        g = grid.size
-        # rows (S + l'x, M + l'x) and (S + l'x, M - l'x) over the grid, then
-        # (S, M) as the row with l' = 0, for every lane
-        ls = np.concatenate([grid, grid, [0.0]])
-        signs = np.concatenate([np.ones(g), -np.ones(g), [1.0]])
-        axes = (2 * g + 1,) + (1,) * (xs.ndim - 1)
-        steps = ls.reshape(axes) * xs[:, np.newaxis]
-        vals = self.spec.value_batch(
-            self.S[:, np.newaxis] + steps, self.M[:, np.newaxis] + signs.reshape(axes) * steps
-        )  # (K, 2g + 1)
-        g_vals = scale * 0.5 * (vals[:, :g] + vals[:, g : 2 * g])
-        rhs = scale * vals[:, -1:]
-        slack = rhs - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + g_vals)
+        # G_t / scale over the grid and, as the last column, at l' = 0
+        vals = self.spec.zigzag_line(self.S, self.M, self._instance(x), np.append(grid, 0.0))
+        slack = scale * vals[:, -1:] - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + scale * vals[:, :-1])
         return slack.min(axis=1)
 
 
@@ -187,7 +180,7 @@ class EpisodeTrace:
         ``TRACE_COLUMNS`` schema."""
         columns = (getattr(self, name)[:, lane].tolist() for name in TRACE_COLUMNS[1:])
         rows = zip(range(1, self.n + 1), *columns)
-        return ",".join(TRACE_COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        return ",".join(TRACE_COLUMNS) + "\n" + "".join(_CSV_ROW % row for row in rows)
 
 
 def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = False) -> EpisodeTrace:

@@ -34,6 +34,9 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_EXACT_DEPTH",
     "MIN_SAMPLES",
+    "MAX_PATH_TERMS",
+    "UMD_EXACT_DEPTH",
+    "DECOUPLING_EXACT_DEPTH",
     "DyadicTree",
     "rad_estimate",
     "rad_exact",
@@ -49,6 +52,9 @@ __all__ = [
 MAX_DEPTH = 14
 MAX_EXACT_DEPTH = 20  # the exact Rademacher oracles enumerate at most 2^20 sign paths
 MIN_SAMPLES = 100  # the fewest sign draws a Monte Carlo estimate takes
+MAX_PATH_TERMS = 2**24  # terms (samples x depth x dim) a Monte Carlo check draws; one float array of them is 134 MB
+UMD_EXACT_DEPTH = 12  # umd_check takes exact means up to this depth and draws paths on deeper trees
+DECOUPLING_EXACT_DEPTH = 8  # the same for hitczenko_check, unless it is told otherwise
 SIGN_BLOCK = 2**13  # floats in an estimate's sign buffer: 64 KiB, below the allocator's 128 KiB mmap threshold
 
 
@@ -281,7 +287,7 @@ def umd_check(
     deeper trees draw ``k_samples`` paths.
     """
     n = tree.depth
-    exact = n <= 12
+    exact = n <= UMD_EXACT_DEPTH
     if exact:
 
         def sums(pattern):
@@ -354,7 +360,7 @@ def hitczenko_check(
         raise ValueError("decoupling check expects scalar trees")
     n = tree.depth
     if exact is None:
-        exact = n <= 8
+        exact = n <= DECOUPLING_EXACT_DEPTH
     if exact:
         *_, sums = _tree_sums(tree.levels, (1,))
         # leaf i of eps reads node i mod 2^t of level t

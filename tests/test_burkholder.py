@@ -142,6 +142,7 @@ QUERIES = {
     "dirderiv_batch": (3, lambda spec, pts, sigmas: spec.dirderiv_batch(*pts, sigmas)),
     "majorant_batch": (2, lambda spec, pts, sigmas: spec.majorant_batch(*pts[:2])),
     "norm_batch": (1, lambda spec, pts, sigmas: spec.norm_batch(pts[0])),
+    "zigzag_line": (3, lambda spec, pts, sigmas: spec.zigzag_line(*pts, [0.5])[..., 0]),
 }
 GRAM_HILBERT = HilbertU(2.5, gram=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]]))
 
@@ -190,6 +191,64 @@ def test_gram_blocks_multiply_once_per_point(monkeypatch):
         products.clear()
         spec.dirderiv_batch(xs[:, None], ys[:, None], zs[:, None], np.array([[1.0, -1.0]]))
         assert products == [(1, 5, 1, 3), (1, 5, 1, 3)]
+
+
+# The certificate's line: the 41-point grid and l = 0.  ``zigzag_line`` is
+# pinned against its rows (x + l z, y +- l z) through ``value_batch``, to
+# LINE_RTOL of the largest |U| on a point's line, or of 1 if that is smaller.
+CERT_LINE = np.append(np.linspace(-1.0, 1.0, 41), 0.0)
+LINE_RTOL = 1e-12
+_B = substream(23, "dense-gram").normal(size=(6, 6))
+DENSE_GRAM = _B @ _B.T + 0.5 * np.eye(6)
+LINE_SPECS = [HilbertU(2.5, dim=6), HilbertU(1.5, gram=DENSE_GRAM), WeightedL2U(DENSE_GRAM), EvenPowerU(4), EvenPowerU(6), EvenPowerU(8)]
+
+
+def line_rows(spec, xs, ys, zs):
+    """``zigzag_line`` over CERT_LINE from its definition, two
+    ``value_batch`` rows per l."""
+    cols = []
+    for step in CERT_LINE:
+        x = xs + step * zs
+        cols.append(0.5 * (spec.value_batch(x, ys + step * zs) + spec.value_batch(x, ys - step * zs)))
+    return np.stack(cols, axis=-1)
+
+
+def assert_line_pinned(spec, xs, ys, zs):
+    got = spec.zigzag_line(xs, ys, zs, CERT_LINE)
+    want = line_rows(spec, xs, ys, zs)
+    assert got.shape == want.shape
+    scale = np.maximum(1.0, np.abs(want).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(got - want) <= LINE_RTOL * scale), np.max(np.abs(got - want) / scale)
+
+
+@pytest.mark.parametrize("spec", LINE_SPECS, ids=lambda s: f"{s.construction}-p{s.p}-{s.tag.name}")
+def test_zigzag_line_matches_its_rows(spec):
+    rng = substream(24, "line", spec.construction, spec.tag.name)
+    xs, ys, zs = (spec.sample_points(rng, 32) for _ in range(3))
+    assert_line_pinned(spec, xs, ys, zs)
+    # z = 0; |z| = 1e-160, whose <z, z> would be subnormal; x = -l z exactly
+    # at l = 0.5, where |x + l z| is 0
+    tiny = 1e-160 * zs / spec.norm_batch(zs).reshape((-1,) + (1,) * len(spec.point_shape))
+    for x, z in ((xs, np.zeros_like(zs)), (xs, tiny), (-0.5 * zs, zs)):
+        assert_line_pinned(spec, x, ys, z)
+    # lanes against one shared z, as the learner asks
+    assert_line_pinned(spec, xs[:, None], ys[:, None], zs[:1, None])
+
+
+def test_zigzag_line_along_a_gram_null_direction():
+    spec = HilbertU(2.5, gram=np.array([[1.0, 0.0], [0.0, 0.0]]))
+    xs = np.array([[0.3, -2.0], [-1.5, 0.7]])
+    ys = np.array([[1.2, 0.4], [0.0, 5.0]])
+    zs = np.array([[0.0, 1.0], [0.0, -3.0]])
+    got = spec.zigzag_line(xs, ys, zs, CERT_LINE)
+    assert np.array_equal(got, np.repeat(spec.value_batch(xs, ys)[:, None], CERT_LINE.size, axis=1))
+
+
+@pytest.mark.parametrize("spec", [s for s in EIGHT_CONSTRUCTIONS if type(s)._zigzag_line is burkholder.BurkholderSpec._zigzag_line], ids=lambda s: s.construction)
+def test_zigzag_line_is_its_rows_bit_for_bit_without_an_override(spec):
+    rng = substream(25, "line", spec.construction)
+    xs, ys, zs = (spec.sample_points(rng, 8) for _ in range(3))
+    assert spec.zigzag_line(xs, ys, zs, CERT_LINE).tobytes() == line_rows(spec, xs, ys, zs).tobytes()
 
 
 def kink_free_probes(spec, rng, count, margin=1e-2):

@@ -346,10 +346,29 @@ def test_an_unread_flag_is_reported_with_the_sub_command_usage_line(argv, usage,
         ("umd --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p nan", "--p must be a finite number > 0, got nan"),
+        ("umd --depth 13 --samples 1000000000", "--samples 1000000000 x depth 13 x dim 4 = 52000000000 path terms; a Monte Carlo check draws at most 16777216"),
+        ("decoupling --depth 9 --samples 2000000", "--samples 2000000 x depth 9 x dim 1 = 18000000 path terms; a Monte Carlo check draws at most 16777216"),
     ],
 )
 def test_a_check_flag_outside_its_bound_exits_2_with_one_line(argv, message, capsys, no_verifier):
     _assert_one_line_error(main(["check", *argv.split()]), capsys, message)
+
+
+def test_exact_depths_take_any_sample_count(monkeypatch):
+    """The path-term cap holds only where a check draws paths: umd up to
+    depth 12 and decoupling up to depth 8 take exact means."""
+
+    class Ran(Exception):
+        pass
+
+    def ran(*args, **kwargs):
+        raise Ran
+
+    for name in ("umd_check", "hitczenko_check"):
+        monkeypatch.setattr(cli, name, ran)
+    for argv in (["umd", "--depth", "12"], ["decoupling", "--depth", "8"]):
+        with pytest.raises(Ran):
+            main(["check", *argv, "--samples", "1000000000"])
 
 
 def test_readme_and_perfbench_check_commands_parse(monkeypatch):
@@ -387,6 +406,8 @@ def _front_door_sweep(tmp_path):
         for tree in ("random", "prefix-sign"):
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", "1"]
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", depth, "--samples", "100"]
+    for target in ("umd", "decoupling"):  # umd's sign draw alone would take 96.9 GiB
+        yield ["check", target, "--depth", "13", "--samples", "1000000000"]
     yield ["check", "rad-oracle", "--depth", "1", "--dim", "1", "--trials", "1", "--samples", "100"]
     yield ["check", "rad-oracle", "--depth", "20", "--dim", "4", "--trials", "1", "--samples", "100"]  # the deepest exact oracle
     for loss in ("hinge", "absolute", "linear"):
@@ -421,7 +442,7 @@ def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys):
     the last path it prints), or 2 with one ``zigzag: error:`` line; no
     exception escapes."""
     argvs = list(_front_door_sweep(tmp_path))
-    assert len(argvs) == 81
+    assert len(argvs) == 83
     for argv in argvs:
         rc = main(argv)
         out, err = capsys.readouterr()

@@ -150,7 +150,7 @@ def test_one_query_per_predict_and_certificate(spec, monkeypatch):
 
         return wrapper
 
-    for name in ("dirderiv_batch", "value_batch"):
+    for name in ("dirderiv_batch", "value_batch", "zigzag_line"):
         monkeypatch.setattr(spec, name, counted(name))
     learner = make_learner(spec, eta=0.7)
     x = spec.sample_points(substream(4, "query-x"), 1)[0]
@@ -159,7 +159,7 @@ def test_one_query_per_predict_and_certificate(spec, monkeypatch):
     assert yhat.shape == (1,)
     assert calls == {"dirderiv_batch": 1}
     assert learner.certificate(x, yhat) >= -CERT_TOL
-    assert calls == {"dirderiv_batch": 1, "value_batch": 1}
+    assert calls == {"dirderiv_batch": 1, "zigzag_line": 1}
 
 
 LANE_SPECS = [
@@ -208,13 +208,13 @@ def test_per_lane_rates_match_one_lane_residuals():
             assert residual[key][k].tobytes() == value[0].tobytes(), (k, key)
 
 
-def test_per_lane_instances_match_one_lane_learners():
-    spec = LpSumU(3.0, 4)
+@pytest.mark.parametrize("spec", [LpSumU(3.0, 4), HilbertU(2.5, dim=4), *LANE_SPECS[2:4], EvenPowerU(6)], ids=lambda s: f"{s.construction}-{s.tag.name}")
+def test_per_lane_instances_match_one_lane_learners(spec):
     rng = substream(5, "per-lane")
     lanes = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(3)])
     ones = [make_learner(spec, eta=0.7, seed=seed) for seed in range(3)]
     for _ in range(20):
-        xs = rng.normal(size=(3, 4))
+        xs = rng.normal(size=(3, *spec.point_shape))
         yhat = lanes.predict(xs)
         cert = lanes.certificate(xs, yhat)
         dl = np.clip(-yhat, -1.0, 1.0)
@@ -227,9 +227,9 @@ def test_per_lane_instances_match_one_lane_learners():
     assert lanes.S.tobytes() == np.concatenate([one.S for one in ones]).tobytes()
     # neither a wrong lane count nor, on one lane, a length-1 lane axis
     with pytest.raises(ValueError):
-        lanes.predict(np.ones((2, 4)))
+        lanes.predict(np.ones((2, *spec.point_shape)))
     with pytest.raises(ValueError):
-        ones[0].predict(np.ones((1, 4)))
+        ones[0].predict(np.ones((1, *spec.point_shape)))
 
 
 def test_sign_flip_tie_rule():

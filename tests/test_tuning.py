@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from zigzag import tuning
-from zigzag.burkholder import HilbertU, LpSumU, ScalarPowerU, WeightedL2U
+from zigzag.burkholder import EvenPowerU, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import FixedStream, IIDGaussianX
-from zigzag.learner import psi, run_episode
+from zigzag.learner import CERT_TOL, psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
 from zigzag.tuning import DoublingZigZag, ExpectedPhiTracker, default_eta0
@@ -240,3 +240,27 @@ def test_expected_doubling_matches_a_full_scan_tracker(spec, monkeypatch):
     full_logs, full_sups = run()
     assert logs == full_logs
     assert np.array_equal(sups, full_sups)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HilbertU(2.5, dim=3), WeightedL2U(np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])), EvenPowerU(4)],
+    ids=lambda s: s.construction,
+)
+def test_certified_realized_doubling_lanes_match_one_seed_runs(spec):
+    """Per-lane rates and per-lane instances: each lane's certificates are
+    those of a one-seed run, bit for bit."""
+
+    def run(seeds):
+        tuner = DoublingZigZag(spec, "realized", seeds, mc_paths=100, eta0=0.5)
+        trace = run_episode(tuner, "hinge", IIDGaussianX(spec.point_shape, spec.tag, seeds, normalize=False), n=80, certify=True)
+        return tuner.finish(), trace.cert_worst_slack
+
+    seeds = [0, 1, 2, 3]
+    logs, slacks = run(seeds)
+    assert len({len(log) for log in logs}) > 1  # the lanes' rates part
+    assert slacks.min() >= -CERT_TOL
+    for k, seed in enumerate(seeds):
+        one_log, one = run([seed])
+        assert one_log[0] == logs[k]
+        assert np.ascontiguousarray(slacks[:, k]).tobytes() == one[:, 0].tobytes(), seed
