@@ -10,7 +10,8 @@ Subcommands:
 - ``spectral``: the desk-scale matrix prediction run
 - ``report DIR``: digest all summary.json files under a directory
 
-A config, spec or file that cannot be used or a flag outside its bound
+A config, spec or file that cannot be used, a flag outside its bound or a
+check that would build an array of more than ``MAX_FLOATS`` floats
 (``ConfigError``) ends the command with one line on stderr and exit code 2,
 as a usage error does.
 """
@@ -21,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import pathlib
 import sys
 
@@ -31,7 +33,7 @@ from .harness import CONFIG_TABLE, ConfigError, Key, brute_force_minimax, build_
 from .harness import merge_reports, run_experiment, spectral_result, write_outputs
 from .linalg import LpTag, OneTag, SupTag
 from .losses import LOSSES
-from .rademacher import DECOUPLING_EXACT_DEPTH, MAX_DEPTH, MAX_EXACT_DEPTH, MAX_PATH_TERMS, MIN_SAMPLES, UMD_EXACT_DEPTH
+from .rademacher import DECOUPLING_EXACT_DEPTH, MAX_DEPTH, MAX_EXACT_DEPTH, MIN_SAMPLES
 from .rademacher import DyadicTree, hitczenko_check, umd_check
 from .rademacher import maximal_rad_estimate, maximal_rad_exact, rad_estimate, rad_exact
 from .rng import substream
@@ -45,13 +47,32 @@ _P, _DIM, _TRIALS = Key("positive", 2.0), Key("count", 4), Key("count", 10)
 _DEPTH, _SAMPLES = Key("count", 8, high=MAX_DEPTH), Key("count", 4000, low=MIN_SAMPLES)
 CHECK_FLAGS = {
     "burkholder": {"spec": Key("text", '{"construction": "scalar-p", "p": 3.0}'), "probes": Key("count", 10_000)},
-    "umd": {"p": _P, "norm": Key("name", "l2", names=tuple(sorted(_TAGS))), "depth": _DEPTH, "dim": _DIM, "samples": _SAMPLES},
+    "umd": {"p": _P, "norm": Key("name", "l2", names=tuple(sorted(_TAGS))), "depth": _DEPTH, "dim": _DIM},
     "decoupling": {"p": _P, "depth": _DEPTH, "tree": Key("name", "random", names=("random", "prefix-sign")), "samples": _SAMPLES},
     "rad-oracle": {"depth": _DEPTH._replace(high=MAX_EXACT_DEPTH), "dim": _DIM, "samples": _SAMPLES, "trials": _TRIALS},
     "minimax": {"trials": _TRIALS, "loss": Key("name", "absolute", names=LOSSES)},
 }
-# the checks that draw --samples paths on trees deeper than their exact depth
-_EXACT_DEPTH = {"umd": UMD_EXACT_DEPTH, "decoupling": DECOUPLING_EXACT_DEPTH}
+MAX_FLOATS = 2**24  # floats in the largest array one check builds: 134 MB
+
+
+def _check_size(args, point_size: int = 1) -> None:
+    """Raise ``ConfigError`` before a check builds an array of more than
+    ``MAX_FLOATS`` floats.  The largest arrays: the sums on every leaf of
+    umd's and rad-oracle's tree walks, rad-oracle's per-sample statistics,
+    decoupling's sampled path terms above its exact depth (its exact walk
+    holds 4^depth <= 2^16 floats) and burkholder's probe points."""
+    arrays = []  # (floats, their factors, what they are and who holds them)
+    if args.target in ("umd", "rad-oracle"):
+        arrays.append((2**args.depth * args.dim, f"2^{args.depth} sign paths x --dim {args.dim}", "leaf sums; a tree walk holds"))
+    if args.target == "rad-oracle":
+        arrays.append((args.samples, f"--samples {args.samples}", "statistics; a Monte Carlo estimate keeps"))
+    if args.target == "decoupling" and args.depth > DECOUPLING_EXACT_DEPTH:
+        arrays.append((args.samples * args.depth, f"--samples {args.samples} x depth {args.depth} x dim 1", "path terms; a Monte Carlo check draws"))
+    if args.target == "burkholder":
+        arrays.append((args.probes * point_size, f"--probes {args.probes} x point size {point_size}", "coordinates; a probe array holds"))
+    for floats, factors, what in arrays:
+        if floats > MAX_FLOATS:
+            raise ConfigError(f"{factors} = {floats} {what} at most {MAX_FLOATS}")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -74,7 +95,8 @@ def _jsonable(obj):
 
 def _cmd_run(args) -> int:
     config = load_json(pathlib.Path(args.config).read_text, f"config {args.config!r} cannot be read as JSON")
-    summary = run_experiment(config)
+    with np.errstate(over="ignore", invalid="ignore"):  # a run that overflows ends in one ConfigError line, with no warnings
+        summary = run_experiment(config)
     for path in write_outputs(summary, args.out or summary["_settings"]["out_dir"]):
         print(path)
     return 0
@@ -83,23 +105,20 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     for flag, row in CHECK_FLAGS[args.target].items():
         checked(f"--{flag}", row, getattr(args, flag))
-    if args.target in _EXACT_DEPTH and args.depth > _EXACT_DEPTH[args.target]:
-        dim = getattr(args, "dim", 1)  # a decoupling tree is scalar
-        terms = args.samples * args.depth * dim
-        if terms > MAX_PATH_TERMS:
-            raise ConfigError(f"--samples {args.samples} x depth {args.depth} x dim {dim} = {terms} path terms; a Monte Carlo check draws at most {MAX_PATH_TERMS}")
     if args.target == "burkholder":
         spec = build_spec(load_json(lambda: args.spec, f"--spec {args.spec!r} is not JSON"))
+        _check_size(args, math.prod(spec.point_shape))
         maj = check_majorization(spec, n_probes=args.probes, seed=args.seed)
         zz = check_zigzag(spec, n_probes=args.probes, seed=args.seed)
         payload = {"construction": spec.construction, "majorization": maj, "zigzag": zz}
         _emit(payload, args.out)
         return 0 if (maj.ok and zz.midpoint_violations == 0) else 1
+    _check_size(args)
     if args.target == "umd":
         rng = substream(args.seed, "cli-umd-tree")
         tree = DyadicTree.random_gaussian(args.depth, args.dim, rng)
         tag = _TAGS[args.norm]()
-        report = umd_check(args.p, tag, tree, k_samples=args.samples, seed=args.seed)
+        report = umd_check(args.p, tag, tree, seed=args.seed)
         payload = {
             "p": report.p,
             "max_ratio_root": report.max_ratio_root,

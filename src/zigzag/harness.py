@@ -208,16 +208,21 @@ class SignFlip:
     answering every lane's prediction at once.
 
     Tie rule: a prediction equal to zero, -0.0 included, gets the label +1.
+    A NaN prediction has no sign: it raises ``ConfigError`` naming the
+    ``seeds`` of the lanes and the round.
     """
 
-    def __init__(self, base):
+    def __init__(self, base, seeds=()):
         self.base = base
+        self.seeds = list(seeds)
 
     def next_x(self, t):
         return self.base.next_x(t)
 
     def next_y(self, t, x, yhat):
-        return np.where(yhat == 0.0, 1.0, -np.sign(yhat))
+        if np.isnan(yhat).any():
+            raise ConfigError(f"seeds {self.seeds}: round {t} predicted NaN, which sign-flip cannot label; the run overflowed a float")
+        return np.where(yhat > 0.0, -1.0, 1.0)
 
 
 def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
@@ -233,7 +238,7 @@ def make_adversary(cfg: dict, shape: tuple, tag: NormTag, seeds):
     else:
         draws = IIDGaussianX if source == "iid-gaussian" else IIDRademacherCoordsX
         adversary = draws(shape, tag, seeds, cfg["normalize"])
-    return SignFlip(adversary) if cfg["kind"] == "sign-flip" else adversary
+    return SignFlip(adversary, seeds) if cfg["kind"] == "sign-flip" else adversary
 
 
 def _fixed_stream(cfg: dict) -> FixedStream:

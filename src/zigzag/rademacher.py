@@ -5,10 +5,10 @@ on dyadic martingale trees.
 A dyadic tree of depth n stores, for each level t, the 2^(t-1) values
 x_t(eps_{1:t-1}) indexed by the sign path so far, so a path of signs selects
 a predictable process and eps_t x_t(eps_{1:t-1}) is a martingale difference
-sequence.  A tree has at most 14 levels (``MAX_DEPTH``), so the exact
-means of the UMD and decoupling checks over all its 2^n paths stay
-feasible; the exact Rademacher oracles take sequences of up to 20 steps
-(``MAX_EXACT_DEPTH``).
+sequence.  A tree has at most 14 levels (``MAX_DEPTH``), so the UMD check
+takes exact means over all its 2^n paths at every depth, and the
+decoupling check up to depth 8 (``DECOUPLING_EXACT_DEPTH``); the exact
+Rademacher oracles take sequences of up to 20 steps (``MAX_EXACT_DEPTH``).
 
 Every exact oracle walks the tree level by level: level t holds the 2^t
 distinct sign prefixes, each extended by both signs of the next step, so a
@@ -34,8 +34,6 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_EXACT_DEPTH",
     "MIN_SAMPLES",
-    "MAX_PATH_TERMS",
-    "UMD_EXACT_DEPTH",
     "DECOUPLING_EXACT_DEPTH",
     "DyadicTree",
     "rad_estimate",
@@ -52,9 +50,7 @@ __all__ = [
 MAX_DEPTH = 14
 MAX_EXACT_DEPTH = 20  # the exact Rademacher oracles enumerate at most 2^20 sign paths
 MIN_SAMPLES = 100  # the fewest sign draws a Monte Carlo estimate takes
-MAX_PATH_TERMS = 2**24  # terms (samples x depth x dim) a Monte Carlo check draws; one float array of them is 134 MB
-UMD_EXACT_DEPTH = 12  # umd_check takes exact means up to this depth and draws paths on deeper trees
-DECOUPLING_EXACT_DEPTH = 8  # the same for hitczenko_check, unless it is told otherwise
+DECOUPLING_EXACT_DEPTH = 8  # hitczenko_check takes exact means up to this depth and draws paths on deeper trees, unless it is told otherwise
 SIGN_BLOCK = 2**13  # floats in an estimate's sign buffer: 64 KiB, below the allocator's 128 KiB mmap threshold
 
 
@@ -240,13 +236,6 @@ def maximal_rad_exact(zs, tag: NormTag) -> float:
     return _exact(_tree_prefix_max_norms, zs, tag)
 
 
-def _path_terms(tree: DyadicTree, rng: np.random.Generator, k_samples: int) -> np.ndarray:
-    """The terms eps_t x_t(eps_{1:t-1}) of shape (k_samples, depth, dim) on
-    ``k_samples`` sign paths drawn from ``rng``."""
-    signs = rademacher(rng, (k_samples, tree.depth))
-    return signs[:, :, np.newaxis] * tree.path_values(signs)
-
-
 def umd_reference_constant(tag: NormTag, p: float, dim: int) -> dict:
     """Reference sign-invariance constants per space, for reporting next to
     the empirically found ratios.  Entries marked order-only suppress an
@@ -270,56 +259,37 @@ class UMDReport:
     exact: bool = False
 
 
-def umd_check(
-    p: float,
-    tag: NormTag,
-    tree: DyadicTree,
-    k_samples: int = 2000,
-    n_patterns: int = 64,
-    seed: int = 0,
-) -> UMDReport:
-    """Estimate E||sum xi_t eps_t x_t||^p / E||sum eps_t x_t||^p over a
+def umd_check(p: float, tag: NormTag, tree: DyadicTree, n_patterns: int = 64, seed: int = 0) -> UMDReport:
+    """Compute E||sum xi_t eps_t x_t||^p / E||sum eps_t x_t||^p over a
     search set of fixed sign patterns xi (the all-ones and alternating
     patterns plus random ones) and report the largest ratio^(1/p).
 
-    The search lower-bounds the sign-invariance constant.  Up to depth 12
-    both sides are exact means over all 2^n paths, walked once per pattern;
-    deeper trees draw ``k_samples`` paths.
+    The search lower-bounds the sign-invariance constant.  Both sides are
+    exact means over all 2^n paths, walked once per pattern, at every depth
+    a tree may have; ``seed`` draws the random patterns.
     """
     n = tree.depth
-    exact = n <= UMD_EXACT_DEPTH
-    if exact:
-
-        def sums(pattern):
-            *_, leaves = _tree_sums([xi * x for xi, x in zip(pattern, tree.levels)], (tree.dim,))
-            return leaves
-
-    else:
-        terms = _path_terms(tree, substream(seed, "umd-paths"), k_samples)
-
-        def sums(pattern):
-            return (terms * pattern[np.newaxis, :, np.newaxis]).sum(axis=1)
-
     rng_pat = substream(seed, "umd-patterns")
     patterns = [np.ones(n), np.array([(-1.0) ** t for t in range(n)])]
     patterns += [rademacher(rng_pat, n).astype(float) for _ in range(n_patterns)]
 
     def moment(pattern):
-        return _mean_se(tag.norm_batch(sums(pattern)) ** p, exact)
+        *_, leaves = _tree_sums([xi * x for xi, x in zip(pattern, tree.levels)], (tree.dim,))
+        return float(np.mean(tag.norm_batch(leaves) ** p))
 
     moments = [moment(pat) for pat in patterns]
-    rhs_mean, rhs_se = moments[0]  # the all-ones pattern leaves the martingale as it is
+    rhs_mean = moments[0]  # the all-ones pattern leaves the martingale as it is
     if rhs_mean == 0.0:
         raise ValueError("degenerate tree: the base martingale is identically zero")
-    rows = [(pat.astype(int).tolist(), mean, se, mean / rhs_mean) for pat, (mean, se) in zip(patterns, moments)]
+    rows = [(pat.astype(int).tolist(), mean, 0.0, mean / rhs_mean) for pat, mean in zip(patterns, moments)]
     return UMDReport(
         p=p,
         rhs_mean=rhs_mean,
-        rhs_se=rhs_se,
+        rhs_se=0.0,
         patterns=rows,
         max_ratio_root=max(row[3] for row in rows) ** (1.0 / p),
         reference=umd_reference_constant(tag, p, tree.dim),
-        exact=exact,
+        exact=True,
     )
 
 
@@ -367,7 +337,8 @@ def hitczenko_check(
         *_, decoupled = _tree_sums([np.tile(lvl[:, 0], 2 ** (n - t)) for t, lvl in enumerate(tree.levels)], (2**n,))
     else:
         rng = substream(seed, "decoupling")
-        terms = _path_terms(tree, rng, k_samples)[..., 0]  # (paths, n)
+        signs = rademacher(rng, (k_samples, n))
+        terms = signs * tree.path_values(signs)[..., 0]  # eps_t x_t(eps) on (paths, n)
         sums = terms.sum(axis=1)
         decoupled = (rademacher(rng, (k_samples, n)).astype(float) * terms).sum(axis=1)  # one fresh eps' per path
     lhs_mean, lhs_se = _mean_se(np.abs(sums) ** p, exact)

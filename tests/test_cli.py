@@ -53,7 +53,7 @@ def test_check_minimax(capsys):
 
 
 def test_main_builds_its_parser_once_and_a_usage_error_leaves_it_unchanged(tmp_path, monkeypatch, capsys):
-    argvs = {"umd": ["check", "umd", "--depth", "6", "--dim", "2", "--samples", "400"], "minimax": ["check", "minimax", "--trials", "3"]}
+    argvs = {"umd": ["check", "umd", "--depth", "6", "--dim", "2"], "minimax": ["check", "minimax", "--trials", "3"]}
 
     def call(name, label):
         out = tmp_path / f"{label}-{name}.json"
@@ -273,28 +273,37 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # each check target's flags besides --seed and --out
 CHECK_TARGET_FLAGS = {
     "burkholder": {"spec", "probes"},
-    "umd": {"p", "norm", "depth", "dim", "samples"},
+    "umd": {"p", "norm", "depth", "dim"},
     "decoupling": {"p", "depth", "tree", "samples"},
     "rad-oracle": {"depth", "dim", "samples", "trials"},
     "minimax": {"trials", "loss"},
 }
 
 
+# what each check target calls first once its flags pass their bounds
+# (burkholder builds its spec before its bound, which needs the point size)
+VERIFIERS = ("check_majorization", "substream", "umd_check", "hitczenko_check", "rad_exact", "brute_force_minimax")
+
+
+def _replace_verifiers(monkeypatch, fn, names=VERIFIERS):
+    for name in names:
+        monkeypatch.setattr(cli, name, fn)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the flags were checked")
+
+
 @pytest.fixture
 def no_verifier(monkeypatch):
     """Make the first call of every check target raise, so a test sees a
     flag rejected before any verifier ran."""
-
-    def never(*args, **kwargs):
-        raise AssertionError("ran before the flags were checked")
-
-    for name in ("build_spec", "check_majorization", "substream", "umd_check", "hitczenko_check", "rad_exact", "brute_force_minimax"):
-        monkeypatch.setattr(cli, name, never)
+    _replace_verifiers(monkeypatch, _never, ("build_spec", *VERIFIERS))
 
 
-def test_check_targets_take_27_target_flag_pairs():
+def test_check_targets_take_26_target_flag_pairs():
     assert {target: set(flags) for target, flags in cli.CHECK_FLAGS.items()} == CHECK_TARGET_FLAGS
-    assert sum(len(flags) + 2 for flags in CHECK_TARGET_FLAGS.values()) == 27
+    assert sum(len(flags) + 2 for flags in CHECK_TARGET_FLAGS.values()) == 26
 
 
 @pytest.mark.parametrize("target", CHECK_TARGET_FLAGS)
@@ -338,7 +347,6 @@ def test_an_unread_flag_is_reported_with_the_sub_command_usage_line(argv, usage,
         ("umd --dim 0", "--dim must be at least 1, got 0"),
         ("rad-oracle --dim 0", "--dim must be at least 1, got 0"),
         ("burkholder --probes 0", "--probes must be at least 1, got 0"),
-        ("umd --samples 99", "--samples must be at least 100, got 99"),
         ("decoupling --samples 99", "--samples must be at least 100, got 99"),
         ("rad-oracle --samples 99", "--samples must be at least 100, got 99"),
         ("rad-oracle --trials 0", "--trials must be at least 1, got 0"),
@@ -346,7 +354,7 @@ def test_an_unread_flag_is_reported_with_the_sub_command_usage_line(argv, usage,
         ("umd --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p nan", "--p must be a finite number > 0, got nan"),
-        ("umd --depth 13 --samples 1000000000", "--samples 1000000000 x depth 13 x dim 4 = 52000000000 path terms; a Monte Carlo check draws at most 16777216"),
+        ("umd --depth 14 --dim 1025", "2^14 sign paths x --dim 1025 = 16793600 leaf sums; a tree walk holds at most 16777216"),
         ("decoupling --depth 9 --samples 2000000", "--samples 2000000 x depth 9 x dim 1 = 18000000 path terms; a Monte Carlo check draws at most 16777216"),
     ],
 )
@@ -354,32 +362,36 @@ def test_a_check_flag_outside_its_bound_exits_2_with_one_line(argv, message, cap
     _assert_one_line_error(main(["check", *argv.split()]), capsys, message)
 
 
+class Ran(Exception):
+    """Raised by a verifier a test put in place: the flags passed their bounds."""
+
+
+def _ran(*args, **kwargs):
+    raise Ran
+
+
 def test_exact_depths_take_any_sample_count(monkeypatch):
-    """The path-term cap holds only where a check draws paths: umd up to
-    depth 12 and decoupling up to depth 8 take exact means."""
-
-    class Ran(Exception):
-        pass
-
-    def ran(*args, **kwargs):
-        raise Ran
-
-    for name in ("umd_check", "hitczenko_check"):
-        monkeypatch.setattr(cli, name, ran)
-    for argv in (["umd", "--depth", "12"], ["decoupling", "--depth", "8"]):
-        with pytest.raises(Ran):
-            main(["check", *argv, "--samples", "1000000000"])
+    """The path-term cap holds only where a check draws paths: decoupling
+    up to depth 8 takes exact means."""
+    monkeypatch.setattr(cli, "hitczenko_check", _ran)
+    with pytest.raises(Ran):
+        main(["check", "decoupling", "--depth", "8", "--samples", "1000000000"])
 
 
 def test_readme_and_perfbench_check_commands_parse(monkeypatch):
+    """Every README and perfbench ``verify`` check command parses and passes
+    its flags' bounds and the memory bound, up to the first verifier call."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import plan
 
     readme = [shlex.split(line)[1:] for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("zigzag check ")]
     assert len(readme) == 5
     parser = cli.build_parser()
+    _replace_verifiers(monkeypatch, _ran)
     for argv in readme + list(plan.VERIFY_COMMANDS.values()):
         assert parser.parse_args(argv).target == argv[1]
+        with pytest.raises(Ran):
+            main(argv)
 
 
 def _flag_doc(flag, row):
@@ -394,20 +406,30 @@ def test_readme_lists_every_check_flag_with_its_bound_and_default():
         assert f"- `{target}`: " + ", ".join(_flag_doc(flag, row) for flag, row in flags.items()) + "\n" in readme
 
 
+# argv lists over the memory bound; the sweep runs them with every verifier
+# replaced, so a bound that let one through fails the test, not the machine
+OVER_THE_BOUND = [
+    ["check", "decoupling", "--depth", "13", "--samples", "1000000000"],
+    ["check", "umd", "--depth", "14", "--dim", "1025"],
+    ["check", "rad-oracle", "--depth", "20", "--dim", "17"],
+    ["check", "rad-oracle", "--depth", "1", "--samples", "16777217"],
+    ["check", "burkholder", "--spec", '{"construction": "hilbert", "p": 2.5, "d": 64}', "--probes", "262145"],
+]
+
+
 def _front_door_sweep(tmp_path):
     """argv lists at the edges of every check target's flags, of spectral's
     tau, rounds and net size, of specs whose constants overflow a float and
-    of a run whose numbers do."""
-    depth = str(cli.CHECK_FLAGS["umd"]["depth"].high)  # the Monte Carlo side: above the exact depth 12
+    of runs whose numbers do."""
+    depth = str(cli.CHECK_FLAGS["umd"]["depth"].high)
     for p in ("1e-6", "0.5", "1", "1.5", "50"):
         for norm in cli.CHECK_FLAGS["umd"]["norm"].names:
             yield ["check", "umd", "--p", p, "--norm", norm, "--depth", "1", "--dim", "1"]
-            yield ["check", "umd", "--p", p, "--norm", norm, "--depth", depth, "--dim", "1", "--samples", "100"]
+            yield ["check", "umd", "--p", p, "--norm", norm, "--depth", depth, "--dim", "1"]
         for tree in ("random", "prefix-sign"):
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", "1"]
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", depth, "--samples", "100"]
-    for target in ("umd", "decoupling"):  # umd's sign draw alone would take 96.9 GiB
-        yield ["check", target, "--depth", "13", "--samples", "1000000000"]
+    yield from OVER_THE_BOUND
     yield ["check", "rad-oracle", "--depth", "1", "--dim", "1", "--trials", "1", "--samples", "100"]
     yield ["check", "rad-oracle", "--depth", "20", "--dim", "4", "--trials", "1", "--samples", "100"]  # the deepest exact oracle
     for loss in ("hinge", "absolute", "linear"):
@@ -430,6 +452,7 @@ def _front_door_sweep(tmp_path):
         ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 150}, 5),
         ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 100}, 5),
         ("zigzag", {"construction": "scalar-p", "p": 120}, 20),  # plays every round, then its residual overflows
+        ("zigzag", {"construction": "scalar-p", "p": 140}, 200),  # predicts NaN in round 184
     ]
     for i, (algorithm, spec, n) in enumerate(runs):
         path = tmp_path / f"config{i}.json"
@@ -437,14 +460,17 @@ def _front_door_sweep(tmp_path):
         yield ["run", str(path), "--out", str(tmp_path / f"out{i}")]
 
 
-def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys):
+def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys, monkeypatch):
     """Every call exits 0 or 1 with JSON on stdout (a run's summary.json is
     the last path it prints), or 2 with one ``zigzag: error:`` line; no
     exception escapes."""
     argvs = list(_front_door_sweep(tmp_path))
-    assert len(argvs) == 83
+    assert len(argvs) == 87
     for argv in argvs:
-        rc = main(argv)
+        with monkeypatch.context() as guard:
+            if argv in OVER_THE_BOUND:
+                _replace_verifiers(guard, _never)
+            rc = main(argv)
         out, err = capsys.readouterr()
         if rc == 2:
             assert err.count("\n") == 1 and err.startswith("zigzag: error: "), (argv, err)

@@ -11,6 +11,7 @@ from zigzag.harness import (
     AdaptiveGD,
     ConfigError,
     FixedStream,
+    SignFlip,
     brute_force_minimax,
     make_adversary,
     offline_comparator,
@@ -301,6 +302,18 @@ def test_a_run_whose_numbers_overflow_is_rejected_before_any_output():
     config = {"algorithm": "zigzag", "spec": {"construction": "scalar-p", "p": 120}, "adversary": {"kind": "sign-flip"}, "n": 20, "seeds": [0, 1]}
     with pytest.raises(ConfigError, match=r"^seed 0: residual holds -inf, not a finite number; the run overflowed a float$"):
         run_experiment(config)
+
+
+def test_a_run_that_predicts_nan_is_rejected_in_that_round():
+    """scalar-p p = 140 predicts NaN in round 184 of 200; sign-flip cannot
+    label it, so the run ends there with one ConfigError naming the seeds
+    and the round, not a ValueError from the loss."""
+    config = {"algorithm": "zigzag", "spec": {"construction": "scalar-p", "p": 140}, "adversary": {"kind": "sign-flip"}, "loss": "hinge", "n": 200, "seeds": [0]}
+    message = r"^seeds \[0\]: round 184 predicted NaN, which sign-flip cannot label; the run overflowed a float$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match=message):
+        run_experiment(config)
+    with pytest.raises(ConfigError, match=r"^seeds \[3, 5\]: round 7 predicted NaN"):
+        SignFlip(None, [3, 5]).next_y(7, None, np.array([1.0, np.nan]))
 
 
 FIXED_FILE_FAULTS = {

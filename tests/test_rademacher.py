@@ -305,7 +305,7 @@ def _term_tensor_moments(report, tree, tag):
     return moments
 
 
-UMD_WALK_CASES = [(name, dim, depth) for name in WALK_TAGS for dim, depth in [(2, 6), (4, 12), (16, 9)] if name != "gram" or dim == 4]
+UMD_WALK_CASES = [(name, dim, depth) for name in WALK_TAGS for dim, depth in [(2, 6), (4, 12), (16, 9), (4, 13), (4, 14)] if name != "gram" or dim == 4]
 
 
 @pytest.mark.parametrize("name, dim, depth", UMD_WALK_CASES)
