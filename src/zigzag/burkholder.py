@@ -34,10 +34,12 @@ against ``sigmas = [+1, -1]`` gives both zig-zag derivatives in one call.
 
 ``zigzag_line`` is the certificate's query: the sign-averaged U along the
 zig-zag line (x + l z, y +- l z) at every l of a 1-d array.  By default it
-evaluates those rows; a one-block Hilbert function depends on a line only
-through a few inner products of x, y and z (Burkholder 1984), and the
-even-power function is a polynomial in l, so those two answer it without
-building the rows.
+evaluates those rows, a chunk of at most ``LINE_CHUNK`` floats at a time,
+so a call over many points (a block of recorded rounds) builds no larger
+temporaries than one over a few.  A one-block Hilbert function depends on
+a line only through a few inner products of x, y and z (Burkholder 1984),
+and the even-power function is a polynomial in l, so those two answer it
+without building the rows.
 
 Kink convention: wherever |.| or a norm is non-smooth, the directional
 derivative uses the selection sign(0) = 0 (derivative of the even extension).
@@ -92,6 +94,8 @@ def optimal_constants(p: float) -> tuple[float, float]:
 
 _SIGNS = np.array([1.0, -1.0])  # the two branches y + l z and y - l z of a zig-zag line
 _ROW_SIGNS = np.array([[1.0], [1.0], [-1.0]])  # the steps of x + l z, y + l z and y - l z along a line
+LINE_CHUNK = 2**13  # floats in one chunk of the point rows a default zigzag_line builds
+CHECK_CHUNK = 2**16  # point floats of the probes a check evaluates at once
 
 # ---------------------------------------------------------------------------
 
@@ -164,16 +168,24 @@ class BurkholderSpec:
 
     def _zigzag_line(self, xs, ys, zs, ls):
         """The rows (x + l z, y + l z) and (x + l z, y - l z) for every l,
-        on a sign axis and a line axis before the point axes, through one
-        ``_value``; the x rows broadcast over the sign axis."""
+        on a sign axis and a line axis after the batch axis, through one
+        ``_value`` per chunk of points whose rows hold at most
+        ``LINE_CHUNK`` floats (at least one point); the x rows broadcast
+        over the sign axis."""
         k = len(self.point_shape)
-
-        def lift(a):
-            return a.reshape(a.shape[: a.ndim - k] + (1, 1) + self.point_shape)
-
-        steps = ls.reshape(ls.shape + (1,) * k) * lift(zs)
-        vals = self._value(lift(xs) + steps, lift(ys) + _SIGNS.reshape((2, 1) + (1,) * k) * steps)
-        return 0.5 * (vals[..., 0, :] + vals[..., 1, :])
+        xs, ys, zs = np.broadcast_arrays(xs, ys, zs)
+        batch = xs.shape[: xs.ndim - k]
+        xs, ys, zs = (a.reshape((-1, 1, 1) + self.point_shape) for a in (xs, ys, zs))
+        ls = ls.reshape(ls.shape + (1,) * k)
+        signs = _SIGNS.reshape((2, 1) + (1,) * k)
+        out = np.empty((len(xs), len(ls)))
+        step = max(1, LINE_CHUNK // (2 * ls.size * math.prod(self.point_shape)))
+        for lo in range(0, len(xs), step):
+            chunk = slice(lo, lo + step)
+            steps = ls * zs[chunk]
+            vals = self._value(xs[chunk] + steps, ys[chunk] + signs * steps)
+            out[chunk] = 0.5 * (vals[:, 0] + vals[:, 1])
+        return out.reshape(batch + (len(ls),))
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Probe sampler: componentwise uniform at two radii, with 10% of
@@ -639,6 +651,13 @@ class ZigzagReport:
     n_probes: int
 
 
+def _probe_chunks(spec: BurkholderSpec, n_probes: int):
+    """Slices of at most ``CHECK_CHUNK`` point floats (at least one probe)
+    over a check's probes, which it evaluates one slice at a time."""
+    step = max(1, CHECK_CHUNK // math.prod(spec.point_shape))
+    return [slice(lo, lo + step) for lo in range(0, n_probes, step)]
+
+
 def check_majorization(
     spec: BurkholderSpec,
     n_probes: int = 10_000,
@@ -651,12 +670,15 @@ def check_majorization(
     rng = substream(seed, "majorization", spec.construction)
     xs = spec.sample_points(rng, n_probes)
     ys = spec.sample_points(rng, n_probes)
-    vals = spec.value_batch(xs, ys)
-    maj = majorant(xs, ys) if majorant is not None else spec.majorant_batch(xs, ys)
-    slack = vals - maj
+    majorant = majorant if majorant is not None else spec.majorant_batch
+    violations, worst = 0, []
+    for c in _probe_chunks(spec, n_probes):
+        slack = spec.value_batch(xs[c], ys[c]) - majorant(xs[c], ys[c])
+        violations += int(np.sum(slack < -tol))
+        worst.append(slack.min())
     return MajorizationReport(
-        violations=int(np.sum(slack < -tol)),
-        worst_slack=float(slack.min()),
+        violations=violations,
+        worst_slack=float(np.min(worst)),
         n_probes=n_probes,
     )
 
@@ -673,7 +695,8 @@ def check_zigzag(
     Midpoint test: U at the midpoint of a random interval [t1, t2] must be at
     least the endpoint average, slack >= -tol.  A raw central second
     difference at a random offset must stay below 1e-10 times the local
-    magnitude of U (at least 1).
+    magnitude of U (at least 1).  Every probe is drawn first; they are then
+    evaluated in chunks of at most ``CHECK_CHUNK`` point floats.
     """
     rng = substream(seed, "zigzag", spec.construction)
     fn = value_fn if value_fn is not None else spec.value_batch
@@ -682,31 +705,34 @@ def check_zigzag(
     zs = spec.sample_points(rng, n_probes)
     sigma = rademacher(rng, n_probes).astype(float)
     ts = np.sort(rng.uniform(-1.5, 1.5, size=(n_probes, 2)), axis=1)
-    t1, t2 = ts[:, 0], ts[:, 1]
-    tm = 0.5 * (t1 + t2)
-
-    extra = (1,) * (xs.ndim - 1)
-
-    def at(alpha):
-        a = alpha.reshape((-1,) + extra)
-        s = sigma.reshape((-1,) + extra)
-        return fn(xs + a * zs, ys + s * a * zs)
-
-    v1, v2, vm = at(t1), at(t2), at(tm)
-    slack = vm - 0.5 * (v1 + v2)
-    midpoint_violations = int(np.sum(slack < -tol))
-
-    # raw central second difference, scaled by the local magnitude of U
-    h = 1e-3
     a0 = rng.uniform(-1.0, 1.0, size=n_probes)
-    v0 = at(a0)
-    sd = (at(a0 - h) + at(a0 + h) - 2.0 * v0) / np.maximum(1.0, np.abs(v0))
+    h = 1e-3
+    extra = (1,) * (xs.ndim - 1)
+    midpoint_violations = second_diff_breaches = 0
+    worst_slack, worst_sd = [], []
+    for c in _probe_chunks(spec, n_probes):
+        s = sigma[c].reshape((-1,) + extra)
+
+        def at(alpha):
+            a = alpha.reshape((-1,) + extra)
+            return fn(xs[c] + a * zs[c], ys[c] + s * a * zs[c])
+
+        t1, t2 = ts[c, 0], ts[c, 1]
+        v1, v2, vm = at(t1), at(t2), at(0.5 * (t1 + t2))
+        slack = vm - 0.5 * (v1 + v2)
+        midpoint_violations += int(np.sum(slack < -tol))
+        worst_slack.append(slack.min())
+        # raw central second difference, scaled by the local magnitude of U
+        v0 = at(a0[c])
+        sd = (at(a0[c] - h) + at(a0[c] + h) - 2.0 * v0) / np.maximum(1.0, np.abs(v0))
+        second_diff_breaches += int(np.sum(sd > 1e-10))
+        worst_sd.append(sd.max())
 
     return ZigzagReport(
         midpoint_violations=midpoint_violations,
-        worst_midpoint_slack=float(slack.min()),
-        second_diff_breaches=int(np.sum(sd > 1e-10)),
-        worst_second_diff=float(sd.max()),
+        worst_midpoint_slack=float(np.min(worst_slack)),
+        second_diff_breaches=second_diff_breaches,
+        worst_second_diff=float(np.max(worst_sd)),
         n_probes=n_probes,
     )
 

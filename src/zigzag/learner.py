@@ -32,10 +32,18 @@ lane's worst slack G_t(0) - yhat * l' - G_t(l') over a grid of l' values,
 from one ``zigzag_line`` query over the lanes, which averages both sign
 branches at every l' of the grid and at l' = 0; it is the per-round witness
 behind the regret guarantee, and a slack below ``-CERT_TOL`` is a violation.
-``run_episode(..., certify=True)`` records it every round on ``CERT_GRID``,
-so a certified round queries U three times: ``dirderiv_batch`` for predict,
-``zigzag_line`` for the certificate and ``value_batch`` for
-``relaxation_value``.
+``run_episode(..., certify=True)`` records it every round on ``CERT_GRID``.
+
+Nothing in the next round reads a certificate or a relaxation value, so
+``run_episode`` keeps only the adversary, ``predict``, label validation,
+``dloss`` and ``update`` in its round loop, where a round queries U once
+(``dirderiv_batch`` for predict).  It copies the state those recorded
+queries read into buffers of ``BLOCK`` rounds and answers each block with one
+``certificate`` call (one ``zigzag_line`` query) and one
+``relaxation_value`` call (one ``value_batch`` query) over the block's
+leading round axis; the losses are one ``loss_batch`` after the loop.  Every
+query is elementwise or reduces only trailing point or grid axes, so a
+recorded value has the bits of a per-round query.
 
 M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -65,6 +73,7 @@ __all__ = [
     "TRACE_COLUMNS",
     "CERT_GRID",
     "CERT_TOL",
+    "BLOCK",
 ]
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
@@ -74,6 +83,7 @@ _SIGN_BLOCK = 256  # signs each lane draws at a time
 CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
 CERT_GRID.flags.writeable = False
 CERT_TOL = 1e-8  # a slack below -CERT_TOL is a violation
+BLOCK = 16  # rounds whose certificates and relaxation values run_episode answers with one query each
 
 
 class ZigZagLearner:
@@ -126,20 +136,34 @@ class ZigZagLearner:
         self.t += 1
         return eps
 
-    def relaxation_value(self) -> np.ndarray:
-        return (self.eta / self.spec.p) * self.spec.value_batch(self.S, self.M)
+    def state(self) -> tuple:
+        """``(S, M, eta/p)``, the state ``certificate`` and
+        ``relaxation_value`` read; eta/p is one number or one per lane."""
+        return self.S, self.M, self.eta / self.spec.p
 
-    def certificate(self, x, yhat, grid=CERT_GRID) -> np.ndarray:
+    def relaxation_value(self, state=None) -> np.ndarray:
+        """(eta/p) U(S, M) for each lane: of the live state, or of a
+        recorded ``state()`` stacked over leading round axes."""
+        S, M, scale = self.state() if state is None else state
+        return scale * self.spec.value_batch(S, M)
+
+    def certificate(self, x, yhat, grid=CERT_GRID, state=None) -> np.ndarray:
         """Each lane's worst slack of yhat*l' + G_t(l') <= G_t(0) over a grid
         of l' in [-1, 1], as a ``(K,)`` array, from one ``zigzag_line``
         query along (S + l'x, M +- l'x); ``yhat`` broadcasts to the K
-        lanes."""
+        lanes.  With a recorded ``state()`` stacked over leading round axes,
+        ``x`` holds the rounds' ``(K, *point_shape)`` instances and ``yhat``
+        their ``(K,)`` predictions on the same axes, and so does the
+        result."""
         grid = np.asarray(grid, dtype=float)
-        scale = np.reshape(self.eta / self.spec.p, (-1, 1))
+        if state is None:
+            x, state = self._instance(x), self.state()
+        S, M, scale = state
+        scale = np.expand_dims(scale, -1)
         # G_t / scale over the grid and, as the last column, at l' = 0
-        vals = self.spec.zigzag_line(self.S, self.M, self._instance(x), np.append(grid, 0.0))
-        slack = scale * vals[:, -1:] - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + scale * vals[:, :-1])
-        return slack.min(axis=1)
+        vals = self.spec.zigzag_line(S, M, x, np.append(grid, 0.0))
+        slack = scale * vals[..., -1:] - (np.asarray(yhat, dtype=float)[..., np.newaxis] * grid + scale * vals[..., :-1])
+        return slack.min(axis=-1)
 
 
 def lane_instances(x, point_shape: tuple, lanes: int) -> np.ndarray:
@@ -188,16 +212,26 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
 
     ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
     and ``update(x, dloss) -> eps`` taking and returning K values; a
-    ``begin_round(x)`` hook (doubling tuners) and ``relaxation_value()`` are
+    ``begin_round(x)`` hook (doubling tuners) and ``relaxation_value`` are
     used when present.  ``certify`` records each round's per-lane
     ``certificate(x, yhat)`` as ``cert_worst_slack``.
     ``adversary.next_x(t)`` gives one x_t for all lanes or one per lane, and
     ``adversary.next_y(t, x, yhat)`` answers the K predictions at once (a
     label that ignores them may be shared by all lanes).  The adversary owns
     its randomness, so learner and adversary draws never interact.
+
+    The recorded queries run once per block of ``BLOCK`` rounds, on the
+    ``state()`` copied before (certificate) and after (relaxation value)
+    each round's update.
     """
     columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:-1]}
+    columns["rel_value"][:] = np.nan
     cert_slacks = np.empty((n, learner.lanes)) if certify else None
+    relax = hasattr(learner, "relaxation_value")
+    if certify or relax:
+        point = (BLOCK, learner.lanes, *learner.spec.point_shape)
+        before, after = ((np.empty(point), np.empty(point), np.empty(point[:2])) for _ in range(2))
+        block_xs = np.empty(point)
     xs = []
     for i in range(n):
         x = adversary.next_x(i + 1)
@@ -206,15 +240,26 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
         yhat = learner.predict(x)
         y = adversary.next_y(i + 1, x, yhat)
         validate_labels(loss_name, y)
-        lv = loss_batch(loss_name, yhat, y)
         dl = dloss_batch(loss_name, yhat, y)
+        j = i % BLOCK
         if certify:
-            cert_slacks[i] = learner.certificate(x, yhat)
+            block_xs[j] = x
+            for buf, value in zip(before, learner.state()):
+                buf[j] = value
         eps = learner.update(x, dl)
-        rel = learner.relaxation_value() if hasattr(learner, "relaxation_value") else np.nan
         xs.append(np.asarray(x, dtype=float))
-        for column, value in zip(columns.values(), (yhat, y, lv, dl, eps, rel)):
-            column[i] = value
+        for name, value in (("yhat", yhat), ("y", y), ("dloss", dl), ("eps", eps)):
+            columns[name][i] = value
+        if relax:
+            for buf, value in zip(after, learner.state()):
+                buf[j] = value
+        if (certify or relax) and (j == BLOCK - 1 or i == n - 1):
+            rounds, m = slice(i - j, i + 1), j + 1
+            if certify:
+                cert_slacks[rounds] = learner.certificate(block_xs[:m], columns["yhat"][rounds], state=tuple(buf[:m] for buf in before))
+            if relax:
+                columns["rel_value"][rounds] = learner.relaxation_value(tuple(buf[:m] for buf in after))
+    columns["loss"][:] = loss_batch(loss_name, columns["yhat"], columns["y"])
     # a running total starts at +0.0, so a -0.0 first loss sums to +0.0; cumsum keeps it -0.0
     cum_loss = np.cumsum(columns["loss"], axis=0) + 0.0
     return EpisodeTrace(xs=xs, cert_worst_slack=cert_slacks, cum_loss=cum_loss, **columns)

@@ -190,11 +190,19 @@ def _tree_sums(steps, shape: tuple):
     2^(t+1) sign prefixes, where ``steps[t]`` is v_t: one value shared by
     every prefix of length t, or one row per prefix.  The children of row j
     are row j (sign -1) and row j + 2^t (sign +1), so row i of the last
-    level is leaf i."""
-    prefix = np.zeros((1, *shape))
+    level is leaf i.
+
+    Every level is written in place into one ``(2^n, *shape)`` buffer, by
+    the two operations prefix + v and prefix - v that build it, so a yielded
+    level is valid only until the next one is yielded."""
+    buf = np.empty((2 ** len(steps), *shape))
+    buf[0] = 0.0
+    w = 1
     for v in steps:
-        prefix = np.concatenate([prefix - v, prefix + v])
-        yield prefix
+        np.add(buf[:w], v, out=buf[w : 2 * w])
+        np.subtract(buf[:w], v, out=buf[:w])
+        w *= 2
+        yield buf[:w]
 
 
 def _tree_sum_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -206,10 +214,14 @@ def _tree_sum_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
 
 def _tree_prefix_max_norms(zs: np.ndarray, tag: NormTag) -> np.ndarray:
     """``_prefix_max_norms`` on every sign path, leaf by leaf; the norm of
-    each distinct prefix is computed once."""
-    best = np.zeros(1)
+    each distinct prefix is computed once.  A child inherits its parent's
+    running maximum, in one ``(2^n,)`` array laid out as the walk's
+    levels."""
+    best = np.zeros(2 ** len(zs))
     for prefix in _tree_sums(zs, zs.shape[1:]):
-        best = np.maximum(np.concatenate([best, best]), tag.norm_batch(prefix))
+        w = len(prefix) // 2
+        best[w : 2 * w] = best[:w]
+        np.maximum(best[: 2 * w], tag.norm_batch(prefix), out=best[: 2 * w])
     return best
 
 

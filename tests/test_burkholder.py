@@ -251,6 +251,17 @@ def test_zigzag_line_is_its_rows_bit_for_bit_without_an_override(spec):
     assert spec.zigzag_line(xs, ys, zs, CERT_LINE).tobytes() == line_rows(spec, xs, ys, zs).tobytes()
 
 
+@pytest.mark.parametrize("spec", EIGHT_CONSTRUCTIONS + [GRAM_HILBERT], ids=lambda s: f"{s.construction}-{s.tag.name}")
+def test_zigzag_line_does_not_depend_on_its_chunks(spec, monkeypatch):
+    rng = substream(26, "line-chunks", spec.construction)
+    xs, ys, zs = (spec.sample_points(rng, 24).reshape((3, 8, *spec.point_shape)) for _ in range(3))
+    monkeypatch.setattr(burkholder, "LINE_CHUNK", 2**40)
+    whole = spec.zigzag_line(xs, ys, zs[:1], CERT_LINE)
+    monkeypatch.setattr(burkholder, "LINE_CHUNK", 1)  # one point's rows per chunk
+    assert spec.zigzag_line(xs, ys, zs[:1], CERT_LINE).tobytes() == whole.tobytes()
+    assert whole.shape == (3, 8, CERT_LINE.size)
+
+
 def kink_free_probes(spec, rng, count, margin=1e-2):
     """Probe triples (x, y, z) with every coordinate of x and y bounded away
     from the |.| kinks."""
@@ -357,6 +368,22 @@ def test_zigzag_negative_control_detects_convexity():
 
     rep = check_zigzag(spec, n_probes=5_000, seed=3, tol=1e-7, value_fn=negated)
     assert rep.midpoint_violations > 0
+
+
+@pytest.mark.parametrize(
+    "spec, n_probes",
+    [(ScalarPowerU(3.0), 300), (HilbertU(2.5, dim=5), 200), (ComposedL1U(L1WeakTypeU(a=4.0, dim=3), bound=4.0, eps=0.1), 60)],
+    ids=["scalar-p", "hilbert", "l1-composed"],
+)
+def test_probe_checks_do_not_depend_on_their_chunks(spec, n_probes, monkeypatch):
+    reports = []
+    for chunk in (burkholder.CHECK_CHUNK, 1):  # the default, then one probe per chunk
+        monkeypatch.setattr(burkholder, "CHECK_CHUNK", chunk)
+        maj = check_majorization(spec, n_probes=n_probes, seed=7)
+        zz = check_zigzag(spec, n_probes=n_probes, seed=8)
+        reports.append((maj, zz))
+    assert reports[0] == reports[1]
+    assert len(burkholder._probe_chunks(spec, n_probes)) == n_probes
 
 
 def test_elementary_scalar_params():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from zigzag.burkholder import EvenPowerU, GroupP2U, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
 from zigzag.harness import IIDGaussianX, SignFlip
-from zigzag.learner import CERT_TOL, ZigZagLearner, psi, run_episode, theorem_residual, validate_labels
+from zigzag.learner import BLOCK, CERT_TOL, ZigZagLearner, psi, run_episode, theorem_residual, validate_labels
 from zigzag.linalg import LpTag, conjugate
-from zigzag.losses import dloss_batch
+from zigzag.losses import dloss_batch, loss_batch
 from zigzag.rng import substream
+from zigzag.tuning import DoublingZigZag
 
 
 class ConstantX:
@@ -195,6 +197,73 @@ def test_lanes_match_one_lane_runs_bit_for_bit(spec, kind):
         # the tie rule is exercised: a -0.0 prediction at round 2 gets +1
         tied = (trace.yhat[1] == 0.0) & np.signbit(trace.yhat[1])
         assert np.any(tied) and np.all(trace.y[1][tied] == 1.0)
+
+
+def replay(learner, loss_name, adversary, n):
+    """The protocol round by round, with each round's certificate, loss and
+    relaxation value queried in that round: the ``(n, K)`` columns
+    ``cert_worst_slack``, ``rel_value`` and ``loss``."""
+    cert, rel, loss = [], [], []
+    for t in range(1, n + 1):
+        x = adversary.next_x(t)
+        if hasattr(learner, "begin_round"):
+            learner.begin_round(x)
+        yhat = learner.predict(x)
+        y = adversary.next_y(t, x, yhat)
+        cert.append(learner.certificate(x, yhat))
+        loss.append(np.broadcast_to(loss_batch(loss_name, yhat, y), yhat.shape))
+        learner.update(x, dloss_batch(loss_name, yhat, y))
+        rel.append(np.broadcast_to(learner.relaxation_value(), yhat.shape))
+    return {"cert_worst_slack": np.array(cert), "rel_value": np.array(rel), "loss": np.array(loss)}
+
+
+def assert_block_path_is_the_replay(make, adversary, n):
+    assert n % BLOCK  # a last block that is not full
+    trace = run_episode(make(), "hinge", adversary(), n, certify=True)
+    for column, want in replay(make(), "hinge", adversary(), n).items():
+        assert getattr(trace, column).tobytes() == want.tobytes(), column
+
+
+@pytest.mark.parametrize("n", [5, 37])
+@pytest.mark.parametrize("lanes", [1, 8])
+@pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda s: s.construction)
+def test_block_queries_equal_a_round_by_round_replay(spec, lanes, n):
+    def adversary():
+        return SignFlip(IIDGaussianX(spec.point_shape, spec.tag, list(range(lanes)), normalize=True))
+
+    assert_block_path_is_the_replay(lambda: ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in range(lanes)]), adversary, n)
+
+
+@pytest.mark.parametrize("mode", ["realized", "expected"])
+def test_doubling_block_queries_equal_a_round_by_round_replay(mode):
+    """The lanes restart mid-block, so a recorded state carries the rates
+    and zeroed sums of the round it was copied in."""
+    spec, seeds = HilbertU(2.5, dim=3), [0, 1, 2]
+
+    def make():
+        tuner = DoublingZigZag(spec, mode, seeds, mc_paths=100, eta0=0.5)
+        made.append(tuner)
+        return tuner
+
+    made = []
+    assert_block_path_is_the_replay(make, lambda: IIDGaussianX(spec.point_shape, spec.tag, seeds, normalize=False), 37)
+    assert all(len(log) >= 3 for log in made[0].finish())
+
+
+@pytest.mark.parametrize("spec", [LpSumU(3.0, 10), HilbertU(2.5, dim=10)], ids=lambda s: s.construction)
+def test_certified_episode_memory_is_bounded(spec):
+    # the block buffers and one block's line rows stay small: a larger
+    # block constant shows here before it shows in the benchmark's RSS
+    seeds = list(range(8))
+    learner = ZigZagLearner(spec, 0.7, [substream(seed, "learner") for seed in seeds])
+    adversary = SignFlip(IIDGaussianX(spec.point_shape, spec.tag, seeds, normalize=True))
+    tracemalloc.start()
+    try:
+        run_episode(learner, "hinge", adversary, n=150, certify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_per_lane_rates_match_one_lane_residuals():

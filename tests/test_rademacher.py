@@ -9,6 +9,7 @@ from zigzag.rademacher import (
     _prefix_max_norms,
     _sign_blocks,
     _sum_norms,
+    _tree_sums,
     hitczenko_check,
     maximal_rad_estimate,
     maximal_rad_exact,
@@ -279,6 +280,22 @@ def test_rad_tree_walk_equals_path_enumeration(tag):
             zs = rng.normal(size=(n, dim))
             table = _sum_norms(_shift_and_mask_signs(n), zs, tag).mean()
             assert rad_exact(zs, tag) == pytest.approx(table, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("per_prefix", [False, True], ids=["shared-steps", "per-prefix-steps"])
+def test_tree_walk_levels_equal_concatenation(per_prefix):
+    # the walk writes each level into one buffer in place; every level as it
+    # is yielded must hold the bits of concatenate([prefix - v, prefix + v])
+    rng = substream(14, "walk-levels", int(per_prefix))
+    for n in range(1, 13):
+        steps = [rng.normal(size=(2**t, 3) if per_prefix else (3,)) for t in range(n)]
+        prefix = np.zeros((1, 3))
+        depth = 0
+        for v, level in zip(steps, _tree_sums(steps, (3,))):
+            prefix = np.concatenate([prefix - v, prefix + v])
+            assert level.tobytes() == prefix.tobytes(), (n, depth)
+            depth += 1
+        assert depth == n
 
 
 MATRIX_TAGS = {"l2": LpTag(2.0), "sup": SupTag(), "one": OneTag(), "group-p2": GroupP2Tag(3.0)}
