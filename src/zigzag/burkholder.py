@@ -24,13 +24,20 @@ except that ``ComposedL1U.majorant_batch`` fits and keeps ``fitted_coeff`` on fi
 Points are 0-d arrays for scalar constructions, 1-d arrays for vector ones
 and 2-d arrays for matrix ones; ``point_shape`` names the shape.  The queries
 ``value_batch(xs, ys)``, ``dirderiv_batch(xs, ys, zs, sigmas)``,
-``zigzag_line(xs, ys, zs, ls)``, ``norm_batch(xs)`` and
-``majorant_batch(xs, ys)`` live once, on ``BurkholderSpec``, and a
-construction supplies only its kernels.  A point argument is any number of
-leading batch axes followed by ``point_shape``, so a single point is a batch
-with no leading axes; ``sigmas`` has the batch shape alone; any other point
-shape raises ``ValueError``.  Batch axes broadcast, so one row of (x, y, z)
-against ``sigmas = [+1, -1]`` gives both zig-zag derivatives in one call.
+``mean_dirderiv(xs, ys, zs)``, ``zigzag_line(xs, ys, zs, ls)``,
+``norm_batch(xs)`` and ``majorant_batch(xs, ys)`` live once, on
+``BurkholderSpec``, and a construction supplies only its kernels.  A point
+argument is any number of leading batch axes followed by ``point_shape``, so
+a single point is a batch with no leading axes; ``sigmas`` has the batch
+shape alone; any other point shape raises ``ValueError``.  Batch axes
+broadcast, so one row of (x, y, z) against ``sigmas = [+1, -1]`` gives both
+zig-zag derivatives in one call.
+
+``mean_dirderiv`` is the learner's query, the exact two-point mean of the
+zig-zag derivative over sigma = +-1.  The power kernels and even-power
+compute only its sigma-even part a, which carries less rounding than the
+sum of both signs' derivatives (off by ulp(b) where the odd part b is much
+larger than a); the l1 constructions average the two.
 
 ``zigzag_line`` is the certificate's query: the sign-averaged U along the
 zig-zag line (x + l z, y +- l z) at every l of a 1-d array.  By default it
@@ -133,6 +140,12 @@ class BurkholderSpec:
         point of the broadcast batch."""
         return self._dirderiv(*self._points(xs, ys, zs), np.asarray(sigmas, dtype=float)[np.newaxis])[0]
 
+    def mean_dirderiv(self, xs, ys, zs) -> np.ndarray:
+        """The sign average of ``dirderiv_batch`` over sigma = +1 and -1:
+        the derivative at a = 0 of (U(x + a z, y + a z) + U(x + a z, y - a z)) / 2,
+        at every point of the broadcast batch."""
+        return self._mean_dirderiv(*self._points(xs, ys, zs))[0]
+
     def norm_batch(self, xs) -> np.ndarray:
         """The norm of every point of a batch."""
         (xs,) = self._points(xs)
@@ -165,6 +178,12 @@ class BurkholderSpec:
         up = self._value(xs + h * zs, ys + sigmas * h * zs)
         dn = self._value(xs - h * zs, ys - sigmas * h * zs)
         return (up - dn) / (2.0 * h)
+
+    def _mean_dirderiv(self, xs, ys, zs):
+        # both signs on a last batch axis, averaged
+        k = len(self.point_shape)
+        dd = self._dirderiv(*(np.expand_dims(a, a.ndim - k) for a in (xs, ys, zs)), _SIGNS)
+        return 0.5 * (dd[..., 0] + dd[..., 1])
 
     def _zigzag_line(self, xs, ys, zs, ls):
         """The rows (x + l z, y + l z) and (x + l z, y - l z) for every l,
@@ -243,6 +262,15 @@ class _PowerU(BurkholderSpec):
         s = self._norms(ys, self.tag.dual(ys))
         return self._sum_blocks(self._kernel(r, s))
 
+    def _partials(self, r, s):
+        """(t^(p-1), core) at every block, t = r + s: du/dr is
+        alpha (t^(p-1) + core) and du/ds is alpha (-beta t^(p-1) + core)."""
+        t = r + s
+        tp1 = t ** (self.p - 1.0)
+        safe = t > 0.0
+        tp2 = np.where(safe, np.where(safe, t, 1.0) ** (self.p - 2.0), 0.0)
+        return tp1, (self.p - 1.0) * (r - self.beta * s) * tp2
+
     def _dirderiv(self, xs, ys, zs, sigmas):
         # du/dr dr + du/ds ds with dr, ds the block slopes along z and sigma z
         sigmas = sigmas.reshape(sigmas.shape + (1,) * self.block_axes)
@@ -250,14 +278,17 @@ class _PowerU(BurkholderSpec):
         yd = self.tag.dual(ys)
         r = self._norms(xs, xd)
         s = self._norms(ys, yd)
-        t = r + s
-        tp1 = t ** (self.p - 1.0)
-        safe = t > 0.0
-        tp2 = np.where(safe, np.where(safe, t, 1.0) ** (self.p - 2.0), 0.0)
-        core = (self.p - 1.0) * (r - self.beta * s) * tp2
+        tp1, core = self._partials(r, s)
         du_dr = self.alpha * (tp1 + core)
         du_ds = self.alpha * (-self.beta * tp1 + core)
         return self._sum_blocks(du_dr * self._slopes(xd, r, zs) + du_ds * (sigmas * self._slopes(yd, s, zs)))
+
+    def _mean_dirderiv(self, xs, ys, zs):
+        # the du/ds term is odd in sigma, so the sign average is du/dr dr alone
+        xd = self.tag.dual(xs)
+        r = self._norms(xs, xd)
+        tp1, core = self._partials(r, self._norms(ys, self.tag.dual(ys)))
+        return self._sum_blocks(self.alpha * (tp1 + core) * self._slopes(xd, r, zs))
 
 
 class ScalarPowerU(_PowerU):
@@ -425,6 +456,11 @@ class EvenPowerU(BurkholderSpec):
             - self.b * k * y ** (k - 1) * sz
         )
         return (k / 2.0) * d
+
+    def _mean_dirderiv(self, x, y, z):
+        # the y^(k-1) z and x^(k-2) y z terms are odd in sigma and cancel
+        k = self.k
+        return (k / 2.0) * ((k * x ** (k - 1) - self.c * (k - 2) * x ** (k - 3) * y**2) * z)
 
 
 # ---------------------------------------------------------------------------

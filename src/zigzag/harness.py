@@ -27,7 +27,7 @@ import pathlib
 import numpy as np
 
 from .burkholder import BurkholderSpec, make_spec
-from .learner import ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
+from .learner import BLOCK, ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import MIN_SAMPLES, rad_estimate
@@ -138,10 +138,22 @@ class ConfigError(ValueError):
 # adversaries
 
 
+def _lane_form(xs):
+    """One round's ``(K, *shape)`` instances as ``next_x`` gives them: the
+    instance itself when K = 1."""
+    return xs[0] if len(xs) == 1 else xs
+
+
 class IIDGaussianX:
     """Gaussian instances of the given shape scaled onto the unit sphere of
     the configured norm; labels are fresh uniform signs.  ``next_x`` gives the
-    K lanes' instances (the instance itself when K = 1), ``next_y`` K labels."""
+    K lanes' instances (the instance itself when K = 1), ``next_y`` K labels.
+
+    ``draw(rounds)`` is the one draw path: each lane's next ``rounds``
+    instances from one generator call, normalized with one ``norm_batch``,
+    the numbers of that many one-round draws.  ``next_x`` draws one round,
+    because ``next_y`` draws labels from the same generators; ``SignFlip``,
+    which draws none, takes a block."""
 
     def __init__(self, shape, tag: NormTag, seeds, normalize: bool):
         self.shape = shape
@@ -149,15 +161,21 @@ class IIDGaussianX:
         self.normalize = normalize
         self.rngs = [substream(seed, "adversary") for seed in seeds]
 
-    def _draw(self, k):
-        return self.rngs[k].normal(size=self.shape)
+    def _draw(self, rounds):
+        """Each lane's next ``rounds`` raw draws, lane by lane: ``(K * rounds, *shape)``."""
+        return np.concatenate([rng.normal(size=(rounds, *self.shape)) for rng in self.rngs])
 
-    def next_x(self, t):
-        xs = np.stack([self._draw(k) for k in range(len(self.rngs))])
+    def draw(self, rounds: int) -> np.ndarray:
+        """The K lanes' instances of the next ``rounds`` rounds, shape
+        ``(rounds, K, *shape)``."""
+        xs = self._draw(rounds)
         if self.normalize:
             norms = self.tag.norm_batch(xs)
-            xs = xs / np.where(norms > 0, norms, 1.0).reshape((-1,) + (1,) * (xs.ndim - 1))
-        return xs[0] if len(xs) == 1 else xs
+            xs /= np.where(norms > 0, norms, 1.0).reshape((-1,) + (1,) * len(self.shape))
+        return np.ascontiguousarray(xs.reshape((len(self.rngs), rounds, *self.shape)).swapaxes(0, 1))
+
+    def next_x(self, t):
+        return _lane_form(self.draw(1)[0])
 
     def next_y(self, t, x, yhat):
         # the draw rng.choice([-1.0, 1.0]) makes, without its overhead
@@ -167,8 +185,8 @@ class IIDGaussianX:
 class IIDRademacherCoordsX(IIDGaussianX):
     """Sign-vector instances scaled onto the unit sphere of the norm."""
 
-    def _draw(self, k):
-        return (self.rngs[k].integers(0, 2, size=self.shape) * 2 - 1).astype(float)
+    def _draw(self, rounds):
+        return (np.concatenate([rng.integers(0, 2, size=(rounds, *self.shape)) for rng in self.rngs]) * 2 - 1).astype(float)
 
 
 class LowRankStream(IIDGaussianX):
@@ -177,11 +195,18 @@ class LowRankStream(IIDGaussianX):
 
     def __init__(self, shape: tuple, rank: int, tag: NormTag, seeds, normalize: bool):
         super().__init__(shape, tag, seeds, normalize)
-        self.bases = [substream(seed, "low-rank-basis").normal(size=(*shape, rank)) for seed in seeds]
+        self.rank = rank
+        # lane k's basis as (1, *shape[:-1], shape[-1] or 1, rank) matrices
+        bases = [substream(seed, "low-rank-basis").normal(size=(*shape, rank)) for seed in seeds]
+        self.bases = np.stack(bases).reshape((len(seeds), 1, *shape[:-1], -1, rank))
 
-    def _draw(self, k):
-        basis = self.bases[k]
-        return basis @ self.rngs[k].normal(size=basis.shape[-1])
+    def _draw(self, rounds):
+        # every lane's (rank, 1) coefficient column of every round against its
+        # basis in one stacked matmul: each product has the bits of
+        # basis @ v, which v @ basis.T would not keep
+        v = np.concatenate([rng.normal(size=(rounds, self.rank)) for rng in self.rngs])
+        v = v.reshape((len(self.rngs), rounds) + (1,) * len(self.shape[:-1]) + (self.rank, 1))
+        return np.matmul(self.bases, v).reshape((-1, *self.shape))
 
 
 class FixedStream:
@@ -205,7 +230,9 @@ class FixedStream:
 
 class SignFlip:
     """Label adversary y_t = -sign(yhat_t), wrapping any instance source and
-    answering every lane's prediction at once.
+    answering every lane's prediction at once.  It never draws the base's
+    labels, so a base with ``draw`` gives its instances ``BLOCK`` rounds at
+    a time; rounds are read in order from t = 1.
 
     Tie rule: a prediction equal to zero, -0.0 included, gets the label +1.
     A NaN prediction has no sign: it raises ``ConfigError`` naming the
@@ -215,9 +242,14 @@ class SignFlip:
     def __init__(self, base, seeds=()):
         self.base = base
         self.seeds = list(seeds)
+        self._block = None
 
     def next_x(self, t):
-        return self.base.next_x(t)
+        if not hasattr(self.base, "draw"):  # a stream that replays its instances
+            return self.base.next_x(t)
+        if (t - 1) % BLOCK == 0:
+            self._block = self.base.draw(BLOCK)
+        return _lane_form(self._block[(t - 1) % BLOCK])
 
     def next_y(self, t, x, yhat):
         if np.isnan(yhat).any():

@@ -8,8 +8,10 @@ The prediction is the negated derivative at zero of
 
 where S and M accumulate l'_s x_s and eps_s l'_s x_s along a realized sign
 path.  The two-point expectation over sigma is always computed exactly, from
-one ``dirderiv_batch`` query that returns both signs.  Predictions are not
-clipped.
+one ``mean_dirderiv`` query, the exact two-point mean of the zig-zag
+derivative; where the sigma-odd terms cancel in closed form it computes only
+the even part, which carries less rounding than adding the two signs'
+derivatives.  Predictions are not clipped.
 
 Lanes: the regret guarantee holds in expectation over the learner's own signs
 eps, so one learner steps K independent sign paths together.  ``S`` and ``M``
@@ -37,13 +39,13 @@ behind the regret guarantee, and a slack below ``-CERT_TOL`` is a violation.
 Nothing in the next round reads a certificate or a relaxation value, so
 ``run_episode`` keeps only the adversary, ``predict``, label validation,
 ``dloss`` and ``update`` in its round loop, where a round queries U once
-(``dirderiv_batch`` for predict).  It copies the state those recorded
-queries read into buffers of ``BLOCK`` rounds and answers each block with one
-``certificate`` call (one ``zigzag_line`` query) and one
-``relaxation_value`` call (one ``value_batch`` query) over the block's
-leading round axis; the losses are one ``loss_batch`` after the loop.  Every
-query is elementwise or reduces only trailing point or grid axes, so a
-recorded value has the bits of a per-round query.
+(``mean_dirderiv``, the exact two-point mean, for predict).  It copies the
+state those recorded queries read into buffers of ``BLOCK`` rounds and
+answers each block with one ``certificate`` call (one ``zigzag_line``
+query) and one ``relaxation_value`` call (one ``value_batch`` query) over
+the block's leading round axis; the losses are one ``loss_batch`` after the
+loop.  Every query is elementwise or reduces only trailing point or grid
+axes, so a recorded value has the bits of a per-round query.
 
 M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -78,7 +80,6 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "yhat", "y", "loss", "dloss", "eps", "rel_value", "cum_loss")
 _CSV_ROW = ",".join(["%r"] * len(TRACE_COLUMNS)) + "\n"  # one trace row, each value as its repr
-_SIGMAS = np.array([[1.0, -1.0]])
 _SIGN_BLOCK = 256  # signs each lane draws at a time
 CERT_GRID = np.linspace(-1.0, 1.0, 41)  # the l' values a certificate checks
 CERT_GRID.flags.writeable = False
@@ -116,8 +117,7 @@ class ZigZagLearner:
     def predict(self, x) -> np.ndarray:
         """The K lanes' predictions for instance x."""
         x = self._instance(x)
-        dd = self.spec.dirderiv_batch(self.S[:, np.newaxis], self.M[:, np.newaxis], x[:, np.newaxis], _SIGMAS)
-        return -(self.eta / self.spec.p) * 0.5 * (dd[:, 0] + dd[:, 1])
+        return -(self.eta / self.spec.p) * self.spec.mean_dirderiv(self.S, self.M, x)
 
     def update(self, x, dloss) -> np.ndarray:
         """Draw every lane's next sign, absorb its subgradient step (``dloss``

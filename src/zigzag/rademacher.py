@@ -144,7 +144,7 @@ def _mean_se(samples: np.ndarray, exact: bool = False) -> tuple[float, float]:
 
 def _sum_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:
     """Per sign row, ||sum_t eps_t z_t||."""
-    return tag.norm_batch(np.tensordot(signs, zs, axes=(1, 0)))
+    return tag.norm_batch((signs @ zs.reshape(len(zs), -1)).reshape((len(signs), *zs.shape[1:])))
 
 
 def _prefix_max_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:

@@ -119,6 +119,39 @@ def test_dirderiv_batch_matches_rows(spec):
         assert got.shape == (2, 3) and np.all(got == 4.0)
 
 
+@pytest.mark.parametrize("spec", EIGHT_CONSTRUCTIONS + [ScalarPowerU(1.5), HilbertU(2.5, gram=np.diag([2.0, 1.0, 0.5, 3.0]))], ids=lambda s: s.construction)
+def test_mean_dirderiv_is_the_two_sign_average(spec):
+    """On K = 8 lane states against a shared and a per-lane instance, the
+    sign average matches the two signs' derivatives averaged: bit for bit for
+    the l1 constructions, which average the two, and elsewhere, where the
+    sigma-odd terms cancel in closed form, to 1e-12 of the larger of the two
+    signs' derivatives, the size of the terms the average adds."""
+    rng = substream(23, "mean-dirderiv", spec.construction)
+    S, M, xs = (spec.sample_points(rng, 8) for _ in range(3))
+    for x in (xs[0], xs):
+        got = spec.mean_dirderiv(S, M, x)
+        assert got.shape == (8,)
+        up, down = spec.dirderiv_batch(S, M, x, +1), spec.dirderiv_batch(S, M, x, -1)
+        want = 0.5 * (up + down)
+        if spec.construction.startswith("l1"):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(up), np.abs(down)))
+
+
+def test_mean_dirderiv_is_exactly_zero_where_du_dr_vanishes():
+    """Scalar p = 3 has beta = 2, so du/dr = alpha (t^2 + 2 (r - 2s) t) is 0
+    at |x| = |y|: the sign average is exactly zero, though each sign's
+    derivative is not."""
+    spec = ScalarPowerU(3.0)
+    x = np.array([0.75, -0.75, 1.25, 3.0])
+    y = np.array([0.75, 0.75, -1.25, -3.0])
+    z = np.array([0.5, -0.3, 1.0, 0.2])
+    assert np.all(spec.mean_dirderiv(x, y, z) == 0.0)
+    for sigma in (+1, -1):
+        assert np.all(spec.dirderiv_batch(x, y, z, sigma) != 0.0)
+
+
 def assert_leading_axes(spec, xs, ys, zs, sigmas):
     """A (2, 8) batch of points answers exactly as the flat 16-row batch."""
 
@@ -140,6 +173,7 @@ def assert_leading_axes(spec, xs, ys, zs, sigmas):
 QUERIES = {
     "value_batch": (2, lambda spec, pts, sigmas: spec.value_batch(*pts[:2])),
     "dirderiv_batch": (3, lambda spec, pts, sigmas: spec.dirderiv_batch(*pts, sigmas)),
+    "mean_dirderiv": (3, lambda spec, pts, sigmas: spec.mean_dirderiv(*pts)),
     "majorant_batch": (2, lambda spec, pts, sigmas: spec.majorant_batch(*pts[:2])),
     "norm_batch": (1, lambda spec, pts, sigmas: spec.norm_batch(pts[0])),
     "zigzag_line": (3, lambda spec, pts, sigmas: spec.zigzag_line(*pts, [0.5])[..., 0]),
@@ -191,6 +225,9 @@ def test_gram_blocks_multiply_once_per_point(monkeypatch):
         products.clear()
         spec.dirderiv_batch(xs[:, None], ys[:, None], zs[:, None], np.array([[1.0, -1.0]]))
         assert products == [(1, 5, 1, 3), (1, 5, 1, 3)]
+        products.clear()
+        spec.mean_dirderiv(xs, ys, zs)
+        assert products == [(1, 5, 3), (1, 5, 3)]
 
 
 # The certificate's line: the 41-point grid and l = 0.  ``zigzag_line`` is

@@ -452,7 +452,7 @@ def _front_door_sweep(tmp_path):
         ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 150}, 5),
         ("zigzag-doubling-realized", {"construction": "scalar-p", "p": 100}, 5),
         ("zigzag", {"construction": "scalar-p", "p": 120}, 20),  # plays every round, then its residual overflows
-        ("zigzag", {"construction": "scalar-p", "p": 140}, 200),  # predicts NaN in round 184
+        ("zigzag", {"construction": "scalar-p", "p": 140}, 200),  # predicts NaN in round 195
     ]
     for i, (algorithm, spec, n) in enumerate(runs):
         path = tmp_path / f"config{i}.json"

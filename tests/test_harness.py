@@ -21,6 +21,7 @@ from zigzag.harness import (
     SUMMARY_KEYS,
 )
 from zigzag.burkholder import make_spec
+from zigzag.learner import BLOCK, ZigZagLearner, run_episode
 from zigzag.linalg import GramTag, LpTag
 from zigzag.rademacher import rad_exact
 from zigzag.rng import substream
@@ -93,6 +94,58 @@ def test_sign_flip_base_takes_its_own_keys(base):
     summary = run_experiment(config)
     assert {k for k in summary if not k.startswith("_")} == set(SUMMARY_KEYS)
     assert all(cell["cert_worst_slack"] >= -1e-8 for cell in summary["_cells"])
+
+
+BLOCK_DRAW_SOURCES = [
+    ({"base": "iid-gaussian"}, ()),
+    ({"base": "iid-gaussian"}, (10,)),
+    ({"base": "iid-rademacher-coords"}, (5,)),  # odd d: a drawn word's second half serves the next round
+    ({"base": "low-rank-stream", "rank": 3}, (6,)),
+]
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+@pytest.mark.parametrize("source, shape", BLOCK_DRAW_SOURCES, ids=lambda v: str(v.get("base", v)) if isinstance(v, dict) else str(v))
+def test_sign_flip_block_draws_are_the_per_round_draws(source, shape, lanes):
+    """A sign-flip base draws BLOCK rounds of instances at a time; over
+    n = 37 rounds, not a multiple of BLOCK, they are byte for byte the
+    instances of the same source drawn one round at a time."""
+    seeds = list(range(3, 3 + lanes))
+    flip = make_adversary({"kind": "sign-flip", **source}, shape=shape, tag=LpTag(3.0), seeds=seeds)
+    own = {k: v for k, v in source.items() if k != "base"}
+    plain = make_adversary(dict(own, kind=source["base"]), shape=shape, tag=LpTag(3.0), seeds=seeds)
+    for t in range(1, 38):
+        x, want = flip.next_x(t), plain.next_x(t)
+        assert np.shape(x) == np.shape(want) == ((lanes,) if lanes > 1 else ()) + shape
+        assert x.tobytes() == want.tobytes(), t
+
+
+class CountedDraws:
+    """A generator that counts its ``normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind, draws", [("sign-flip", math.ceil(150 / BLOCK)), ("iid-gaussian", 150)])
+def test_instance_draws_per_lane_in_an_episode(kind, draws):
+    """A 150-round sign-flip episode draws each lane's instances once per
+    block of BLOCK rounds; an iid-gaussian source, which draws its own labels
+    from the same generators, draws once a round."""
+    spec = make_spec({"construction": "lp-sum", "p": 3.0, "d": 4})
+    adversary = make_adversary({"kind": kind}, shape=spec.point_shape, tag=spec.tag, seeds=[0, 1])
+    source = adversary.base if kind == "sign-flip" else adversary
+    source.rngs = [CountedDraws(rng) for rng in source.rngs]
+    learner = ZigZagLearner(spec, 0.5, [substream(seed, "learner") for seed in (0, 1)])
+    run_episode(learner, "hinge", adversary, 150)
+    assert [rng.normal_calls for rng in source.rngs] == [draws, draws]
 
 
 def test_low_rank_stream_lives_in_subspace():
@@ -305,11 +358,11 @@ def test_a_run_whose_numbers_overflow_is_rejected_before_any_output():
 
 
 def test_a_run_that_predicts_nan_is_rejected_in_that_round():
-    """scalar-p p = 140 predicts NaN in round 184 of 200; sign-flip cannot
+    """scalar-p p = 140 predicts NaN in round 195 of 200; sign-flip cannot
     label it, so the run ends there with one ConfigError naming the seeds
     and the round, not a ValueError from the loss."""
     config = {"algorithm": "zigzag", "spec": {"construction": "scalar-p", "p": 140}, "adversary": {"kind": "sign-flip"}, "loss": "hinge", "n": 200, "seeds": [0]}
-    message = r"^seeds \[0\]: round 184 predicted NaN, which sign-flip cannot label; the run overflowed a float$"
+    message = r"^seeds \[0\]: round 195 predicted NaN, which sign-flip cannot label; the run overflowed a float$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match=message):
         run_experiment(config)
     with pytest.raises(ConfigError, match=r"^seeds \[3, 5\]: round 7 predicted NaN"):
