@@ -136,10 +136,14 @@ class DyadicTree:
 
 
 def _mean_se(samples: np.ndarray, exact: bool = False) -> tuple[float, float]:
-    """Mean and standard error of ``samples``; an exact average has SE 0."""
+    """Mean and standard error of ``samples``; an exact average has SE 0.
+
+    A sampled mean is x_0 + mean(x - x_0), with the SE from the same
+    differences, so equal samples give their value and an SE of exactly 0."""
     if exact or samples.size < 2:
         return float(samples.mean()), 0.0
-    return float(samples.mean()), float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+    diffs = samples - samples[0]
+    return float(samples[0] + diffs.mean()), float(np.std(diffs, ddof=1) / np.sqrt(samples.size))
 
 
 def _sum_norms(signs: np.ndarray, zs: np.ndarray, tag: NormTag) -> np.ndarray:

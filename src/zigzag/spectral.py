@@ -24,8 +24,11 @@ U(x, y) = |x|^2 - |y|^2 on its projected sum S V in R^(d x r).  Its zig-zag
 concavity is an equality, so neither the prediction nor the certificate
 reads the sign-path sum M V: along a row of the certificate the |M +- x|^2
 terms cancel exactly, and the slack is linear in l' with the one inner
-product a = <S_i, v_j>.  ``sv`` and ``experts`` keep their ``(m, d, r)``
-layout.
+product a = <S_i, v_j>, so the certificate is c l' in closed form (see
+``SpectralZigZag.certificate``).  ``sv`` and ``experts`` keep their
+``(m, d, r)`` layout.  Each step of the trace-norm comparator gathers and
+sums per cell through flat cell indices, and its simplex step loops over
+the r kept singular values (see ``trace_norm_comparator``).
 """
 
 from __future__ import annotations
@@ -220,29 +223,41 @@ class SpectralZigZag:
         self.log_weights = np.full(self.m, -math.log(self.m))
         self.cum_mw_loss = np.zeros(self.m)
         self._choice_rng = substream(seed, "mw-choice")
-        self._slack = np.empty((self.m, CERT_GRID.size))  # certificate scratch: the slacks over the grid
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
+    def _inner(self, i: int, j: int) -> np.ndarray:
+        """Per expert, the one inner product a = <S_i, v_j>."""
+        return np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])
+
     def predict_all(self, i: int, j: int) -> np.ndarray:
-        inner = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])
-        return -2.0 * self.coef * inner
+        return -2.0 * self.coef * self._inner(i, j)
 
     def certificate(self, i: int, j: int, f: np.ndarray) -> tuple[float, int]:
         """Worst admissibility slack of the experts' predictions ``f`` over
         experts and the 41-point grid of l' values in [-1, 1], evaluated at
-        the current state.  Returns (worst_slack, violations)."""
-        a = np.einsum("vk,vk->v", self.sv[:, i, :], self.experts[:, j, :])  # <S_i, v_j>
+        the current state.  Returns (worst_slack, violations).
+
+        Each expert's slack is c l' with c = -f - coef (2a), from the one
+        inner product a = <S_i, v_j>.  The grid runs from -1.0 to 1.0, so
+        the worst slack is -max|c|, or NaN if some c is not finite (inf *
+        0.0 at l' = 0).  Only an expert with |c| > CERT_TOL can violate, so
+        only those rows of the grid are formed and counted.
+        """
         # slack(l') = coef (|S|^2 - |M|^2) - f l' - coef (|S + x|^2 - (|M + x|^2 + |M - x|^2) / 2)
         # for x = l' e_i v_j', where |S + x|^2 = |S|^2 + 2 l' a + l'^2 |v_j|^2 and
         # |M +- x|^2 = |M|^2 +- 2 l' <M_i, v_j> + l'^2 |v_j|^2.  Every term but
         # -f l' - 2 coef a l' cancels, and in floating point it cancels to +0.0
         # for any finite M, so M is never formed.  The + 0.0 keeps a zero
         # slack +0.0, as the cancelled terms left it.
-        slack = np.multiply((-f - self.coef * (2.0 * a))[:, np.newaxis], CERT_GRID, out=self._slack)
-        return float(slack.min()) + 0.0, int(np.count_nonzero(slack < -CERT_TOL))
+        c = -f - self.coef * (2.0 * self._inner(i, j))
+        size = np.abs(c)
+        worst = float(size.max())
+        hot = c[size > CERT_TOL]
+        violations = int(np.count_nonzero(np.multiply.outer(hot, CERT_GRID) < -CERT_TOL)) if hot.size else 0
+        return (-worst + 0.0 if worst < math.inf else math.nan), violations
 
     def round(self, i: int, j: int, y: float, f: np.ndarray) -> dict:
         clipped = np.clip(f, -1.0, 1.0)
@@ -300,15 +315,17 @@ def _project_trace_ball(f: np.ndarray, tau: float, r: int) -> np.ndarray:
     s = np.maximum(s, 0.0)
     s[r:] = 0.0
     if s.sum() > tau:
-        # project the kept singular values onto the simplex of radius tau
-        top = s[:r]
-        srt = np.sort(top)[::-1]
-        css = np.cumsum(srt) - tau
-        idx = np.arange(1, len(srt) + 1)
-        cond = srt - css / idx > 0
-        rho = idx[cond][-1] if cond.any() else 1  # cond[0] holds, unless tau is lost in rounding
-        theta = css[rho - 1] / rho
-        s[:r] = np.maximum(top - theta, 0.0)
+        # project the kept singular values (descending) onto the simplex of
+        # radius tau: theta = (cumsum - tau) / rho at the last rho whose value stays above it
+        top = s[:r].tolist()
+        theta = top[0] - tau  # rho = 1 if no prefix passes, as when tau is lost in rounding
+        css = 0.0
+        for rho, value in enumerate(top, start=1):
+            css += value
+            cut = (css - tau) / rho
+            if value - cut > 0:
+                theta = cut
+        s[:r] = np.maximum(s[:r] - theta, 0.0)
     return (u * s) @ vt
 
 
@@ -324,18 +341,24 @@ def trace_norm_comparator(
     """Best rank-r trace-norm-bounded matrix for the realized stream of
     entries ``ij`` and labels ``ys`` (as ``make_entry_stream`` returns them),
     found by projected subgradient descent with step 0.5/sqrt(k); returns
-    (best cumulative loss, F)."""
+    (best cumulative loss, F).
+
+    Each iteration gathers the predictions at the flat cells i d + j, sums
+    the loss gradients per cell with one ``np.bincount`` (in stream order,
+    so the sums of ``np.add.at``), and projects onto the rank-r trace ball:
+    an SVD, then a plain loop over the r kept singular values, which the
+    SVD returns in descending order, for the simplex step."""
+    cells = ij[:, 0] * d + ij[:, 1]  # each entry's index into the flat d x d matrix
     f = np.zeros((d, d))
     best_loss, best_f = float("inf"), f
     for k in range(iters + 1):
-        preds = f[ij[:, 0], ij[:, 1]]
+        preds = f.reshape(-1)[cells]
         total = float(loss_batch(loss_name, preds, ys).sum())
         if total < best_loss:
             best_loss, best_f = total, f
         if k == iters:
             break
-        g = np.zeros((d, d))
-        np.add.at(g, (ij[:, 0], ij[:, 1]), dloss_batch(loss_name, preds, ys))
+        g = np.bincount(cells, weights=dloss_batch(loss_name, preds, ys), minlength=d * d).reshape(d, d)
         # every step makes a new f, so best_f is never written through
         f = _project_trace_ball(f - (0.5 / math.sqrt(k + 1)) * g, tau, r)
     return best_loss, best_f

@@ -46,6 +46,17 @@ def test_check_rad_oracle(capsys):
     assert json.loads(capsys.readouterr().out)["ok"]
 
 
+def test_check_rad_oracle_passes_at_depth_one(capsys):
+    # every sample is |z_1|: the estimate is that value with an SE of 0, so
+    # the 3-SE check holds exactly rather than failing on a last-bit mean
+    rc = main(["check", "rad-oracle", "--depth", "1", "--dim", "3", "--samples", "1000", "--trials", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0 and payload["ok"]
+    for trial in payload["trials"]:
+        assert trial["mc"] == trial["exact"] and trial["se"] == 0.0
+        assert trial["mc_max"] == trial["exact_max"] and trial["se_max"] == 0.0
+
+
 def test_check_minimax(capsys):
     rc = main(["check", "minimax", "--trials", "5", "--loss", "absolute"])
     assert rc == 0

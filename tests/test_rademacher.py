@@ -6,6 +6,7 @@ import pytest
 from zigzag.linalg import GramTag, GroupP2Tag, LpTag, OneTag, SupTag
 from zigzag.rademacher import (
     DyadicTree,
+    _mean_se,
     _prefix_max_norms,
     _sign_blocks,
     _sum_norms,
@@ -366,6 +367,14 @@ def test_blocked_signs_are_the_integer_draw(k, n):
     assert np.array_equal(drawn, rademacher(substream(11, "fresh", k, n), (k, n)).astype(float))
 
 
+def test_mean_se_of_equal_samples_is_their_value_with_se_zero():
+    # the plain mean of 1000 copies of this value rounds away from it
+    assert np.full(1000, 1.8453053645765378).mean() != 1.8453053645765378
+    for value in (1.8453053645765378, 0.1, 1e300, -3.0, 0.0):
+        for size in (2, 3, 1000, 4097):
+            assert _mean_se(np.full(size, value)) == (value, 0.0)
+
+
 @pytest.mark.parametrize("k, n", [(1000, 150), (301, 151), (100, 7)])
 def test_maximal_estimate_equals_the_unblocked_reduction(k, n):
     # a row's running prefix and norms do not depend on the rows next to it,
@@ -373,8 +382,7 @@ def test_maximal_estimate_equals_the_unblocked_reduction(k, n):
     zs = substream(12, "unblocked", k, n).normal(size=(n, 3))
     tag = LpTag(3.0)
     samples = _prefix_max_norms(rademacher(substream(13, "maximal-rad"), (k, n)).astype(float), zs, tag)
-    want = (samples.mean(), np.std(samples, ddof=1) / np.sqrt(k))
-    assert maximal_rad_estimate(zs, tag, k, seed=13) == want
+    assert maximal_rad_estimate(zs, tag, k, seed=13) == _mean_se(samples)
     # the plain estimate's product sums a block of rows in BLAS's order,
     # which may differ from the full product's in the last bits
     samples = _sum_norms(rademacher(substream(13, "rad"), (k, n)).astype(float), zs, tag)

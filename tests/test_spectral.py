@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from zigzag import spectral
+from zigzag.learner import CERT_GRID, CERT_TOL
+from zigzag.losses import dloss_batch, loss_batch
 from zigzag.rng import substream
 from zigzag.spectral import (
     SpectralZigZag,
+    _project_trace_ball,
     _sphere_sample,
     build_net,
     entry_stats,
@@ -263,6 +266,194 @@ def test_certificate_passes_along_run():
     assert res.weight_drift <= 1e-12
     assert res.n_row >= 60 // 3 // 3  # sanity on counts
     assert len(res.rows) == 60
+
+
+def _run_path_holds(alg, n, seed, tracked):
+    """Play a uniform stream of n rounds and, for the ``tracked`` experts,
+    build the full d x r states S = sum_t g_t X_t V and M = sum_t sigma_t
+    g_t X_t V here, with an explicit sign path sigma.  True if at every
+    round the certificate reports (0.0, 0) and, at every grid point, the
+    slack from the three Frobenius norms |S + x|, |M + x| and |M - x| is 0
+    to within 8 eps times the norms it is made of."""
+    ij, ys = make_entry_stream("uniform", alg.d, n, alg.r, seed)
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)
+    s = np.zeros((len(tracked), alg.d, alg.r))
+    m = np.zeros_like(s)
+    for t, ((i, j), y) in enumerate(zip(ij.tolist(), ys.tolist())):
+        f = alg.predict_all(i, j)
+        if alg.certificate(i, j, f) != (0.0, 0):
+            return False
+        x = np.zeros_like(s)  # e_i v_j' of each tracked expert
+        x[:, i, :] = alg.experts[tracked, j, :]
+        ss, mm = np.sum(s**2, axis=(1, 2)), np.sum(m**2, axis=(1, 2))
+        for g in CERT_GRID:
+            s_new = np.sum((s + g * x) ** 2, axis=(1, 2))
+            m_plus, m_minus = np.sum((m + g * x) ** 2, axis=(1, 2)), np.sum((m - g * x) ** 2, axis=(1, 2))
+            slack = alg.coef * (ss - mm) - (f[tracked] * g + alg.coef * (s_new - 0.5 * m_plus - 0.5 * m_minus))
+            scale = alg.coef * (ss + mm + s_new + m_plus + m_minus) + np.abs(f[tracked])
+            if not np.all(np.abs(slack) <= 8.0 * np.finfo(float).eps * scale):
+                return False
+        alg.round(i, j, y, f)
+        grads = dloss_batch(alg.loss_name, f[tracked], y)[:, np.newaxis, np.newaxis]
+        s += grads * x
+        m += signs[t] * grads * x
+    return True
+
+
+@pytest.mark.parametrize("d, r", [(3, 1), (6, 2)])
+@pytest.mark.parametrize("fault", [None, "scaled-predict", "wrong-update"])
+def test_certificate_slack_is_zero_along_a_run_with_full_states(d, r, fault, monkeypatch):
+    """The certificate's slack, pinned to 0 along a run from the full
+    states; a prediction off by 1e-6 relative or an update off by as much
+    fails the pin, at the predicting learner or at the states built here."""
+    if fault == "scaled-predict":
+        predict = SpectralZigZag.predict_all
+        monkeypatch.setattr(SpectralZigZag, "predict_all", lambda self, i, j: predict(self, i, j) * (1.0 + 1e-6))
+    elif fault == "wrong-update":
+        play = SpectralZigZag.round
+
+        def round_off(self, i, j, y, f):
+            rec = play(self, i, j, y, f)
+            self.sv[:, i, :] *= 1.0 + 1e-6
+            return rec
+
+        monkeypatch.setattr(SpectralZigZag, "round", round_off)
+    alg = SpectralZigZag(d, r, float(d), horizon=40, loss_name="hinge", seed=d, max_net=500)
+    assert _run_path_holds(alg, 40, d, [0, 1, 250, alg.m - 1]) == (fault is None)
+
+
+def _grid_certificate(alg, i, j, f):
+    """The certificate as the full (m, 41) grid of slacks c l'."""
+    a = np.einsum("vk,vk->v", alg.sv[:, i, :], alg.experts[:, j, :])
+    slack = (-f - alg.coef * (2.0 * a))[:, np.newaxis] * CERT_GRID
+    return float(slack.min()) + 0.0, int(np.count_nonzero(slack < -CERT_TOL))
+
+
+def _same_bits(got, want):
+    """Equal floats with the same sign, zeros included; a NaN equals a NaN."""
+    return (math.isnan(got) and math.isnan(want)) or (got == want and math.copysign(1.0, got) == math.copysign(1.0, want))
+
+
+def test_certificate_grid_has_unit_endpoints_and_zero():
+    # the closed form reads the worst slack at l' = +-1, every other point
+    # has |l'| <= 1, and inf * 0.0 at l' = 0 makes a non-finite c give NaN
+    assert CERT_GRID[0] == -1.0 and CERT_GRID[-1] == 1.0
+    assert np.all(np.abs(CERT_GRID) <= 1.0) and 0.0 in CERT_GRID
+    # symmetric: linspace's interior points mirror each other to rounding
+    assert np.allclose(CERT_GRID, -CERT_GRID[::-1], rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("d, r", [(3, 1), (4, 2), (6, 2), (6, 3)])
+def test_closed_form_certificate_equals_the_grid_bit_for_bit(d, r):
+    alg = SpectralZigZag(d, r, float(d), horizon=40, loss_name="hinge", seed=d + r, max_net=60)
+    rng = np.random.default_rng(d * r)
+    partial = 0
+
+    def check(i, j, f, kind=None):
+        with np.errstate(invalid="ignore"):  # inf * 0.0, on the grid and in the rows that violate
+            got, want = alg.certificate(i, j, f), _grid_certificate(alg, i, j, f)
+        assert _same_bits(got[0], want[0]) and got[1] == want[1], (i, j, kind)
+        if kind == "zero":
+            assert _same_bits(got[0], 0.0) and got[1] == 0
+        elif kind == "nan":
+            assert math.isnan(got[0])
+        c = -f - alg.coef * (2.0 * np.einsum("vk,vk->v", alg.sv[:, i, :], alg.experts[:, j, :]))
+        return 0 < got[1] < 20 * np.count_nonzero(np.abs(c) > CERT_TOL)  # a row violates at most at 20 points
+
+    for _ in range(4):  # random states
+        alg.sv = rng.normal(size=alg.sv.shape) * rng.choice([1e-9, 1.0, 1e3])
+        for i, j in [(0, 0), (d - 1, 1), (1, d - 1)]:
+            f = alg.predict_all(i, j)
+            off = f.copy()
+            off[rng.integers(alg.m)] *= 1.0 + 1e-6
+            check(i, j, f, "zero")
+            check(i, j, 1.5 * f)
+            check(i, j, off)
+    alg.sv = np.zeros_like(alg.sv)  # then c = -f exactly
+    for k in (1.0, 1.01, 1.5, 3.0, 19.9, 20.5, 1e3):  # |c| up to k CERT_TOL violates at |l'| > 1/k
+        c = k * CERT_TOL * rng.choice([-1.0, 1.0], size=alg.m)
+        c[: alg.m // 2] *= rng.uniform(0.0, 1.0, size=alg.m // 2)
+        partial += check(0, 0, -c)
+    check(0, 0, np.where(rng.random(alg.m) < 0.5, 0.0, -0.0), "zero")  # c = +-0
+    for bad in (math.inf, -math.inf, math.nan):
+        f = rng.normal(size=alg.m)
+        f[rng.integers(alg.m)] = bad
+        check(0, 0, f, "nan")
+    assert partial >= 5
+
+
+def _reference_project_trace_ball(f, tau, r):
+    """The sort-based simplex step of the kept singular values."""
+    u, s, vt = np.linalg.svd(f, full_matrices=False)
+    s = np.maximum(s, 0.0)
+    s[r:] = 0.0
+    if s.sum() > tau:
+        top = s[:r]
+        srt = np.sort(top)[::-1]
+        css = np.cumsum(srt) - tau
+        idx = np.arange(1, len(srt) + 1)
+        cond = srt - css / idx > 0
+        rho = idx[cond][-1] if cond.any() else 1
+        theta = css[rho - 1] / rho
+        s[:r] = np.maximum(top - theta, 0.0)
+    return (u * s) @ vt
+
+
+def _reference_comparator(ij, ys, d, r, tau, loss_name, iters=400):
+    """Projected subgradient descent with a 2-D gather and np.add.at."""
+    f = np.zeros((d, d))
+    best_loss, best_f = float("inf"), f
+    for k in range(iters + 1):
+        preds = f[ij[:, 0], ij[:, 1]]
+        total = float(loss_batch(loss_name, preds, ys).sum())
+        if total < best_loss:
+            best_loss, best_f = total, f
+        if k == iters:
+            break
+        g = np.zeros((d, d))
+        np.add.at(g, (ij[:, 0], ij[:, 1]), dloss_batch(loss_name, preds, ys))
+        f = _reference_project_trace_ball(f - (0.5 / math.sqrt(k + 1)) * g, tau, r)
+    return best_loss, best_f
+
+
+def _comparator_streams():
+    for kind, d, r, n in [("uniform", 3, 1, 200), ("row-spiky", 3, 1, 200), ("uniform", 6, 2, 300), ("uniform", 3, 3, 60)]:
+        for loss_name in ("hinge", "absolute", "linear"):
+            yield pytest.param(*make_entry_stream(kind, d, n, r, d + n), d, r, loss_name, id=f"{kind}-{d}-{r}-{loss_name}")
+    rng = np.random.default_rng(5)
+    for d, r in [(3, 1), (4, 2)]:
+        cells = rng.integers(0, 2, size=(80, 2))  # four cells, each repeated about 20 times
+        yield pytest.param(cells, rng.uniform(-1.0, 1.0, size=80), d, r, "absolute", id=f"explicit-{d}-{r}-absolute")
+        yield pytest.param(cells, rng.choice([-1.0, 1.0], size=80), d, r, "hinge", id=f"explicit-{d}-{r}-hinge")
+
+
+@pytest.mark.parametrize("ij, ys, d, r, loss_name", list(_comparator_streams()))
+def test_comparator_equals_the_add_at_and_sort_loop_bit_for_bit(ij, ys, d, r, loss_name):
+    best, f = trace_norm_comparator(ij, ys, d, r, float(d), loss_name)
+    want_best, want_f = _reference_comparator(ij, ys, d, r, float(d), loss_name)
+    assert _same_bits(best, want_best)
+    assert f.tobytes() == want_f.tobytes()
+
+
+def test_project_trace_ball_equals_the_sort_loop_bit_for_bit():
+    rng = np.random.default_rng(6)
+    q3 = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    cases = [
+        (rng.normal(size=(4, 4)) * 3.0, 2.0, 4),  # r = d
+        (rng.normal(size=(5, 5)) * 3.0, 1.0, 2),
+        (2.0 * np.eye(3), 3.0, 3),  # three tied values, projected
+        (2.0 * np.eye(3), 3.0, 2),  # tied, one cut by the rank
+        ((q3 * [5.0, 5.0, 1.0]) @ q3.T, 4.0, 3),  # a tied top pair
+        (rng.normal(size=(3, 3)) * 0.01, 3.0, 3),  # s.sum() <= tau: no projection
+        (np.diag([1e20, 1.0, 0.0]), 1.0, 2),  # tau lost in rounding: no prefix passes
+        (np.zeros((3, 3)), 1.0, 1),
+    ]
+    for d in (3, 6):
+        for r in range(1, d + 1):
+            cases.append((rng.normal(size=(d, d)) * rng.choice([0.1, 1.0, 10.0]), float(d), r))
+    for f, tau, r in cases:
+        got = _project_trace_ball(f.copy(), tau, r)
+        assert got.tobytes() == _reference_project_trace_ball(f.copy(), tau, r).tobytes(), (tau, r)
 
 
 def test_empty_horizon_and_nonpositive_tau_are_rejected():
