@@ -11,7 +11,7 @@ Subcommands:
 - ``report DIR``: digest all summary.json files under a directory
 
 A config, spec or file that cannot be used, a flag outside its bound or a
-check that would build an array of more than ``MAX_FLOATS`` floats
+check that would hold more than ``MAX_FLOATS`` floats at its peak
 (``ConfigError``) ends the command with one line on stderr and exit code 2,
 as a usage error does.
 """
@@ -52,24 +52,27 @@ CHECK_FLAGS = {
     "rad-oracle": {"depth": _DEPTH._replace(high=MAX_EXACT_DEPTH), "dim": _DIM, "samples": _SAMPLES, "trials": _TRIALS},
     "minimax": {"trials": _TRIALS, "loss": Key("name", "absolute", names=LOSSES)},
 }
-MAX_FLOATS = 2**24  # floats in the largest array one check builds: 134 MB
+MAX_FLOATS = 2**24  # floats one check holds at its peak: 134 MB
 
 
 def _check_size(args, point_size: int = 1) -> None:
-    """Raise ``ConfigError`` before a check builds an array of more than
-    ``MAX_FLOATS`` floats.  The largest arrays: the sums on every leaf of
-    umd's and rad-oracle's tree walks, rad-oracle's per-sample statistics,
-    decoupling's sampled path terms above its exact depth (its exact walk
-    holds 4^depth <= 2^16 floats) and burkholder's probe points."""
-    arrays = []  # (floats, their factors, what they are and who holds them)
+    """Raise ``ConfigError`` before a check holds more than ``MAX_FLOATS``
+    floats at its peak: its largest array times the copies of it the check
+    holds at once, rounded up from tracemalloc peaks.  The arrays: the sums
+    on every leaf of umd's and rad-oracle's tree walks, rad-oracle's
+    per-sample statistics, decoupling's sampled path terms above its exact
+    depth (its exact walk holds 4^depth <= 2^16 floats) and burkholder's
+    probe points, with one more float per probe for its offsets and signs."""
+    arrays = []  # (floats held at the peak, their factors, what they are and who holds them)
     if args.target in ("umd", "rad-oracle"):
-        arrays.append((2**args.depth * args.dim, f"2^{args.depth} sign paths x --dim {args.dim}", "leaf sums; a tree walk holds"))
+        copies = 5 if args.target == "umd" else 3
+        arrays.append((copies * 2**args.depth * args.dim, f"{copies} copies x 2^{args.depth} sign paths x --dim {args.dim}", "floats of leaf sums; a tree walk holds"))
     if args.target == "rad-oracle":
-        arrays.append((args.samples, f"--samples {args.samples}", "statistics; a Monte Carlo estimate keeps"))
+        arrays.append((4 * args.samples, f"4 copies x --samples {args.samples}", "floats of statistics; a Monte Carlo estimate keeps"))
     if args.target == "decoupling" and args.depth > DECOUPLING_EXACT_DEPTH:
-        arrays.append((args.samples * args.depth, f"--samples {args.samples} x depth {args.depth} x dim 1", "path terms; a Monte Carlo check draws"))
+        arrays.append((5 * args.samples * args.depth, f"5 copies x --samples {args.samples} x depth {args.depth} x dim 1", "floats of path terms; a Monte Carlo check holds"))
     if args.target == "burkholder":
-        arrays.append((args.probes * point_size, f"--probes {args.probes} x point size {point_size}", "coordinates; a probe array holds"))
+        arrays.append((5 * args.probes * (point_size + 1), f"5 copies x --probes {args.probes} x (point size {point_size} + 1)", "probe floats; a probe check holds"))
     for floats, factors, what in arrays:
         if floats > MAX_FLOATS:
             raise ConfigError(f"{factors} = {floats} {what} at most {MAX_FLOATS}")

@@ -27,13 +27,13 @@ import pathlib
 import numpy as np
 
 from .burkholder import BurkholderSpec, make_spec
-from .learner import BLOCK, ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
+from .learner import BLOCK, ConfigError, ZigZagLearner, lane_instances, psi, run_episode, theorem_residual, validate_labels
 from .linalg import LpTag, NormTag, dual_ball_lmo
 from .losses import LOSSES, dloss_batch, loss_batch
 from .rademacher import MIN_SAMPLES, rad_estimate
 from .rng import substream
 from .spectral import run_spectral
-from .tuning import DoublingZigZag, default_eta0
+from .tuning import DoublingZigZag, default_eta0, phase_threshold
 
 __all__ = [
     "IIDGaussianX",
@@ -55,6 +55,7 @@ __all__ = [
     "CONFIG_TABLE",
     "write_outputs",
     "merge_reports",
+    "CELL_KEYS",
     "SUMMARY_KEYS",
 ]
 
@@ -116,22 +117,10 @@ KINDS = {
     "stream": (lambda v, row: True, None, ""),
 }
 
-SUMMARY_KEYS = (
-    "config",
-    "regret",
-    "benchmark_linearized",
-    "comparator_fw",
-    "rad_mean",
-    "rad_se",
-    "residual_mean",
-    "residual_se",
-    "phases",
-)
-
-
-class ConfigError(ValueError):
-    """A config, spec or config file that the program rejects before building
-    any adversary or learner; the CLI prints it as one line and exits 2."""
+# the per-seed values a cell reports: the summary lists each key over the
+# seeds, and each must be finite
+CELL_KEYS = ("regret", "benchmark_linearized", "comparator_fw", "rad_mean", "rad_se", "phases")
+SUMMARY_KEYS = ("config", *CELL_KEYS, "residual_mean", "residual_se")
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +314,15 @@ class AdaptiveGD:
 
     def __init__(self, d: int, lanes: int = 1):
         self.lanes = lanes
-        self.shape = (d,)
+        self.point_shape = (d,)
         self.w = np.zeros((lanes, d))
         self.grad_sq = np.zeros(lanes)
 
     def predict(self, x) -> np.ndarray:
-        return _rowdot(self.w, lane_instances(x, self.shape, self.lanes))
+        return _rowdot(self.w, lane_instances(x, self.point_shape, self.lanes))
 
     def update(self, x, dloss) -> np.ndarray:
-        x = lane_instances(x, self.shape, self.lanes)
+        x = lane_instances(x, self.point_shape, self.lanes)
         g = np.asarray(dloss, dtype=float).reshape(-1, 1) * x
         self.grad_sq = self.grad_sq + _rowdot(g, g)
         rate = np.divide(2.0, np.sqrt(self.grad_sq), out=np.zeros(self.lanes), where=self.grad_sq > 0.0)
@@ -465,19 +454,22 @@ def check_config(config: dict) -> dict:
             bound = psi(settings["eta"], spec.p, 0.0)  # the eta^(1-p') / (p' - 1) term, over p
         if not np.isfinite(bound):
             raise ConfigError(f"eta = {settings['eta']} with p = {spec.p} overflows the bound's term eta^(1-p') / (p' - 1)")
-    if algorithm.startswith("zigzag-doubling") and settings["eta0"] is None:
-        eta0 = default_eta0(spec.p, spec.beta, algorithm.removeprefix("zigzag-doubling-"))
+    if algorithm.startswith("zigzag-doubling"):
+        eta0 = settings["eta0"] or default_eta0(spec.p, spec.beta, algorithm.removeprefix("zigzag-doubling-"))
         if not eta0 > 0:
             raise ConfigError(f"the default eta0 = (beta p)^-p = {eta0} with p = {spec.p} is not > 0; give eta0")
+        if not math.isfinite(phase_threshold(eta0, spec.p)):
+            raise ConfigError(f"eta0 = {eta0} with p = {spec.p} overflows the first phase's threshold eta0^-(p'-1)")
     adversary = settings["adversary"] = _walk(settings["adversary"], "adversary")
     if "fixed-file" in _sources(adversary):
         stream, n = _fixed_stream(adversary), settings["n"]
         shape = _point_space(settings)[1]
         if len(stream.xs) < n:
             raise ConfigError(f"a fixed-file stream of {len(stream.xs)} rows cannot serve n = {n} rounds")
-        wrong = [i for i, x in enumerate(stream.xs) if x.shape != shape]
-        if wrong:
-            raise ConfigError(f"fixed-file instance {wrong[0]} is not of the point shape {shape}")
+        for i, x in enumerate(stream.xs):
+            if x.shape != shape or not np.isfinite(x).all():
+                wrong = f"is not of the point shape {shape}" if x.shape != shape else f"holds {x[~np.isfinite(x)][0]}, not a finite number"
+                raise ConfigError(f"fixed-file instance {i} {wrong}")
         if adversary["kind"] == "fixed-file":  # a sign-flip base's labels are never read
             try:
                 validate_labels(settings["loss"], stream.ys)
@@ -488,6 +480,7 @@ def check_config(config: dict) -> dict:
 
 
 MAX_POINT_SIZE = 1024  # entries in one spec point; a 10,000-probe batch of them is 82 MB
+MAX_L1_LEVELS = 1000  # levels ceil(B / eps) of an l1-composed spec; each probe evaluates every level
 
 # the kind of each number a spec may hold; a group-p2 ``shape`` is a pair of counts
 SPEC_NUMBERS = {key: Key("positive") for key in ("p", "a", "B", "eps")} | {key: Key("count") for key in ("k", "d")}
@@ -496,8 +489,9 @@ SPEC_NUMBERS = {key: Key("positive") for key in ("p", "a", "B", "eps")} | {key: 
 def build_spec(cfg) -> BurkholderSpec:
     """``make_spec`` for a spec that comes from outside the program: one
     that is not an object, holds a number not of its kind in
-    ``SPEC_NUMBERS``, cannot be built or has points of more than
-    ``MAX_POINT_SIZE`` entries raises ``ConfigError``."""
+    ``SPEC_NUMBERS``, cannot be built, has points of more than
+    ``MAX_POINT_SIZE`` entries or, for l1-composed, more than
+    ``MAX_L1_LEVELS`` levels raises ``ConfigError``."""
     cfg = dict(checked("spec", CONFIG_TABLE["config"]["spec"], cfg))
     for key, row in SPEC_NUMBERS.items():
         if key in cfg:
@@ -506,6 +500,9 @@ def build_spec(cfg) -> BurkholderSpec:
         if not (isinstance(cfg["shape"], (list, tuple)) and len(cfg["shape"]) == 2):
             raise ConfigError(f"spec.shape must be a pair of whole numbers, got {cfg['shape']!r}")
         cfg["shape"] = [checked("spec.shape", Key("count"), n) for n in cfg["shape"]]
+    levels = cfg["B"] / cfg["eps"] if cfg.get("construction") == "l1-composed" and {"B", "eps"} <= cfg.keys() else 0.0
+    if levels > MAX_L1_LEVELS:  # ceil(B / eps) levels, checked before the level table is built
+        raise ConfigError(f"spec {cfg!r} has B / eps = {levels:.6g} levels; an l1-composed spec has at most {MAX_L1_LEVELS}")
     try:
         spec = make_spec(cfg)
         scale = float(spec.beta) ** spec.p  # beta^p scales the majorant and every bound
@@ -606,12 +603,11 @@ def _run_cells(settings: dict) -> list[dict]:
     learner = _build_learner(settings)
     trace = run_episode(learner, loss_name, adversary, n, certify=settings["certify"])
 
-    # the comparator class and the Rademacher estimate live in R^m, so
-    # scalar instances enter them as 1-vectors; row k is seed k's stream,
+    # the comparator class and the Rademacher estimate live in R^(point size),
+    # so scalar instances enter them as 1-vectors; row k is seed k's stream,
     # and an instance shared by the lanes (fixed-file) is in every row
-    m = math.prod(shape)
     lanes = len(seeds)
-    xs = np.ascontiguousarray(np.broadcast_to(np.reshape(trace.xs, (n, -1, m)), (n, lanes, m)).swapaxes(0, 1))
+    xs = np.ascontiguousarray(trace.xs.reshape(n, lanes, -1).swapaxes(0, 1))
     ys = np.ascontiguousarray(trace.y.T)
     fw = offline_comparator(xs, ys, tag, loss_name, iters=settings["fw_iters"])
     increments = np.ascontiguousarray(trace.dloss.T)[..., np.newaxis] * xs
@@ -698,22 +694,14 @@ def run_experiment(config: dict) -> dict:
     else:
         cells = _run_cells(settings)
     for cell in cells:  # a JSON output holds finite numbers only
-        for key in ("regret", "benchmark_linearized", "comparator_fw", "rad_mean", "rad_se", "residual", "phases", "spectral"):
+        for key in (*CELL_KEYS, "residual", "spectral"):
             bad = _first_non_finite(cell.get(key))
             if bad is not None:
                 raise ConfigError(f"seed {cell['seed']}: {key} holds {bad}, not a finite number; the run overflowed a float")
     residuals = [c["residual"] for c in cells if c["residual"] is not None]
-    summary = {
-        "config": config,
-        "regret": [c["regret"] for c in cells],
-        "benchmark_linearized": [c["benchmark_linearized"] for c in cells],
-        "comparator_fw": [c["comparator_fw"] for c in cells],
-        "rad_mean": [c["rad_mean"] for c in cells],
-        "rad_se": [c["rad_se"] for c in cells],
-        "residual_mean": float(np.mean(residuals)) if residuals else None,
-        "residual_se": float(np.std(residuals, ddof=1) / math.sqrt(len(residuals))) if len(residuals) > 1 else None,
-        "phases": [c["phases"] for c in cells],
-    }
+    summary = {"config": config} | {key: [c[key] for c in cells] for key in CELL_KEYS}
+    summary["residual_mean"] = float(np.mean(residuals)) if residuals else None
+    summary["residual_se"] = float(np.std(residuals, ddof=1) / math.sqrt(len(residuals))) if len(residuals) > 1 else None
     for key in ("residual_mean", "residual_se"):
         bad = _first_non_finite(summary[key])
         if bad is not None:

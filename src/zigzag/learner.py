@@ -39,13 +39,14 @@ behind the regret guarantee, and a slack below ``-CERT_TOL`` is a violation.
 Nothing in the next round reads a certificate or a relaxation value, so
 ``run_episode`` keeps only the adversary, ``predict``, label validation,
 ``dloss`` and ``update`` in its round loop, where a round queries U once
-(``mean_dirderiv``, the exact two-point mean, for predict).  It copies the
-state those recorded queries read into buffers of ``BLOCK`` rounds and
+(``mean_dirderiv``, the exact two-point mean, for predict).  It stores
+each round's instances once, as a row of the trace's ``xs``, copies the
+state the recorded queries read into buffers of ``BLOCK`` rounds and
 answers each block with one ``certificate`` call (one ``zigzag_line``
 query) and one ``relaxation_value`` call (one ``value_batch`` query) over
-the block's leading round axis; the losses are one ``loss_batch`` after the
-loop.  Every query is elementwise or reduces only trailing point or grid
-axes, so a recorded value has the bits of a per-round query.
+the block's rows; the losses are one ``loss_batch`` after the loop.  Every
+query is elementwise or reduces only trailing point or grid axes, so a
+recorded value has the bits of a per-round query.
 
 M tracks each lane's realized sign path.  The alternative potential that
 re-averages over all sign paths each round costs 2^t evaluations and is not
@@ -65,6 +66,7 @@ from .losses import dloss_batch, loss_batch
 from .rng import rademacher
 
 __all__ = [
+    "ConfigError",
     "ZigZagLearner",
     "EpisodeTrace",
     "run_episode",
@@ -87,13 +89,18 @@ CERT_TOL = 1e-8  # a slack below -CERT_TOL is a violation
 BLOCK = 16  # rounds whose certificates and relaxation values run_episode answers with one query each
 
 
+class ConfigError(ValueError):
+    """A config, spec or file that cannot run, or a run that cannot go on or
+    overflows; the CLI prints it as one line and exits 2."""
+
+
 class ZigZagLearner:
     """Online learner driven by a Burkholder function, over K lanes.
 
-    State: cumulative sums ``S`` and ``M`` of shape ``(K, *point_shape)``,
-    the round index, the learning rate (one for all lanes, or a length-K
-    array of per-lane rates; None is 1.0), and one sign stream per lane; K is
-    ``len(rngs)``.
+    State: cumulative sums ``S`` and ``M`` of shape ``(K, *point_shape)``
+    (the spec's point shape), the round index, the learning rate (one for
+    all lanes, or a length-K array of per-lane rates; None is 1.0), and one
+    sign stream per lane; K is ``len(rngs)``.
     """
 
     def __init__(self, spec: BurkholderSpec, eta, rngs):
@@ -105,14 +112,15 @@ class ZigZagLearner:
         if eta.shape not in ((), (self.lanes,)) or np.any(eta <= 0):
             raise ValueError(f"learning rate must be positive, one for all lanes or one per lane, got {eta}")
         self.spec = spec
+        self.point_shape = spec.point_shape
         self.eta = float(eta) if eta.ndim == 0 else eta
         self.t = 0
         self._signs = None
-        self.S = np.zeros((self.lanes, *spec.point_shape))
-        self.M = np.zeros((self.lanes, *spec.point_shape))
+        self.S = np.zeros((self.lanes, *self.point_shape))
+        self.M = np.zeros((self.lanes, *self.point_shape))
 
     def _instance(self, x) -> np.ndarray:
-        return lane_instances(x, self.spec.point_shape, self.lanes)
+        return lane_instances(x, self.point_shape, self.lanes)
 
     def predict(self, x) -> np.ndarray:
         """The K lanes' predictions for instance x."""
@@ -181,11 +189,11 @@ def lane_instances(x, point_shape: tuple, lanes: int) -> np.ndarray:
 
 @dataclass
 class EpisodeTrace:
-    """Per-round record of one episode: the instances ``xs`` as the adversary
-    gave them (shared by the lanes, or one per lane) and one ``(n, K)`` array
-    per column, row t holding round t + 1 of every lane."""
+    """Per-round record of one episode: one ``(n, K, *point_shape)`` array of
+    instances ``xs`` (a shared instance is in every lane) and one ``(n, K)``
+    array per column, row t holding round t + 1 of every lane."""
 
-    xs: list
+    xs: np.ndarray
     yhat: np.ndarray
     y: np.ndarray
     loss: np.ndarray
@@ -210,44 +218,40 @@ class EpisodeTrace:
 def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = False) -> EpisodeTrace:
     """Drive one episode of the online protocol over the learner's lanes.
 
-    ``learner`` needs ``lanes`` (K), ``predict(x)`` returning K predictions
-    and ``update(x, dloss) -> eps`` taking and returning K values; a
-    ``begin_round(x)`` hook (doubling tuners) and ``relaxation_value`` are
-    used when present.  ``certify`` records each round's per-lane
-    ``certificate(x, yhat)`` as ``cert_worst_slack``.
-    ``adversary.next_x(t)`` gives one x_t for all lanes or one per lane, and
-    ``adversary.next_y(t, x, yhat)`` answers the K predictions at once (a
-    label that ignores them may be shared by all lanes).  The adversary owns
-    its randomness, so learner and adversary draws never interact.
+    ``learner`` needs ``lanes`` (K), ``point_shape``, ``predict(x)``
+    returning K predictions and ``update(x, dloss) -> eps`` taking and
+    returning K values; ``relaxation_value`` is used when present.
+    ``certify`` records each round's per-lane ``certificate(x, yhat)`` as
+    ``cert_worst_slack``.  ``adversary.next_x(t)`` gives one x_t for all
+    lanes or one per lane, and ``adversary.next_y(t, x, yhat)`` answers the
+    K predictions at once (a label that ignores them may be shared by all
+    lanes).  The adversary owns its randomness, so learner and adversary
+    draws never interact.
 
     The recorded queries run once per block of ``BLOCK`` rounds, on the
-    ``state()`` copied before (certificate) and after (relaxation value)
-    each round's update.
+    block's rows of ``xs`` and the ``state()`` copied before (certificate)
+    and after (relaxation value) each round's update.
     """
     columns = {name: np.empty((n, learner.lanes), dtype=int if name == "eps" else float) for name in TRACE_COLUMNS[1:-1]}
     columns["rel_value"][:] = np.nan
     cert_slacks = np.empty((n, learner.lanes)) if certify else None
+    xs = np.empty((n, learner.lanes, *learner.point_shape))
     relax = hasattr(learner, "relaxation_value")
     if certify or relax:
-        point = (BLOCK, learner.lanes, *learner.spec.point_shape)
+        point = (BLOCK, learner.lanes, *learner.point_shape)
         before, after = ((np.empty(point), np.empty(point), np.empty(point[:2])) for _ in range(2))
-        block_xs = np.empty(point)
-    xs = []
     for i in range(n):
         x = adversary.next_x(i + 1)
-        if hasattr(learner, "begin_round"):
-            learner.begin_round(x)
         yhat = learner.predict(x)
         y = adversary.next_y(i + 1, x, yhat)
         validate_labels(loss_name, y)
         dl = dloss_batch(loss_name, yhat, y)
         j = i % BLOCK
         if certify:
-            block_xs[j] = x
             for buf, value in zip(before, learner.state()):
                 buf[j] = value
         eps = learner.update(x, dl)
-        xs.append(np.asarray(x, dtype=float))
+        xs[i] = x
         for name, value in (("yhat", yhat), ("y", y), ("dloss", dl), ("eps", eps)):
             columns[name][i] = value
         if relax:
@@ -256,7 +260,7 @@ def run_episode(learner, loss_name: str, adversary, n: int, certify: bool = Fals
         if (certify or relax) and (j == BLOCK - 1 or i == n - 1):
             rounds, m = slice(i - j, i + 1), j + 1
             if certify:
-                cert_slacks[rounds] = learner.certificate(block_xs[:m], columns["yhat"][rounds], state=tuple(buf[:m] for buf in before))
+                cert_slacks[rounds] = learner.certificate(xs[rounds], columns["yhat"][rounds], state=tuple(buf[:m] for buf in before))
             if relax:
                 columns["rel_value"][rounds] = learner.relaxation_value(tuple(buf[:m] for buf in after))
     columns["loss"][:] = loss_batch(loss_name, columns["yhat"], columns["y"])

@@ -11,8 +11,8 @@ eta^-(p'-1):
   invariant holds for the phase minus its last round.
 - expected mode: Phi is a Monte Carlo estimate of E_eps of the interval sup
   of the raw inputs x_t (no gradients, no learner signs); the trigger is
-  evaluated when x_t arrives, before predicting, so the bursting x_t opens
-  the new phase.
+  evaluated when x_t arrives, in the round's ``predict`` before the
+  prediction, so the bursting x_t opens the new phase.
 
 Both schedules use eta_i = 2^(-i/(p'-1)) eta_0 computed in closed form.
 The tuner is a ZigZag learner with one lane per seed; each lane keeps its
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import ZigZagLearner
+from .learner import ConfigError, ZigZagLearner
 from .linalg import IntervalSupTracker, NormTag, conjugate
 from .rng import rademacher, substream
 
@@ -40,6 +40,7 @@ __all__ = [
     "DoublingZigZag",
     "PhaseRecord",
     "default_eta0",
+    "phase_threshold",
 ]
 
 MAX_RESTARTS_PER_ROUND = 200
@@ -102,6 +103,12 @@ def default_eta0(p: float, beta: float, mode: str) -> float:
     return eta0
 
 
+def phase_threshold(eta: float, p: float) -> float:
+    """eta^-(p'-1), which eta Phi crosses to close a phase of rate eta; inf past the largest float, where float ** raises."""
+    with np.errstate(over="ignore"):
+        return float(np.float_power(eta, -(conjugate(p)[0] - 1.0)))
+
+
 @dataclass
 class PhaseRecord:
     index: int
@@ -126,8 +133,8 @@ class DoublingZigZag(ZigZagLearner):
     one path per lane, expected mode ``mc_paths`` per lane, and a phase reset
     restarts only that lane's paths and zeroes only its sums, so every lane
     is bit-identical to a one-seed run.  A round runs per-lane Python only
-    for the lanes that cross.  ``begin_round`` must be called with x_t
-    before ``predict`` each round (the episode driver does this).
+    for the lanes that cross.  A round is ``predict`` then ``update``, as
+    for any learner.
     """
 
     def __init__(self, spec, mode: str, seeds, mc_paths: int, eta0: float | None = None):
@@ -167,7 +174,7 @@ class DoublingZigZag(ZigZagLearner):
             self._close_phase(k)
         index = len(log)
         self.eta[k] = eta = self.eta_for(index)
-        self._threshold[k] = threshold = eta ** (-(self.p_prime - 1.0))
+        self._threshold[k] = threshold = phase_threshold(eta, self.spec.p)
         log.append(PhaseRecord(index, self.t + 1, self.t, eta, threshold, 0.0, 0.0))
         self._phi[:, k] = 0.0
         self.S[k] = self.M[k] = 0.0
@@ -181,22 +188,23 @@ class DoublingZigZag(ZigZagLearner):
         self._phi[:, lanes] = np.where(keep, (self._phi[1, lanes], phi), self._phi[:, lanes])
         return crosses
 
-    def begin_round(self, x) -> None:
-        """Expected mode only: fold the incoming x into every lane's phase
-        complexity and restart the lanes whose threshold is crossed (the
-        bursting x opens their new phase, on the new phase's signs)."""
-        if self.mode != "expected":
-            return
-        xs = np.broadcast_to(self._instance(x), self.S.shape)
-        self.tracker.append(xs)
-        for k in np.flatnonzero(self._fold(self.tracker.values)):
-            for _ in range(MAX_RESTARTS_PER_ROUND):
-                self._open_phase(k)
-                self.tracker.restart_lane(k, substream(self.seeds[k], "phi-mc", len(self.phase_log[k]) - 1), xs[k])
-                if not self._fold(self.tracker.values[[k]], [k])[0]:
-                    break
-            else:
-                raise RuntimeError("doubling restart loop exceeded the safety cap")
+    def predict(self, x) -> np.ndarray:
+        """The lanes' predictions for x_t.  In expected mode the round's first
+        call first folds x_t into every lane's phase complexity and restarts
+        the lanes it carries over their thresholds: x_t opens their new phase."""
+        if self.mode == "expected" and self.tracker.n == self.t:
+            xs = np.broadcast_to(self._instance(x), self.S.shape)
+            self.tracker.append(xs)
+            for k in np.flatnonzero(self._fold(self.tracker.values)):
+                for _ in range(MAX_RESTARTS_PER_ROUND):
+                    self._open_phase(k)
+                    self.tracker.restart_lane(k, substream(self.seeds[k], "phi-mc", len(self.phase_log[k]) - 1), xs[k])
+                    if not self._fold(self.tracker.values[[k]], [k])[0]:
+                        break
+                else:
+                    raise ConfigError(f"seeds {self.seeds}: round {self.t + 1} crossed more than {MAX_RESTARTS_PER_ROUND} doubling "
+                                      f"thresholds of seed {self.seeds[k]}; eta0 = {self.eta0} is too large for the stream")
+        return super().predict(x)
 
     def update(self, x, dloss) -> np.ndarray:
         """The ZigZag update; in realized mode each lane then absorbs its

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 import pathlib
 import shlex
 
 import pytest
 
-from zigzag import cli, harness
+from zigzag import burkholder, cli, harness
 from zigzag.cli import main
 from zigzag.spectral import run_spectral
 
@@ -365,8 +366,9 @@ def test_an_unread_flag_is_reported_with_the_sub_command_usage_line(argv, usage,
         ("umd --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p 0", "--p must be a finite number > 0, got 0.0"),
         ("decoupling --p nan", "--p must be a finite number > 0, got nan"),
-        ("umd --depth 14 --dim 1025", "2^14 sign paths x --dim 1025 = 16793600 leaf sums; a tree walk holds at most 16777216"),
-        ("decoupling --depth 9 --samples 2000000", "--samples 2000000 x depth 9 x dim 1 = 18000000 path terms; a Monte Carlo check draws at most 16777216"),
+        ("umd --depth 14 --dim 1025", "5 copies x 2^14 sign paths x --dim 1025 = 83968000 floats of leaf sums; a tree walk holds at most 16777216"),
+        ("decoupling --depth 9 --samples 2000000",
+         "5 copies x --samples 2000000 x depth 9 x dim 1 = 90000000 floats of path terms; a Monte Carlo check holds at most 16777216"),
     ],
 )
 def test_a_check_flag_outside_its_bound_exits_2_with_one_line(argv, message, capsys, no_verifier):
@@ -425,7 +427,57 @@ OVER_THE_BOUND = [
     ["check", "rad-oracle", "--depth", "20", "--dim", "17"],
     ["check", "rad-oracle", "--depth", "1", "--samples", "16777217"],
     ["check", "burkholder", "--spec", '{"construction": "hilbert", "p": 2.5, "d": 64}', "--probes", "262145"],
+    # under the bound in their largest array alone, over it in the copies of it the check holds
+    ["check", "decoupling", "--depth", "13", "--samples", "1000000"],
+    ["check", "umd", "--depth", "14", "--dim", "512"],
+    ["check", "rad-oracle", "--depth", "20", "--dim", "8"],
+    ["check", "burkholder", "--spec", '{"construction": "hilbert", "p": 2.5, "d": 64}', "--probes", "100000"],
 ]
+
+# l1-composed specs of ceil(B / eps) = 10^9, 10^7 and 10^4 levels
+L1_CHECKS = [
+    ["check", "burkholder", "--spec", '{"construction": "l1-composed", "a": 4, "d": 3, "B": 1e6, "eps": 1e-3}', "--probes", "100"],
+    ["check", "burkholder", "--spec", '{"construction": "l1-composed", "a": 4, "d": 3, "B": 1e4, "eps": 1e-3}'],
+    ["check", "burkholder", "--spec", '{"construction": "l1-composed", "a": 4, "d": 3, "B": 100, "eps": 0.01}', "--probes", "100"],
+]
+
+# (config, the error it ends in): runs that cannot go on, over a sign-flip
+# adversary for 5 rounds unless the config says otherwise
+UNRUNNABLE = {
+    "expected-first-threshold": ({"algorithm": "zigzag-doubling-expected", "spec": {"construction": "lp-sum", "p": 1.0001, "d": 2}},
+                                 "eta0 = 0.5 with p = 1.0001 overflows the first phase's threshold eta0^-(p'-1)"),
+    "realized-first-threshold": ({"algorithm": "zigzag-doubling-realized", "spec": {"construction": "lp-sum", "p": 1.01, "d": 2}, "eta0": 1e-10},
+                                 "eta0 = 1e-10 with p = 1.01 overflows the first phase's threshold eta0^-(p'-1)"),
+    "restart-cap": ({"algorithm": "zigzag-doubling-expected", "spec": {"construction": "hilbert", "p": 2.5, "d": 3}, "eta0": 1e300},
+                    "seeds [0]: round 1 crossed more than 200 doubling thresholds of seed 0; eta0 = 1e+300 is too large"),
+    "l1-composed-levels": ({"algorithm": "zigzag", "spec": {"construction": "l1-composed", "a": 4, "d": 3, "B": 1e6, "eps": 1e-3}},
+                           "has B / eps = 1e+09 levels; an l1-composed spec has at most 1000"),
+    "fixed-file-nan": ({"algorithm": "zigzag", "spec": {"construction": "hilbert", "p": 2.5, "d": 2}, "n": 2,
+                        "adversary": {"kind": "fixed-file", "xs": [[0.1, 0.2], [math.nan, 0.0]], "ys": [1.0, -1.0]}},
+                       "fixed-file instance 1 holds nan, not a finite number"),
+    "sign-flip-base-inf": ({"algorithm": "zigzag", "spec": {"construction": "scalar-p", "p": 3.0}, "n": 2,
+                            "adversary": {"kind": "sign-flip", "base": "fixed-file", "xs": [0.1, math.inf], "ys": [1.0, 1.0]}},
+                           "fixed-file instance 1 holds inf, not a finite number"),
+}
+
+
+def _run_argv(tmp_path, name, config):
+    """``zigzag run`` on ``config`` (NaN and Infinity written as JSON reads them)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"adversary": {"kind": "sign-flip"}, "n": 5, "seeds": [0]} | config))
+    return ["run", str(path), "--out", str(tmp_path / f"out-{name}")]
+
+
+@pytest.mark.parametrize("name", UNRUNNABLE)
+def test_a_run_that_cannot_go_on_exits_2_with_one_line(name, tmp_path, capsys):
+    config, message = UNRUNNABLE[name]
+    _assert_one_line_error(main(_run_argv(tmp_path, name, config)), capsys, message)
+
+
+def test_an_l1_composed_spec_of_too_many_levels_is_refused_before_it_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(burkholder.ComposedL1U, "__init__", _never)
+    for argv in L1_CHECKS:
+        _assert_one_line_error(main(argv), capsys, "levels; an l1-composed spec has at most 1000")
 
 
 def _front_door_sweep(tmp_path):
@@ -441,6 +493,7 @@ def _front_door_sweep(tmp_path):
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", "1"]
             yield ["check", "decoupling", "--p", p, "--tree", tree, "--depth", depth, "--samples", "100"]
     yield from OVER_THE_BOUND
+    yield from L1_CHECKS
     yield ["check", "rad-oracle", "--depth", "1", "--dim", "1", "--trials", "1", "--samples", "100"]
     yield ["check", "rad-oracle", "--depth", "20", "--dim", "4", "--trials", "1", "--samples", "100"]  # the deepest exact oracle
     for loss in ("hinge", "absolute", "linear"):
@@ -466,9 +519,9 @@ def _front_door_sweep(tmp_path):
         ("zigzag", {"construction": "scalar-p", "p": 140}, 200),  # predicts NaN in round 195
     ]
     for i, (algorithm, spec, n) in enumerate(runs):
-        path = tmp_path / f"config{i}.json"
-        path.write_text(json.dumps({"algorithm": algorithm, "spec": spec, "adversary": {"kind": "sign-flip"}, "n": n, "seeds": [0]}))
-        yield ["run", str(path), "--out", str(tmp_path / f"out{i}")]
+        yield _run_argv(tmp_path, f"config{i}", {"algorithm": algorithm, "spec": spec, "n": n})
+    for name, (config, _) in UNRUNNABLE.items():
+        yield _run_argv(tmp_path, name, config)
 
 
 def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys, monkeypatch):
@@ -476,7 +529,7 @@ def test_front_doors_end_in_json_or_one_error_line(tmp_path, capsys, monkeypatch
     the last path it prints), or 2 with one ``zigzag: error:`` line; no
     exception escapes."""
     argvs = list(_front_door_sweep(tmp_path))
-    assert len(argvs) == 87
+    assert len(argvs) == 100
     for argv in argvs:
         with monkeypatch.context() as guard:
             if argv in OVER_THE_BOUND:

@@ -206,8 +206,6 @@ def replay(learner, loss_name, adversary, n):
     cert, rel, loss = [], [], []
     for t in range(1, n + 1):
         x = adversary.next_x(t)
-        if hasattr(learner, "begin_round"):
-            learner.begin_round(x)
         yhat = learner.predict(x)
         y = adversary.next_y(t, x, yhat)
         cert.append(learner.certificate(x, yhat))

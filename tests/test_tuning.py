@@ -5,7 +5,7 @@ import pytest
 
 from zigzag import tuning
 from zigzag.burkholder import EvenPowerU, HilbertU, LpSumU, ScalarPowerU, WeightedL2U
-from zigzag.harness import FixedStream, IIDGaussianX
+from zigzag.harness import ConfigError, FixedStream, IIDGaussianX
 from zigzag.learner import CERT_TOL, psi, run_episode
 from zigzag.linalg import IntervalSupTracker, LpTag, conjugate
 from zigzag.rng import substream
@@ -213,8 +213,21 @@ def test_expected_restart_loop_logs_empty_phases():
 
 def test_expected_restart_loop_safety_cap(monkeypatch):
     monkeypatch.setattr(tuning, "MAX_RESTARTS_PER_ROUND", 2)
-    with pytest.raises(RuntimeError, match="safety cap"):
+    with pytest.raises(ConfigError, match=r"^seeds \[0\]: round 4 crossed more than 2 doubling thresholds of seed 0; eta0 = 0.5 "):
         run_burst_stream()
+
+
+def test_expected_mode_folds_each_instance_once():
+    """A second ``predict`` in a round folds nothing and predicts the same,
+    also in a round whose instance crosses thresholds."""
+    tuner = DoublingZigZag(HilbertU(2.0, dim=2), "expected", [0], eta0=0.5, mc_paths=100)
+    for x in ([1.0, 0.0], [1.0, 0.0], [1000.0, 0.0], [0.0, 1.0]):
+        first = tuner.predict(x)
+        phases = len(tuner.phase_log[0])
+        assert tuner.predict(x).tobytes() == first.tobytes()
+        assert tuner.tracker.n == tuner.t + 1 and len(tuner.phase_log[0]) == phases
+        tuner.update(x, 0.5)
+    assert phases > 2  # the large instance opened new phases
 
 
 class FullScanTracker(tuning.ExpectedPhiTracker):
